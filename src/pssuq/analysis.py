@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .shooting import PhaseCondition, estimate_period, solve_autonomous, solve_forced
 from .transient import NewtonOptions, TRAPEZOIDAL
@@ -251,6 +250,8 @@ def avg_power(v, i, times):
 
 def ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov statistic (empirical CDF distance)."""
+    import scipy.stats  # imported here: it is over half of the CLI's import time
+
     return float(scipy.stats.ks_2samp(np.asarray(a), np.asarray(b)).statistic)
 
 
@@ -286,6 +287,8 @@ def _freedman_diaconis_edges(samples):
 
 def distribution_from_samples(name, samples):
     """Freedman-Diaconis histogram plus Gaussian-kernel density estimate."""
+    import scipy.stats  # imported here: it is over half of the CLI's import time
+
     samples = np.asarray(samples, dtype=float)
     mean = float(samples.mean())
     std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0

@@ -313,15 +313,6 @@ class DaeEval:
     df_dx: np.ndarray
 
 
-@dataclass
-class ParamDerivatives:
-    """Derivatives of q, f and B*u with respect to the physical parameters."""
-
-    dq_dtheta: np.ndarray
-    df_dtheta: np.ndarray
-    dbu_dtheta: np.ndarray
-
-
 class CircuitInstance:
     """A circuit with its random parameters bound to physical values.
 
@@ -365,14 +356,6 @@ class CircuitInstance:
             return DaeEval(*(a[0] for a in out))
         return DaeEval(*out)
 
-    def eval_param_derivatives(self, x, t):
-        """Analytic derivatives of q, f, B*u w.r.t. the physical parameters."""
-        squeeze = self.scalar and np.asarray(x).ndim == 1
-        out = self.circuit.plan().eval_param_derivs(self._states(x), float(t), self.theta)
-        if squeeze:
-            return ParamDerivatives(*(a[0] for a in out))
-        return ParamDerivatives(*out)
-
     def find_nonfinite_element(self, x, t):
         """Name of an element producing a non-finite contribution, or None."""
         return self.circuit.plan().locate_nonfinite(self._states(x), float(t), self.theta)
@@ -396,11 +379,7 @@ def _limited_exp(z):
 
 
 def _mos_core(vgs, vds, kp, vt0, lam):
-    """Square-law drain current for vds >= 0, with partials.
-
-    Returns (i, gm, go, base) where base = i / (1 + lam*vds) is the
-    channel polynomial (used for the lambda parameter derivative).
-    """
+    """Square-law drain current for vds >= 0, with partials (i, gm, go)."""
     vov = vgs - vt0
     on = vov > 0.0
     sat = vds >= vov
@@ -419,7 +398,6 @@ def _mos_core(vgs, vds, kp, vt0, lam):
         np.where(on, i, zero),
         np.where(on, gm, zero),
         np.where(on, go, zero),
-        np.where(on, base, zero),
     )
 
 
@@ -503,7 +481,6 @@ class _EvalPlan:
         self.jq = _SlotSpace(self.n1 * self.n1)
         self.jf = _SlotSpace(self.n1 * self.n1)
         self._fills = []
-        self._param_fills = []
 
         by_kind = {}
         for e in circuit.elements:
@@ -590,8 +567,7 @@ class _EvalPlan:
         )
 
     # -- per-kind compilers --------------------------------------------------
-    # Each records a fill(x_pad, t, theta, vq, vf, vbu, vjq, vjf) closure and
-    # a param-derivative closure writing d(value)/d(theta_j) per bound slot.
+    # Each records a fill(x_pad, t, theta, vq, vf, vbu, vjq, vjf) closure.
 
     def _compile_resistors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
@@ -605,14 +581,7 @@ class _EvalPlan:
             vf[fs] = v / r
             vjf[js] = 1.0 / r
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            r = rv.resolve(th)
-            v = x[a] - x[b]
-            for k, j in rv.bound:
-                dvf[fs[k], j] = -v[k] / r[k] ** 2
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_capacitors(self, elems, key="value"):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
@@ -625,13 +594,7 @@ class _EvalPlan:
             vq[qs] = c * (x[a] - x[b])
             vjq[js] = c
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            v = x[a] - x[b]
-            for k, j in cv.bound:
-                dvq[qs[k], j] = v[k]
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_inductors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
@@ -673,13 +636,7 @@ class _EvalPlan:
             vjq[jq] = L
             vjf[jf] = 1.0
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            i = x[m]
-            for k, j in lv.bound:
-                dvq[qs[k], j] = i[k]
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _source_value(self, elems):
         src_dc = _ParamVals([self._fold(e.source.dc) for e in elems], self._ppos)
@@ -697,32 +654,12 @@ class _EvalPlan:
             arg = 2.0 * math.pi * freq[:, None] * t + ph * math.pi / 180.0
             return np.where(is_sin[:, None], off + amp * np.sin(arg), dc)
 
-        def dvalue(t, th):
-            """List of (slot row k, theta col j, derivative (B,)) triples."""
-            out = []
-            ph = src_ph.resolve(th)
-            amp = src_amp.resolve(th)
-            arg = 2.0 * math.pi * freq[:, None] * t + ph * math.pi / 180.0
-            for k, j in src_dc.bound:
-                if not is_sin[k]:
-                    out.append((k, j, np.ones(th.shape[0])))
-            for k, j in src_off.bound:
-                if is_sin[k]:
-                    out.append((k, j, np.ones(th.shape[0])))
-            for k, j in src_amp.bound:
-                if is_sin[k]:
-                    out.append((k, j, np.sin(arg[k])))
-            for k, j in src_ph.bound:
-                if is_sin[k]:
-                    out.append((k, j, amp[k] * np.cos(arg[k]) * math.pi / 180.0))
-            return out
-
-        return value, dvalue
+        return value
 
     def _compile_vsources(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
         m = self._bidx(elems)
-        value, dvalue = self._source_value(elems)
+        value = self._source_value(elems)
         fs_i = self._pair_current_slots(self.sf, elems, a, b)
         fs_v = np.array([self.sf.add(e.name, [(int(m[k]), 1.0)]) for k, e in enumerate(elems)])
         bs = np.array([self.sbu.add(e.name, [(int(m[k]), 1.0)]) for k, e in enumerate(elems)])
@@ -747,16 +684,11 @@ class _EvalPlan:
             vbu[bs] = value(t, th)
             vjf[jf] = 1.0
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            for k, j, dv in dvalue(t, th):
-                dvbu[bs[k], j] = dv
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_isources(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
-        value, dvalue = self._source_value(elems)
+        value = self._source_value(elems)
         # positive source current flows internally from node+ to node-, i.e.
         # it is drawn from node+ and injected into node-
         bs = np.array(
@@ -769,12 +701,7 @@ class _EvalPlan:
         def fill(x, t, th, vq, vf, vbu, vjq, vjf):
             vbu[bs] = value(t, th)
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            for k, j, dv in dvalue(t, th):
-                dvbu[bs[k], j] = dv
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_diodes(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
@@ -787,29 +714,14 @@ class _EvalPlan:
         if has_cj:
             self._compile_capacitors(has_cj, key="CJ")
 
-        def junction(x, th):
+        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
             isat = isv.resolve(th)
             ve = nv.resolve(th) * thermal_voltage(tv.resolve(th))
-            z = (x[a] - x[b]) / ve
-            ev, dev = _limited_exp(z)
-            return isat, ve, z, ev, dev
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            isat, ve, z, ev, dev = junction(x, th)
+            ev, dev = _limited_exp((x[a] - x[b]) / ve)
             vf[fs] = isat * (ev - 1.0)
             vjf[js] = isat * dev / ve
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            isat, ve, z, ev, dev = junction(x, th)
-            for k, j in isv.bound:
-                dvf[fs[k], j] = ev[k] - 1.0
-            for k, j in nv.bound:
-                dvf[fs[k], j] = isat[k] * dev[k] * (-z[k] / nv.resolve(th)[k])
-            for k, j in tv.bound:
-                dvf[fs[k], j] = isat[k] * dev[k] * (-z[k] / tv.resolve(th)[k])
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_vdp_conductors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
@@ -823,13 +735,7 @@ class _EvalPlan:
             vf[fs] = m * (v**3 / 3.0 - v)
             vjf[js] = m * (v * v - 1.0)
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            v = x[a] - x[b]
-            for k, j in mu.bound:
-                dvf[fs[k], j] = v[k] ** 3 / 3.0 - v[k]
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_mosfets(self, elems):
         d_, g_, s_ = self._nidx(elems, 0), self._nidx(elems, 1), self._nidx(elems, 2)
@@ -864,41 +770,22 @@ class _EvalPlan:
             ]
             self._compile_capacitors(gd_pairs)
 
-        def channel(x, th):
-            kp = kpv.resolve(th)
-            vt0 = vtv.resolve(th)
-            lam = lamv.resolve(th)
+        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
             sp_ = sign_p[:, None]
             vd, vg, vs = sp_ * x[d_], sp_ * x[g_], sp_ * x[s_]
             swap = (vd - vs) < 0.0
-            vlo = np.where(swap, vd, vs)
-            vgs_e = vg - vlo
-            vds_e = np.abs(vd - vs)
-            i, gm, go, base = _mos_core(vgs_e, vds_e, kp, vt0, lam)
+            vgs_e = vg - np.where(swap, vd, vs)
+            i, gm, go = _mos_core(
+                vgs_e, np.abs(vd - vs), kpv.resolve(th), vtv.resolve(th), lamv.resolve(th)
+            )
             s2 = np.where(swap, -1.0, 1.0)
-            return i, gm, go, base, s2, sp_, swap, vds_e
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            i, gm, go, base, s2, sp_, swap, _ = channel(x, th)
             vf[fs] = sp_ * s2 * i
             # voltage-derivative triple depends only on the swap state
             vjf[jd] = np.where(swap, gm + go, go)
             vjf[jg] = np.where(swap, -gm, gm)
             vjf[js_] = np.where(swap, -go, -(gm + go))
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            i, gm, go, base, s2, sp_, swap, vds_e = channel(x, th)
-            kp = kpv.resolve(th)
-            sgn = sp_ * s2
-            for k, j in kpv.bound:
-                dvf[fs[k], j] = sgn[k] * i[k] / kp[k]
-            for k, j in vtv.bound:
-                dvf[fs[k], j] = sgn[k] * (-gm[k])
-            for k, j in lamv.bound:
-                dvf[fs[k], j] = sgn[k] * base[k] * vds_e[k]
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     def _compile_bjts(self, elems):
         c_, b_, e_ = self._nidx(elems, 0), self._nidx(elems, 1), self._nidx(elems, 2)
@@ -920,18 +807,13 @@ class _EvalPlan:
                 )
         jc, jb, je = np.array(jc), np.array(jb), np.array(je)
 
-        def junction(x, th):
+        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
             i_s = isv.resolve(th)
             alpha = av.resolve(th)
             vt = thermal_voltage(tv.resolve(th))
-            z = (x[b_] - x[e_]) / vt
-            ev, dev = _limited_exp(z)
+            ev, dev = _limited_exp((x[b_] - x[e_]) / vt)
             i_f = i_s * (ev - 1.0)
             gpi = i_s * dev / vt
-            return i_s, alpha, vt, z, ev, i_f, gpi
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            i_s, alpha, vt, z, ev, i_f, gpi = junction(x, th)
             vf[fc] = alpha * i_f
             vf[fb] = (1.0 - alpha) * i_f
             vf[fe] = -i_f
@@ -939,23 +821,7 @@ class _EvalPlan:
             vjf[jb] = (1.0 - alpha) * gpi
             vjf[je] = -gpi
 
-        def pfill(x, t, th, dvq, dvf, dvbu):
-            i_s, alpha, vt, z, ev, i_f, gpi = junction(x, th)
-            for k, j in av.bound:
-                dvf[fc[k], j] = i_f[k]
-                dvf[fb[k], j] = -i_f[k]
-            for k, j in isv.bound:
-                dvf[fc[k], j] = alpha[k] * (ev[k] - 1.0)
-                dvf[fb[k], j] = (1.0 - alpha[k]) * (ev[k] - 1.0)
-                dvf[fe[k], j] = -(ev[k] - 1.0)
-            for k, j in tv.bound:
-                dif = i_s[k] * _limited_exp(z[k])[1] * (-z[k] / tv.resolve(th)[k])
-                dvf[fc[k], j] = alpha[k] * dif
-                dvf[fb[k], j] = (1.0 - alpha[k]) * dif
-                dvf[fe[k], j] = -dif
-
         self._fills.append(fill)
-        self._param_fills.append(pfill)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -989,23 +855,6 @@ class _EvalPlan:
             np.ascontiguousarray(np.moveaxis(dq, 2, 0)),
             np.ascontiguousarray(np.moveaxis(df, 2, 0)),
         )
-
-    def eval_param_derivs(self, x, t, theta):
-        B = x.shape[0]
-        d = len(self.circuit.random_params)
-        x_pad = np.zeros((self.n1, B))
-        x_pad[1:] = x.T
-        dvq = np.zeros((max(self.sq.count, 1), max(d, 1), B))
-        dvf = np.zeros((max(self.sf.count, 1), max(d, 1), B))
-        dvbu = np.zeros((max(self.sbu.count, 1), max(d, 1), B))
-        for pfill in self._param_fills:
-            pfill(x_pad, t, theta, dvq, dvf, dvbu)
-
-        def scatter(M, dv):
-            out = (M @ dv.reshape(dv.shape[0], -1)).reshape(self.n1, max(d, 1), B)
-            return np.moveaxis(out[1:], 2, 0)[:, :, :d]
-
-        return scatter(self.Mq, dvq), scatter(self.Mf, dvf), scatter(self.Mbu, dvbu)
 
     def locate_nonfinite(self, x, t, theta):
         vq, vf, vbu, vjq, vjf = self._values(x, t, theta)

@@ -504,15 +504,34 @@ def convergence_sweep(circuit, cfg, orders):
     return rows
 
 
-def _cmd_speedup(rep, circuit, cfg):
+def _speedup_options(cfg):
+    """The ``speedup`` config options over their defaults, validated."""
     opts = cfg.get("speedup") or {}
+    if not isinstance(opts, dict):
+        raise ConfigError("config field 'speedup' must be a JSON object")
+    opts = {"n": 100, "orders": [1, 2, 3, 4], "dim": 4, "steps": 40, "repeats": 3, **opts}
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    for key in ("n", "dim", "steps", "repeats"):
+        if not (is_int(opts[key]) and opts[key] > 0):
+            raise ConfigError(f"speedup option {key!r} must be a positive integer")
+    orders = opts["orders"]
+    if not (isinstance(orders, list) and orders and all(is_int(p) and p >= 0 for p in orders)):
+        raise ConfigError("speedup option 'orders' must be a non-empty list of integers >= 0")
+    return opts
+
+
+def _cmd_speedup(rep, circuit, cfg):
+    opts = _speedup_options(cfg)
     with rep.phase("sweep"):
         rows, blas = _sweep_in_child(
-            n_nodes=int(opts.get("n", 100)),
-            orders=opts.get("orders") or [1, 2, 3, 4],
-            dim=int(opts.get("dim", 4)),
-            n_steps=int(opts.get("steps", 40)),
-            repeats=int(opts.get("repeats", 3)),
+            n_nodes=opts["n"],
+            orders=opts["orders"],
+            dim=opts["dim"],
+            n_steps=opts["steps"],
+            repeats=opts["repeats"],
             seed=cfg["seed"],
         )
     rep.manifest_extra["blas"] = blas

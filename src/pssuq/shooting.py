@@ -28,6 +28,7 @@ from .transient import (
     NewtonOptions,
     TRAPEZOIDAL,
     Trajectory,
+    batched_solve,
     integrate,
     transition_chain,
 )
@@ -52,7 +53,6 @@ class PssSolution:
     y: np.ndarray
     period: np.ndarray | float
     trajectory: Trajectory
-    monodromy: np.ndarray
     iterations: int
     residual_norm: np.ndarray | float
     converged: np.ndarray | bool
@@ -115,103 +115,65 @@ class CircuitDae:
         return self.instance.find_nonfinite_element(w, t)
 
 
-def state_transition(
-    instance,
-    y,
-    t0,
-    t1,
-    scale=None,
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
-    """Integrate the circuit from state y; returns (endpoint, trajectory).
-
-    With ``scale`` given, the time-scaled autonomous equations are
-    integrated over the scaled interval instead.
-    """
-    sys = CircuitDae(instance, scale=scale)
-    traj = integrate(sys, y, t0, t1, scheme=scheme, n_steps=n_steps, newton=newton)
-    return traj.end, traj
-
-
-def monodromy(system, trajectory, scheme=None):
-    """One-period state-transition Jacobian along a recorded trajectory."""
-    M, _ = transition_chain(system, trajectory, scheme)
-    return M
-
-
 def _norm_inf(g):
     return np.max(np.abs(g), axis=-1)
 
 
-def _solve_linear(J, rhs):
-    """Batched dense solve with per-sample fallback; NaN rows on failure."""
-    try:
-        return np.linalg.solve(J, rhs)
-    except np.linalg.LinAlgError:
-        if J.ndim == 2:
-            return np.full_like(rhs, np.nan)
-        out = np.empty_like(rhs)
-        flat_J = J.reshape(-1, *J.shape[-2:])
-        flat_r = rhs.reshape(-1, *rhs.shape[-2:])
-        for i in range(flat_J.shape[0]):
-            try:
-                out.reshape(flat_r.shape)[i] = np.linalg.solve(flat_J[i], flat_r[i])
-            except np.linalg.LinAlgError:
-                out.reshape(flat_r.shape)[i] = np.nan
-        return out
+MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
 
 
-def _damped_newton(unknown0, run, solve_update, tol, max_iter, max_halvings=8):
-    """Shared damped-Newton driver for the shooting solvers.
+def damped_newton(u0, run, newton_step, tol, max_iter):
+    """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
 
-    ``run(u)`` evaluates the residual, returning (g, norm, aux);
-    ``solve_update(u, g, aux)`` returns the Newton step. Works on batched
-    unknowns: each sample halves its own step until its residual norm
-    decreases. Returns (u, g, norm, aux, iterations, converged_mask).
+    ``run(u)`` returns ``(g, norm, aux)``: the residual, its infinity norm
+    per sample (inf where the residual is unusable) and what
+    ``newton_step(u, g, aux)`` needs to return the Newton step. Each sample
+    halves its own step and takes the first trial whose norm is finite and
+    lower. A sample whose step is not finite, or that has not improved
+    after ``MAX_HALVINGS`` halvings, stalls. Converged and stalled samples
+    keep their iterate in every trial, so the last trial is the residual
+    at the new iterates unless a sample stalled in it.
+
+    Returns ``(u, g, norm, aux, history)``. ``history`` holds one
+    ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
+    step scale, so ``len(history) - 1`` Newton iterations were taken.
     """
-    u = np.array(unknown0, dtype=float, copy=True)
+    u = np.array(u0, dtype=float, copy=True)
     g, gn, aux = run(u)
-    stalled = np.zeros(np.shape(gn), dtype=bool)
-    iterations = 0
-    while iterations < max_iter and not np.all((gn <= tol) | stalled):
-        delta = solve_update(u, g, aux)
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        alpha = np.ones(np.shape(gn))
-        accepted = (gn <= tol) | stalled
+    gn = np.asarray(gn)
+    stalled = np.zeros(gn.shape, dtype=bool)
+    history = [(u.copy(), gn.copy(), None)]
+    while len(history) <= max_iter:
+        pending = ~(gn <= tol) & ~stalled
+        if not np.any(pending):
+            break
+        delta = newton_step(u, g, aux)
+        stalled |= pending & ~np.all(np.isfinite(delta), axis=-1)
+        pending &= ~stalled
+        alpha = np.ones(gn.shape)
+        moved = np.zeros(gn.shape, dtype=bool)
         u_next = u
-        uniform = False  # whole batch accepted the full step in one trial
-        for trial in range(max_halvings + 1):
-            u_t = u - (alpha[..., None] if delta.ndim > 1 else alpha) * delta
+        for _ in range(MAX_HALVINGS + 1):
+            if not np.any(pending):
+                break
+            u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
             g_t, gn_t, aux_t = run(u_t)
-            better = np.where(np.isfinite(gn_t), gn_t < gn, False) & ~accepted
-            if trial == max_halvings:
-                better = ~accepted & np.isfinite(gn_t)
-            if trial == 0 and np.all(better | accepted) and not np.any(accepted):
-                u, g, gn, aux = u_t, g_t, gn_t, aux_t
-                uniform = True
-                accepted = accepted | better
-                break
-            if np.any(better):
-                if np.ndim(gn) == 0:
-                    u_next = u_t
-                else:
-                    u_next = np.where(better[..., None], u_t, u_next)
-            accepted = accepted | better
-            if np.all(accepted):
-                break
-            alpha = np.where(accepted, alpha, 0.5 * alpha)
-        stalled = stalled | ~accepted
-        if not uniform:
-            if np.ndim(gn) == 0 and not bool(accepted):
-                break
-            u = u_next if np.ndim(gn) == 0 else np.where(stalled[..., None], u, u_next)
-            # re-evaluate so the residual and trajectory match the update
-            g, gn, aux = run(u)
-        iterations += 1
-    converged = gn <= tol
-    return u, g, gn, aux, iterations, converged
+            better = pending & (gn_t < gn)  # false for a non-finite norm
+            u_next = np.where(better[..., None], u_t, u_next)
+            moved |= better
+            pending &= ~better
+            alpha = np.where(pending, 0.5 * alpha, alpha)
+        stalled |= pending
+        if not np.any(moved):
+            break
+        u = u_next
+        if np.any(pending):
+            g, gn, aux = run(u)  # the last trial moved a sample that stalled
+        else:
+            g, gn, aux = g_t, gn_t, aux_t
+        gn = np.asarray(gn)
+        history.append((u.copy(), gn.copy(), np.where(moved, alpha, 0.0)))
+    return u, g, gn, aux, history
 
 
 def solve_forced(
@@ -245,21 +207,18 @@ def solve_forced(
             gn = np.where(traj.failed, np.inf, gn)
         return g, gn, traj
 
-    def solve_update(y, g, traj):
+    def newton_step(y, g, traj):
         M, _ = transition_chain(sys, traj, scheme)
-        n = y.shape[-1]
-        J = M - np.eye(n)
-        return _solve_linear(J, g[..., None])[..., 0]
+        J = M - np.eye(y.shape[-1])
+        return batched_solve(J, g[..., None])[..., 0]
 
-    y, g, gn, traj, iterations, converged = _damped_newton(
-        y0, run, solve_update, tol, max_iter
-    )
+    y, g, gn, traj, history = damped_newton(y0, run, newton_step, tol, max_iter)
+    converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
             f"forced shooting did not converge (residual {np.min(gn):.3e})"
         )
-    M, _ = transition_chain(sys, traj, scheme)
-    return PssSolution(y, period, traj, M, iterations, gn, converged)
+    return PssSolution(y, period, traj, len(history) - 1, gn, converged)
 
 
 def solve_autonomous(
@@ -314,13 +273,13 @@ def solve_autonomous(
             gn = np.where(traj.failed, np.inf, gn)
         return g, gn, traj
 
-    def solve_update(u, g, traj):
+    def newton_step(u, g, traj):
         M, S = transition_chain(sys, traj, scheme, with_scale_columns=True)
         J = np.zeros(M.shape[:-2] + (n + 1, n + 1))
         J[..., :n, :n] = M - np.eye(n)
         J[..., :n, n:] = S
         J[..., n, j] = 1.0
-        delta = _solve_linear(J, g[..., None])[..., 0]
+        delta = batched_solve(J, g[..., None])[..., 0]
         if np.all(~np.isfinite(delta)):
             raise ConvergenceError(
                 "singular bordered shooting Jacobian; the phase pick may be "
@@ -329,18 +288,15 @@ def solve_autonomous(
             )
         return delta
 
-    u, g, gn, traj, iterations, converged = _damped_newton(
-        u0, run, solve_update, tol, max_iter
-    )
+    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
             f"autonomous shooting did not converge (residual {np.min(gn):.3e})"
         )
     y, a = u[..., :n], u[..., n]
-    sys.scale = a
-    M, _ = transition_chain(sys, traj, scheme)
     return PssSolution(
-        y, period_guess * a, traj, M, iterations, gn, converged, period_scale=a
+        y, period_guess * a, traj, len(history) - 1, gn, converged, period_scale=a
     )
 
 

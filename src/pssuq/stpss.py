@@ -26,12 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpc import GpcCoefficients, moments
-from .shooting import CircuitDae, estimate_period, solve_autonomous, solve_forced
+from .shooting import (
+    CircuitDae,
+    damped_newton,
+    estimate_period,
+    solve_autonomous,
+    solve_forced,
+)
 from .transient import (
     ConvergenceError,
     NewtonOptions,
     TRAPEZOIDAL,
     Trajectory,
+    batched_solve,
     integrate,
     transition_chain,
 )
@@ -54,21 +61,6 @@ def decouple_residual(g, testing, block_size):
 def recouple_update(node_vectors, testing):
     """K per-node vectors (rows) -> stacked coefficient-space vector."""
     return (testing.v_inv @ np.asarray(node_vectors, dtype=float)).ravel()
-
-
-def interleave_scaled(state_coeffs, scale_coeffs, n):
-    """Permute [all state blocks; scale block] into K blocks of size n+1."""
-    K = scale_coeffs.shape[0]
-    out = np.empty((K, n + 1))
-    out[:, :n] = np.asarray(state_coeffs).reshape(K, n)
-    out[:, n] = scale_coeffs
-    return out
-
-
-def deinterleave_scaled(blocks):
-    """Inverse of :func:`interleave_scaled`; returns (state, scale)."""
-    blocks = np.asarray(blocks)
-    return blocks[:, :-1].ravel().copy(), blocks[:, -1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +162,6 @@ def assemble_autonomous(circuit, basis, testing, nominal_period):
     )
 
 
-def j12_recursion(system, trajectory):
-    """Endpoint sensitivity of the stacked state to the scaling coefficients.
-
-    Iterates the per-step derivative of the implicit step equations from a
-    zero matrix; exact for the recorded discretization.
-    """
-    _, S = transition_chain(system, trajectory, with_scale_columns=True)
-    return S
-
-
 # ---------------------------------------------------------------------------
 # solution container
 
@@ -247,40 +229,17 @@ class StochasticPssSolution:
                 fh.write(",".join(f"{v:.17g}" for v in [t, *row]) + "\n")
 
 
-# ---------------------------------------------------------------------------
-# Newton driver
+def _iteration_log(history):
+    """Residual norm and step scale of each iterate of a scalar solve."""
+    log = [{"residual": float(history[0][1])}]
+    log += [{"residual": float(gn), "step_scale": float(alpha)} for _, gn, alpha in history[1:]]
+    return log
 
 
-def _newton_loop(u0, run, update, tol, max_iter, max_halvings=8):
-    """Damped Newton with iterate logging (residual-norm line search)."""
-    u = np.array(u0, dtype=float, copy=True)
-    g, gn, traj = run(u)
-    if not np.isfinite(gn):
-        raise ConvergenceError("initial residual is not finite")
-    iterates = [u.copy()]
-    log = [{"residual": float(gn)}]
-    iterations = 0
-    while gn > tol and iterations < max_iter:
-        delta = update(u, g, traj)
-        if not np.all(np.isfinite(delta)):
-            raise ConvergenceError("singular shooting Jacobian")
-        alpha = 1.0
-        best = None
-        for _ in range(max_halvings + 1):
-            u_t = u - alpha * delta
-            g_t, gn_t, traj_t = run(u_t)
-            if np.isfinite(gn_t) and (best is None or gn_t < best[1]):
-                best = (u_t, gn_t, g_t, traj_t, alpha)
-            if np.isfinite(gn_t) and gn_t < gn:
-                break
-            alpha *= 0.5
-        if best is None or best[1] >= gn:
-            break  # no finite trial, or fully damped without improvement
-        u, gn, g, traj, alpha = best
-        iterations += 1
-        iterates.append(u.copy())
-        log.append({"residual": float(gn), "step_scale": float(alpha)})
-    return u, g, gn, traj, iterations, gn <= tol, iterates, log
+def _checked_step(delta):
+    if not np.all(np.isfinite(delta)):
+        raise ConvergenceError("singular shooting Jacobian")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +280,18 @@ def shoot_forced(
         g = traj.end - u
         return g, float(np.max(np.abs(g))), traj
 
-    def update(u, g, traj):
+    def newton_step(u, g, traj):
         if mode == "coupled":
             M, _ = transition_chain(system, traj)
-            return np.linalg.solve(M - np.eye(n * K), g)
+            return _checked_step(batched_solve(M - np.eye(n * K), g[:, None])[:, 0])
         node_traj = _node_trajectory(system, traj)
         M_nodes, _ = transition_chain(system.node_dae(), node_traj)
         g_nodes = decouple_residual(g, system.testing, n)
-        delta_nodes = np.linalg.solve(M_nodes - np.eye(n), g_nodes[..., None])[..., 0]
-        return recouple_update(delta_nodes, system.testing)
+        delta_nodes = batched_solve(M_nodes - np.eye(n), g_nodes[..., None])[..., 0]
+        return _checked_step(recouple_update(delta_nodes, system.testing))
 
-    u, g, gn, traj, iterations, converged, iterates, log = _newton_loop(
-        u0, run, update, tol, max_iter
-    )
-    if not converged:
+    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    if not gn <= tol:
         raise ConvergenceError(f"stochastic forced shooting stalled at residual {gn:.3e}")
     per_node = np.max(np.abs(decouple_residual(g, system.testing, n)), axis=1)
     return StochasticPssSolution(
@@ -344,12 +301,12 @@ def shoot_forced(
         None,
         None,
         traj,
-        iterations,
-        gn,
+        len(history) - 1,
+        float(gn),
         per_node,
-        converged,
-        iterates,
-        log,
+        True,
+        [h[0] for h in history],
+        _iteration_log(history),
         mode,
     )
 
@@ -429,7 +386,9 @@ def shoot_autonomous(
         g = np.concatenate([psi, chi])
         return g, float(np.max(np.abs(g))), traj
 
-    def update(u, g, traj):
+    def newton_step(u, g, traj):
+        if traj is None:
+            raise ConvergenceError("initial residual is not finite")
         a_hat = u[n * K :]
         system.scale_coeffs = a_hat
         if mode == "coupled":
@@ -439,7 +398,7 @@ def shoot_autonomous(
             J[: n * K, n * K :] = S
             for k in range(K):
                 J[n * K + k, k * n + j] = 1.0
-            return np.linalg.solve(J, g)
+            return _checked_step(batched_solve(J, g[:, None])[:, 0])
         node_traj = _node_trajectory(system, traj)
         M_nodes, S_nodes = transition_chain(
             system.node_dae(), node_traj, with_scale_columns=True
@@ -451,14 +410,12 @@ def shoot_autonomous(
         J[:, :n, n:] = S_nodes
         J[:, n, j] = 1.0
         rhs = np.concatenate([psi_nodes, chi_nodes[:, None]], axis=1)
-        delta = np.linalg.solve(J, rhs[..., None])[..., 0]
-        dz, da = deinterleave_scaled(system.testing.v_inv @ delta)
-        return np.concatenate([dz, da])
+        delta = batched_solve(J, rhs[..., None])[..., 0]
+        blocks = system.testing.v_inv @ delta  # K blocks of (state, scale)
+        return _checked_step(np.concatenate([blocks[:, :n].ravel(), blocks[:, n]]))
 
-    u, g, gn, traj, iterations, converged, iterates, log = _newton_loop(
-        u0, run, update, tol, max_iter
-    )
-    if not converged:
+    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    if not gn <= tol:
         raise ConvergenceError(
             f"stochastic autonomous shooting stalled at residual {gn:.3e}"
         )
@@ -472,12 +429,12 @@ def shoot_autonomous(
         T0,
         GpcCoefficients(system.basis, a_hat),
         traj,
-        iterations,
-        gn,
+        len(history) - 1,
+        float(gn),
         per_node,
-        converged,
-        iterates,
-        log,
+        True,
+        [h[0] for h in history],
+        _iteration_log(history),
         mode,
     )
 

@@ -94,24 +94,24 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in [t, *row]) + "\n")
 
 
-def _solve(J, r):
-    """Solve J x = r for vector/stacked right-hand sides, NaN on failure."""
+def batched_solve(J, R):
+    """Solve J X = R, J (..., m, m) and R (..., m, k); NaN for singular J.
+
+    One batched call does the work; only when it reports a singular matrix
+    are the systems solved one by one, so the other samples keep theirs.
+    """
     try:
-        return np.linalg.solve(J, r[..., None])[..., 0], None
+        return np.linalg.solve(J, R)
     except np.linalg.LinAlgError:
-        if J.ndim == 2:
-            return np.full_like(r, np.nan), np.array(True)
         flat_J = J.reshape(-1, *J.shape[-2:])
-        flat_r = r.reshape(-1, r.shape[-1])
-        out = np.empty_like(flat_r)
-        bad = np.zeros(flat_J.shape[0], dtype=bool)
+        flat_R = R.reshape(-1, *R.shape[-2:])
+        out = np.empty_like(flat_R)
         for i in range(flat_J.shape[0]):
             try:
-                out[i] = np.linalg.solve(flat_J[i], flat_r[i])
+                out[i] = np.linalg.solve(flat_J[i], flat_R[i])
             except np.linalg.LinAlgError:
                 out[i] = np.nan
-                bad[i] = True
-        return out.reshape(r.shape), bad.reshape(r.shape[:-1])
+        return out.reshape(R.shape)
 
 
 def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=None):
@@ -136,30 +136,20 @@ def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=N
         r = np.where(np.isfinite(r), r, 1e300)
         rnorm = np.max(np.abs(r), axis=-1)
         J = dq + (g1 * h) * df
-        delta, bad = _solve(J, r)
-        delta = np.where(np.isfinite(delta), delta, 0.0)
+        delta = batched_solve(J, r[..., None])[..., 0]
+        finite = np.isfinite(delta)
+        bad = ~np.all(finite, axis=-1)
+        delta = np.where(finite, delta, 0.0)
         w = w - np.where(converged[..., None], 0.0, delta)
         unorm = np.max(np.abs(delta), axis=-1)
         wnorm = np.max(np.abs(w), axis=-1)
-        converged = converged | (
+        converged = (converged | (
             (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + wnorm))
-        )
-        if bad is not None:
-            converged = converged & ~bad
+        )) & ~bad
         if np.all(converged):
             break
     q, f = system.eval(w, t_new)
     return w, (q, f), converged
-
-
-def step(system, w_prev, t_prev, h, scheme=TRAPEZOIDAL, newton=NewtonOptions()):
-    """Advance one implicit step; raises on Newton failure (unbatched)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    w, _, conv = _newton_step(system, np.asarray(w_prev, dtype=float), t_prev, h, scheme, newton)
-    if not np.all(conv):
-        _raise_step_failure(system, w_prev, t_prev, h)
-    return w
 
 
 def _raise_step_failure(system, w, t, h):
@@ -284,25 +274,6 @@ def integrate(
     return Trajectory(np.asarray(times), np.stack(states), scheme, failed, np.asarray(gammas))
 
 
-def _solve_matrix(J, R):
-    """Batched multi-RHS solve with per-sample fallback; NaN on failure."""
-    try:
-        return np.linalg.solve(J, R)
-    except np.linalg.LinAlgError:
-        if J.ndim == 2:
-            return np.full_like(R, np.nan)
-        out = np.empty_like(R)
-        fJ = J.reshape(-1, *J.shape[-2:])
-        fR = R.reshape(-1, *R.shape[-2:])
-        fo = out.reshape(fR.shape)
-        for i in range(fJ.shape[0]):
-            try:
-                fo[i] = np.linalg.solve(fJ[i], fR[i])
-            except np.linalg.LinAlgError:
-                fo[i] = np.nan
-        return out
-
-
 def transition_chain(system, trajectory, scheme=None, with_scale_columns=False):
     """Accumulate d(end state)/d(initial state) along a trajectory.
 
@@ -338,10 +309,10 @@ def transition_chain(system, trajectory, scheme=None, with_scale_columns=False):
             P_k = system.dF_dscale(states[k], times[k])
             rhs_s = (E_prev - (g2 * h) * A_prev) @ S - h * (g1 * P_k + g2 * P_prev)
             stacked = np.concatenate([rhs_m, rhs_s], axis=-1)
-            sol = _solve_matrix(lhs, stacked)
+            sol = batched_solve(lhs, stacked)
             M, S = sol[..., :n], sol[..., n:]
             P_prev = P_k
         else:
-            M = _solve_matrix(lhs, rhs_m)
+            M = batched_solve(lhs, rhs_m)
         E_prev, A_prev = E_k, A_k
     return M, S

@@ -107,43 +107,6 @@ def test_jacobians_match_finite_differences(devices):
     assert worst < 1e-6
 
 
-def test_param_derivatives_match_finite_differences(devices):
-    rng = np.random.default_rng(7)
-    slopes = np.array(
-        [s.b if s.kind == "gaussian" else 0.5 * (s.b - s.a) for _, s in devices.random_params]
-    )
-    worst = 0.0
-    for _ in range(20):
-        xi = rng.normal(size=devices.dim) * 0.5
-        x = rng.normal(size=devices.n) * 0.3
-        t = rng.uniform(0, 1e-3)
-        pd = devices.realize(xi).eval_param_derivatives(x, t)
-        for j in range(devices.dim):
-            h = 1e-6
-            xp, xm = xi.copy(), xi.copy()
-            xp[j] += h
-            xm[j] -= h
-            evp = devices.realize(xp).eval_dae(x, t)
-            evm = devices.realize(xm).eval_dae(x, t)
-            for fd_pair, an in (
-                ((evp.f, evm.f), pd.df_dtheta[:, j]),
-                ((evp.q, evm.q), pd.dq_dtheta[:, j]),
-                ((evp.bu, evm.bu), pd.dbu_dtheta[:, j]),
-            ):
-                fd = (fd_pair[0] - fd_pair[1]) / (2 * h * slopes[j])
-                worst = max(worst, _rel_err(an, fd))
-    assert worst < 1e-6
-
-
-def test_simple_param_derivatives():
-    c = parse_netlist(".param r = uniform(500, 1500)\nR1 1 0 {r}\nI1 0 1 DC 1\n")
-    pd = c.realize([0.0]).eval_param_derivatives(np.array([2.0]), 0.0)
-    assert pd.df_dtheta[0, 0] == pytest.approx(-2.0 / 1000.0**2)
-    c2 = parse_netlist(".param c = gauss(1u, 0.1u)\nC1 1 0 {c}\nI1 0 1 DC 1\n")
-    pd2 = c2.realize([0.0]).eval_param_derivatives(np.array([3.0]), 0.0)
-    assert pd2.dq_dtheta[0, 0] == pytest.approx(3.0)
-
-
 @pytest.mark.parametrize(
     "net, rows",
     [

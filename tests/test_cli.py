@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pssuq import cli
+from pssuq import cli, stpss
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -202,15 +206,25 @@ def test_speedup_times_single_threaded_whatever_the_parent_env(tmp_path, monkeyp
     assert "BLAS threads 1" in (out / "summary.txt").read_text()
 
 
-def test_speedup_child_failures(tmp_path, monkeypatch, capsys):
-    # an error raised in the child keeps its class, hence its exit code
-    cfg = _cfg(tmp_path, speedup={"n": 30, "orders": [-1], "dim": 2, "steps": 16})
-    assert run("speedup", None, cfg, tmp_path / "out") == EXIT_CONFIG
-    assert "order must be >= 0" in capsys.readouterr().err
+def test_speedup_child_failures(monkeypatch):
+    # an error raised in the child keeps its class
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        speedup_sweep(n_nodes=30, orders=[-1], dim=2, n_steps=16)
     # a child that dies without a reply surfaces its stderr
     monkeypatch.setattr(cli, "_CHILD_CODE", "import sys; sys.exit('child died')")
     with pytest.raises(RuntimeError, match="child died"):
         speedup_sweep(n_nodes=30, orders=[1], dim=2, n_steps=16)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("orders", ["x"]), ("orders", [-1]), ("orders", []), ("repeats", 0), ("steps", 0)],
+)
+def test_speedup_rejects_bad_options(tmp_path, capsys, option, value):
+    opts = {"n": 30, "orders": [1], "dim": 2, "steps": 16, "repeats": 1, option: value}
+    cfg = _cfg(tmp_path, speedup=opts)
+    assert run("speedup", None, cfg, tmp_path / "out") == EXIT_CONFIG
+    assert f"speedup option {option!r}" in capsys.readouterr().err
 
 
 def test_st_osc_command(tmp_path):
@@ -225,6 +239,29 @@ def test_st_osc_command(tmp_path):
     assert sol["converged"]
     assert sol["period_mean"] == pytest.approx(6.287, rel=1e-3)
     assert (out / "metric_period_hist.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+def test_singular_stochastic_jacobian_exits_3(tmp_path, monkeypatch, capsys, mode):
+    # identity monodromies make every shooting Jacobian M - I zero
+    def identity_chain(system, traj, *args, **kwargs):
+        n = traj.states.shape[-1]
+        return np.broadcast_to(np.eye(n), traj.states.shape[1:-1] + (n, n)).copy(), None
+
+    monkeypatch.setattr(stpss, "transition_chain", identity_chain)
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=64, mode=mode)
+    assert run("st-forced", CIRCUITS_DIR / "rc_lowpass.cir", cfg, tmp_path / "out") == 3
+    assert "singular shooting Jacobian" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is most of the import time; only the KS and KDE helpers use it
+    code = "import sys, pssuq.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):

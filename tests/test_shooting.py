@@ -5,15 +5,8 @@ import pytest
 
 from pssuq import parse_netlist
 from pssuq.circuit import dc_operating_point
-from pssuq.shooting import (
-    CircuitDae,
-    OscillationError,
-    estimate_period,
-    monodromy,
-    solve_forced,
-    state_transition,
-)
-from pssuq.transient import TRAPEZOIDAL, integrate
+from pssuq.shooting import CircuitDae, OscillationError, estimate_period, solve_forced
+from pssuq.transient import TRAPEZOIDAL, integrate, transition_chain
 
 RC_FIXED = "V1 in 0 SIN(0 1 1k)\nR1 in out 1k\nC1 out 0 1u\n"
 
@@ -31,15 +24,15 @@ def rc_phasor_initial_state():
 def test_transition_identity():
     c = parse_netlist(RC_FIXED)
     y = np.array([0.3, -0.2, 1e-4])
-    end, traj = state_transition(c.realize_nominal(), y, 0.0, 0.0)
-    assert np.array_equal(end, y)
+    traj = integrate(CircuitDae(c.realize_nominal()), y, 0.0, 0.0, n_steps=1)
+    assert np.array_equal(traj.end, y)
     assert traj.n_points == 1
 
 
 def test_transition_returns_to_phasor_start():
     c = parse_netlist(RC_FIXED)
     y = rc_phasor_initial_state()
-    end, _ = state_transition(c.realize_nominal(), y, 0.0, 1e-3, n_steps=30000)
+    end = integrate(CircuitDae(c.realize_nominal()), y, 0.0, 1e-3, n_steps=30000).end
     assert np.abs(end - y).max() < 1e-8
 
 
@@ -47,16 +40,16 @@ def test_scaled_transition_equals_time_change():
     c = parse_netlist("I1 0 1 DC 0\nR1 1 0 1k\nC1 1 0 1u\n")
     inst = c.realize_nominal()
     y = np.array([1.0])
-    scaled, _ = state_transition(inst, y, 0.0, 1e-3, scale=2.0, n_steps=400)
-    plain, _ = state_transition(inst, y, 0.0, 2e-3, n_steps=400)
-    assert np.abs(scaled - plain).max() < 1e-8
+    scaled = integrate(CircuitDae(inst, scale=2.0), y, 0.0, 1e-3, n_steps=400)
+    plain = integrate(CircuitDae(inst), y, 0.0, 2e-3, n_steps=400)
+    assert np.abs(scaled.end - plain.end).max() < 1e-8
 
 
 def test_monodromy_scalar_decay_circuit():
     c = parse_netlist("I1 0 1 DC 0\nR1 1 0 1k\nC1 1 0 1u\n")  # tau = 1 ms
     sys = CircuitDae(c.realize_nominal())
     traj = integrate(sys, np.array([1.0]), 0.0, 1e-3, TRAPEZOIDAL, n_steps=500)
-    M = monodromy(sys, traj)
+    M, _ = transition_chain(sys, traj)
     assert M[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-5)
 
 
@@ -64,7 +57,7 @@ def test_monodromy_matches_finite_differences_on_rectifier(rectifier):
     inst = rectifier.realize_nominal()
     sys = CircuitDae(inst)
     sol = solve_forced(inst, 1e-3, n_steps=200)
-    M = monodromy(sys, sol.trajectory)
+    M, _ = transition_chain(sys, sol.trajectory)
 
     def endpoint(y):
         traj = integrate(sys, y, 0.0, 1e-3, n_steps=200, stabilized_start=True)
@@ -124,8 +117,10 @@ def test_forced_solution_survives_grid_refinement(rectifier):
 
 def test_forced_linear_monodromy_is_stable():
     c = parse_netlist(RC_FIXED)
-    sol = solve_forced(c.realize_nominal(), 1e-3, n_steps=200)
-    rho = np.max(np.abs(np.linalg.eigvals(sol.monodromy)))
+    inst = c.realize_nominal()
+    sol = solve_forced(inst, 1e-3, n_steps=200)
+    M, _ = transition_chain(CircuitDae(inst), sol.trajectory)
+    rho = np.max(np.abs(np.linalg.eigvals(M)))
     assert rho < 1.0
 
 
@@ -136,6 +131,28 @@ def test_batched_forced_matches_individual(rc_circuit):
     for k in range(3):
         one = solve_forced(rc_circuit.realize(xi[k]), 1e-3, n_steps=100)
         assert np.abs(batch.y[k] - one.y).max() < 1e-9
+
+
+def test_batched_forced_newton_matches_individual(rectifier):
+    """A batch whose members need different iteration counts, one of them
+    converged from the start, ends where each member ends when solved alone."""
+    xi = np.array([[0.0, 0.0], [-1.0, 2.0], [1.0, -2.0], [0.5, 1.0]])
+    nominal = solve_forced(rectifier.realize(xi[0]), 1e-3, n_steps=100).y
+    y0 = np.stack([
+        nominal,
+        nominal,
+        dc_operating_point(rectifier.realize(xi[2])),
+        np.zeros(rectifier.n),
+    ])
+    batch = solve_forced(rectifier.realize(xi), 1e-3, y0=y0, n_steps=100)
+    iterations = []
+    for k in range(len(xi)):
+        one = solve_forced(rectifier.realize(xi[k]), 1e-3, y0=y0[k], n_steps=100)
+        iterations.append(one.iterations)
+        assert batch.converged[k] == one.converged
+        assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
+    assert iterations[0] == 0 and len(set(iterations)) >= 3
+    assert batch.iterations == max(iterations)
 
 
 # -- autonomous ---------------------------------------------------------------
@@ -169,11 +186,7 @@ def test_autonomous_van_der_pol_period(vdp_nominal):
 def test_autonomous_dual_residual(vdp_circuit, vdp_nominal):
     est, phase, sol = vdp_nominal
     inst = vdp_circuit.realize_nominal()
-    end, _ = state_transition(
-        inst, sol.y, 0.0, float(sol.period) / float(sol.period_scale),
-        scale=float(sol.period_scale), n_steps=400,
-    )
-    # stabilized-start grid is what the solver used; re-run to match
+    # stabilized-start grid is what the solver used
     sys = CircuitDae(inst, scale=float(sol.period_scale))
     traj = integrate(
         sys, sol.y, 0.0, float(sol.period) / float(sol.period_scale),

@@ -10,14 +10,11 @@ from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
     decouple_residual,
-    deinterleave_scaled,
-    interleave_scaled,
-    j12_recursion,
     recouple_update,
     shoot_autonomous,
     shoot_forced,
 )
-from pssuq.transient import BACKWARD_EULER, TRAPEZOIDAL, Trajectory, integrate
+from pssuq.transient import BACKWARD_EULER, TRAPEZOIDAL, Trajectory, integrate, transition_chain
 
 
 def _setup(circuit, order):
@@ -47,16 +44,6 @@ def test_decouple_recouple_round_trip_large():
     g = rng.normal(size=35 * 20)
     nodes = decouple_residual(g, testing, 20)
     assert np.abs(recouple_update(nodes, testing) - g).max() < 1e-12
-
-
-def test_interleave_round_trip():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=6 * 4)
-    a = rng.normal(size=6)
-    blocks = interleave_scaled(z, a, 4)
-    assert blocks.shape == (6, 5)
-    z2, a2 = deinterleave_scaled(blocks)
-    assert np.array_equal(z2, z) and np.array_equal(a2, a)
 
 
 # -- stacked system assembly ---------------------------------------------------
@@ -163,7 +150,7 @@ def test_j12_zero_when_rhs_vanishes(vdp_random):
     basis, testing = _setup(vdp_random, 1)
     sys = assemble_autonomous(vdp_random, basis, testing, 1.0)
     traj = integrate(sys, np.zeros(sys.ndim), 0.0, 1.0, n_steps=20)
-    S = j12_recursion(sys, traj)
+    _, S = transition_chain(sys, traj, with_scale_columns=True)
     assert np.abs(S).max() < 1e-12
 
 
@@ -199,7 +186,7 @@ def test_one_step_scale_sensitivity_hand_value(scheme):
         None,
         np.array([[scheme.gamma1, scheme.gamma2]]),
     )
-    S = j12_recursion(sys, traj)
+    _, S = transition_chain(sys, traj, with_scale_columns=True)
     assert S[0, 0] == pytest.approx(h * c * (scheme.gamma1 + scheme.gamma2), rel=1e-12)
 
 
@@ -217,7 +204,7 @@ def test_j12_matches_finite_differences_vdp(vdp_random, vdp_nominal):
 
     sys.scale_coeffs = a_hat
     traj = endpoint(a_hat)
-    S = j12_recursion(sys, traj)
+    _, S = transition_chain(sys, traj, with_scale_columns=True)
     fd = np.empty_like(S)
     for j in range(basis.size):
         h = 1e-6
@@ -387,9 +374,9 @@ def test_stacked_scaling_matches_time_change_per_node():
     node_start = testing.vandermonde @ w0.reshape(2, 1)
     for k in range(2):
         inst = c.realize(testing.nodes[k])
-        from pssuq.shooting import state_transition
+        from pssuq.shooting import CircuitDae
 
-        end, _ = state_transition(inst, node_start[k], 0.0, 1.2 * T0, n_steps=400)
+        end = integrate(CircuitDae(inst), node_start[k], 0.0, 1.2 * T0, n_steps=400).end
         assert np.abs(node_end[k] - end).max() < 1e-8
 
 
