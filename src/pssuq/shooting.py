@@ -11,8 +11,9 @@ along the integration grid, hence exact for the discretized map.
 
 All solvers accept batched instances: a (B, d) parameter batch advances in
 lockstep through the same grids, which is how the Monte Carlo driver
-amortizes its sampling loop. Per-sample Newton failures are flagged, not
-raised, in batched runs.
+amortizes its sampling loop. A step one sample cannot take is bisected
+for the whole batch; samples that still fail at the bisection floor are
+flagged, not raised, in batched runs.
 """
 
 import json

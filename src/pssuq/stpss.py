@@ -8,16 +8,26 @@ x(0) directly (forced circuits) or of z(0) together with a period-scaling
 expansion a(xi), T(xi) = T0 * a(xi) (oscillators, integrated in scaled
 time so every realization shares the nominal period).
 
-The shooting Newton systems can be solved two ways, which produce
-identical iterates because the collocation matrix V relates the stacked
-residual to K independent deterministic residuals exactly:
+The collocation matrix V maps the stacked residual onto K independent
+deterministic residuals, so the one-period map of the coefficient stack is
+computed at the testing nodes: the surrogate states V @ w advance as one
+lockstep batch of K n-state circuits (each scaled by its node's period
+scaling for oscillators) and every grid point is mapped back with V^{-1}
+(``period_map``). Every implicit step therefore solves K systems of size
+n, never one of size n*K.
 
-* ``coupled``: accumulate the monodromy (and period-scaling sensitivity)
-  of the stacked system natively and solve the dense n*K (+K) Jacobian.
-* ``decoupled``: transform the residual to the testing nodes with V, build
-  K small per-node shooting Jacobians, solve them independently, and map
-  the updates back with V^{-1}. One iteration then costs K independent
-  n^3 solves instead of (n*K)^3.
+The shooting Newton systems can be solved two ways, which produce
+identical iterates because both linearize the same discrete map:
+
+* ``coupled``: the paper's reference. Accumulate the monodromy (and
+  period-scaling sensitivity) of the stacked DAE natively along the
+  coefficient trajectory and solve the dense n*K (+K) Jacobian. This is
+  the only place the stacked DAE (``StackedSystem``) is evaluated.
+* ``decoupled``: transform the residual to the testing nodes with V, chain
+  the K small per-node shooting Jacobians along the node trajectory the
+  forward run produced, solve them independently, and map the updates
+  back with V^{-1}. One iteration then costs K independent n^3 solves
+  instead of (n*K)^3.
 """
 
 import json
@@ -74,7 +84,9 @@ class StackedSystem:
     the state surrogate evaluated there; the unknown vector is the
     coefficient stack. For oscillators the resistive part of each block is
     multiplied by that node's period scaling, read from ``scale_coeffs``
-    (set by the solver between iterations).
+    (set by the solver between iterations). The forward runs integrate
+    the per-node view (``node_dae``); the stacked Jacobians serve the
+    coupled shooting update.
     """
 
     def __init__(self, circuit, basis, testing, kind, period=None, nominal_period=None):
@@ -111,6 +123,8 @@ class StackedSystem:
         return CircuitDae(self.instances, scale=scale)
 
     def eval(self, w, t):
+        """Stacked (Q, F): the stacked DAE can still be integrated directly,
+        as the reference for the node-space run."""
         ev = self.instances.eval_dae(self.node_states(w), t)
         F = ev.f - ev.bu
         if self.kind == "autonomous":
@@ -140,9 +154,6 @@ class StackedSystem:
         V = self.testing.vandermonde
         return np.einsum("ka,kj->kaj", base, V).reshape(self.ndim, self.K)
 
-    def locate_nonfinite(self, w, t):
-        return self.instances.find_nonfinite_element(self.node_states(w), t)
-
 
 def assemble_forced(circuit, basis, testing, period=None):
     """Stacked system for a periodically driven circuit."""
@@ -160,6 +171,40 @@ def assemble_autonomous(circuit, basis, testing, nominal_period):
     return StackedSystem(
         circuit, basis, testing, "autonomous", nominal_period=nominal_period
     )
+
+
+def period_map(system, coeffs, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOptions()):
+    """One period of the coefficient stack, integrated at the testing nodes.
+
+    The surrogate states at the K testing nodes start at V @ coeffs and
+    advance as one lockstep batch of the node circuits over the forcing
+    period (forced) or the nominal period in scaled time (oscillators,
+    with the scaling set in ``system.scale_coeffs``), first step backward
+    Euler. Returns ``(coefficient trajectory, node trajectory)``: the same
+    grid, with the node states mapped back by V^{-1} at every point.
+
+    A testing node whose step still fails at the bisection floor raises
+    ConvergenceError naming the node, its xi, the time point and the
+    element with a non-finite contribution there, if any.
+    """
+    horizon = system.period if system.kind == "forced" else system.nominal_period
+    node_traj = integrate(
+        system.node_dae(), system.node_states(coeffs), 0.0, horizon, scheme=scheme,
+        n_steps=n_steps, newton=newton, stabilized_start=True,
+    )
+    if np.any(node_traj.failed):
+        k = int(np.argmax(node_traj.failed))
+        xi = system.testing.nodes[k]
+        t = float(node_traj.fail_times[k])
+        element = system.circuit.realize(xi).find_nonfinite_element(node_traj.end[k], t)
+        extra = f" (non-finite contribution from element {element})" if element else ""
+        raise ConvergenceError(
+            f"testing node {k} (xi = {np.array2string(xi, precision=6)}): implicit "
+            f"step at t={t:.6g} did not converge at the bisection floor{extra}"
+        )
+    coeff_states = (system.testing.v_inv @ node_traj.states).reshape(node_traj.n_points, -1)
+    traj = Trajectory(node_traj.times, coeff_states, scheme, None, node_traj.gammas)
+    return traj, node_traj
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +318,21 @@ def shoot_forced(
     u0 = np.asarray(coeff_guess, dtype=float).reshape(n * K)
 
     def run(u):
-        traj = integrate(
-            system, u, 0.0, T, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True,
-        )
-        g = traj.end - u
-        return g, float(np.max(np.abs(g))), traj
+        trajs = period_map(system, u, scheme, n_steps, newton)
+        g = trajs[0].end - u
+        return g, float(np.max(np.abs(g))), trajs
 
-    def newton_step(u, g, traj):
+    def newton_step(u, g, trajs):
+        traj, node_traj = trajs
         if mode == "coupled":
             M, _ = transition_chain(system, traj)
             return _checked_step(batched_solve(M - np.eye(n * K), g[:, None])[:, 0])
-        node_traj = _node_trajectory(system, traj)
         M_nodes, _ = transition_chain(system.node_dae(), node_traj)
         g_nodes = decouple_residual(g, system.testing, n)
         delta_nodes = batched_solve(M_nodes - np.eye(n), g_nodes[..., None])[..., 0]
         return _checked_step(recouple_update(delta_nodes, system.testing))
 
-    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    u, g, gn, trajs, history = damped_newton(u0, run, newton_step, tol, max_iter)
     if not gn <= tol:
         raise ConvergenceError(f"stochastic forced shooting stalled at residual {gn:.3e}")
     per_node = np.max(np.abs(decouple_residual(g, system.testing, n)), axis=1)
@@ -300,7 +342,7 @@ def shoot_forced(
         T,
         None,
         None,
-        traj,
+        trajs[0],
         len(history) - 1,
         float(gn),
         per_node,
@@ -309,14 +351,6 @@ def shoot_forced(
         _iteration_log(history),
         mode,
     )
-
-
-def _node_trajectory(system, traj):
-    """Per-node surrogate states along a stacked trajectory."""
-    P = traj.times.size
-    coeffs = traj.states.reshape(P, system.K, system.n)
-    node_states = np.einsum("ij,pjn->pin", system.testing.vandermonde, coeffs)
-    return Trajectory(traj.times, node_states, traj.scheme, None, traj.gammas)
 
 
 def nominal_forced_guess(system, tol=1e-5, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOptions()):
@@ -376,19 +410,17 @@ def shoot_autonomous(
         if np.any(scales <= scale_floor):
             return None, np.inf, None  # period scaling must stay positive
         system.scale_coeffs = a_hat
-        traj = integrate(
-            system, z0, 0.0, T0, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True,
-        )
-        psi = traj.end - z0
+        trajs = period_map(system, z0, scheme, n_steps, newton)
+        psi = trajs[0].end - z0
         chi = z0[j::n].copy()
         chi[0] -= phase.value
         g = np.concatenate([psi, chi])
-        return g, float(np.max(np.abs(g))), traj
+        return g, float(np.max(np.abs(g))), trajs
 
-    def newton_step(u, g, traj):
-        if traj is None:
+    def newton_step(u, g, trajs):
+        if trajs is None:
             raise ConvergenceError("initial residual is not finite")
+        traj, node_traj = trajs
         a_hat = u[n * K :]
         system.scale_coeffs = a_hat
         if mode == "coupled":
@@ -399,7 +431,6 @@ def shoot_autonomous(
             for k in range(K):
                 J[n * K + k, k * n + j] = 1.0
             return _checked_step(batched_solve(J, g[:, None])[:, 0])
-        node_traj = _node_trajectory(system, traj)
         M_nodes, S_nodes = transition_chain(
             system.node_dae(), node_traj, with_scale_columns=True
         )
@@ -414,7 +445,7 @@ def shoot_autonomous(
         blocks = system.testing.v_inv @ delta  # K blocks of (state, scale)
         return _checked_step(np.concatenate([blocks[:, :n].ravel(), blocks[:, n]]))
 
-    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    u, g, gn, trajs, history = damped_newton(u0, run, newton_step, tol, max_iter)
     if not gn <= tol:
         raise ConvergenceError(
             f"stochastic autonomous shooting stalled at residual {gn:.3e}"
@@ -428,7 +459,7 @@ def shoot_autonomous(
         None,
         T0,
         GpcCoefficients(system.basis, a_hat),
-        traj,
+        trajs[0],
         len(history) - 1,
         float(gn),
         per_node,

@@ -1,10 +1,11 @@
 """Implicit time integration for DAE systems d Q(w)/dt + F(w, t) = 0.
 
 Any object with ``ndim``, ``eval(w, t) -> (Q, F)`` and
-``eval_with_jac(w, t) -> (Q, F, dQ/dw, dF/dw)`` can be integrated; circuit
-instances and the stacked collocation systems both provide this
-interface. ``F`` includes the source term, so the one-step residual of
-the two-point schemes here is
+``eval_with_jac(w, t) -> (Q, F, dQ/dw, dF/dw)`` can be integrated; the
+circuit adapter of the shooting module (one circuit or a batch of them)
+and the stacked collocation DAE both provide this interface. ``F``
+includes the source term, so the one-step residual of the two-point
+schemes here is
 
     Q(w_k) - Q(w_{k-1}) + h_k * (g1 * F(w_k, t_k) + g2 * F(w_{k-1}, t_{k-1})) = 0
 
@@ -12,12 +13,15 @@ with (g1, g2) = (1, 0) for backward Euler and (0.5, 0.5) for the
 trapezoidal rule. Each step is solved by an inner Newton iteration with
 the exact step Jacobian dQ/dw + g1*h*dF/dw.
 
-States may carry a leading batch axis; batched runs share one time grid
-and flag (rather than raise on) per-sample Newton failures, which is what
-the Monte Carlo driver needs. Unbatched runs on a fixed grid recover from
-a failed step by inserting midpoints, so the recorded trajectory always
-reflects the steps actually taken and the one-period linearization chain
-stays exact.
+States may carry a leading batch axis; batched runs advance in lockstep
+on one shared grid. A step on a fixed grid that fails to converge for any
+sample is bisected for the whole batch, exactly as an unbatched step is;
+the members that would have converged take the finer steps too. Only at
+the bisection floor do the runs differ: an unbatched run raises, a
+batched run freezes the samples that still fail and flags them (rather
+than raising), which is what the Monte Carlo driver needs. The recorded
+trajectory always reflects the steps actually taken, so the one-period
+linearization chain stays exact.
 """
 
 from dataclasses import dataclass
@@ -74,6 +78,7 @@ class Trajectory:
     scheme: IntegrationScheme
     failed: np.ndarray | None = None  # per-sample failure mask (batched runs)
     gammas: np.ndarray | None = None  # (P-1, 2); scheme weights if omitted
+    fail_times: np.ndarray | None = None  # start of the step a flagged sample froze at
 
     @property
     def end(self):
@@ -117,8 +122,8 @@ def batched_solve(J, R):
 def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=None):
     """Solve one implicit step; returns (w, (q, f) at w, converged_mask).
 
-    Samples flagged in ``ignore`` are treated as already converged (used to
-    skip work on batch members that failed earlier in the run).
+    Samples flagged in ``ignore`` stay put and count as converged (used to
+    skip batch members that failed earlier in the run).
     """
     g1, g2 = scheme.gamma1, scheme.gamma2
     if qf_prev is None:
@@ -127,9 +132,8 @@ def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=N
     t_new = t_prev + h
     ref = np.max(np.abs(q_prev), axis=-1) + abs(h) * np.max(np.abs(f_prev), axis=-1)
     w = np.array(w_prev, copy=True)
-    converged = np.zeros(w.shape[:-1], dtype=bool)
-    if ignore is not None:
-        converged = converged | ignore
+    skip = np.zeros(w.shape[:-1], dtype=bool) if ignore is None else ignore
+    converged = skip.copy()
     for _ in range(opts.max_iter):
         q, f, dq, df = system.eval_with_jac(w, t_new)
         r = q - q_prev + h * (g1 * f + g2 * f_prev)
@@ -143,9 +147,9 @@ def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=N
         w = w - np.where(converged[..., None], 0.0, delta)
         unorm = np.max(np.abs(delta), axis=-1)
         wnorm = np.max(np.abs(w), axis=-1)
-        converged = (converged | (
+        converged = skip | ((converged | (
             (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + wnorm))
-        )) & ~bad
+        )) & ~bad)
         if np.all(converged):
             break
     q, f = system.eval(w, t_new)
@@ -178,9 +182,13 @@ def integrate(
 
     Exactly one of ``n_steps`` (uniform grid) or ``ltol`` (adaptive grid
     with local-truncation-error control by step doubling) must be given.
-    Batched initial states integrate in lockstep on a shared grid;
-    per-sample Newton failures freeze the failing sample and are reported
-    through ``Trajectory.failed``.
+    Batched initial states integrate in lockstep on a shared grid. On a
+    fixed grid a step that fails for any sample is bisected for the whole
+    batch, exactly as an unbatched step is, down to the floor (``h_min``
+    or 40 halvings). A sample that still fails there raises in an
+    unbatched run; in a batched run it is frozen at its last state and
+    reported through ``Trajectory.failed``, with the start of the failed
+    step in ``Trajectory.fail_times``.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -197,6 +205,7 @@ def integrate(
         raise ValueError("specify exactly one of n_steps or ltol")
     batched = w0.ndim > 1
     failed = np.zeros(w0.shape[:-1], dtype=bool) if batched else None
+    fail_times = np.full(w0.shape[:-1], np.nan) if batched else None
 
     times = [float(t0)]
     states = [w0]
@@ -204,29 +213,27 @@ def integrate(
     qf = system.eval(w0, t0)
 
     def advance(w, t, h, qf_prev, sch, depth=0):
-        """One accepted step of size h, bisecting on failure (unbatched)."""
+        """One step of size h, bisected while any sample fails to converge."""
         nonlocal failed
         w_new, qf_new, conv = _newton_step(
             system, w, t, h, sch, newton, qf_prev, ignore=failed
         )
-        if np.all(conv | (failed if batched else False)):
-            times.append(t + h)
-            states.append(w_new)
-            gammas.append((sch.gamma1, sch.gamma2))
-            return w_new, qf_new
-        if batched:
-            # freeze failing samples at their previous state
-            bad = ~conv & ~failed
+        if not np.all(conv):
+            if h * 0.5 >= newton.h_min and depth <= 40:
+                w_mid, qf_mid = advance(w, t, 0.5 * h, qf_prev, sch, depth + 1)
+                return advance(w_mid, t + 0.5 * h, 0.5 * h, qf_mid, sch, depth + 1)
+            if not batched:
+                _raise_step_failure(system, w, t, h)
+            # at the floor: freeze the samples that still fail
+            bad = ~conv
             failed = failed | bad
+            fail_times[bad] = t
             w_new = np.where(bad[..., None], w, w_new)
-            times.append(t + h)
-            states.append(w_new)
-            gammas.append((sch.gamma1, sch.gamma2))
-            return w_new, system.eval(w_new, t + h)
-        if h * 0.5 < newton.h_min or depth > 40:
-            _raise_step_failure(system, w, t, h)
-        w_mid, qf_mid = advance(w, t, 0.5 * h, qf_prev, sch, depth + 1)
-        return advance(w_mid, t + 0.5 * h, 0.5 * h, qf_mid, sch, depth + 1)
+            qf_new = system.eval(w_new, t + h)
+        times.append(t + h)
+        states.append(w_new)
+        gammas.append((sch.gamma1, sch.gamma2))
+        return w_new, qf_new
 
     if n_steps is not None:
         grid = np.linspace(t0, t1, n_steps + 1)
@@ -271,7 +278,9 @@ def integrate(
             if len(times) > max_points:
                 raise ConvergenceError("adaptive grid exceeded the point budget")
 
-    return Trajectory(np.asarray(times), np.stack(states), scheme, failed, np.asarray(gammas))
+    return Trajectory(
+        np.asarray(times), np.stack(states), scheme, failed, np.asarray(gammas), fail_times
+    )
 
 
 def transition_chain(system, trajectory, scheme=None, with_scale_columns=False):

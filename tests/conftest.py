@@ -2,10 +2,13 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pssuq import parse_netlist
+from pssuq import load_netlist, parse_netlist
+from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous
+from pssuq.stpss import assemble_forced, nominal_forced_guess
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "src" / "pssuq" / "circuits"
 
@@ -40,6 +43,15 @@ NVDP 1 0 MU={mu}
 """
 
 COLPITTS = (CIRCUITS_DIR / "colpitts.cir").read_text()
+
+# gauss(1k, 1k) at chaos order 1 puts a testing node at xi = -1, where the
+# resistor is a short (non-finite conductance); the nominal circuit is sound
+SHORTED_AT_A_NODE = """
+.param r = gauss(1k, 1k)
+V1 in 0 SIN(0 1 1k)
+R1 in out {r}
+C1 out 0 1u
+"""
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +97,23 @@ def colpitts_nominal(colpitts):
     phase = PhaseCondition(idx, est.level)
     sol = solve_autonomous(inst, phase, est.period, est.y0, n_steps=300)
     return est, phase, sol
+
+
+@pytest.fixture(scope="session")
+def lna_perturbed():
+    """The bundled amplifier at chaos order 2 (K = 6) and a start near its PSS.
+
+    The start is the nominal coefficient guess plus a seeded 1e-3
+    perturbation; on 200 steps per period one testing node cannot take
+    the second step whole, so the run bisects it (205 points, not 201).
+    Returns ``(stacked system, coefficient stack)``.
+    """
+    circuit = load_netlist(CIRCUITS_DIR / "lna.cir")
+    basis = build_basis([s for _, s in circuit.random_params], 2)
+    testing = select_testing_nodes(basis, tensor_rule(basis, 3))
+    system = assemble_forced(circuit, basis, testing)
+    guess = nominal_forced_guess(system, n_steps=200).ravel()
+    return system, guess + 1e-3 * np.random.default_rng(0).normal(size=guess.size)
 
 
 # acceptance-criterion results, emitted after the run regardless of capture

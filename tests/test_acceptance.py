@@ -35,6 +35,7 @@ from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
+    period_map,
     shoot_autonomous,
     shoot_forced,
 )
@@ -125,7 +126,7 @@ def test_criterion_3_jacobian_fidelity(rectifier, colpitts, colpitts_nominal):
         y = fsol.iterates[-1]
 
         def forced_end(w):
-            return integrate(fsys, w, 0.0, 1e-3, n_steps=100, stabilized_start=True).end
+            return period_map(fsys, w, n_steps=100)[0].end
 
         M, _ = transition_chain(fsys, fsol.trajectory)
         fd = _fd_columns(forced_end, y, range(y.size))
@@ -146,16 +147,16 @@ def test_criterion_3_jacobian_fidelity(rectifier, colpitts, colpitts_nominal):
         asys.scale_coeffs = a_hat
 
         def aut_end(w):
-            return integrate(asys, w, 0.0, T0, n_steps=150, stabilized_start=True).end
+            return period_map(asys, w, n_steps=150)[0].end
 
-        traj = integrate(asys, z0, 0.0, T0, n_steps=150, stabilized_start=True)
+        traj, _ = period_map(asys, z0, n_steps=150)
         Ma, Sa = transition_chain(asys, traj, with_scale_columns=True)
         fd_m = _fd_columns(aut_end, z0, range(z0.size), h=1e-7)
         assert np.abs(Ma - fd_m).max() / np.abs(fd_m).max() < 1e-4
 
         def aut_end_scale(a):
             asys.scale_coeffs = a
-            end = integrate(asys, z0, 0.0, T0, n_steps=150, stabilized_start=True).end
+            end = period_map(asys, z0, n_steps=150)[0].end
             return end
 
         fd_s = _fd_columns(aut_end_scale, a_hat, range(K), h=1e-7)

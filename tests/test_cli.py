@@ -22,7 +22,7 @@ from pssuq.cli import (
     synthetic_ladder,
 )
 
-from conftest import CIRCUITS_DIR
+from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE
 
 
 def _cfg(tmp_path, **kw):
@@ -252,6 +252,16 @@ def test_singular_stochastic_jacobian_exits_3(tmp_path, monkeypatch, capsys, mod
     cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=64, mode=mode)
     assert run("st-forced", CIRCUITS_DIR / "rc_lowpass.cir", cfg, tmp_path / "out") == 3
     assert "singular shooting Jacobian" in capsys.readouterr().err
+
+
+def test_failing_testing_node_exits_3(tmp_path, capsys):
+    netlist = tmp_path / "shorted.cir"
+    netlist.write_text(SHORTED_AT_A_NODE)
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run("st-forced", netlist, cfg, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "testing node 0 (xi = [-1.])" in err and "element R1" in err
 
 
 def test_cli_import_leaves_out_scipy_stats():

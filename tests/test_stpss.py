@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from pssuq import parse_netlist
+from pssuq.cli import synthetic_ladder
 from pssuq.gpc import build_basis, gauss_rule, moments, select_testing_nodes, tensor_rule
-from pssuq.shooting import solve_autonomous, solve_forced
+from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
     decouple_residual,
+    nominal_forced_guess,
+    period_map,
     recouple_update,
     shoot_autonomous,
     shoot_forced,
 )
-from pssuq.transient import BACKWARD_EULER, TRAPEZOIDAL, Trajectory, integrate, transition_chain
+from pssuq.transient import (
+    BACKWARD_EULER,
+    ConvergenceError,
+    TRAPEZOIDAL,
+    Trajectory,
+    integrate,
+    transition_chain,
+)
+
+from conftest import SHORTED_AT_A_NODE
 
 
 def _setup(circuit, order):
@@ -149,7 +161,7 @@ def test_j12_zero_when_rhs_vanishes(vdp_random):
     """A trajectory resting at the origin has f = 0, so the sensitivity is 0."""
     basis, testing = _setup(vdp_random, 1)
     sys = assemble_autonomous(vdp_random, basis, testing, 1.0)
-    traj = integrate(sys, np.zeros(sys.ndim), 0.0, 1.0, n_steps=20)
+    traj, _ = period_map(sys, np.zeros(sys.ndim), n_steps=20)
     _, S = transition_chain(sys, traj, with_scale_columns=True)
     assert np.abs(S).max() < 1e-12
 
@@ -200,7 +212,7 @@ def test_j12_matches_finite_differences_vdp(vdp_random, vdp_nominal):
 
     def endpoint(a):
         sys.scale_coeffs = a
-        return integrate(sys, z0, 0.0, T0, n_steps=200, stabilized_start=True)
+        return period_map(sys, z0, n_steps=200)[0]
 
     sys.scale_coeffs = a_hat
     traj = endpoint(a_hat)
@@ -358,7 +370,7 @@ def test_autonomous_period_matches_quadrature_oracle(vdp_random, vdp_nominal):
 
 
 def test_stacked_scaling_matches_time_change_per_node():
-    """Fixed scaling expansion, linear circuit: the stacked run over the
+    """Fixed scaling expansion, linear circuit: the coefficient map over the
     nominal horizon equals per-node unscaled runs over scaled horizons."""
     c = parse_netlist(
         ".param r = uniform(500, 1500)\nI1 0 1 DC 1m\nR1 1 0 {r}\nC1 1 0 1u\n"
@@ -369,31 +381,29 @@ def test_stacked_scaling_matches_time_change_per_node():
     a_hat = np.array([1.2, 0.0])  # constant scaling a(xi) = 1.2
     sys.scale_coeffs = a_hat
     w0 = np.array([0.5, 0.25])  # coefficients: mean 0.5, spread 0.25
-    traj = integrate(sys, w0, 0.0, T0, n_steps=400)
+    traj, _ = period_map(sys, w0, n_steps=400)
     node_end = testing.vandermonde @ traj.end.reshape(2, 1)
     node_start = testing.vandermonde @ w0.reshape(2, 1)
     for k in range(2):
         inst = c.realize(testing.nodes[k])
-        from pssuq.shooting import CircuitDae
-
-        end = integrate(CircuitDae(inst), node_start[k], 0.0, 1.2 * T0, n_steps=400).end
+        end = integrate(
+            CircuitDae(inst), node_start[k], 0.0, 1.2 * T0, n_steps=400, stabilized_start=True
+        ).end
         assert np.abs(node_end[k] - end).max() < 1e-8
 
 
 def test_stacked_grid_shared_with_deterministic_runs(rc_circuit):
-    """Extracting node k from a stacked linear run reproduces a
-    deterministic integration at that node on the same grid."""
+    """Extracting node k from the coefficient map of a linear circuit
+    reproduces a deterministic integration at that node on the same grid."""
     basis, testing = _setup(rc_circuit, 2)
     sys = assemble_forced(rc_circuit, basis, testing)
     K, n = basis.size, rc_circuit.n
     rng = np.random.default_rng(8)
     w0 = rng.normal(size=K * n) * 0.1
-    traj = integrate(sys, w0, 0.0, 1e-3, n_steps=128)
+    traj, _ = period_map(sys, w0, n_steps=128)
     node_states = np.einsum(
         "ij,pjn->pin", testing.vandermonde, traj.states.reshape(-1, K, n)
     )
-    from pssuq.shooting import CircuitDae
-
     for k in (0, K - 1):
         det = integrate(
             CircuitDae(rc_circuit.realize(testing.nodes[k])),
@@ -401,6 +411,108 @@ def test_stacked_grid_shared_with_deterministic_runs(rc_circuit):
             0.0,
             1e-3,
             n_steps=128,
+            stabilized_start=True,
         )
         assert np.array_equal(det.times, traj.times)
         assert np.abs(det.states - node_states[:, k]).max() < 1e-8
+
+
+# -- the node-space forward run --------------------------------------------------
+
+
+def test_node_batch_recovers_like_the_stacked_run(lna_perturbed):
+    """A step one testing node cannot take whole is bisected for the whole
+    node batch: no node is flagged, the grid is the one the stacked DAE
+    takes, and the end states agree."""
+    system, w0 = lna_perturbed
+    coeff_traj, node_traj = period_map(system, w0, n_steps=200)
+    stacked = integrate(system, w0, 0.0, system.period, n_steps=200, stabilized_start=True)
+    assert stacked.n_points > 201  # the stacked run bisected too
+    assert not node_traj.failed.any()
+    assert np.array_equal(node_traj.times, stacked.times)
+    assert np.array_equal(coeff_traj.times, stacked.times)
+    assert np.abs(node_traj.end - system.node_states(stacked.end)).max() < 1e-10
+    assert np.abs(coeff_traj.end - stacked.end).max() < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+def test_failing_testing_node_names_its_cause(mode):
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    basis, testing = _setup(c, 1)
+    assert testing.nodes[0, 0] == -1.0
+    sys = assemble_forced(c, basis, testing)
+    expect = (
+        r"testing node 0 \(xi = \[-1\.\]\): implicit step at t=0 did not converge "
+        r"at the bisection floor \(non-finite contribution from element R1\)"
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=expect):
+            shoot_forced(sys, mode=mode, n_steps=64)
+
+
+def _record_solve_orders(monkeypatch):
+    """Record (order, right-hand sides) of every np.linalg.solve call."""
+    calls = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        calls.append((a.shape[-1], b.shape[-1]))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+def test_forced_solve_sizes(rectifier, monkeypatch, mode):
+    """Decoupled: no solve beyond the circuit size n. Coupled: the forward
+    runs stay node-sized and each Newton iteration solves one n*K system."""
+    basis, testing = _setup(rectifier, 2)
+    sys = assemble_forced(rectifier, basis, testing)
+    guess = nominal_forced_guess(sys, n_steps=100)
+    calls = _record_solve_orders(monkeypatch)
+    sol = shoot_forced(sys, guess, mode=mode, n_steps=100)
+    assert sol.iterations >= 1
+    orders = {order for order, _ in calls}
+    if mode == "decoupled":
+        assert max(orders) <= sys.n
+    else:
+        assert orders == {sys.n, sys.ndim}
+        assert sum(1 for call in calls if call == (sys.ndim, 1)) == sol.iterations
+
+
+@pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+def test_autonomous_solve_sizes(vdp_random, vdp_nominal, monkeypatch, mode):
+    """Decoupled: no solve beyond the bordered n+1. Coupled: each Newton
+    iteration solves one n*K + K system."""
+    est, phase, det = vdp_nominal
+    basis, testing = _setup(vdp_random, 2)
+    sys = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    guess = np.zeros((basis.size, 2))
+    guess[0] = det.y
+    scale = np.zeros(basis.size)
+    scale[0] = 1.0
+    calls = _record_solve_orders(monkeypatch)
+    sol = shoot_autonomous(sys, phase, guess, scale, mode=mode, n_steps=200)
+    assert sol.iterations >= 1
+    orders = [order for order, _ in calls]
+    if mode == "decoupled":
+        assert max(orders) <= sys.n + 1
+    else:
+        assert max(orders) == sys.ndim + sys.K
+        assert orders.count(sys.ndim + sys.K) == sol.iterations
+
+
+def test_decoupled_solve_scales_to_a_100_state_ladder():
+    """n = 100, K = 35: the stacked DAE would be 3500 states wide."""
+    tol = 1e-5
+    circuit = synthetic_ladder(100, 4)
+    basis, testing = _setup(circuit, 3)
+    assert (circuit.n, basis.size) == (100, 35)
+    sys = assemble_forced(circuit, basis, testing, period=1e-3)
+    sol = shoot_forced(sys, tol=tol, n_steps=40)
+    assert sol.converged and sol.residual_norm <= tol
+    xi = testing.nodes[-1]
+    surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
+    det = solve_forced(circuit.realize(xi), 1e-3, tol=tol, n_steps=40)
+    assert np.abs(surro - det.y).max() < tol

@@ -14,6 +14,8 @@ from pssuq.transient import (
     transition_chain,
 )
 
+from conftest import SHORTED_AT_A_NODE
+
 
 class ScalarDecay:
     """Q = w, F = w: the unit linear decay dw/dt = -w."""
@@ -181,3 +183,39 @@ class Explodes:
 def test_nonfinite_residual_raises():
     with pytest.raises(ConvergenceError):
         integrate(Explodes(), np.array([1.0]), 0.0, 1.0, n_steps=4)
+
+
+def test_batch_member_matches_solo_run_through_bisection(lna_perturbed):
+    """A step one member cannot take whole is bisected for the whole batch:
+    no member is flagged, each ends where it ends alone to discretization
+    accuracy, and a member whose solo run takes the batch grid matches it."""
+    system, w0 = lna_perturbed
+    starts = system.node_states(w0)
+    batch = integrate(
+        system.node_dae(), starts, 0.0, system.period, n_steps=200, stabilized_start=True
+    )
+    assert batch.n_points > 201  # the batch bisected
+    assert not batch.failed.any()
+    on_batch_grid = 0
+    for k in range(system.K):
+        solo = integrate(
+            CircuitDae(system.circuit.realize(system.testing.nodes[k])),
+            starts[k], 0.0, system.period, n_steps=200, stabilized_start=True,
+        )
+        assert np.abs(batch.end[k] - solo.end).max() < 1e-6
+        if np.array_equal(solo.times, batch.times):
+            on_batch_grid += 1
+            assert np.abs(batch.states[:, k] - solo.states).max() < 1e-12
+    assert on_batch_grid >= 1
+
+
+def test_batch_freezes_only_samples_failing_at_the_floor():
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    xi = np.array([[-1.0], [1.0]])  # a shorted resistor, a sound one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        traj = integrate(CircuitDae(c.realize(xi)), np.zeros((2, c.n)), 0.0, 1e-3, n_steps=64)
+    assert traj.failed.tolist() == [True, False]
+    assert traj.fail_times[0] == 0.0 and np.isnan(traj.fail_times[1])
+    assert np.array_equal(traj.end[0], np.zeros(c.n))  # frozen where it failed
+    solo = integrate(CircuitDae(c.realize(xi[1])), np.zeros(c.n), 0.0, 1e-3, n_steps=64)
+    assert np.abs(traj.end[1] - solo.end).max() < 1e-6
