@@ -407,17 +407,38 @@ class UqReport:
         return out
 
 
+def _shared_time_points(ta, tb):
+    """Indices (ia, ib) of the points two time grids share, to rounding.
+
+    None unless the grids span the same interval. Grids that bisected
+    different steps of the same uniform grid share all its points.
+    """
+    tol = 1e-12 * (ta[-1] - ta[0])
+    if abs(ta[0] - tb[0]) > tol or abs(ta[-1] - tb[-1]) > tol:
+        return None
+    j = np.clip(np.searchsorted(tb, ta), 1, tb.size - 1)
+    j = np.where(np.abs(tb[j - 1] - ta) <= np.abs(tb[j] - ta), j - 1, j)
+    hit = np.abs(tb[j] - ta) <= tol
+    return np.nonzero(hit)[0], j[hit]
+
+
 def build_uq_report(solution, mc_run, surrogate_periods=None):
     """Compare a converged chaos solution against a Monte Carlo run.
 
-    Both must come from the same circuit on the same grid. For oscillator
+    Both must come from the same circuit over the same interval. The
+    waveforms are compared at the time points both grids hold: a step one
+    of the runs bisected adds points only that run has. For oscillator
     runs, pass an independent surrogate period sample of the same size as
     the MC run to get the distribution (KS) comparison.
     """
     ws = waveform_stats(solution)
     mc_mean, mc_std = mc_run.waveform_mean_std()
-    if ws.mean.shape != mc_mean.shape:
+    shared = _shared_time_points(ws.times, mc_run.times)
+    if shared is None or ws.mean.shape[1:] != mc_mean.shape[1:]:
         raise ValueError("chaos and Monte Carlo runs use different grids")
+    ia, ib = shared
+    ws = WaveformStats(ws.times[ia], ws.mean[ia], ws.std[ia])
+    mc_mean, mc_std = mc_mean[ib], mc_std[ib]
     peak = np.max(np.abs(mc_mean), axis=0)
     peak = np.where(peak > 0, peak, 1.0)
     period = None

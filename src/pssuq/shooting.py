@@ -126,23 +126,27 @@ MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
 def damped_newton(u0, run, newton_step, tol, max_iter):
     """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
 
-    ``run(u)`` returns ``(g, norm, aux)``: the residual, its infinity norm
-    per sample (inf where the residual is unusable) and what
-    ``newton_step(u, g, aux)`` needs to return the Newton step. Each sample
-    halves its own step and takes the first trial whose norm is finite and
-    lower. A sample whose step is not finite, or that has not improved
-    after ``MAX_HALVINGS`` halvings, stalls. Converged and stalled samples
-    keep their iterate in every trial, so the last trial is the residual
-    at the new iterates unless a sample stalled in it.
+    ``run(u, idle)`` returns ``(g, norm, aux)``: the residual, its infinity
+    norm per sample (inf where the residual is unusable) and what
+    ``newton_step(u, g, aux)`` needs to return the Newton step. ``idle``
+    marks the stalled samples, whose results are not used, so a batched
+    run need not integrate them. Each sample halves its own step and takes
+    the first trial whose norm is finite and lower. A sample whose residual
+    or step is not finite, or that has not improved after ``MAX_HALVINGS``
+    halvings, stalls; it keeps its iterate, residual and norm from then on.
+    Converged samples keep their iterate in every trial, so the last trial
+    is the residual at the new iterates; its ``aux`` is meaningless for the
+    stalled samples.
 
     Returns ``(u, g, norm, aux, history)``. ``history`` holds one
     ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
     step scale, so ``len(history) - 1`` Newton iterations were taken.
     """
     u = np.array(u0, dtype=float, copy=True)
-    g, gn, aux = run(u)
+    stalled = np.zeros(np.shape(u)[:-1], dtype=bool)
+    g, gn, aux = run(u, stalled)
     gn = np.asarray(gn)
-    stalled = np.zeros(gn.shape, dtype=bool)
+    stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
     history = [(u.copy(), gn.copy(), None)]
     while len(history) <= max_iter:
         pending = ~(gn <= tol) & ~stalled
@@ -158,7 +162,7 @@ def damped_newton(u0, run, newton_step, tol, max_iter):
             if not np.any(pending):
                 break
             u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
-            g_t, gn_t, aux_t = run(u_t)
+            g_t, gn_t, aux_t = run(u_t, stalled)
             better = pending & (gn_t < gn)  # false for a non-finite norm
             u_next = np.where(better[..., None], u_t, u_next)
             moved |= better
@@ -168,11 +172,9 @@ def damped_newton(u0, run, newton_step, tol, max_iter):
         if not np.any(moved):
             break
         u = u_next
-        if np.any(pending):
-            g, gn, aux = run(u)  # the last trial moved a sample that stalled
-        else:
-            g, gn, aux = g_t, gn_t, aux_t
-        gn = np.asarray(gn)
+        g = np.where(stalled[..., None], g, g_t)
+        gn = np.where(stalled, gn, gn_t)
+        aux = aux_t
         history.append((u.copy(), gn.copy(), np.where(moved, alpha, 0.0)))
     return u, g, gn, aux, history
 
@@ -197,10 +199,10 @@ def solve_forced(
     if instance.batch_size > 1 and y0.ndim == 1:
         y0 = np.broadcast_to(y0, (instance.batch_size, y0.size)).copy()
 
-    def run(y):
+    def run(y, idle):
         traj = integrate(
             sys, y, 0.0, period, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True,
+            stabilized_start=True, frozen=idle if idle.ndim else None,
         )
         g = traj.end - y
         gn = _norm_inf(g)
@@ -257,13 +259,13 @@ def solve_autonomous(
     u0 = np.concatenate([y0, np.ones(batch + (1,))], axis=-1)
     sys = CircuitDae(instance, scale=1.0)
 
-    def run(u):
+    def run(u, idle):
         y, a = u[..., :n], u[..., n]
         bad_scale = a <= scale_floor  # period scaling must stay positive
         sys.scale = np.maximum(a, scale_floor)
         traj = integrate(
             sys, y, 0.0, period_guess, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True,
+            stabilized_start=True, frozen=idle if idle.ndim else None,
         )
         psi = traj.end - y
         chi = y[..., j] - phase.value

@@ -317,7 +317,7 @@ def shoot_forced(
         coeff_guess = nominal_forced_guess(system, tol, scheme, n_steps, newton)
     u0 = np.asarray(coeff_guess, dtype=float).reshape(n * K)
 
-    def run(u):
+    def run(u, _idle):  # one unbatched unknown: nothing to idle
         trajs = period_map(system, u, scheme, n_steps, newton)
         g = trajs[0].end - u
         return g, float(np.max(np.abs(g))), trajs
@@ -404,7 +404,7 @@ def shoot_autonomous(
         [np.asarray(coeff_guess, dtype=float).reshape(n * K), np.asarray(scale_guess, dtype=float)]
     )
 
-    def run(u):
+    def run(u, _idle):  # one unbatched unknown: nothing to idle
         z0, a_hat = u[: n * K], u[n * K :]
         scales = system.testing.vandermonde @ a_hat
         if np.any(scales <= scale_floor):

@@ -18,10 +18,12 @@ on one shared grid. A step on a fixed grid that fails to converge for any
 sample is bisected for the whole batch, exactly as an unbatched step is;
 the members that would have converged take the finer steps too. Only at
 the bisection floor do the runs differ: an unbatched run raises, a
-batched run freezes the samples that still fail and flags them (rather
-than raising), which is what the Monte Carlo driver needs. The recorded
-trajectory always reflects the steps actually taken, so the one-period
-linearization chain stays exact.
+batched run freezes the samples that still fail where the grid step
+began, flags them (rather than raising), which is what the Monte Carlo
+driver needs, and takes that step again for the rest without the points
+the bisection added. A sample that can never take a step thus leaves the
+grid as it was. The recorded trajectory always reflects the steps
+actually taken, so the one-period linearization chain stays exact.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,14 @@ import numpy as np
 
 class ConvergenceError(RuntimeError):
     """Newton iteration failed to converge."""
+
+
+class _FloorFailure(Exception):
+    """Samples ``bad`` of a batched step still fail at the bisection floor."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,9 @@ def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=N
         converged = skip | ((converged | (
             (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + wnorm))
         )) & ~bad)
-        if np.all(converged):
+        # a sample with a non-finite step did not move, so it would repeat
+        # that step at every further iteration
+        if np.all(converged | bad):
             break
     q, f = system.eval(w, t_new)
     return w, (q, f), converged
@@ -177,6 +189,7 @@ def integrate(
     h0=None,
     max_points=2_000_000,
     stabilized_start=False,
+    frozen=None,
 ):
     """Integrate from t0 to t1 on a uniform or error-controlled grid.
 
@@ -186,9 +199,12 @@ def integrate(
     fixed grid a step that fails for any sample is bisected for the whole
     batch, exactly as an unbatched step is, down to the floor (``h_min``
     or 40 halvings). A sample that still fails there raises in an
-    unbatched run; in a batched run it is frozen at its last state and
-    reported through ``Trajectory.failed``, with the start of the failed
-    step in ``Trajectory.fail_times``.
+    unbatched run; in a batched run it is frozen at the start of the grid
+    step, the step is taken again for the other samples without the
+    bisection's points, and the sample is reported through
+    ``Trajectory.failed`` with that time in ``Trajectory.fail_times``.
+    Samples marked in ``frozen`` (batched runs) are not integrated: they
+    stay at their initial state and are reported as failed from t0.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -206,6 +222,9 @@ def integrate(
     batched = w0.ndim > 1
     failed = np.zeros(w0.shape[:-1], dtype=bool) if batched else None
     fail_times = np.full(w0.shape[:-1], np.nan) if batched else None
+    if frozen is not None:
+        failed = failed | frozen
+        fail_times[frozen] = t0
 
     times = [float(t0)]
     states = [w0]
@@ -214,22 +233,16 @@ def integrate(
 
     def advance(w, t, h, qf_prev, sch, depth=0):
         """One step of size h, bisected while any sample fails to converge."""
-        nonlocal failed
         w_new, qf_new, conv = _newton_step(
             system, w, t, h, sch, newton, qf_prev, ignore=failed
         )
         if not np.all(conv):
-            if h * 0.5 >= newton.h_min and depth <= 40:
-                w_mid, qf_mid = advance(w, t, 0.5 * h, qf_prev, sch, depth + 1)
-                return advance(w_mid, t + 0.5 * h, 0.5 * h, qf_mid, sch, depth + 1)
-            if not batched:
-                _raise_step_failure(system, w, t, h)
-            # at the floor: freeze the samples that still fail
-            bad = ~conv
-            failed = failed | bad
-            fail_times[bad] = t
-            w_new = np.where(bad[..., None], w, w_new)
-            qf_new = system.eval(w_new, t + h)
+            if h * 0.5 < newton.h_min or depth > 40:
+                if not batched:
+                    _raise_step_failure(system, w, t, h)
+                raise _FloorFailure(~conv)
+            w_mid, qf_mid = advance(w, t, 0.5 * h, qf_prev, sch, depth + 1)
+            return advance(w_mid, t + 0.5 * h, 0.5 * h, qf_mid, sch, depth + 1)
         times.append(t + h)
         states.append(w_new)
         gammas.append((sch.gamma1, sch.gamma2))
@@ -240,7 +253,15 @@ def integrate(
         w = w0
         for k in range(n_steps):
             sch = BACKWARD_EULER if (k == 0 and stabilized_start) else scheme
-            w, qf = advance(w, grid[k], grid[k + 1] - grid[k], qf, sch)
+            mark = len(times)
+            while True:
+                try:
+                    w, qf = advance(w, grid[k], grid[k + 1] - grid[k], qf, sch)
+                    break
+                except _FloorFailure as floor:
+                    del times[mark:], states[mark:], gammas[mark:]
+                    failed = failed | floor.bad
+                    fail_times[floor.bad] = grid[k]
     else:
         # adaptive: compare one h-step against two h/2-steps; both half-step
         # endpoints are recorded so linearization chains stay consistent.

@@ -1,11 +1,15 @@
 """Monte Carlo driver, metric math, and surrogate statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import pssuq.analysis as analysis
 from pssuq import parse_netlist
 from pssuq.analysis import (
     avg_power,
+    build_uq_report,
     distribution_from_samples,
     draw_standardized,
     ks_statistic,
@@ -20,6 +24,8 @@ from pssuq.circuit import DistributionSpec
 from pssuq.gpc import GpcCoefficients, build_basis, select_testing_nodes, tensor_rule
 from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
 from pssuq.transient import Trajectory, TRAPEZOIDAL
+
+from conftest import SHORTED_AT_A_NODE
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)
@@ -261,8 +267,6 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
 
 
 def test_uq_report_forced(rectifier):
-    from pssuq.analysis import build_uq_report
-
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
     sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=100)
@@ -275,8 +279,69 @@ def test_uq_report_forced(rectifier):
     assert summary["mc_samples"] == 1000
 
 
+def _draws_with_short(monkeypatch, rows, drop=False):
+    """Make Monte Carlo draws put a shorted resistor (xi = -1) at ``rows``,
+    or leave those draws out with ``drop``. The other draws stay at
+    xi >= -0.5: near the short the RC pole is fast and unstable enough
+    that shooting fails on its own."""
+    draw = analysis.draw_standardized
+
+    def patched(dists, seed, count, offset=0):
+        xi = np.maximum(draw(dists, seed, count + (len(rows) if drop else 0), offset), -0.5)
+        if drop:
+            return np.delete(xi, rows, axis=0)
+        xi[rows] = -1.0
+        return xi
+
+    monkeypatch.setattr(analysis, "draw_standardized", patched)
+
+
+def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
+    """A sample that cannot be integrated is flagged, keeps the batch on
+    the uniform grid and changes no statistic of the others."""
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    _draws_with_short(monkeypatch, [7])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        run = monte_carlo(c, "forced", 100, seed=3, n_steps=64)
+    assert np.nonzero(run.failed)[0].tolist() == [7]
+    assert run.times.size == 65
+    _draws_with_short(monkeypatch, [7], drop=True)
+    sound = monte_carlo(c, "forced", 99, seed=3, n_steps=64)
+    assert not sound.failed.any()
+    assert np.array_equal(run.times, sound.times)
+    for a, b in zip(run.waveform_mean_std(), sound.waveform_mean_std()):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    basis = build_basis([s for _, s in c.random_params], 2)
+    testing = select_testing_nodes(basis, tensor_rule(basis, 3))
+    sol = shoot_forced(assemble_forced(c, basis, testing), n_steps=64)
+    report = build_uq_report(sol, run)
+    assert report.times.size == 65 and report.mc_samples == 100
+    assert report.max_rel_mean_delta == build_uq_report(sol, sound).max_rel_mean_delta
+
+
+def test_uq_report_compares_on_shared_time_points(rc_circuit):
+    """Points a bisected step added to one grid are left out of the deltas."""
+    basis = build_basis([s for _, s in rc_circuit.random_params], 1)
+    testing = select_testing_nodes(basis, tensor_rule(basis, 2))
+    sol = shoot_forced(assemble_forced(rc_circuit, basis, testing), n_steps=50)
+    run = monte_carlo(rc_circuit, "forced", 20, seed=4, n_steps=50)
+    base = build_uq_report(sol, run)
+    quarter = run.times[10] + np.array([0.25, 0.5, 0.75]) * (run.times[11] - run.times[10])
+    refined = dataclasses.replace(
+        run,
+        times=np.insert(run.times, 11, quarter),
+        waveforms=np.insert(run.waveforms, [11] * 3, 1e6, axis=1),
+    )
+    for report in (build_uq_report(sol, refined), build_uq_report(sol, run)):
+        assert np.array_equal(report.times, sol.trajectory.times)
+        assert report.max_rel_mean_delta == base.max_rel_mean_delta
+        assert report.max_rel_std_delta == base.max_rel_std_delta
+    shifted = dataclasses.replace(run, times=2.0 * run.times)
+    with pytest.raises(ValueError, match="different grids"):
+        build_uq_report(sol, shifted)
+
+
 def test_uq_report_autonomous(vdp_random):
-    from pssuq.analysis import build_uq_report
     from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous
     from pssuq.stpss import assemble_autonomous, shoot_autonomous
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import pssuq.shooting as shooting
 from pssuq import parse_netlist
 from pssuq.circuit import dc_operating_point
 from pssuq.shooting import CircuitDae, OscillationError, estimate_period, solve_forced
 from pssuq.transient import TRAPEZOIDAL, integrate, transition_chain
+
+from conftest import SHORTED_AT_A_NODE
 
 RC_FIXED = "V1 in 0 SIN(0 1 1k)\nR1 in out 1k\nC1 out 0 1u\n"
 
@@ -153,6 +156,31 @@ def test_batched_forced_newton_matches_individual(rectifier):
         assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
     assert iterations[0] == 0 and len(set(iterations)) >= 3
     assert batch.iterations == max(iterations)
+
+
+def test_batched_newton_idles_a_sample_that_cannot_be_integrated(monkeypatch):
+    """A sample whose first run fails is flagged once and left out of every
+    later run; the others converge as they do alone."""
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    xi = np.array([[0.5], [-1.0], [1.0]])  # the middle one is shorted
+    masks = []
+    integrate_ = shooting.integrate
+
+    def recording(*args, frozen=None, **kwargs):
+        masks.append(frozen.tolist())
+        return integrate_(*args, frozen=frozen, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = solve_forced(c.realize(xi), 1e-3, y0=np.zeros((3, c.n)), n_steps=64)
+    assert batch.converged.tolist() == [True, False, True]
+    assert batch.residual_norm[1] == np.inf
+    assert masks[0] == [False, False, False]
+    assert len(masks) > 1 and all(m == [False, True, False] for m in masks[1:])
+    monkeypatch.setattr(shooting, "integrate", integrate_)
+    for k in (0, 2):
+        one = solve_forced(c.realize(xi[k]), 1e-3, y0=np.zeros(c.n), n_steps=64)
+        assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
 
 
 # -- autonomous ---------------------------------------------------------------

@@ -210,6 +210,8 @@ def test_batch_member_matches_solo_run_through_bisection(lna_perturbed):
 
 
 def test_batch_freezes_only_samples_failing_at_the_floor():
+    """The sample that fails at the floor is frozen and the step taken again
+    for the rest, so the batch keeps the grid the sound sample takes alone."""
     c = parse_netlist(SHORTED_AT_A_NODE)
     xi = np.array([[-1.0], [1.0]])  # a shorted resistor, a sound one
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,4 +220,19 @@ def test_batch_freezes_only_samples_failing_at_the_floor():
     assert traj.fail_times[0] == 0.0 and np.isnan(traj.fail_times[1])
     assert np.array_equal(traj.end[0], np.zeros(c.n))  # frozen where it failed
     solo = integrate(CircuitDae(c.realize(xi[1])), np.zeros(c.n), 0.0, 1e-3, n_steps=64)
-    assert np.abs(traj.end[1] - solo.end).max() < 1e-6
+    assert np.array_equal(traj.times, solo.times) and traj.n_points == 65
+    assert np.abs(traj.states[:, 1] - solo.states).max() < 1e-12
+
+
+def test_frozen_samples_are_not_integrated():
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    xi = np.array([[1.0], [0.5]])
+    w0 = np.full((2, c.n), 0.1)
+    traj = integrate(
+        CircuitDae(c.realize(xi)), w0, 0.0, 1e-3, n_steps=16, frozen=np.array([True, False])
+    )
+    assert traj.failed.tolist() == [True, False]
+    assert traj.fail_times[0] == 0.0 and np.isnan(traj.fail_times[1])
+    assert np.array_equal(traj.states[:, 0], np.broadcast_to(w0[0], (17, c.n)))
+    solo = integrate(CircuitDae(c.realize(xi[1])), w0[1], 0.0, 1e-3, n_steps=16)
+    assert np.abs(traj.end[1] - solo.end).max() < 1e-12
