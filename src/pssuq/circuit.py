@@ -14,7 +14,12 @@ order), then inductor currents, then voltage-source branch currents.
 
 Evaluation is vectorized: ``theta`` may be a single parameter vector or a
 ``(B, d)`` batch, in which case states are ``(B, n)`` and all outputs gain
-a leading batch axis. All device equations are smooth except the junction
+a leading batch axis. The linear elements (resistors, capacitors,
+inductors, source incidence, diode and MOSFET capacitances) are stamped
+once per instance into constant charge and conductance matrices C and G,
+so a call computes q = C x and f = G x plus the nonlinear currents; only
+diodes, MOSFETs, BJTs and van der Pol conductors run per-call device
+code. All device equations are smooth except the junction
 exponential, which continues as its tangent line above a fixed cutoff so
 Newton residuals stay finite.
 """
@@ -23,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -316,16 +320,50 @@ class DaeEval:
 class CircuitInstance:
     """A circuit with its random parameters bound to physical values.
 
-    Evaluation is pure: repeated calls with the same arguments return the
-    same values, and distinct instances may be evaluated concurrently.
-    ``theta`` is (d,) for a scalar instance or (B, d) for a batch; batched
-    instances evaluate states of shape (B, n).
+    Binding resolves every element value once. The linear elements are
+    stamped into constant charge and conductance matrices C and G, and the
+    sources into constant levels plus sine terms. A call computes q = C x,
+    f = G x + f_nl, B u(t) from one sine of the resolved amplitudes and
+    phases, dq/dx = C and df/dx = G + J_nl; only the nonlinear devices'
+    fills run. Evaluation is pure and returns new arrays: repeated calls
+    with the same arguments return the same values, and distinct instances
+    may be evaluated concurrently. ``theta`` is (d,) for a scalar instance
+    or (B, d) for a batch; batched instances evaluate states of shape
+    (B, n).
     """
 
     def __init__(self, circuit, theta, scalar=True):
         self.circuit = circuit
         self.theta = np.atleast_2d(np.asarray(theta, dtype=float))
         self.scalar = scalar and self.theta.shape[0] == 1
+        plan = self._plan = circuit.plan()
+        B, n = self.theta.shape[0], circuit.n_states
+
+        def resolve(values):
+            """Element parameters (literal or bound) -> (E, B)."""
+            out = np.empty((len(values), B))
+            for k, v in enumerate(values):
+                out[k] = self.theta[:, plan.ppos[v.param]] if v.param is not None else v.literal
+            return out
+
+        lin = {space: np.zeros((space.count, B)) for space in (plan.cq, plan.cg)}
+        for space, slots, values, transform in plan.linear:
+            v = resolve(values)
+            # a shorted resistor stamps an infinite conductance; a step that
+            # fails on it names it through find_nonfinite_element
+            with np.errstate(divide="ignore"):
+                lin[space][slots] = v if transform is None else transform(v)
+        self._vq, self._vg = lin[plan.cq], lin[plan.cg]
+        # [C; G] stacked, so one product gives q and the linear part of f
+        C, G = plan.cq.scatter(self._vq), plan.cg.scatter(self._vg)
+        self._CG = np.concatenate([C.reshape(B, n, n), G.reshape(B, n, n)], axis=1)
+        self._C, self._G = self._CG[:, :n], self._CG[:, n:]
+        self._levels = resolve(plan.levels)
+        self._bu0 = plan.sdc.scatter(self._levels)
+        self._amp = resolve(plan.amps)
+        self._phase = resolve(plan.phases) * math.pi / 180.0
+        self._omega = 2.0 * math.pi * np.array(plan.freqs, dtype=float)[:, None]
+        self._fills = [bind(resolve) for bind in plan.devices]
 
     @property
     def n(self):
@@ -336,29 +374,65 @@ class CircuitInstance:
         return self.theta.shape[0]
 
     def _states(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
+        """States as (B, n); a batch of states against one parameter set is fine."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.n:
             raise CircuitError(f"state length {x.shape[-1]} != {self.n}")
-        B = self.batch_size
-        if x.shape[0] == 1 and B > 1:
-            x = np.broadcast_to(x, (B, self.n))
-        elif x.shape[0] != B and B == 1:
-            pass  # batch of states against one parameter set is fine
+        if x.shape[0] == 1 and self.batch_size > 1:
+            x = np.broadcast_to(x, (self.batch_size, self.n))
         return x
+
+    def _sines(self, t):
+        return self._amp * np.sin(self._omega * t + self._phase)
+
+    def _nonlinear(self, x):
+        """Padded states and the fills' slot values at states x (B, n)."""
+        x_pad = np.zeros((self._plan.n1, x.shape[0]))
+        x_pad[1:] = x.T
+        v = np.zeros((self._plan.nl.count, x.shape[0]))
+        for fill in self._fills:
+            fill(x_pad, v)
+        return x_pad, v
 
     def eval_dae(self, x, t):
         """Evaluate q, f, B*u and the exact Jacobians dq/dx, df/dx."""
-        squeeze = self.scalar and np.asarray(x).ndim == 1
-        out = self.circuit.plan().eval(self._states(x), float(t), self.theta)
-        if squeeze:
-            return DaeEval(*(a[0] for a in out))
-        return DaeEval(*out)
+        squeeze = self.scalar and np.ndim(x) == 1
+        x = self._states(x)
+        B, n = x.shape
+        plan = self._plan
+        qf = (self._CG @ x[..., None])[..., 0]
+        q, f = qf[:, :n], qf[:, n:]
+        if self._fills:
+            nl = plan.nl.scatter(self._nonlinear(x)[1])
+            f = f + nl[:, :n]
+            df = self._G + nl[:, n:].reshape(B, n, n)
+        else:
+            df = _fresh(self._G, B)
+        bu = self._bu0 + plan.ssin.scatter(self._sines(float(t))) if plan.ssin.count else self._bu0
+        out = q, f, _fresh(bu, B), _fresh(self._C, B), df
+        return DaeEval(*(a[0] for a in out)) if squeeze else DaeEval(*out)
 
     def find_nonfinite_element(self, x, t):
         """Name of an element producing a non-finite contribution, or None."""
-        return self.circuit.plan().locate_nonfinite(self._states(x), float(t), self.theta)
+        plan = self._plan
+        x_pad, v = self._nonlinear(self._states(x))
+        checks = (
+            (plan.cq, self._vq, x_pad),
+            (plan.cg, self._vg, x_pad),
+            (plan.nl, v, None),
+            (plan.sdc, self._levels, None),
+            (plan.ssin, self._sines(float(t)), None),
+        )
+        for space, vals, states in checks:
+            name = space.first_nonfinite(vals, states)
+            if name is not None:
+                return name
+        return None
+
+
+def _fresh(a, B):
+    """A new (B, ...) array holding ``a``, whose leading axis is B or 1."""
+    return a.copy() if a.shape[0] == B else np.repeat(a, B, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +447,7 @@ def _limited_exp(z):
     """
     zc = EXP_CUTOFF
     e = np.exp(np.minimum(z, zc))
-    over = z > zc
-    val = np.where(over, e * (1.0 + (z - zc)), e)
-    return val, e
+    return e * (1.0 + np.maximum(z - zc, 0.0)), e
 
 
 def _mos_core(vgs, vds, kp, vt0, lam):
@@ -405,82 +477,98 @@ def _mos_core(vgs, vds, kp, vt0, lam):
 # compiled evaluation plan
 
 
-class _ParamVals:
-    """Resolver for a vector of element parameters (literal or bound)."""
-
-    def __init__(self, values, param_pos):
-        self.lit = np.array([v.literal for v in values], dtype=float)
-        self.idx = np.array(
-            [param_pos[v.param] if v.param else -1 for v in values], dtype=int
-        )
-        self.bound = [(k, int(j)) for k, j in enumerate(self.idx) if j >= 0]
-
-    def __len__(self):
-        return self.lit.size
-
-    def resolve(self, theta):
-        """(E,) literals expanded against theta (B, d) -> (E, B)."""
-        B = theta.shape[0]
-        out = np.repeat(self.lit[:, None], B, axis=1)
-        for k, j in self.bound:
-            out[k] = theta[:, j]
-        return out
-
-
 class _SlotSpace:
-    """Allocates value slots for one stamp target and builds its scatter."""
+    """Value slots of one stamp target and the flat indices they add into.
 
-    def __init__(self, n_entries_shape):
-        self.shape = n_entries_shape  # rows of the scatter matrix
-        self.rows = []
-        self.cols = []
-        self.data = []
+    A slot carries one value per batch member (an element's conductance,
+    capacitance, current or source level). Each of its entries adds the
+    value, times a sign, at one row or one (row, column) position of the
+    n-state equations. The target is laid out as the n rows (if ``rows``)
+    followed by the row-major n x n matrix (if ``matrix``). Entries take
+    padded indices, 0 being ground; entries on the ground row or column are
+    dropped, since that equation is not part of the system.
+    """
+
+    def __init__(self, n, rows, matrix):
+        self._n = n
+        self._offset = n if rows else 0
+        self.size = self._offset + (n * n if matrix else 0)
         self.names = []
-        self.count = 0
+        self._entries = []  # (slot, flat index, padded column or 0, sign)
+
+    @property
+    def count(self):
+        return len(self.names)
 
     def add(self, name, entries):
-        """One value slot feeding (flat_row, sign) entries; returns slot id."""
-        sid = self.count
-        self.count += 1
+        """One slot feeding padded (row, sign) or (row, col, sign) entries."""
+        sid = len(self.names)
         self.names.append(name)
-        for flat_row, sign in entries:
-            self.rows.append(flat_row)
-            self.cols.append(sid)
-            self.data.append(float(sign))
+        for *pos, sign in entries:
+            if 0 in pos:
+                continue
+            row, col = int(pos[0]) - 1, int(pos[1]) if len(pos) == 2 else 0
+            flat = self._offset + row * self._n + col - 1 if col else row
+            self._entries.append((sid, flat, col, float(sign)))
         return sid
 
-    def matrix(self):
-        return sp.csr_matrix(
-            (self.data, (self.rows, self.cols)), shape=(self.shape, max(self.count, 1))
-        )
+    def finish(self):
+        """Freeze the entries into index arrays once every slot is added."""
+        sid, flat, col, sign = zip(*self._entries) if self._entries else ((),) * 4
+        self.slot = np.array(sid, dtype=int)
+        self.flat = np.array(flat, dtype=int)
+        self.col = np.array(col, dtype=int)
+        self.sign = np.array(sign, dtype=float)[:, None]
+
+    def scatter(self, vals):
+        """Sum the slot values (S, B) into their positions: (B, size)."""
+        B = vals.shape[1]
+        w = vals[self.slot] * self.sign
+        idx = self.flat if B == 1 else self.flat[:, None] + self.size * np.arange(B)
+        return np.bincount(idx.ravel(), w.ravel(), B * self.size).reshape(B, self.size)
+
+    def first_nonfinite(self, vals, x_pad=None):
+        """Name of the first slot with a non-finite contribution, or None.
+
+        With ``x_pad`` (matrix-only targets) the contribution is the value
+        times the state of its column, i.e. the slot's share of ``M @ x``.
+        """
+        w = vals[self.slot]
+        if x_pad is not None:
+            w = w * x_pad[self.col]
+        bad = ~np.isfinite(w).all(axis=1)
+        return self.names[self.slot[bad].min()] if bad.any() else None
 
 
 class _EvalPlan:
-    """Vectorized stamp evaluation compiled from a Circuit.
+    """Element stamps compiled from a Circuit, bound per instance.
 
-    Node voltages live in a padded array with index 0 = ground, so every
-    terminal stamps unconditionally; row/column 0 is dropped at the end.
+    Linear elements (resistors, capacitors, inductors, the diode and MOSFET
+    capacitances, voltage-source incidence) are slots of the constant
+    charge and conductance matrices C and G; independent sources are slots
+    of the source vector. Every value is resolved against a parameter
+    batch once, when a :class:`CircuitInstance` is created.
+    Nonlinear devices compile to binders that return a fill closure; only
+    fills run per evaluation.
+    Node voltages read by the fills live in a padded array with index
+    0 = ground, so every terminal reads unconditionally.
     """
 
     def __init__(self, circuit):
         self.circuit = circuit
         n = circuit.n_states
         self.n1 = n + 1
-        ppos = {name: j for j, (name, _) in enumerate(circuit.random_params)}
-        cvals = {
-            name: spec.nominal()
-            for name, spec in circuit.params.items()
-            if not spec.is_random
-        }
-        self._ppos = ppos
-        self._cvals = cvals
+        self.ppos = {name: j for j, (name, _) in enumerate(circuit.random_params)}
+        self._cvals = {name: s.nominal() for name, s in circuit.params.items() if not s.is_random}
 
-        self.sq = _SlotSpace(self.n1)
-        self.sf = _SlotSpace(self.n1)
-        self.sbu = _SlotSpace(self.n1)
-        self.jq = _SlotSpace(self.n1 * self.n1)
-        self.jf = _SlotSpace(self.n1 * self.n1)
-        self._fills = []
+        self.cq = _SlotSpace(n, rows=False, matrix=True)  # C: charge coefficients
+        self.cg = _SlotSpace(n, rows=False, matrix=True)  # G: linear conductances
+        self.sdc = _SlotSpace(n, rows=True, matrix=False)  # source levels (DC, sine offset)
+        self.ssin = _SlotSpace(n, rows=True, matrix=False)  # sine parts of the sources
+        self.nl = _SlotSpace(n, rows=True, matrix=True)  # nonlinear currents | conductances
+        self.linear = []  # (space, slots, values, transform of the values)
+        self.levels, self.amps, self.phases, self.freqs = [], [], [], []
+        self.devices = []  # bind(resolve) -> fill(x_pad, out)
 
         by_kind = {}
         for e in circuit.elements:
@@ -498,12 +586,8 @@ class _EvalPlan:
         }
         for kind, elems in by_kind.items():
             compilers[kind](elems)
-
-        self.Mq = self.sq.matrix()
-        self.Mf = self.sf.matrix()
-        self.Mbu = self.sbu.matrix()
-        self.MJq = self.jq.matrix()
-        self.MJf = self.jf.matrix()
+        for space in (self.cq, self.cg, self.sdc, self.ssin, self.nl):
+            space.finish()
 
     # -- helpers -----------------------------------------------------------
 
@@ -522,7 +606,7 @@ class _EvalPlan:
                     raise CircuitError(f"element {e.name}: missing parameter {key}")
                 v = Value.lit(default)
             vals.append(self._fold(v))
-        return _ParamVals(vals, self._ppos)
+        return vals
 
     def _nidx(self, elems, pos):
         """Padded state index of terminal `pos` for each element."""
@@ -537,255 +621,163 @@ class _EvalPlan:
         c = self.circuit
         return np.array([c.branch_state(e.name) + 1 for e in elems], dtype=int)
 
-    def _flat(self, r, c):
-        return int(r) * self.n1 + int(c)
+    def _slots(self, space, elems, entries):
+        """One slot per element; ``entries(k)`` lists element k's entries.
+
+        The slots are consecutive, so they are returned as a slice.
+        """
+        first = space.count
+        for k, e in enumerate(elems):
+            space.add(e.name, entries(k))
+        return slice(first, space.count)
 
     def _pair_current_slots(self, space, elems, a, b):
         """One current slot per element flowing a -> b (KCL rows a,+ b,-)."""
-        return np.array(
-            [
-                space.add(e.name, [(int(a[k]), +1.0), (int(b[k]), -1.0)])
-                for k, e in enumerate(elems)
-            ]
-        )
+        return self._slots(space, elems, lambda k: [(a[k], +1.0), (b[k], -1.0)])
 
     def _pair_conductance_slots(self, space, elems, a, b):
         """One conductance slot per element: +aa -ab -ba +bb pattern."""
-        return np.array(
-            [
-                space.add(
-                    e.name,
-                    [
-                        (self._flat(a[k], a[k]), +1.0),
-                        (self._flat(a[k], b[k]), -1.0),
-                        (self._flat(b[k], a[k]), -1.0),
-                        (self._flat(b[k], b[k]), +1.0),
-                    ],
-                )
-                for k, e in enumerate(elems)
-            ]
-        )
+        return self._slots(space, elems, lambda k: [
+            (a[k], a[k], 1.0), (a[k], b[k], -1.0), (b[k], a[k], -1.0), (b[k], b[k], 1.0)
+        ])
+
+    def _branch_slots(self, elems, a, b, m, sign):
+        """Unit G slots of a branch current m: KCL rows a,+ b,-; branch row
+        reads sign * (v_a - v_b)."""
+        js = self._slots(self.cg, elems, lambda k: [
+            (a[k], m[k], 1.0), (b[k], m[k], -1.0), (m[k], a[k], sign), (m[k], b[k], -sign)
+        ])
+        self.linear.append((self.cg, js, [Value.lit(1.0)] * len(elems), None))
 
     # -- per-kind compilers --------------------------------------------------
-    # Each records a fill(x_pad, t, theta, vq, vf, vbu, vjq, vjf) closure.
+    # Linear kinds record slots of C, G and the source vector; nonlinear
+    # kinds append a bind(resolve) -> fill(x_pad, out) closure.
 
     def _compile_resistors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
-        rv = self._pval(elems, "value")
-        fs = self._pair_current_slots(self.sf, elems, a, b)
-        js = self._pair_conductance_slots(self.jf, elems, a, b)
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            r = rv.resolve(th)
-            v = x[a] - x[b]
-            vf[fs] = v / r
-            vjf[js] = 1.0 / r
-
-        self._fills.append(fill)
+        js = self._pair_conductance_slots(self.cg, elems, a, b)
+        self.linear.append((self.cg, js, self._pval(elems, "value"), lambda r: 1.0 / r))
 
     def _compile_capacitors(self, elems, key="value"):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
-        cv = self._pval(elems, key)
-        qs = self._pair_current_slots(self.sq, elems, a, b)
-        js = self._pair_conductance_slots(self.jq, elems, a, b)
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            c = cv.resolve(th)
-            vq[qs] = c * (x[a] - x[b])
-            vjq[js] = c
-
-        self._fills.append(fill)
+        js = self._pair_conductance_slots(self.cq, elems, a, b)
+        self.linear.append((self.cq, js, self._pval(elems, key), None))
 
     def _compile_inductors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
         m = self._bidx(elems)
-        lv = self._pval(elems, "value")
         # KCL: branch current into a, out of b; branch row: L di/dt = v_a - v_b
-        fs_i = self._pair_current_slots(self.sf, elems, a, b)
-        qs = np.array([self.sq.add(e.name, [(int(m[k]), +1.0)]) for k, e in enumerate(elems)])
-        fs_v = np.array(
-            [
-                self.sf.add(e.name, [(int(m[k]), 1.0)])
-                for k, e in enumerate(elems)
-            ]
-        )
-        jq = np.array(
-            [self.jq.add(e.name, [(self._flat(m[k], m[k]), 1.0)]) for k, e in enumerate(elems)]
-        )
-        jf = np.array(
-            [
-                self.jf.add(
-                    e.name,
-                    [
-                        (self._flat(a[k], m[k]), +1.0),
-                        (self._flat(b[k], m[k]), -1.0),
-                        (self._flat(m[k], a[k]), -1.0),
-                        (self._flat(m[k], b[k]), +1.0),
-                    ],
-                )
-                for k, e in enumerate(elems)
-            ]
-        )
+        jq = self._slots(self.cq, elems, lambda k: [(m[k], m[k], 1.0)])
+        self.linear.append((self.cq, jq, self._pval(elems, "value"), None))
+        self._branch_slots(elems, a, b, m, -1.0)
 
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            L = lv.resolve(th)
-            i = x[m]
-            vf[fs_i] = i
-            vf[fs_v] = -(x[a] - x[b])
-            vq[qs] = L * i
-            vjq[jq] = L
-            vjf[jf] = 1.0
-
-        self._fills.append(fill)
-
-    def _source_value(self, elems):
-        src_dc = _ParamVals([self._fold(e.source.dc) for e in elems], self._ppos)
-        src_off = _ParamVals([self._fold(e.source.offset) for e in elems], self._ppos)
-        src_amp = _ParamVals([self._fold(e.source.amplitude) for e in elems], self._ppos)
-        src_ph = _ParamVals([self._fold(e.source.phase_deg) for e in elems], self._ppos)
-        freq = np.array([e.source.freq for e in elems], dtype=float)
-        is_sin = np.array([e.source.is_time_varying for e in elems])
-
-        def value(t, th):
-            dc = src_dc.resolve(th)
-            off = src_off.resolve(th)
-            amp = src_amp.resolve(th)
-            ph = src_ph.resolve(th)
-            arg = 2.0 * math.pi * freq[:, None] * t + ph * math.pi / 180.0
-            return np.where(is_sin[:, None], off + amp * np.sin(arg), dc)
-
-        return value
+    def _compile_sources(self, elems, entries):
+        """Source levels and sine parts feeding ``entries(k)`` of B u(t)."""
+        self._slots(self.sdc, elems, entries)
+        sines = [k for k, e in enumerate(elems) if e.source.is_time_varying]
+        self._slots(self.ssin, [elems[k] for k in sines], lambda j: entries(sines[j]))
+        for e in elems:
+            s = e.source
+            self.levels.append(self._fold(s.offset if s.is_time_varying else s.dc))
+            if s.is_time_varying:
+                self.amps.append(self._fold(s.amplitude))
+                self.phases.append(self._fold(s.phase_deg))
+                self.freqs.append(s.freq)
 
     def _compile_vsources(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
         m = self._bidx(elems)
-        value = self._source_value(elems)
-        fs_i = self._pair_current_slots(self.sf, elems, a, b)
-        fs_v = np.array([self.sf.add(e.name, [(int(m[k]), 1.0)]) for k, e in enumerate(elems)])
-        bs = np.array([self.sbu.add(e.name, [(int(m[k]), 1.0)]) for k, e in enumerate(elems)])
-        jf = np.array(
-            [
-                self.jf.add(
-                    e.name,
-                    [
-                        (self._flat(a[k], m[k]), +1.0),
-                        (self._flat(b[k], m[k]), -1.0),
-                        (self._flat(m[k], a[k]), +1.0),
-                        (self._flat(m[k], b[k]), -1.0),
-                    ],
-                )
-                for k, e in enumerate(elems)
-            ]
-        )
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            vf[fs_i] = x[m]
-            vf[fs_v] = x[a] - x[b]
-            vbu[bs] = value(t, th)
-            vjf[jf] = 1.0
-
-        self._fills.append(fill)
+        self._branch_slots(elems, a, b, m, 1.0)
+        self._compile_sources(elems, lambda k: [(m[k], 1.0)])
 
     def _compile_isources(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
-        value = self._source_value(elems)
         # positive source current flows internally from node+ to node-, i.e.
         # it is drawn from node+ and injected into node-
-        bs = np.array(
-            [
-                self.sbu.add(e.name, [(int(a[k]), -1.0), (int(b[k]), +1.0)])
-                for k, e in enumerate(elems)
-            ]
-        )
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            vbu[bs] = value(t, th)
-
-        self._fills.append(fill)
+        self._compile_sources(elems, lambda k: [(a[k], -1.0), (b[k], +1.0)])
 
     def _compile_diodes(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
         isv = self._pval(elems, "IS")
         nv = self._pval(elems, "N", default=1.0)
         tv = self._pval(elems, "TEMP", default=DEFAULT_TEMPERATURE)
-        fs = self._pair_current_slots(self.sf, elems, a, b)
-        js = self._pair_conductance_slots(self.jf, elems, a, b)
+        fs = self._pair_current_slots(self.nl, elems, a, b)
+        js = self._pair_conductance_slots(self.nl, elems, a, b)
         has_cj = [e for e in elems if "CJ" in e.params]
         if has_cj:
             self._compile_capacitors(has_cj, key="CJ")
 
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            isat = isv.resolve(th)
-            ve = nv.resolve(th) * thermal_voltage(tv.resolve(th))
-            ev, dev = _limited_exp((x[a] - x[b]) / ve)
-            vf[fs] = isat * (ev - 1.0)
-            vjf[js] = isat * dev / ve
+        def bind(resolve):
+            isat = resolve(isv)
+            ve = resolve(nv) * thermal_voltage(resolve(tv))
 
-        self._fills.append(fill)
+            def fill(x, out):
+                ev, dev = _limited_exp((x[a] - x[b]) / ve)
+                out[fs] = isat * (ev - 1.0)
+                out[js] = isat * dev / ve
+
+            return fill
+
+        self.devices.append(bind)
 
     def _compile_vdp_conductors(self, elems):
         a, b = self._nidx(elems, 0), self._nidx(elems, 1)
         mu = self._pval(elems, "MU")
-        fs = self._pair_current_slots(self.sf, elems, a, b)
-        js = self._pair_conductance_slots(self.jf, elems, a, b)
+        fs = self._pair_current_slots(self.nl, elems, a, b)
+        js = self._pair_conductance_slots(self.nl, elems, a, b)
 
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            m = mu.resolve(th)
-            v = x[a] - x[b]
-            vf[fs] = m * (v**3 / 3.0 - v)
-            vjf[js] = m * (v * v - 1.0)
+        def bind(resolve):
+            m = resolve(mu)
 
-        self._fills.append(fill)
+            def fill(x, out):
+                v = x[a] - x[b]
+                out[fs] = m * (v**3 / 3.0 - v)
+                out[js] = m * (v * v - 1.0)
+
+            return fill
+
+        self.devices.append(bind)
 
     def _compile_mosfets(self, elems):
         d_, g_, s_ = self._nidx(elems, 0), self._nidx(elems, 1), self._nidx(elems, 2)
         kpv = self._pval(elems, "KP")
         vtv = self._pval(elems, "VT0")
         lamv = self._pval(elems, "LAMBDA", default=0.0)
-        sign_p = np.array([-1.0 if "PMOS" in e.flags else 1.0 for e in elems])
-        fs = self._pair_current_slots(self.sf, elems, d_, s_)
+        sp_ = np.array([-1.0 if "PMOS" in e.flags else 1.0 for e in elems])[:, None]
+        fs = self._pair_current_slots(self.nl, elems, d_, s_)
         # three Jacobian values per device: d(i_ds)/d(v_d, v_g, v_s)
-        jd, jg, js_ = [], [], []
-        for k, e in enumerate(elems):
-            for store, col in ((jd, d_[k]), (jg, g_[k]), (js_, s_[k])):
-                store.append(
-                    self.jf.add(
-                        e.name,
-                        [(self._flat(d_[k], col), +1.0), (self._flat(s_[k], col), -1.0)],
-                    )
-                )
-        jd, jg, js_ = np.array(jd), np.array(jg), np.array(js_)
-        cgs_elems = [e for e in elems if "CGS" in e.params]
-        if cgs_elems:
-            gs_pairs = [
-                Element("C", e.name + ".cgs", (e.nodes[1], e.nodes[2]), {"value": e.params["CGS"]})
-                for e in cgs_elems
+        jd, jg, js_ = (
+            self._slots(self.nl, elems, lambda k: [(d_[k], col[k], +1.0), (s_[k], col[k], -1.0)])
+            for col in (d_, g_, s_)
+        )
+        for key, term in (("CGS", 2), ("CGD", 0)):
+            caps = [
+                Element("C", f"{e.name}.{key.lower()}", (e.nodes[1], e.nodes[term]),
+                        {"value": e.params[key]})
+                for e in elems
+                if key in e.params
             ]
-            self._compile_capacitors(gs_pairs)
-        cgd_elems = [e for e in elems if "CGD" in e.params]
-        if cgd_elems:
-            gd_pairs = [
-                Element("C", e.name + ".cgd", (e.nodes[1], e.nodes[0]), {"value": e.params["CGD"]})
-                for e in cgd_elems
-            ]
-            self._compile_capacitors(gd_pairs)
+            if caps:
+                self._compile_capacitors(caps)
 
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            sp_ = sign_p[:, None]
-            vd, vg, vs = sp_ * x[d_], sp_ * x[g_], sp_ * x[s_]
-            swap = (vd - vs) < 0.0
-            vgs_e = vg - np.where(swap, vd, vs)
-            i, gm, go = _mos_core(
-                vgs_e, np.abs(vd - vs), kpv.resolve(th), vtv.resolve(th), lamv.resolve(th)
-            )
-            s2 = np.where(swap, -1.0, 1.0)
-            vf[fs] = sp_ * s2 * i
-            # voltage-derivative triple depends only on the swap state
-            vjf[jd] = np.where(swap, gm + go, go)
-            vjf[jg] = np.where(swap, -gm, gm)
-            vjf[js_] = np.where(swap, -go, -(gm + go))
+        def bind(resolve):
+            kp, vt0, lam = resolve(kpv), resolve(vtv), resolve(lamv)
 
-        self._fills.append(fill)
+            def fill(x, out):
+                vd, vg, vs = sp_ * x[d_], sp_ * x[g_], sp_ * x[s_]
+                swap = (vd - vs) < 0.0
+                vgs_e = vg - np.where(swap, vd, vs)
+                i, gm, go = _mos_core(vgs_e, np.abs(vd - vs), kp, vt0, lam)
+                s2 = np.where(swap, -1.0, 1.0)
+                out[fs] = sp_ * s2 * i
+                # voltage-derivative triple depends only on the swap state
+                out[jd] = np.where(swap, gm + go, go)
+                out[jg] = np.where(swap, -gm, gm)
+                out[js_] = np.where(swap, -go, -(gm + go))
+
+            return fill
+
+        self.devices.append(bind)
 
     def _compile_bjts(self, elems):
         c_, b_, e_ = self._nidx(elems, 0), self._nidx(elems, 1), self._nidx(elems, 2)
@@ -793,78 +785,32 @@ class _EvalPlan:
         isv = self._pval(elems, "IS")
         tv = self._pval(elems, "TEMP", default=DEFAULT_TEMPERATURE)
         # forward transport: i_f into emitter terminal, alpha*i_f into collector
-        fc = np.array([self.sf.add(e.name, [(int(c_[k]), 1.0)]) for k, e in enumerate(elems)])
-        fb = np.array([self.sf.add(e.name, [(int(b_[k]), 1.0)]) for k, e in enumerate(elems)])
-        fe = np.array([self.sf.add(e.name, [(int(e_[k]), 1.0)]) for k, e in enumerate(elems)])
-        jc, jb, je = [], [], []
-        for k, el in enumerate(elems):
-            for store, row in ((jc, c_[k]), (jb, b_[k]), (je, e_[k])):
-                store.append(
-                    self.jf.add(
-                        el.name,
-                        [(self._flat(row, b_[k]), +1.0), (self._flat(row, e_[k]), -1.0)],
-                    )
-                )
-        jc, jb, je = np.array(jc), np.array(jb), np.array(je)
-
-        def fill(x, t, th, vq, vf, vbu, vjq, vjf):
-            i_s = isv.resolve(th)
-            alpha = av.resolve(th)
-            vt = thermal_voltage(tv.resolve(th))
-            ev, dev = _limited_exp((x[b_] - x[e_]) / vt)
-            i_f = i_s * (ev - 1.0)
-            gpi = i_s * dev / vt
-            vf[fc] = alpha * i_f
-            vf[fb] = (1.0 - alpha) * i_f
-            vf[fe] = -i_f
-            vjf[jc] = alpha * gpi
-            vjf[jb] = (1.0 - alpha) * gpi
-            vjf[je] = -gpi
-
-        self._fills.append(fill)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def _values(self, x, t, theta):
-        B = x.shape[0]
-        x_pad = np.zeros((self.n1, B))
-        x_pad[1:] = x.T
-        vq = np.zeros((max(self.sq.count, 1), B))
-        vf = np.zeros((max(self.sf.count, 1), B))
-        vbu = np.zeros((max(self.sbu.count, 1), B))
-        vjq = np.zeros((max(self.jq.count, 1), B))
-        vjf = np.zeros((max(self.jf.count, 1), B))
-        for fill in self._fills:
-            fill(x_pad, t, theta, vq, vf, vbu, vjq, vjf)
-        return vq, vf, vbu, vjq, vjf
-
-    def eval(self, x, t, theta):
-        """q, f, bu (B, n) and dq_dx, df_dx (B, n, n)."""
-        B = x.shape[0]
-        n = self.circuit.n_states
-        vq, vf, vbu, vjq, vjf = self._values(x, t, theta)
-        q = (self.Mq @ vq)[1:].T
-        f = (self.Mf @ vf)[1:].T
-        bu = (self.Mbu @ vbu)[1:].T
-        dq = (self.MJq @ vjq).reshape(self.n1, self.n1, B)[1:, 1:]
-        df = (self.MJf @ vjf).reshape(self.n1, self.n1, B)[1:, 1:]
-        return (
-            np.ascontiguousarray(q),
-            np.ascontiguousarray(f),
-            np.ascontiguousarray(bu),
-            np.ascontiguousarray(np.moveaxis(dq, 2, 0)),
-            np.ascontiguousarray(np.moveaxis(df, 2, 0)),
+        fc, fb, fe = (self._slots(self.nl, elems, lambda k: [(t[k], 1.0)]) for t in (c_, b_, e_))
+        jc, jb, je = (
+            self._slots(self.nl, elems, lambda k: [(t[k], b_[k], +1.0), (t[k], e_[k], -1.0)])
+            for t in (c_, b_, e_)
         )
 
-    def locate_nonfinite(self, x, t, theta):
-        vq, vf, vbu, vjq, vjf = self._values(x, t, theta)
-        for space, vals in ((self.sq, vq), (self.sf, vf), (self.sbu, vbu)):
-            bad = ~np.isfinite(vals).all(axis=1)
-            for k in np.nonzero(bad)[0]:
-                if k < len(space.names):
-                    return space.names[k]
-        return None
+        def bind(resolve):
+            i_s = resolve(isv)
+            alpha = resolve(av)
+            beta = 1.0 - alpha
+            vt = thermal_voltage(resolve(tv))
 
+            def fill(x, out):
+                ev, dev = _limited_exp((x[b_] - x[e_]) / vt)
+                i_f = i_s * (ev - 1.0)
+                gpi = i_s * dev / vt
+                out[fc] = alpha * i_f
+                out[fb] = beta * i_f
+                out[fe] = -i_f
+                out[jc] = alpha * gpi
+                out[jb] = beta * gpi
+                out[je] = -gpi
+
+            return fill
+
+        self.devices.append(bind)
 
 # ---------------------------------------------------------------------------
 # DC operating point

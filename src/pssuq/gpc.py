@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 HERMITE = "hermite"
 LEGENDRE = "legendre"
@@ -147,9 +146,10 @@ class QuadratureRule:
 def gauss_rule(family, m):
     """1-D Gauss rule with m points for the family's weight function.
 
-    Computed by eigen-decomposition of the symmetric tridiagonal matrix of
-    the three-term recurrence; weights are normalized to sum to one (the
-    densities are probability densities).
+    Computed by eigen-decomposition of the symmetric tridiagonal (Jacobi)
+    matrix of the three-term recurrence, stored dense since m is small;
+    weights are normalized to sum to one (the densities are probability
+    densities).
     """
     if m < 1:
         raise GpcError("quadrature needs at least one point")
@@ -162,7 +162,8 @@ def gauss_rule(family, m):
         raise GpcError(f"unknown family {family!r}")
     if m == 1:
         return np.zeros(1), np.ones(1)
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(beta))
+    off = np.sqrt(beta)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2
     weights /= weights.sum()
     return nodes, weights

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circuit import dc_operating_point
 from .transient import (
@@ -322,6 +321,8 @@ def _oscillation_frequency(instance, x_dc):
     Generalized eigenvalues of the linearized pencil; infinite modes from
     the singular charge Jacobian are discarded.
     """
+    import scipy.linalg  # imported here: the CLI's other commands never load scipy
+
     ev = instance.eval_dae(x_dc, 0.0)
     lam = scipy.linalg.eig(-ev.df_dx, ev.dq_dx, right=False)
     lam = lam[np.isfinite(lam)]

@@ -254,6 +254,34 @@ def test_distribution_from_samples_histogram_mass():
     assert np.trapezoid(dist.kde_density, dist.kde_grid) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_ks_statistic_matches_scipy():
+    import scipy.stats
+
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=300), rng.normal(size=1234) + 0.1
+    # unequal sizes, ties within and across the samples, a tiny sample
+    for x, y in ((a, b), (np.round(a, 1), np.round(b, 1)), (b, a[:7])):
+        assert ks_statistic(x, y) == scipy.stats.ks_2samp(x, y).statistic
+    # above 10,000 samples scipy reports its floating-point CDF difference,
+    # which can differ from the exact fraction in the last bit
+    big = rng.normal(size=20_000)
+    assert ks_statistic(big, b) == pytest.approx(scipy.stats.ks_2samp(big, b).statistic, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 2_000, 50_000])
+def test_kde_matches_scipy(n):
+    import scipy.stats
+
+    rng = np.random.default_rng(n)
+    samples = 1.6e-8 + 3e-10 * rng.standard_t(5, size=n)
+    dist = distribution_from_samples("x", samples)
+    kde = scipy.stats.gaussian_kde(samples)
+    bw = kde.covariance_factor() * samples.std(ddof=1)
+    grid = np.linspace(samples.min() - 6 * bw, samples.max() + 6 * bw, 512)
+    np.testing.assert_allclose(dist.kde_grid, grid, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dist.kde_density, kde(dist.kde_grid), rtol=1e-12, atol=0)
+
+
 def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
     from pssuq.shooting import solve_forced as _solve
 

@@ -188,3 +188,63 @@ def test_pmos_conducts_with_negative_vgs():
     assert vd > 0.1  # pulled up by the PMOS
     ev = inst.eval_dae(x, 0.0)
     assert np.isfinite(ev.df_dx).all()
+
+
+def _linear_circuits():
+    from pssuq.cli import synthetic_ladder
+
+    from conftest import CIRCUITS_DIR
+
+    return [parse_netlist((CIRCUITS_DIR / "rc_lowpass.cir").read_text()), synthetic_ladder(12, 4)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["rc_lowpass", "ladder"])
+def test_linear_circuit_evaluates_through_its_matrices(index):
+    """An all-linear circuit's q and f are exactly its Jacobians times x."""
+    c = _linear_circuits()[index]
+    rng = np.random.default_rng(12)
+    xi = rng.normal(size=(4, c.dim)) * 0.5
+    for inst, x in ((c.realize(xi[0]), rng.normal(size=c.n)), (c.realize(xi), rng.normal(size=(4, c.n)))):
+        ev = inst.eval_dae(x, 3e-4)
+        assert np.array_equal(ev.q, (ev.dq_dx @ x[..., None])[..., 0])
+        assert np.array_equal(ev.f, (ev.df_dx @ x[..., None])[..., 0])
+
+
+def test_one_parameter_set_evaluates_a_state_batch(devices):
+    rng = np.random.default_rng(13)
+    inst = devices.realize(rng.normal(size=devices.dim) * 0.5)
+    x = rng.normal(size=(3, devices.n)) * 0.3
+    batch = inst.eval_dae(x, 2e-4)
+    assert batch.q.shape == (3, devices.n) and batch.df_dx.shape == (3, devices.n, devices.n)
+    for k in range(3):
+        one = inst.eval_dae(x[k], 2e-4)
+        for name in ("q", "f", "bu", "dq_dx", "df_dx"):
+            np.testing.assert_array_equal(getattr(batch, name)[k], getattr(one, name))
+
+
+@pytest.mark.parametrize("linear", [True, False], ids=["rc_lowpass", "all_devices"])
+def test_results_are_fresh_arrays(devices, linear):
+    """Writing into a result leaves the instance's stamped matrices alone."""
+    c = _linear_circuits()[0] if linear else devices
+    inst = c.realize(np.zeros(c.dim))
+    x = np.random.default_rng(14).normal(size=c.n) * 0.3
+    first = inst.eval_dae(x, 1e-4)
+    keep = {name: getattr(first, name).copy() for name in ("q", "f", "bu", "dq_dx", "df_dx")}
+    for name in keep:
+        getattr(first, name)[...] = 7.0
+    again = inst.eval_dae(x, 1e-4)
+    for name, value in keep.items():
+        np.testing.assert_array_equal(getattr(again, name), value)
+
+
+def test_find_nonfinite_element_names_a_shorted_resistor():
+    from conftest import SHORTED_AT_A_NODE
+
+    c = parse_netlist(SHORTED_AT_A_NODE)  # r = gauss(1k, 1k): xi = -1 is a short
+    x = np.array([1.0, 0.5, -1e-3])
+    assert c.realize([0.5]).find_nonfinite_element(x, 0.0) is None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert c.realize([-1.0]).find_nonfinite_element(x, 0.0) == "R1"
+        batch = c.realize([[0.5], [-1.0], [0.2]])
+        assert batch.find_nonfinite_element(np.tile(x, (3, 1)), 0.0) == "R1"
+        assert not np.isfinite(batch.eval_dae(np.tile(x, (3, 1)), 0.0).f[1]).all()

@@ -281,3 +281,13 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     code = run("pss-osc", CIRCUITS_DIR / "rc_lowpass.cir", cfg, out)
     assert code == 3
     assert "FAILED" in (out / "summary.txt").read_text()
+
+
+def test_cli_import_leaves_out_scipy():
+    # parsing, device evaluation, chaos set-up and the statistics run on numpy
+    code = "import sys, pssuq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -88,6 +88,20 @@ def test_hermite_rules():
     assert np.allclose(w, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("family", [HERMITE, LEGENDRE])
+def test_gauss_rule_matches_scipy_tridiagonal_solver(family):
+    from scipy.linalg import eigh_tridiagonal
+
+    for m in range(1, 13):
+        k = np.arange(1, m, dtype=float)
+        beta = k if family == HERMITE else k * k / (4.0 * k * k - 1.0)
+        nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(beta))
+        weights = vecs[0] ** 2 / np.sum(vecs[0] ** 2)
+        x, w = gauss_rule(family, m)
+        np.testing.assert_allclose(x, nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, weights, rtol=1e-14, atol=0)
+
+
 def test_legendre_two_point_rule_matches_moments():
     n, w = gauss_rule(LEGENDRE, 2)
     assert np.allclose(n, [-1 / np.sqrt(3), 1 / np.sqrt(3)])
