@@ -3,10 +3,12 @@
 The Monte Carlo driver draws standardized coordinates from a counter-based
 stream keyed by (seed, sample index), so results are reproducible bit for
 bit regardless of execution order, and runs the deterministic shooting
-solvers over the whole sample batch in lockstep. Post-processing turns
-converged chaos solutions into mean/std waveforms, metric distributions
-(period, harmonic distortion, average power) sampled cheaply from the
-surrogate, and quantitative ST-vs-MC comparisons.
+solvers over the whole sample batch in lockstep, warm-started from the
+nominal solution it is given, the same one the chaos solve starts from
+(``shooting.solve_nominal``), so both share its period and phase anchor.
+Post-processing turns converged chaos solutions into mean/std waveforms,
+metric distributions (period, harmonic distortion, average power) sampled
+cheaply from the surrogate, and quantitative ST-vs-MC comparisons.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shooting import PhaseCondition, estimate_period, solve_autonomous, solve_forced
+from .shooting import solve_autonomous, solve_forced
 from .transient import NewtonOptions, TRAPEZOIDAL
 
 
@@ -94,11 +96,9 @@ class McRun:
 
 def monte_carlo(
     circuit,
-    kind,
+    nominal,
     n_samples,
     seed,
-    period=None,
-    phase_index=None,
     tol=1e-5,
     scheme=TRAPEZOIDAL,
     n_steps=200,
@@ -107,46 +107,22 @@ def monte_carlo(
 ):
     """Reference uncertainty propagation by repeated deterministic solves.
 
-    ``kind`` is "forced" (period from the excitation unless given) or
-    "autonomous" (phase state index required; every sample is warm-started
-    from the nominal solution). Failing samples are recorded, not fatal,
-    unless their fraction exceeds ``max_failure_fraction``.
+    ``nominal`` is the nominal circuit's solution (``solve_nominal``). Every
+    sample is warm-started from it and solved the same way: over its period
+    for a driven circuit, or, for an oscillator, with its phase condition
+    over its period as the scaled horizon. Failing samples are recorded,
+    not fatal, unless their fraction exceeds ``max_failure_fraction``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     dists = [s for _, s in circuit.random_params]
     xi = draw_standardized(dists, seed, n_samples)
     batch = circuit.realize(xi)
-
-    if kind == "forced":
-        if period is None:
-            period = circuit.fundamental_period()
-        nominal = circuit.realize_nominal()
-        det = solve_forced(
-            nominal, period, tol=tol, scheme=scheme, n_steps=n_steps, newton=newton
-        )
-        sol = solve_forced(
-            batch, period, y0=det.y, tol=tol, scheme=scheme, n_steps=n_steps, newton=newton
-        )
-        periods = float(period)
-    elif kind == "autonomous":
-        if phase_index is None:
-            raise ValueError("autonomous Monte Carlo needs a phase state index")
-        nominal = circuit.realize_nominal()
-        est = estimate_period(nominal, phase_index)
-        phase = PhaseCondition(phase_index, est.level)
-        det = solve_autonomous(
-            nominal, phase, est.period, est.y0, tol=tol, scheme=scheme,
-            n_steps=n_steps, newton=newton,
-        )
-        T0 = float(det.period)
-        sol = solve_autonomous(
-            batch, phase, T0, det.y, tol=tol, scheme=scheme, n_steps=n_steps,
-            newton=newton,
-        )
-        periods = np.asarray(sol.period)
+    opts = dict(tol=tol, scheme=scheme, n_steps=n_steps, newton=newton)
+    if nominal.phase is None:
+        sol = solve_forced(batch, nominal.period, y0=nominal.y, **opts)
     else:
-        raise ValueError(f"unknown analysis kind {kind!r}")
+        sol = solve_autonomous(batch, nominal.phase, float(nominal.period), nominal.y, **opts)
 
     failed = ~np.asarray(sol.converged)
     if failed.ndim == 0:
@@ -158,7 +134,7 @@ def monte_carlo(
         waveforms=np.moveaxis(sol.trajectory.states, 0, 1).copy(),
         y=np.atleast_2d(sol.y).copy(),
         failed=failed,
-        period=periods,
+        period=sol.period,
         iterations=sol.iterations,
     )
     if run.failure_fraction > max_failure_fraction:
@@ -407,9 +383,7 @@ class UqReport:
 
     Waveform deltas are infinity norms over the shared grid, normalized by
     each state's peak mean magnitude. ``period`` carries the oscillator
-    period statistics and their relative deltas (None for forced runs);
-    ``metric_distributions`` maps metric names to their sampled
-    distributions.
+    period statistics and their relative deltas (None for forced runs).
     """
 
     kind: str
@@ -422,7 +396,6 @@ class UqReport:
     max_rel_std_delta: float
     mc_samples: int
     period: dict | None = None
-    metric_distributions: dict = None
 
     normalization = "per-state peak of the Monte Carlo mean waveform"
 
@@ -500,5 +473,4 @@ def build_uq_report(solution, mc_run, surrogate_periods=None):
         max_rel_std_delta=float(np.max(np.abs(ws.std - mc_std) / peak)),
         mc_samples=mc_run.n_samples,
         period=period,
-        metric_distributions={},
     )

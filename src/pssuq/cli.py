@@ -41,16 +41,11 @@ from .analysis import (
 from .circuit import CircuitError
 from .gpc import build_basis, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
-from .shooting import (
-    OscillationError,
-    PhaseCondition,
-    estimate_period,
-    solve_autonomous,
-    solve_forced,
-)
+from .shooting import OscillationError, solve_nominal
 from .stpss import (
     assemble_autonomous,
     assemble_forced,
+    nominal_guess,
     shoot_autonomous,
     shoot_forced,
 )
@@ -214,8 +209,13 @@ def _load_circuit(netlist_path):
     return parse_netlist(p.read_text(encoding="utf-8"))
 
 
-def _newton(cfg):
-    return NewtonOptions(tol=cfg["newton_tol"])
+def _solver_options(cfg):
+    return {
+        "tol": cfg["shooting_tol"],
+        "scheme": scheme_by_name(cfg["scheme"]),
+        "n_steps": cfg["steps_per_period"],
+        "newton": NewtonOptions(tol=cfg["newton_tol"]),
+    }
 
 
 def _basis_and_testing(circuit, order):
@@ -227,13 +227,18 @@ def _basis_and_testing(circuit, order):
     return basis, testing
 
 
-def _phase_setup(circuit, cfg):
-    idx = circuit.state_index(str(_require(cfg, "phase_state", "oscillator analysis")))
-    nominal = circuit.realize_nominal()
-    est = estimate_period(nominal, idx)
-    value = cfg.get("phase_value")
-    phase = PhaseCondition(idx, est.level if value is None else float(value))
-    return nominal, est, phase
+def _analysis_kind(circuit, cfg):
+    return cfg.get("analysis_kind") or ("autonomous" if circuit.is_autonomous else "forced")
+
+
+def _solve_nominal(circuit, cfg, kind):
+    """The nominal steady state that every command starts from."""
+    phase_index = None
+    if kind == "autonomous":
+        phase_index = circuit.state_index(str(_require(cfg, "phase_state", "oscillator analysis")))
+    return solve_nominal(
+        circuit, cfg.get("period"), phase_index, cfg.get("phase_value"), **_solver_options(cfg)
+    )
 
 
 def _waveform_stats_rows(times, mean, std, names):
@@ -280,64 +285,48 @@ def _st_metrics(rep, circuit, cfg, sol):
 
 
 def _cmd_pss_forced(rep, circuit, cfg):
-    period = cfg.get("period") or circuit.fundamental_period()
     with rep.phase("solve"):
-        sol = solve_forced(
-            circuit.realize_nominal(),
-            period,
-            tol=cfg["shooting_tol"],
-            scheme=scheme_by_name(cfg["scheme"]),
-            n_steps=cfg["steps_per_period"],
-            newton=_newton(cfg),
-        )
-    rep.write_json("solution.json", sol.summary())
-    sol.trajectory.to_csv(rep.out / "trajectory.csv", circuit.state_names)
-    rep.files["trajectory.csv"] = _file_hash(rep.out / "trajectory.csv")
+        sol = _solve_nominal(circuit, cfg, "forced")
+    _write_pss_outputs(rep, circuit, sol)
     rep.say(
-        f"forced PSS: period {period:.6g} s, {sol.iterations} iterations, "
+        f"forced PSS: period {sol.period:.6g} s, {sol.iterations} iterations, "
         f"residual {float(sol.residual_norm):.3e}"
     )
 
 
 def _cmd_pss_osc(rep, circuit, cfg):
-    nominal, est, phase = _phase_setup(circuit, cfg)
     with rep.phase("solve"):
-        sol = solve_autonomous(
-            nominal,
-            phase,
-            est.period,
-            est.y0,
-            tol=cfg["shooting_tol"],
-            scheme=scheme_by_name(cfg["scheme"]),
-            n_steps=cfg["steps_per_period"],
-            newton=_newton(cfg),
-        )
+        sol = _solve_nominal(circuit, cfg, "autonomous")
+    _write_pss_outputs(rep, circuit, sol)
+    rep.say(
+        f"oscillator PSS: period {float(sol.period):.6g} s "
+        f"(estimate {float(sol.period / sol.period_scale):.6g} s), {sol.iterations} iterations"
+    )
+
+
+def _write_pss_outputs(rep, circuit, sol):
     rep.write_json("solution.json", sol.summary())
     sol.trajectory.to_csv(rep.out / "trajectory.csv", circuit.state_names)
     rep.files["trajectory.csv"] = _file_hash(rep.out / "trajectory.csv")
-    rep.say(
-        f"oscillator PSS: period {float(sol.period):.6g} s "
-        f"(estimate {est.period:.6g} s), {sol.iterations} iterations"
-    )
 
 
-def _solve_st_forced(circuit, cfg):
+def _solve_st(circuit, cfg, nominal):
+    """The chaos solve, started from the nominal solution."""
     basis, testing = _basis_and_testing(circuit, cfg["gpc_order"])
-    system = assemble_forced(circuit, basis, testing, period=cfg.get("period"))
-    sol = shoot_forced(
-        system,
-        tol=cfg["shooting_tol"],
-        mode=cfg["mode"],
-        scheme=scheme_by_name(cfg["scheme"]),
-        n_steps=cfg["steps_per_period"],
-        newton=_newton(cfg),
+    opts = dict(mode=cfg["mode"], **_solver_options(cfg))
+    if nominal.phase is None:
+        system = assemble_forced(circuit, basis, testing, period=nominal.period)
+        return system, shoot_forced(system, nominal_guess(system, nominal), **opts)
+    system = assemble_autonomous(circuit, basis, testing, float(nominal.period))
+    scale_guess = np.eye(system.K)[0]  # a(xi) = 1: the nominal period everywhere
+    return system, shoot_autonomous(
+        system, nominal.phase, nominal_guess(system, nominal), scale_guess, **opts
     )
-    return system, sol
 
 
 def _cmd_st_forced(rep, circuit, cfg):
     with rep.phase("solve"):
-        system, sol = _solve_st_forced(circuit, cfg)
+        system, sol = _solve_st(circuit, cfg, _solve_nominal(circuit, cfg, "forced"))
     _write_st_outputs(rep, circuit, cfg, system, sol)
     rep.say(
         f"chaos forced PSS: order {cfg['gpc_order']} ({system.K} basis functions), "
@@ -346,31 +335,9 @@ def _cmd_st_forced(rep, circuit, cfg):
     _st_metrics(rep, circuit, cfg, sol)
 
 
-def _solve_st_osc(circuit, cfg):
-    nominal, est, phase = _phase_setup(circuit, cfg)
-    basis, testing = _basis_and_testing(circuit, cfg["gpc_order"])
-    det = solve_autonomous(
-        nominal, phase, est.period, est.y0,
-        tol=cfg["shooting_tol"], scheme=scheme_by_name(cfg["scheme"]),
-        n_steps=cfg["steps_per_period"], newton=_newton(cfg),
-    )
-    system = assemble_autonomous(circuit, basis, testing, float(det.period))
-    guess = np.zeros((system.K, system.n))
-    guess[0] = det.y
-    scale = np.zeros(system.K)
-    scale[0] = 1.0
-    sol = shoot_autonomous(
-        system, phase, guess, scale,
-        tol=cfg["shooting_tol"], mode=cfg["mode"],
-        scheme=scheme_by_name(cfg["scheme"]), n_steps=cfg["steps_per_period"],
-        newton=_newton(cfg),
-    )
-    return system, sol, phase
-
-
 def _cmd_st_osc(rep, circuit, cfg):
     with rep.phase("solve"):
-        system, sol, phase = _solve_st_osc(circuit, cfg)
+        system, sol = _solve_st(circuit, cfg, _solve_nominal(circuit, cfg, "autonomous"))
     _write_st_outputs(rep, circuit, cfg, system, sol)
     mean, std = sol.period_moments()
     rep.say(
@@ -393,24 +360,18 @@ def _write_st_outputs(rep, circuit, cfg, system, sol):
 
 
 def _cmd_mc(rep, circuit, cfg):
-    kind = cfg.get("analysis_kind") or ("autonomous" if circuit.is_autonomous else "forced")
+    with rep.phase("nominal_solve"):
+        nominal = _solve_nominal(circuit, cfg, _analysis_kind(circuit, cfg))
+    _run_mc(rep, circuit, cfg, nominal)
+
+
+def _run_mc(rep, circuit, cfg, nominal):
+    """Monte Carlo from the nominal solution, and its reports."""
     with rep.phase("monte_carlo"):
         run = monte_carlo(
-            circuit,
-            kind,
-            cfg["mc_samples"],
-            cfg["seed"],
-            period=cfg.get("period"),
-            phase_index=(
-                circuit.state_index(str(cfg["phase_state"]))
-                if cfg.get("phase_state") is not None
-                else None
-            ),
-            tol=cfg["shooting_tol"],
-            scheme=scheme_by_name(cfg["scheme"]),
-            n_steps=cfg["steps_per_period"],
-            newton=_newton(cfg),
+            circuit, nominal, cfg["mc_samples"], cfg["seed"], **_solver_options(cfg)
         )
+    kind = "forced" if nominal.phase is None else "autonomous"
     mean, std = run.waveform_mean_std()
     header, rows = _waveform_stats_rows(run.times, mean, std, circuit.state_names)
     rep.write_csv("mc_waveform_stats.csv", header, rows)
@@ -436,15 +397,13 @@ def _cmd_mc(rep, circuit, cfg):
 
 
 def _cmd_compare(rep, circuit, cfg):
-    kind = cfg.get("analysis_kind") or ("autonomous" if circuit.is_autonomous else "forced")
-    if kind == "forced":
-        with rep.phase("chaos_solve"):
-            system, sol = _solve_st_forced(circuit, cfg)
-    else:
-        with rep.phase("chaos_solve"):
-            system, sol, _ = _solve_st_osc(circuit, cfg)
+    kind = _analysis_kind(circuit, cfg)
+    with rep.phase("nominal_solve"):
+        nominal = _solve_nominal(circuit, cfg, kind)
+    with rep.phase("chaos_solve"):
+        system, sol = _solve_st(circuit, cfg, nominal)
     _write_st_outputs(rep, circuit, cfg, system, sol)
-    run = _cmd_mc(rep, circuit, cfg)
+    run = _run_mc(rep, circuit, cfg, nominal)
 
     surrogate = None
     if kind == "autonomous":
@@ -485,11 +444,10 @@ def convergence_sweep(circuit, cfg, orders):
     error is the relative infinity norm over the coefficient entries the
     two index sets share (lower orders prefix the reference ordering).
     """
+    nominal = _solve_nominal(circuit, cfg, "forced")
     solutions = {}
     for p in sorted(set(orders)):
-        c2 = dict(cfg)
-        c2["gpc_order"] = p
-        _, sol = _solve_st_forced(circuit, c2)
+        _, sol = _solve_st(circuit, dict(cfg, gpc_order=p), nominal)
         solutions[p] = sol.coeffs.blocks
     p_ref = max(solutions)
     ref = solutions[p_ref]

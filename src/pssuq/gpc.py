@@ -125,10 +125,6 @@ def build_basis(dists, order):
     return basis
 
 
-def eval_basis(basis, xi):
-    return basis.eval(xi)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 

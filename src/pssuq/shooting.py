@@ -9,11 +9,15 @@ Jacobians are the one-period monodromy matrix (and, for oscillators, the
 sensitivity of the endpoint to the time scaling) accumulated step by step
 along the integration grid, hence exact for the discretized map.
 
-All solvers accept batched instances: a (B, d) parameter batch advances in
-lockstep through the same grids, which is how the Monte Carlo driver
-amortizes its sampling loop. A step one sample cannot take is bisected
-for the whole batch; samples that still fail at the bisection floor are
-flagged, not raised, in batched runs.
+This module is the only definition of both shooting problems: ``Shooting``
+gives the residual run and Newton step (``shooting_jacobian``) that
+``damped_newton`` consumes, for one circuit or a batch. A (B, d) parameter
+batch advances in lockstep through the same grids, which is how the Monte
+Carlo driver amortizes its sampling loop and how the stochastic solver
+(``stpss``) runs its K testing-node circuits. A step one sample cannot
+take is bisected for the whole batch; samples that still fail at the
+bisection floor are flagged, not raised, in batched runs.
+``solve_nominal`` solves the nominal circuit, where every analysis starts.
 """
 
 import json
@@ -57,6 +61,7 @@ class PssSolution:
     residual_norm: np.ndarray | float
     converged: np.ndarray | bool
     period_scale: np.ndarray | float | None = None  # autonomous solves only
+    phase: PhaseCondition | None = None  # autonomous solves only
 
     def summary(self):
         return {
@@ -178,6 +183,82 @@ def damped_newton(u0, run, newton_step, tol, max_iter):
     return u, g, gn, aux, history
 
 
+def shooting_jacobian(sys, traj, pinned=None):
+    """Newton matrix of the one-period residual along ``traj``.
+
+    M - I, M the monodromy of ``sys``. With ``pinned`` (oscillators) it is
+    bordered by the scaling columns S = d(end state)/d(scaling) of
+    ``sys.dF_dscale`` and by one phase row per column, row i pinning state
+    ``pinned[i]``: [[M - I, S], [P, 0]].
+    """
+    if pinned is None:
+        M, _ = transition_chain(sys, traj)
+        return M - np.eye(M.shape[-1])
+    M, S = transition_chain(sys, traj, with_scale_columns=True)
+    N, m = S.shape[-2:]
+    J = np.zeros(M.shape[:-2] + (N + m, N + m))
+    J[..., :N, :N] = M - np.eye(N)
+    J[..., :N, N:] = S
+    J[..., N + np.arange(m), pinned] = 1.0
+    return J
+
+
+class Shooting:
+    """One shooting problem: the ``run`` and ``newton_step`` damped_newton consumes.
+
+    Integrates ``instance`` (one circuit or a batch) over ``horizon`` from
+    the state part of the unknown, first step backward Euler. A forced
+    problem (``phase`` None) has unknown y and residual phi(y) - y. An
+    oscillator has unknown (y, a): the right-hand side is scaled by a, the
+    residual gains the phase row y_j - value, and the Jacobian is bordered.
+    A residual is unusable (norm inf) where a is not above ``scale_floor``
+    or where a batched integration flagged the sample.
+    """
+
+    def __init__(
+        self, instance, horizon, phase=None, scheme=TRAPEZOIDAL, n_steps=200,
+        newton=NewtonOptions(), scale_floor=1e-6,
+    ):
+        self.sys = CircuitDae(instance, scale=None if phase is None else 1.0)
+        self.horizon = horizon
+        self.phase = phase
+        self.pinned = None if phase is None else [phase.index]
+        self.scheme = scheme
+        self.n_steps = n_steps
+        self.newton = newton
+        self.scale_floor = scale_floor
+
+    def run(self, u, idle):
+        n = self.sys.ndim
+        y = u[..., :n]
+        unusable = np.zeros(u.shape[:-1], dtype=bool)
+        if self.phase is not None:
+            unusable = u[..., n] <= self.scale_floor  # period scaling must stay positive
+            self.sys.scale = np.maximum(u[..., n], self.scale_floor)
+        traj = integrate(
+            self.sys, y, 0.0, self.horizon, scheme=self.scheme, n_steps=self.n_steps,
+            newton=self.newton, stabilized_start=True, frozen=idle if idle.ndim else None,
+        )
+        g = traj.end - y
+        if self.phase is not None:
+            chi = y[..., self.phase.index] - self.phase.value
+            g = np.concatenate([g, chi[..., None]], axis=-1)
+        if traj.failed is not None:
+            unusable = unusable | traj.failed
+        return g, np.where(unusable, np.inf, _norm_inf(g)), traj
+
+    def newton_step(self, u, g, traj):
+        J = shooting_jacobian(self.sys, traj, self.pinned)
+        delta = batched_solve(J, g[..., None])[..., 0]
+        if self.phase is not None and np.all(~np.isfinite(delta)):
+            raise ConvergenceError(
+                "singular bordered shooting Jacobian; the phase pick may be "
+                f"degenerate (state {self.phase.index} stationary at t=0): choose "
+                "another state index or level"
+            )
+        return delta
+
+
 def solve_forced(
     instance,
     period,
@@ -191,30 +272,13 @@ def solve_forced(
     """Shooting Newton for the periodic steady state of a driven circuit."""
     if not period > 0:
         raise ValueError("period must be positive")
-    sys = CircuitDae(instance)
     if y0 is None:
         y0 = dc_operating_point(instance)
     y0 = np.asarray(y0, dtype=float)
     if instance.batch_size > 1 and y0.ndim == 1:
         y0 = np.broadcast_to(y0, (instance.batch_size, y0.size)).copy()
-
-    def run(y, idle):
-        traj = integrate(
-            sys, y, 0.0, period, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True, frozen=idle if idle.ndim else None,
-        )
-        g = traj.end - y
-        gn = _norm_inf(g)
-        if traj.failed is not None:
-            gn = np.where(traj.failed, np.inf, gn)
-        return g, gn, traj
-
-    def newton_step(y, g, traj):
-        M, _ = transition_chain(sys, traj, scheme)
-        J = M - np.eye(y.shape[-1])
-        return batched_solve(J, g[..., None])[..., 0]
-
-    y, g, gn, traj, history = damped_newton(y0, run, newton_step, tol, max_iter)
+    problem = Shooting(instance, period, None, scheme, n_steps, newton)
+    y, g, gn, traj, history = damped_newton(y0, problem.run, problem.newton_step, tol, max_iter)
     converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
@@ -250,47 +314,13 @@ def solve_autonomous(
     if not instance.circuit.is_autonomous:
         raise ValueError("circuit has a time-varying source; use solve_forced")
     n = instance.n
-    j = phase.index
     y0 = np.asarray(y0, dtype=float)
     batch = (instance.batch_size,) if instance.batch_size > 1 else y0.shape[:-1]
     if batch and y0.ndim == 1:
         y0 = np.broadcast_to(y0, batch + (n,)).copy()
     u0 = np.concatenate([y0, np.ones(batch + (1,))], axis=-1)
-    sys = CircuitDae(instance, scale=1.0)
-
-    def run(u, idle):
-        y, a = u[..., :n], u[..., n]
-        bad_scale = a <= scale_floor  # period scaling must stay positive
-        sys.scale = np.maximum(a, scale_floor)
-        traj = integrate(
-            sys, y, 0.0, period_guess, scheme=scheme, n_steps=n_steps, newton=newton,
-            stabilized_start=True, frozen=idle if idle.ndim else None,
-        )
-        psi = traj.end - y
-        chi = y[..., j] - phase.value
-        g = np.concatenate([psi, chi[..., None]], axis=-1)
-        gn = _norm_inf(g)
-        gn = np.where(bad_scale, np.inf, gn)
-        if traj.failed is not None:
-            gn = np.where(traj.failed, np.inf, gn)
-        return g, gn, traj
-
-    def newton_step(u, g, traj):
-        M, S = transition_chain(sys, traj, scheme, with_scale_columns=True)
-        J = np.zeros(M.shape[:-2] + (n + 1, n + 1))
-        J[..., :n, :n] = M - np.eye(n)
-        J[..., :n, n:] = S
-        J[..., n, j] = 1.0
-        delta = batched_solve(J, g[..., None])[..., 0]
-        if np.all(~np.isfinite(delta)):
-            raise ConvergenceError(
-                "singular bordered shooting Jacobian; the phase pick may be "
-                f"degenerate (state {j} stationary at t=0): choose another "
-                "state index or level"
-            )
-        return delta
-
-    u, g, gn, traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    problem = Shooting(instance, period_guess, phase, scheme, n_steps, newton, scale_floor)
+    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol, max_iter)
     converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
@@ -298,8 +328,26 @@ def solve_autonomous(
         )
     y, a = u[..., :n], u[..., n]
     return PssSolution(
-        y, period_guess * a, traj, len(history) - 1, gn, converged, period_scale=a
+        y, period_guess * a, traj, len(history) - 1, gn, converged, a, phase
     )
+
+
+def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **options):
+    """Periodic steady state of the nominal circuit, where every analysis starts.
+
+    A driven circuit is solved over ``period`` (the excitation's if None).
+    With ``phase_index`` the circuit is an oscillator: ``estimate_period``
+    gives the period guess and start, and the phase condition pins that
+    state at ``phase_value`` (the estimated mid-range level if None); the
+    solution carries it. ``options`` go to the shooting solver.
+    """
+    nominal = circuit.realize_nominal()
+    if phase_index is None:
+        return solve_forced(nominal, period or circuit.fundamental_period(), **options)
+    est = estimate_period(nominal, phase_index)
+    level = est.level if phase_value is None else float(phase_value)
+    phase = PhaseCondition(phase_index, level)
+    return solve_autonomous(nominal, phase, est.period, est.y0, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +366,14 @@ class EstimatedPeriod:
 def _oscillation_frequency(instance, x_dc):
     """Angular frequency of the least-damped oscillatory mode at the DC point.
 
-    Generalized eigenvalues of the linearized pencil; infinite modes from
-    the singular charge Jacobian are discarded.
+    Eigenvalues lambda of the linearized pencil -G v = lambda C v, from
+    mu = 1 / lambda, the eigenvalues of (-G)^{-1} C (G is nonsingular at a
+    DC point). The algebraic states, where C is singular, give mu = 0 up to
+    rounding (infinite lambda); they are discarded.
     """
-    import scipy.linalg  # imported here: the CLI's other commands never load scipy
-
     ev = instance.eval_dae(x_dc, 0.0)
-    lam = scipy.linalg.eig(-ev.df_dx, ev.dq_dx, right=False)
-    lam = lam[np.isfinite(lam)]
+    mu = np.linalg.eigvals(np.linalg.solve(-ev.df_dx, ev.dq_dx))
+    lam = 1.0 / mu[np.abs(mu) > 1e-12 * np.max(np.abs(mu), initial=0.0)]
     osc = lam[np.abs(lam.imag) > 1e-9 * (1.0 + np.abs(lam.real))]
     if osc.size == 0:
         raise OscillationError("no oscillatory mode at the DC operating point")

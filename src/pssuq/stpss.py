@@ -9,25 +9,24 @@ expansion a(xi), T(xi) = T0 * a(xi) (oscillators, integrated in scaled
 time so every realization shares the nominal period).
 
 The collocation matrix V maps the stacked residual onto K independent
-deterministic residuals, so the one-period map of the coefficient stack is
-computed at the testing nodes: the surrogate states V @ w advance as one
-lockstep batch of K n-state circuits (each scaled by its node's period
-scaling for oscillators) and every grid point is mapped back with V^{-1}
-(``period_map``). Every implicit step therefore solves K systems of size
-n, never one of size n*K.
+deterministic shooting problems, one per testing node (Zhang, El-Moselhy,
+Elfadel & Daniel, IEEE TCAD 2013). The stochastic solver is therefore the
+deterministic shooting engine (``shooting.Shooting``) run on the batch of
+the K node circuits, conjugated by V: the coefficient blocks start the
+batch at V @ blocks, and its residual is mapped back by V^{-1}. Newton
+stops on the residual norm in coefficient space and takes one step scale
+for the whole stack. Every implicit step solves K systems of size n, never
+one of size n*K.
 
-The shooting Newton systems can be solved two ways, which produce
-identical iterates because both linearize the same discrete map:
+The Newton step comes in two modes, which produce identical iterates
+because both linearize the same discrete map:
 
-* ``coupled``: the paper's reference. Accumulate the monodromy (and
-  period-scaling sensitivity) of the stacked DAE natively along the
-  coefficient trajectory and solve the dense n*K (+K) Jacobian. This is
-  the only place the stacked DAE (``StackedSystem``) is evaluated.
-* ``decoupled``: transform the residual to the testing nodes with V, chain
-  the K small per-node shooting Jacobians along the node trajectory the
-  forward run produced, solve them independently, and map the updates
-  back with V^{-1}. One iteration then costs K independent n^3 solves
-  instead of (n*K)^3.
+* ``decoupled``: V^{-1} o (engine step at the nodes) o V, that is K
+  independent n (oscillators: bordered n+1) solves.
+* ``coupled``: the paper's reference. The monodromy (and period-scaling
+  sensitivity) of the stacked DAE (``StackedSystem``) is accumulated along
+  the coefficient trajectory and the dense n*K (+K) system is solved. This
+  is the only place the stacked DAE is evaluated.
 """
 
 import json
@@ -38,10 +37,10 @@ import numpy as np
 from .gpc import GpcCoefficients, moments
 from .shooting import (
     CircuitDae,
+    Shooting,
     damped_newton,
-    estimate_period,
-    solve_autonomous,
-    solve_forced,
+    shooting_jacobian,
+    solve_nominal,
 )
 from .transient import (
     ConvergenceError,
@@ -50,27 +49,7 @@ from .transient import (
     Trajectory,
     batched_solve,
     integrate,
-    transition_chain,
 )
-
-
-# ---------------------------------------------------------------------------
-# block transforms (applications of V and V^{-1}; the Kronecker factors are
-# never formed)
-
-
-def decouple_residual(g, testing, block_size):
-    """Stacked coefficient-space vector -> K per-node vectors (rows)."""
-    K = testing.size
-    g = np.asarray(g, dtype=float)
-    if g.size != K * block_size:
-        raise ValueError(f"expected length {K * block_size}, got {g.size}")
-    return testing.vandermonde @ g.reshape(K, block_size)
-
-
-def recouple_update(node_vectors, testing):
-    """K per-node vectors (rows) -> stacked coefficient-space vector."""
-    return (testing.v_inv @ np.asarray(node_vectors, dtype=float)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +63,10 @@ class StackedSystem:
     the state surrogate evaluated there; the unknown vector is the
     coefficient stack. For oscillators the resistive part of each block is
     multiplied by that node's period scaling, read from ``scale_coeffs``
-    (set by the solver between iterations). The forward runs integrate
-    the per-node view (``node_dae``); the stacked Jacobians serve the
-    coupled shooting update.
+    (set by the coupled step). The solvers integrate the node circuits
+    (``instances``); the stacked Jacobians serve the coupled shooting
+    update, and ``period_map`` integrates the per-node view (``node_dae``)
+    as the reference coefficient map.
     """
 
     def __init__(self, circuit, basis, testing, kind, period=None, nominal_period=None):
@@ -181,30 +161,40 @@ def period_map(system, coeffs, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOpt
     period (forced) or the nominal period in scaled time (oscillators,
     with the scaling set in ``system.scale_coeffs``), first step backward
     Euler. Returns ``(coefficient trajectory, node trajectory)``: the same
-    grid, with the node states mapped back by V^{-1} at every point.
-
-    A testing node whose step still fails at the bisection floor raises
-    ConvergenceError naming the node, its xi, the time point and the
-    element with a non-finite contribution there, if any.
+    grid, with the node states mapped back by V^{-1} at every point. A
+    failing testing node raises as in the solvers. The solvers run this
+    batch through the shooting engine; ``period_map`` is the coefficient
+    map as a function, the reference their Jacobians are checked against.
     """
     horizon = system.period if system.kind == "forced" else system.nominal_period
     node_traj = integrate(
         system.node_dae(), system.node_states(coeffs), 0.0, horizon, scheme=scheme,
         n_steps=n_steps, newton=newton, stabilized_start=True,
     )
-    if np.any(node_traj.failed):
-        k = int(np.argmax(node_traj.failed))
-        xi = system.testing.nodes[k]
-        t = float(node_traj.fail_times[k])
-        element = system.circuit.realize(xi).find_nonfinite_element(node_traj.end[k], t)
-        extra = f" (non-finite contribution from element {element})" if element else ""
-        raise ConvergenceError(
-            f"testing node {k} (xi = {np.array2string(xi, precision=6)}): implicit "
-            f"step at t={t:.6g} did not converge at the bisection floor{extra}"
-        )
-    coeff_states = (system.testing.v_inv @ node_traj.states).reshape(node_traj.n_points, -1)
-    traj = Trajectory(node_traj.times, coeff_states, scheme, None, node_traj.gammas)
-    return traj, node_traj
+    _raise_on_failed_node(system, node_traj)
+    return _coefficient_trajectory(system, node_traj), node_traj
+
+
+def _coefficient_trajectory(system, node_traj):
+    states = (system.testing.v_inv @ node_traj.states).reshape(node_traj.n_points, -1)
+    return Trajectory(node_traj.times, states, node_traj.gammas)
+
+
+def _raise_on_failed_node(system, node_traj):
+    """Name the first testing node whose step failed at the bisection floor:
+    its index, its xi, the time point and the element with a non-finite
+    contribution there, if any."""
+    if not np.any(node_traj.failed):
+        return
+    k = int(np.argmax(node_traj.failed))
+    xi = system.testing.nodes[k]
+    t = float(node_traj.fail_times[k])
+    element = system.circuit.realize(xi).find_nonfinite_element(node_traj.end[k], t)
+    extra = f" (non-finite contribution from element {element})" if element else ""
+    raise ConvergenceError(
+        f"testing node {k} (xi = {np.array2string(xi, precision=6)}): implicit "
+        f"step at t={t:.6g} did not converge at the bisection floor{extra}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +271,75 @@ def _iteration_log(history):
     return log
 
 
-def _checked_step(delta):
-    if not np.all(np.isfinite(delta)):
-        raise ConvergenceError("singular shooting Jacobian")
-    return delta
+def _shoot(system, engine, u0, mode, tol, max_iter):
+    """Damped Newton on the coefficient unknowns through the node engine.
+
+    The unknown is the n*K state coefficients followed, for oscillators,
+    by the K scaling coefficients. Its blocks (one row per chaos index:
+    state, then scaling) times V are the unknowns of ``engine``, the
+    shooting problem of the K node circuits. A testing node that fails at
+    the bisection floor raises ConvergenceError naming it.
+    """
+    if mode not in ("coupled", "decoupled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n, K = system.n, system.K
+    V, V_inv = system.testing.vandermonde, system.testing.v_inv
+    pinned = None if engine.phase is None else engine.phase.index + n * np.arange(K)
+
+    def blocks(u):
+        return np.concatenate([u[: n * K].reshape(K, n), u[n * K :].reshape(K, -1)], axis=1)
+
+    def unknowns(b):
+        return np.concatenate([b[:, :n].ravel(), b[:, n:].ravel()])
+
+    def run(u, idle):
+        g_nodes, gn_nodes, node_traj = engine.run(V @ blocks(u), idle)
+        _raise_on_failed_node(system, node_traj)
+        g = unknowns(V_inv @ g_nodes)
+        return g, np.max(np.abs(g)) if np.all(np.isfinite(gn_nodes)) else np.inf, node_traj
+
+    def newton_step(u, g, node_traj):
+        if mode == "decoupled":
+            node_step = engine.newton_step(V @ blocks(u), V @ blocks(g), node_traj)
+            delta = unknowns(V_inv @ node_step)
+        else:
+            if pinned is not None:
+                system.scale_coeffs = u[n * K :]
+            J = shooting_jacobian(system, _coefficient_trajectory(system, node_traj), pinned)
+            delta = batched_solve(J, g[:, None])[:, 0]
+        if not np.all(np.isfinite(delta)):
+            raise ConvergenceError("singular shooting Jacobian")
+        return delta
+
+    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    if not gn <= tol:
+        raise ConvergenceError(f"stochastic {system.kind} shooting stalled at residual {gn:.3e}")
+    scale = None
+    if pinned is not None:
+        system.scale_coeffs = u[n * K :]
+        scale = GpcCoefficients(system.basis, system.scale_coeffs)
+    return StochasticPssSolution(
+        system.kind,
+        GpcCoefficients(system.basis, u[: n * K].reshape(K, n)),
+        system.period,
+        system.nominal_period,
+        scale,
+        _coefficient_trajectory(system, node_traj),
+        len(history) - 1,
+        float(gn),
+        np.max(np.abs(V @ blocks(g)[:, :n]), axis=1),
+        True,
+        [h[0] for h in history],
+        _iteration_log(history),
+        mode,
+    )
+
+
+def nominal_guess(system, nominal):
+    """Coefficients of a nominal solution: its state in block 1, zeros above."""
+    guess = np.zeros((system.K, system.n))
+    guess[0] = nominal.y
+    return guess
 
 
 # ---------------------------------------------------------------------------
@@ -304,64 +359,20 @@ def shoot_forced(
     """Solve the stochastic shooting problem of a driven circuit.
 
     Returns the chaos coefficients of x(0) with the one-period coefficient
-    trajectory. ``mode`` picks the Jacobian path: ``coupled`` builds the
-    dense stacked monodromy, ``decoupled`` solves the K per-node shooting
-    systems after the V transform; both perform exact Newton on the same
-    discrete equations.
+    trajectory. The guess defaults to the nominal solution in block 1.
+    ``mode`` picks the Jacobian path: ``coupled`` builds the dense stacked
+    monodromy, ``decoupled`` solves the K per-node shooting systems after
+    the V transform; both perform exact Newton on the same discrete
+    equations.
     """
-    if mode not in ("coupled", "decoupled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n, K = system.n, system.K
-    T = system.period
+    opts = dict(scheme=scheme, n_steps=n_steps, newton=newton)
     if coeff_guess is None:
-        coeff_guess = nominal_forced_guess(system, tol, scheme, n_steps, newton)
-    u0 = np.asarray(coeff_guess, dtype=float).reshape(n * K)
-
-    def run(u, _idle):  # one unbatched unknown: nothing to idle
-        trajs = period_map(system, u, scheme, n_steps, newton)
-        g = trajs[0].end - u
-        return g, float(np.max(np.abs(g))), trajs
-
-    def newton_step(u, g, trajs):
-        traj, node_traj = trajs
-        if mode == "coupled":
-            M, _ = transition_chain(system, traj)
-            return _checked_step(batched_solve(M - np.eye(n * K), g[:, None])[:, 0])
-        M_nodes, _ = transition_chain(system.node_dae(), node_traj)
-        g_nodes = decouple_residual(g, system.testing, n)
-        delta_nodes = batched_solve(M_nodes - np.eye(n), g_nodes[..., None])[..., 0]
-        return _checked_step(recouple_update(delta_nodes, system.testing))
-
-    u, g, gn, trajs, history = damped_newton(u0, run, newton_step, tol, max_iter)
-    if not gn <= tol:
-        raise ConvergenceError(f"stochastic forced shooting stalled at residual {gn:.3e}")
-    per_node = np.max(np.abs(decouple_residual(g, system.testing, n)), axis=1)
-    return StochasticPssSolution(
-        "forced",
-        GpcCoefficients(system.basis, u.reshape(K, n)),
-        T,
-        None,
-        None,
-        trajs[0],
-        len(history) - 1,
-        float(gn),
-        per_node,
-        True,
-        [h[0] for h in history],
-        _iteration_log(history),
-        mode,
-    )
-
-
-def nominal_forced_guess(system, tol=1e-5, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOptions()):
-    """Initial coefficients: nominal-circuit solution in block 1, zeros above."""
-    nominal = system.circuit.realize_nominal()
-    det = solve_forced(
-        nominal, system.period, tol=tol, scheme=scheme, n_steps=n_steps, newton=newton
-    )
-    guess = np.zeros((system.K, system.n))
-    guess[0] = det.y
-    return guess
+        coeff_guess = nominal_guess(
+            system, solve_nominal(system.circuit, system.period, tol=tol, **opts)
+        )
+    engine = Shooting(system.instances, system.period, **opts)
+    u0 = np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K)
+    return _shoot(system, engine, u0, mode, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +382,8 @@ def nominal_forced_guess(system, tol=1e-5, scheme=TRAPEZOIDAL, n_steps=200, newt
 def shoot_autonomous(
     system,
     phase,
-    coeff_guess=None,
-    scale_guess=None,
+    coeff_guess,
+    scale_guess,
     tol=1e-5,
     mode="decoupled",
     scheme=TRAPEZOIDAL,
@@ -386,113 +397,17 @@ def shoot_autonomous(
     Unknowns are the coefficients of z(0) plus the period-scaling
     coefficients; the phase rows pin state ``phase.index``: its mean
     coefficient equals ``phase.value`` and its higher coefficients vanish,
-    so every realization starts at the same anchor. The decoupled mode
-    solves K independent bordered (n+1) systems on the interleaved block
-    layout; the coupled mode assembles the dense (nK+K) Jacobian from the
+    so every realization starts at the same anchor (at every testing node,
+    state ``phase.index`` starts at ``phase.value``, as H_1 = 1). The
+    decoupled mode solves K independent bordered (n+1) systems at the
+    nodes; the coupled mode assembles the dense (nK+K) Jacobian from the
     stacked monodromy and the scaling-sensitivity recursion.
     """
-    if mode not in ("coupled", "decoupled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n, K = system.n, system.K
-    T0 = system.nominal_period
-    j = phase.index
-    if coeff_guess is None or scale_guess is None:
-        coeff_guess, scale_guess = nominal_autonomous_guess(
-            system, phase, tol, scheme, n_steps, newton
-        )
-    u0 = np.concatenate(
-        [np.asarray(coeff_guess, dtype=float).reshape(n * K), np.asarray(scale_guess, dtype=float)]
+    engine = Shooting(
+        system.instances, system.nominal_period, phase, scheme, n_steps, newton, scale_floor
     )
-
-    def run(u, _idle):  # one unbatched unknown: nothing to idle
-        z0, a_hat = u[: n * K], u[n * K :]
-        scales = system.testing.vandermonde @ a_hat
-        if np.any(scales <= scale_floor):
-            return None, np.inf, None  # period scaling must stay positive
-        system.scale_coeffs = a_hat
-        trajs = period_map(system, z0, scheme, n_steps, newton)
-        psi = trajs[0].end - z0
-        chi = z0[j::n].copy()
-        chi[0] -= phase.value
-        g = np.concatenate([psi, chi])
-        return g, float(np.max(np.abs(g))), trajs
-
-    def newton_step(u, g, trajs):
-        if trajs is None:
-            raise ConvergenceError("initial residual is not finite")
-        traj, node_traj = trajs
-        a_hat = u[n * K :]
-        system.scale_coeffs = a_hat
-        if mode == "coupled":
-            M, S = transition_chain(system, traj, with_scale_columns=True)
-            J = np.zeros((n * K + K, n * K + K))
-            J[: n * K, : n * K] = M - np.eye(n * K)
-            J[: n * K, n * K :] = S
-            for k in range(K):
-                J[n * K + k, k * n + j] = 1.0
-            return _checked_step(batched_solve(J, g[:, None])[:, 0])
-        M_nodes, S_nodes = transition_chain(
-            system.node_dae(), node_traj, with_scale_columns=True
-        )
-        psi_nodes = decouple_residual(g[: n * K], system.testing, n)
-        chi_nodes = system.testing.vandermonde @ g[n * K :]
-        J = np.zeros((K, n + 1, n + 1))
-        J[:, :n, :n] = M_nodes - np.eye(n)
-        J[:, :n, n:] = S_nodes
-        J[:, n, j] = 1.0
-        rhs = np.concatenate([psi_nodes, chi_nodes[:, None]], axis=1)
-        delta = batched_solve(J, rhs[..., None])[..., 0]
-        blocks = system.testing.v_inv @ delta  # K blocks of (state, scale)
-        return _checked_step(np.concatenate([blocks[:, :n].ravel(), blocks[:, n]]))
-
-    u, g, gn, trajs, history = damped_newton(u0, run, newton_step, tol, max_iter)
-    if not gn <= tol:
-        raise ConvergenceError(
-            f"stochastic autonomous shooting stalled at residual {gn:.3e}"
-        )
-    z0, a_hat = u[: n * K], u[n * K :]
-    system.scale_coeffs = a_hat
-    per_node = np.max(np.abs(decouple_residual(g[: n * K], system.testing, n)), axis=1)
-    return StochasticPssSolution(
-        "autonomous",
-        GpcCoefficients(system.basis, z0.reshape(K, n)),
-        None,
-        T0,
-        GpcCoefficients(system.basis, a_hat),
-        trajs[0],
-        len(history) - 1,
-        float(gn),
-        per_node,
-        True,
-        [h[0] for h in history],
-        _iteration_log(history),
-        mode,
-    )
-
-
-def nominal_autonomous_guess(
-    system, phase, tol=1e-5, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOptions()
-):
-    """Initial coefficients from the nominal oscillator solution.
-
-    Solves the nominal circuit on the system's scaled horizon; block 1
-    carries its initial state, the scaling starts at the nominal solve's
-    scale so the expansion is centered on a(0-vector) = a_nominal.
-    """
-    nominal = system.circuit.realize_nominal()
-    est = estimate_period(nominal, phase.index)
-    det = solve_autonomous(
-        nominal,
-        phase,
-        system.nominal_period,
-        est.y0,
-        tol=tol,
-        scheme=scheme,
-        n_steps=n_steps,
-        newton=newton,
-    )
-    coeff = np.zeros((system.K, system.n))
-    coeff[0] = det.y
-    scale = np.zeros(system.K)
-    scale[0] = float(det.period_scale)
-    return coeff, scale
+    u0 = np.concatenate([
+        np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K),
+        np.asarray(scale_guess, dtype=float),
+    ])
+    return _shoot(system, engine, u0, mode, tol, max_iter)

@@ -85,9 +85,8 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    scheme: IntegrationScheme
+    gammas: np.ndarray  # (P-1, 2)
     failed: np.ndarray | None = None  # per-sample failure mask (batched runs)
-    gammas: np.ndarray | None = None  # (P-1, 2); scheme weights if omitted
     fail_times: np.ndarray | None = None  # start of the step a flagged sample froze at
 
     @property
@@ -216,7 +215,7 @@ def integrate(
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return Trajectory(np.array([t0]), w0[None], scheme, None, np.zeros((0, 2)))
+        return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)))
     if (n_steps is None) == (ltol is None):
         raise ValueError("specify exactly one of n_steps or ltol")
     batched = w0.ndim > 1
@@ -300,11 +299,11 @@ def integrate(
                 raise ConvergenceError("adaptive grid exceeded the point budget")
 
     return Trajectory(
-        np.asarray(times), np.stack(states), scheme, failed, np.asarray(gammas), fail_times
+        np.asarray(times), np.stack(states), np.asarray(gammas), failed, fail_times
     )
 
 
-def transition_chain(system, trajectory, scheme=None, with_scale_columns=False):
+def transition_chain(system, trajectory, with_scale_columns=False):
     """Accumulate d(end state)/d(initial state) along a trajectory.
 
     Walks the recorded steps and chains the exact derivatives of each
@@ -314,11 +313,7 @@ def transition_chain(system, trajectory, scheme=None, with_scale_columns=False):
     ``system.dF_dscale``) is accumulated as well, starting from zero.
     Returns (M, S) where S is None unless requested.
     """
-    sch = scheme or trajectory.scheme
-    times, states = trajectory.times, trajectory.states
-    gam = trajectory.gammas
-    if gam is None or len(gam) != times.size - 1:
-        gam = np.tile([sch.gamma1, sch.gamma2], (times.size - 1, 1))
+    times, states, gam = trajectory.times, trajectory.states, trajectory.gammas
     w0 = states[0]
     n = w0.shape[-1]
     batch = w0.shape[:-1]

@@ -7,8 +7,8 @@ import pytest
 
 from pssuq import load_netlist, parse_netlist
 from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
-from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous
-from pssuq.stpss import assemble_forced, nominal_forced_guess
+from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous, solve_nominal
+from pssuq.stpss import assemble_forced, nominal_guess
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "src" / "pssuq" / "circuits"
 
@@ -112,7 +112,7 @@ def lna_perturbed():
     basis = build_basis([s for _, s in circuit.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
     system = assemble_forced(circuit, basis, testing)
-    guess = nominal_forced_guess(system, n_steps=200).ravel()
+    guess = nominal_guess(system, solve_nominal(circuit, n_steps=200)).ravel()
     return system, guess + 1e-3 * np.random.default_rng(0).normal(size=guess.size)
 
 

@@ -31,7 +31,7 @@ from pssuq.gpc import (
     select_testing_nodes,
     tensor_rule,
 )
-from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced
+from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced, solve_nominal
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
@@ -200,7 +200,8 @@ def test_criterion_5_st_vs_mc_forced(rectifier):
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
         sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=200)
         ws = waveform_stats(sol)
-        run_ = monte_carlo(rectifier, "forced", 10_000, seed=101, n_steps=200)
+        nominal = solve_nominal(rectifier, n_steps=200)
+        run_ = monte_carlo(rectifier, nominal, 10_000, seed=101, n_steps=200)
         mc_mean, mc_std = run_.waveform_mean_std()
         peak = np.max(np.abs(mc_mean), axis=0)
         assert np.max(np.abs(ws.mean - mc_mean) / peak) < 0.01
@@ -227,9 +228,8 @@ def test_criterion_6_st_vs_mc_autonomous(vdp_random, vdp_nominal):
         sol = shoot_autonomous(sys_a, phase, guess, scale0, n_steps=400)
         mean, std = sol.period_moments()
 
-        run_ = monte_carlo(
-            vdp_random, "autonomous", 2000, seed=33, phase_index=0, n_steps=400
-        )
+        nominal = solve_nominal(vdp_random, phase_index=0, n_steps=400)
+        run_ = monte_carlo(vdp_random, nominal, 2000, seed=33, n_steps=400)
         pm, ps = run_.scalar_stats(run_.period)
         assert abs(mean - pm) / pm < 0.002
         assert abs(std - ps) / ps < 0.02

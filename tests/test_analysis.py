@@ -23,7 +23,8 @@ from pssuq.analysis import (
 from pssuq.circuit import DistributionSpec
 from pssuq.gpc import GpcCoefficients, build_basis, select_testing_nodes, tensor_rule
 from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
-from pssuq.transient import Trajectory, TRAPEZOIDAL
+from pssuq.shooting import solve_nominal
+from pssuq.transient import Trajectory
 
 from conftest import SHORTED_AT_A_NODE
 
@@ -90,22 +91,23 @@ def test_draws_have_right_marginals():
 
 def test_mc_deterministic_circuit_has_zero_spread():
     c = parse_netlist("V1 in 0 SIN(0 1 1k)\nR1 in out 1k\nC1 out 0 1u\n")
-    run = monte_carlo(c, "forced", 8, seed=0, n_steps=64)
+    run = monte_carlo(c, solve_nominal(c, n_steps=64), 8, seed=0, n_steps=64)
     mean, std = run.waveform_mean_std()
     assert np.abs(std).max() < 1e-14
     assert run.failure_fraction == 0.0
 
 
 def test_mc_same_seed_bit_identical(rc_circuit):
-    a = monte_carlo(rc_circuit, "forced", 64, seed=5, n_steps=64)
-    b = monte_carlo(rc_circuit, "forced", 64, seed=5, n_steps=64)
+    a = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=64), 64, seed=5, n_steps=64)
+    b = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=64), 64, seed=5, n_steps=64)
     assert np.array_equal(a.waveforms, b.waveforms)
     assert np.array_equal(a.xi, b.xi)
 
 
 @pytest.fixture(scope="module")
 def rc_big_mc(rc_circuit):
-    return monte_carlo(rc_circuit, "forced", 120_000, seed=2, n_steps=50)
+    nominal = solve_nominal(rc_circuit, n_steps=50)
+    return monte_carlo(rc_circuit, nominal, 120_000, seed=2, n_steps=50)
 
 
 def test_mc_mean_matches_quadrature_within_clt_band(rc_circuit, rc_big_mc):
@@ -136,7 +138,8 @@ def test_mc_error_shrinks_like_sqrt_n(rc_circuit, rc_big_mc):
 
 
 def test_mc_autonomous_periods(vdp_random):
-    run = monte_carlo(vdp_random, "autonomous", 100, seed=3, phase_index=0, n_steps=300)
+    nominal = solve_nominal(vdp_random, phase_index=0, n_steps=300)
+    run = monte_carlo(vdp_random, nominal, 100, seed=3, n_steps=300)
     assert run.failure_fraction == 0.0
     pm, ps = run.scalar_stats(run.period)
     assert pm == pytest.approx(6.287, rel=1e-3)
@@ -152,7 +155,7 @@ def _toy_solution(blocks_t0, basis, times=None, kind="forced"):
     P = 5 if times is None else times.size
     times = np.linspace(0.0, 1.0, P) if times is None else times
     states = np.tile(blocks_t0.reshape(-1), (P, 1))
-    traj = Trajectory(times, states, TRAPEZOIDAL, None, None)
+    traj = Trajectory(times, states, None)
     return StochasticPssSolution(
         kind,
         GpcCoefficients(basis, blocks_t0),
@@ -181,7 +184,7 @@ def test_waveform_stats_match_mc_on_rectifier(rectifier):
     testing = select_testing_nodes(basis, tensor_rule(basis, 4))
     sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=100)
     ws = waveform_stats(sol)
-    run = monte_carlo(rectifier, "forced", 4000, seed=11, n_steps=100)
+    run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 4000, seed=11, n_steps=100)
     mc_mean, mc_std = run.waveform_mean_std()
     peak = np.max(np.abs(mc_mean), axis=0)
     assert np.max(np.abs(ws.mean - mc_mean) / peak) < 0.01
@@ -298,7 +301,7 @@ def test_uq_report_forced(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
     sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=100)
-    run = monte_carlo(rectifier, "forced", 1000, seed=21, n_steps=100)
+    run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 1000, seed=21, n_steps=100)
     report = build_uq_report(sol, run)
     assert report.max_rel_mean_delta < 0.05
     assert np.all(report.chaos_std >= 0) and np.all(report.mc_std >= 0)
@@ -330,11 +333,11 @@ def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
     c = parse_netlist(SHORTED_AT_A_NODE)
     _draws_with_short(monkeypatch, [7])
     with np.errstate(divide="ignore", invalid="ignore"):
-        run = monte_carlo(c, "forced", 100, seed=3, n_steps=64)
+        run = monte_carlo(c, solve_nominal(c, n_steps=64), 100, seed=3, n_steps=64)
     assert np.nonzero(run.failed)[0].tolist() == [7]
     assert run.times.size == 65
     _draws_with_short(monkeypatch, [7], drop=True)
-    sound = monte_carlo(c, "forced", 99, seed=3, n_steps=64)
+    sound = monte_carlo(c, solve_nominal(c, n_steps=64), 99, seed=3, n_steps=64)
     assert not sound.failed.any()
     assert np.array_equal(run.times, sound.times)
     for a, b in zip(run.waveform_mean_std(), sound.waveform_mean_std()):
@@ -352,7 +355,7 @@ def test_uq_report_compares_on_shared_time_points(rc_circuit):
     basis = build_basis([s for _, s in rc_circuit.random_params], 1)
     testing = select_testing_nodes(basis, tensor_rule(basis, 2))
     sol = shoot_forced(assemble_forced(rc_circuit, basis, testing), n_steps=50)
-    run = monte_carlo(rc_circuit, "forced", 20, seed=4, n_steps=50)
+    run = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=50), 20, seed=4, n_steps=50)
     base = build_uq_report(sol, run)
     quarter = run.times[10] + np.array([0.25, 0.5, 0.75]) * (run.times[11] - run.times[10])
     refined = dataclasses.replace(
@@ -370,13 +373,9 @@ def test_uq_report_compares_on_shared_time_points(rc_circuit):
 
 
 def test_uq_report_autonomous(vdp_random):
-    from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous
     from pssuq.stpss import assemble_autonomous, shoot_autonomous
 
-    nominal = vdp_random.realize_nominal()
-    est = estimate_period(nominal, 0)
-    phase = PhaseCondition(0, est.level)
-    det = solve_autonomous(nominal, phase, est.period, est.y0, n_steps=300)
+    det = solve_nominal(vdp_random, phase_index=0, n_steps=300)
     basis = build_basis([s for _, s in vdp_random.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
     sys_a = assemble_autonomous(vdp_random, basis, testing, float(det.period))
@@ -384,8 +383,8 @@ def test_uq_report_autonomous(vdp_random):
     guess[0] = det.y
     scale = np.zeros(basis.size)
     scale[0] = 1.0
-    sol = shoot_autonomous(sys_a, phase, guess, scale, n_steps=300)
-    run = monte_carlo(vdp_random, "autonomous", 300, seed=5, phase_index=0, n_steps=300)
+    sol = shoot_autonomous(sys_a, det.phase, guess, scale, n_steps=300)
+    run = monte_carlo(vdp_random, det, 300, seed=5, n_steps=300)
     surro = sample_periods(sol, draw_standardized([U], 6, 300))
     report = build_uq_report(sol, run, surrogate_periods=surro)
     assert report.period["mean_rel_delta"] < 0.01

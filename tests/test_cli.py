@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pssuq import cli, stpss
+from pssuq import cli, shooting, stpss
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -152,6 +152,27 @@ def test_compare_command_structure(tmp_path):
     assert rep["max_rel_std_delta"] < 0.2
 
 
+def test_compare_anchors_both_halves_at_the_phase_value(tmp_path, monkeypatch):
+    # one nominal solve, with its phase condition, starts the chaos and the
+    # Monte Carlo half alike, so both share the grid and the anchor
+    estimates = []
+    estimate = shooting.estimate_period
+    monkeypatch.setattr(
+        shooting, "estimate_period", lambda *a, **kw: estimates.append(1) or estimate(*a, **kw)
+    )
+    cfg = _cfg(
+        tmp_path, gpc_order=1, steps_per_period=100, mc_samples=50,
+        phase_state="1", phase_value=1.0,
+    )
+    out = tmp_path / "out"
+    assert run("compare", CIRCUITS_DIR / "vanderpol.cir", cfg, out) == EXIT_OK
+    assert len(estimates) == 1
+    for name in ("mc_waveform_stats.csv", "waveform_stats.csv"):
+        header, first = (out / name).read_text().splitlines()[:2]
+        start = dict(zip(header.split(","), map(float, first.split(","))))
+        assert start["mean[v(1)]"] == pytest.approx(1.0, abs=1e-5)
+
+
 def test_convergence_sweep_properties(tmp_path, rectifier):
     cfg = load_config(_cfg(tmp_path, steps_per_period=100))
     rows = convergence_sweep(rectifier, cfg, [1, 2, 3, 4])
@@ -243,12 +264,18 @@ def test_st_osc_command(tmp_path):
 
 @pytest.mark.parametrize("mode", ["coupled", "decoupled"])
 def test_singular_stochastic_jacobian_exits_3(tmp_path, monkeypatch, capsys, mode):
-    # identity monodromies make every shooting Jacobian M - I zero
+    # identity monodromies make every stochastic shooting Jacobian M - I
+    # zero, at the testing nodes and for the stacked system; the unbatched
+    # nominal solve that starts the run keeps its own
+    chain = shooting.transition_chain
+
     def identity_chain(system, traj, *args, **kwargs):
+        if traj.states.ndim == 2 and not isinstance(system, stpss.StackedSystem):
+            return chain(system, traj, *args, **kwargs)
         n = traj.states.shape[-1]
         return np.broadcast_to(np.eye(n), traj.states.shape[1:-1] + (n, n)).copy(), None
 
-    monkeypatch.setattr(stpss, "transition_chain", identity_chain)
+    monkeypatch.setattr(shooting, "transition_chain", identity_chain)
     cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=64, mode=mode)
     assert run("st-forced", CIRCUITS_DIR / "rc_lowpass.cir", cfg, tmp_path / "out") == 3
     assert "singular shooting Jacobian" in capsys.readouterr().err
@@ -291,3 +318,20 @@ def test_cli_import_leaves_out_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_st_osc_run_leaves_out_scipy(tmp_path):
+    # the oscillator start-up eigenvalues are numpy too: no scipy in a run
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=100, phase_state="1", metric_samples=1000)
+    code = (
+        "import sys; from pssuq.cli import run; "
+        "code = run('st-osc', *sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(CIRCUITS_DIR / "vanderpol.cir"), str(cfg),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -14,7 +14,6 @@ from pssuq.gpc import (
     LEGENDRE,
     basis_size,
     build_basis,
-    eval_basis,
     gauss_rule,
     gram_matrix,
     moments,
@@ -38,28 +37,28 @@ def test_constant_basis_is_one():
     b = build_basis([G, U, G], 0)
     assert b.size == 1
     xi = np.array([0.3, -0.2, 1.1])
-    assert eval_basis(b, xi)[0] == pytest.approx(1.0)
+    assert b.eval(xi)[0] == pytest.approx(1.0)
 
 
 def test_first_basis_function_is_constant_one():
     b = build_basis([G, U], 3)
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(50, 2))
-    vals = eval_basis(b, pts)
+    vals = b.eval(pts)
     assert np.allclose(vals[:, 0], 1.0)
 
 
 def test_univariate_values():
     bh = build_basis([G], 2)
     # orthonormal degree-2 Hermite value at 1 is (1 - 1)/sqrt(2) = 0
-    assert eval_basis(bh, np.array([1.0]))[2] == pytest.approx(0.0, abs=1e-15)
+    assert bh.eval(np.array([1.0]))[2] == pytest.approx(0.0, abs=1e-15)
     bl = build_basis([U], 1)
-    assert eval_basis(bl, np.array([1.0]))[1] == pytest.approx(np.sqrt(3.0))
+    assert bl.eval(np.array([1.0]))[1] == pytest.approx(np.sqrt(3.0))
 
 
 def test_odd_components_vanish_at_origin():
     b = build_basis([G, G], 3)
-    vals = eval_basis(b, np.zeros(2))
+    vals = b.eval(np.zeros(2))
     odd = np.sum(b.index_set, axis=1) % 2 == 1
     assert np.allclose(vals[odd], 0.0)
     mixed_odd = (b.index_set % 2 == 1).any(axis=1)
@@ -69,7 +68,7 @@ def test_odd_components_vanish_at_origin():
 def test_dimension_mismatch():
     b = build_basis([G, U], 2)
     with pytest.raises(GpcError):
-        eval_basis(b, np.zeros(3))
+        b.eval(np.zeros(3))
 
 
 def test_constant_distribution_rejected():
@@ -180,7 +179,7 @@ def test_selection_conditioning_close_to_best_subset():
     ts = select_testing_nodes(b, r)
     best = np.inf
     for sub in itertools.combinations(range(r.count), b.size):
-        V = eval_basis(b, r.nodes[list(sub)])
+        V = b.eval(r.nodes[list(sub)])
         best = min(best, np.linalg.cond(V))
     assert ts.cond_estimate <= 10.0 * best
 
@@ -197,7 +196,7 @@ def test_selection_deterministic_and_serializable():
 def test_selection_v_identity_and_inverse():
     b = build_basis([G, U], 3)
     ts = select_testing_nodes(b, tensor_rule(b, 4))
-    assert np.allclose(eval_basis(b, ts.nodes), ts.vandermonde)
+    assert np.allclose(b.eval(ts.nodes), ts.vandermonde)
     assert np.abs(ts.vandermonde @ ts.v_inv - np.eye(ts.size)).max() < 1e-8
 
 

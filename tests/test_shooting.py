@@ -193,6 +193,24 @@ def test_estimate_period_van_der_pol(vdp_circuit):
     assert abs(est.period - VDP_ANALYTIC_PERIOD) / VDP_ANALYTIC_PERIOD < 0.01
 
 
+@pytest.mark.parametrize("circuit", ["vdp_circuit", "colpitts"])
+def test_oscillation_frequency_matches_the_scipy_pencil(circuit, request):
+    """The least-damped oscillatory mode equals scipy's generalized
+    eigenvalue solve of the pencil (-G, C), which returns the infinite
+    modes of the algebraic states as inf."""
+    import scipy.linalg
+
+    inst = request.getfixturevalue(circuit).realize_nominal()
+    x_dc = dc_operating_point(inst)
+    ev = inst.eval_dae(x_dc, 0.0)
+    lam = scipy.linalg.eig(-ev.df_dx, ev.dq_dx, right=False)
+    lam = lam[np.isfinite(lam) & (lam.imag != 0)]
+    best = lam[np.argmax(lam.real / np.abs(lam))]
+    omega, growth = shooting._oscillation_frequency(inst, x_dc)
+    assert omega == pytest.approx(abs(best.imag), rel=1e-12)
+    assert growth == pytest.approx(best.real, rel=1e-12)
+
+
 def test_estimate_period_rejects_rc():
     c = parse_netlist("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 1u\n")
     with pytest.raises(OscillationError):

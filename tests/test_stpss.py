@@ -6,14 +6,12 @@ import pytest
 from pssuq import parse_netlist
 from pssuq.cli import synthetic_ladder
 from pssuq.gpc import build_basis, gauss_rule, moments, select_testing_nodes, tensor_rule
-from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced
+from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced, solve_nominal
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
-    decouple_residual,
-    nominal_forced_guess,
+    nominal_guess,
     period_map,
-    recouple_update,
     shoot_autonomous,
     shoot_forced,
 )
@@ -35,27 +33,43 @@ def _setup(circuit, order):
     return basis, testing
 
 
-# -- transforms ---------------------------------------------------------------
+# -- the testing-node identity ---------------------------------------------------
 
 
-def test_decouple_recouple_identity_k1():
-    c = parse_netlist(".param r = uniform(900, 1100)\nV1 a 0 SIN(0 1 1k)\nR1 a b {r}\nC1 b 0 1u\n")
-    basis, testing = _setup(c, 0)
-    g = np.array([1.0, -2.0, 0.5])
-    nodes = decouple_residual(g, testing, 3)
-    assert np.allclose(nodes[0], g)
-    assert np.allclose(recouple_update(nodes, testing), g)
+def test_decoupled_forced_solve_is_the_batch_at_the_testing_nodes(rectifier):
+    """V maps the stochastic shooting onto the K deterministic problems at
+    the testing nodes: the batched solve from V @ guess, mapped back by
+    V^{-1}, is the decoupled solve."""
+    tol = 1e-10
+    basis, testing = _setup(rectifier, 3)
+    sys = assemble_forced(rectifier, basis, testing)
+    guess = nominal_guess(sys, solve_nominal(rectifier, tol=tol))
+    sol = shoot_forced(sys, guess, tol=tol)
+    batch = solve_forced(
+        rectifier.realize(testing.nodes), sys.period, y0=testing.vandermonde @ guess, tol=tol
+    )
+    blocks = sol.coeffs.blocks
+    assert np.abs(testing.v_inv @ batch.y - blocks).max() <= 1e-12 * np.abs(blocks).max()
+    assert batch.iterations == sol.iterations
 
 
-def test_decouple_recouple_round_trip_large():
-    from pssuq.circuit import DistributionSpec
-
-    basis = build_basis([DistributionSpec.gaussian(0, 1)] * 4, 3)  # K = 35
-    testing = select_testing_nodes(basis, tensor_rule(basis, 4))
-    rng = np.random.default_rng(0)
-    g = rng.normal(size=35 * 20)
-    nodes = decouple_residual(g, testing, 20)
-    assert np.abs(recouple_update(nodes, testing) - g).max() < 1e-12
+def test_decoupled_autonomous_solve_is_the_batch_at_the_testing_nodes(vdp_random, vdp_nominal):
+    tol = 1e-10
+    _, phase, det = vdp_nominal
+    basis, testing = _setup(vdp_random, 2)
+    T0 = float(det.period)
+    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    guess = nominal_guess(sys, det)
+    sol = shoot_autonomous(sys, phase, guess, np.eye(basis.size)[0], tol=tol, n_steps=300)
+    batch = solve_autonomous(
+        vdp_random.realize(testing.nodes), phase, T0, testing.vandermonde @ guess,
+        tol=tol, n_steps=300,
+    )
+    blocks = sol.coeffs.blocks
+    assert np.abs(testing.v_inv @ batch.y - blocks).max() <= 1e-12 * np.abs(blocks).max()
+    scale = testing.v_inv @ batch.period_scale
+    assert np.abs(scale - sol.scale_coeffs.blocks).max() <= 1e-12
+    assert batch.iterations == sol.iterations
 
 
 # -- stacked system assembly ---------------------------------------------------
@@ -192,11 +206,7 @@ def test_one_step_scale_sensitivity_hand_value(scheme):
     c, h = 0.7, 0.01
     sys = _ScaledConstant(c)
     traj = Trajectory(
-        np.array([0.0, h]),
-        np.zeros((2, 1)),
-        scheme,
-        None,
-        np.array([[scheme.gamma1, scheme.gamma2]]),
+        np.array([0.0, h]), np.zeros((2, 1)), np.array([[scheme.gamma1, scheme.gamma2]])
     )
     _, S = transition_chain(sys, traj, with_scale_columns=True)
     assert S[0, 0] == pytest.approx(h * c * (scheme.gamma1 + scheme.gamma2), rel=1e-12)
@@ -469,7 +479,7 @@ def test_forced_solve_sizes(rectifier, monkeypatch, mode):
     runs stay node-sized and each Newton iteration solves one n*K system."""
     basis, testing = _setup(rectifier, 2)
     sys = assemble_forced(rectifier, basis, testing)
-    guess = nominal_forced_guess(sys, n_steps=100)
+    guess = nominal_guess(sys, solve_nominal(rectifier, n_steps=100))
     calls = _record_solve_orders(monkeypatch)
     sol = shoot_forced(sys, guess, mode=mode, n_steps=100)
     assert sol.iterations >= 1
