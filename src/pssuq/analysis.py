@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shooting import solve_autonomous, solve_forced
-from .transient import NewtonOptions, TRAPEZOIDAL
+from .transient import ConvergenceError, NewtonOptions, TRAPEZOIDAL
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,8 @@ def draw_standardized(dists, seed, count, offset=0):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
+
+MAX_FAILURE_FRACTION = 0.01  # share of failed samples a Monte Carlo run tolerates
 
 
 @dataclass
@@ -103,7 +105,6 @@ def monte_carlo(
     scheme=TRAPEZOIDAL,
     n_steps=200,
     newton=NewtonOptions(),
-    max_failure_fraction=0.01,
 ):
     """Reference uncertainty propagation by repeated deterministic solves.
 
@@ -111,7 +112,8 @@ def monte_carlo(
     sample is warm-started from it and solved the same way: over its period
     for a driven circuit, or, for an oscillator, with its phase condition
     over its period as the scaled horizon. Failing samples are recorded,
-    not fatal, unless their fraction exceeds ``max_failure_fraction``.
+    not fatal, unless their fraction exceeds ``MAX_FAILURE_FRACTION``; then
+    the run raises ConvergenceError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -137,8 +139,8 @@ def monte_carlo(
         period=sol.period,
         iterations=sol.iterations,
     )
-    if run.failure_fraction > max_failure_fraction:
-        raise RuntimeError(
+    if run.failure_fraction > MAX_FAILURE_FRACTION:
+        raise ConvergenceError(
             f"{run.failure_fraction:.1%} of Monte Carlo samples failed to converge"
         )
     return run
@@ -189,17 +191,15 @@ def sample_periods(solution, xi):
 # scalar metrics
 
 
-def thd(values, closed=True):
+def thd(values):
     """Total harmonic distortion of one uniformly sampled period.
 
-    ``values`` spans exactly one period; with ``closed`` the final sample
-    repeats the first (trajectory convention) and is dropped. The DC bin
-    is excluded; the result is the RMS of harmonics 2.. relative to the
+    ``values`` spans exactly one period, closed: the final sample repeats
+    the first (trajectory convention) and is dropped. The DC bin is
+    excluded; the result is the RMS of harmonics 2.. relative to the
     fundamental magnitude.
     """
-    v = np.asarray(values, dtype=float)
-    if closed:
-        v = v[..., :-1]
+    v = np.asarray(values, dtype=float)[..., :-1]
     spec = np.fft.rfft(v, axis=-1)
     fund = np.abs(spec[..., 1])
     rest = np.sqrt(np.sum(np.abs(spec[..., 2:]) ** 2, axis=-1))
@@ -327,16 +327,15 @@ def metric_distribution(
 ):
     """Distribution of a scalar metric sampled from the chaos surrogate.
 
-    ``metric`` is "period", "thd", "power", or a callable mapping a
-    waveform matrix (P, n) and the time grid to a scalar. Sampling costs
-    no circuit solves; parameters are drawn with the same counter-based
-    stream as the Monte Carlo driver.
+    ``metric`` is "period", "thd" (of ``state``) or "power" (mean of
+    ``power_sign`` times the product of ``v_state`` and ``i_state``).
+    Sampling costs no circuit solves; parameters are drawn with the same
+    counter-based stream as the Monte Carlo driver.
     """
     if n_samples < 1000:
         raise ValueError("metric distributions need at least 1000 samples")
-    basis = solution.coeffs.basis
     # distribution kinds are encoded in the basis families
-    dists = [_FamilyDist(f) for f in basis.families]
+    dists = [_FamilyDist(f) for f in solution.coeffs.basis.families]
     xi = draw_standardized(dists, seed, n_samples)
     if metric == "period":
         vals = sample_periods(solution, xi)
@@ -345,7 +344,7 @@ def metric_distribution(
         if state is None:
             raise ValueError("thd metric needs a state index")
         waves = surrogate_waveforms(solution, xi, state)
-        return distribution_from_samples("thd", thd(waves, closed=True))
+        return distribution_from_samples("thd", thd(waves))
     if metric == "power":
         if v_state is None or i_state is None:
             raise ValueError("power metric needs v_state and i_state")
@@ -353,16 +352,6 @@ def metric_distribution(
         i = surrogate_waveforms(solution, xi, i_state)
         vals = power_sign * avg_power(v, i, solution.trajectory.times)
         return distribution_from_samples("power", vals)
-    if callable(metric):
-        K = basis.size
-        P = solution.trajectory.times.size
-        coeff = solution.trajectory.states.reshape(P, K, -1)
-        H = basis.eval(xi)  # (S, K)
-        vals = np.array(
-            [metric(np.einsum("k,pkn->pn", H[s], coeff), solution.trajectory.times)
-             for s in range(n_samples)]
-        )
-        return distribution_from_samples(getattr(metric, "__name__", "custom"), vals)
     raise ValueError(f"unknown metric {metric!r}")
 
 

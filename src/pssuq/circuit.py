@@ -816,34 +816,34 @@ class _EvalPlan:
 # DC operating point
 
 
-def dc_operating_point(instance, x0=None, tol=1e-10, max_iter=200, gmin=0.0):
+DC_TOL = 1e-10  # residual norm of a converged DC operating point
+DC_MAX_ITER = 200  # Newton iterations per DC solve
+
+
+def dc_operating_point(instance):
     """Newton solve of f(x) = B*u(0) (capacitors open, inductors short).
 
-    Uses residual-halving damping; falls back to source stepping when the
-    direct solve stalls. ``gmin`` adds a small conductance from every node
-    voltage to ground to regularize ill-posed topologies.
+    Uses residual-halving damping from x = 0. When the direct solve stalls,
+    gmin stepping (a conductance from every node voltage to ground, relaxed
+    away) and then source stepping take over.
     """
-    n = instance.n
-    B = instance.batch_size
-    shape = (n,) if instance.scalar else (B, n)
-    x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
+    shape = (instance.n,) if instance.scalar else (instance.batch_size, instance.n)
+    nodes = np.arange(len(instance.circuit.node_names))
 
-    def residual(xv, scale=1.0):
+    def residual(xv, scale, gmin):
         ev = instance.eval_dae(xv, 0.0)
         r = ev.f - scale * ev.bu
         J = ev.df_dx.copy()
         if gmin:
-            nn = len(instance.circuit.node_names)
-            idx = np.arange(nn)
-            r[..., idx] += gmin * xv[..., idx]
-            J[..., idx, idx] += gmin
+            r[..., nodes] += gmin * xv[..., nodes]
+            J[..., nodes, nodes] += gmin
         return r, J
 
-    def newton(xv, scale, iters):
-        r, J = residual(xv, scale)
+    def newton(xv, scale=1.0, gmin=0.0):
+        r, J = residual(xv, scale, gmin)
         rn = np.max(np.abs(r))
-        for _ in range(iters):
-            if rn <= tol:
+        for _ in range(DC_MAX_ITER):
+            if rn <= DC_TOL:
                 return xv, rn, True
             try:
                 dx = np.linalg.solve(J, r[..., None])[..., 0]
@@ -852,32 +852,30 @@ def dc_operating_point(instance, x0=None, tol=1e-10, max_iter=200, gmin=0.0):
             alpha = 1.0
             for _ in range(30):
                 xt = xv - alpha * dx
-                rt, Jt = residual(xt, scale)
+                rt, Jt = residual(xt, scale, gmin)
                 rtn = np.max(np.abs(rt))
-                if np.isfinite(rtn) and rtn < rn * (1.0 - 1e-4 * alpha) + tol:
+                if np.isfinite(rtn) and rtn < rn * (1.0 - 1e-4 * alpha) + DC_TOL:
                     break
                 alpha *= 0.5
             xv, r, J, rn = xt, rt, Jt, rtn
-        return xv, rn, rn <= tol
+        return xv, rn, rn <= DC_TOL
 
-    x, rn, ok = newton(x, 1.0, max_iter)
-    if not ok and gmin == 0.0:
+    x, rn, ok = newton(np.zeros(shape))
+    if not ok:
         # gmin stepping: solve with a conductance to ground on every node,
         # then relax it away (handles cutoff devices leaving nodes floating)
         x = np.zeros(shape)
-        for g in 10.0 ** np.arange(-2, -13, -1):
-            gmin = g
-            x, rn, ok = newton(x, 1.0, max_iter)
+        for gmin in 10.0 ** np.arange(-2, -13, -1):
+            x, rn, ok = newton(x, gmin=gmin)
             if not ok:
                 break
         if ok:
-            gmin = 0.0
-            x, rn, ok = newton(x, 1.0, max_iter)
+            x, rn, ok = newton(x)
     if not ok:
         # source stepping: ramp the excitation
         x = np.zeros(shape)
         for scale in np.linspace(0.1, 1.0, 10):
-            x, rn, ok = newton(x, scale, max_iter)
+            x, rn, ok = newton(x, scale)
             if not ok:
                 break
     if not ok:

@@ -92,6 +92,14 @@ _DEFAULTS = {
 }
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_config(path, overrides=None):
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -104,10 +112,21 @@ def load_config(path, overrides=None):
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    if cfg["gpc_order"] < 0:
-        raise ConfigError("gpc_order must be >= 0")
-    if cfg["steps_per_period"] < 16:
-        raise ConfigError("steps_per_period must be >= 16")
+    for key in ("seed", "mc_samples", "metric_samples"):
+        if not _is_int(cfg[key]):
+            raise ConfigError(f"{key} must be an integer")
+    for key in ("shooting_tol", "newton_tol"):
+        if not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a number")
+    if not (_is_int(cfg["gpc_order"]) and cfg["gpc_order"] >= 0):
+        raise ConfigError("gpc_order must be an integer >= 0")
+    if not (_is_int(cfg["steps_per_period"]) and cfg["steps_per_period"] >= 16):
+        raise ConfigError("steps_per_period must be an integer >= 16")
+    orders = cfg.get("orders")
+    if orders is not None and not (
+        isinstance(orders, list) and all(_is_int(p) and p >= 0 for p in orders)
+    ):
+        raise ConfigError("orders must be a list of integers >= 0")
     if cfg["mode"] not in ("coupled", "decoupled"):
         raise ConfigError("mode must be 'coupled' or 'decoupled'")
     try:
@@ -152,17 +171,21 @@ class Reporter:
     def write_text(self, name, text):
         path = self.out / name
         path.write_text(text, encoding="utf-8")
-        self.files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.files[name] = _file_hash(path)
         return path
 
     def write_json(self, name, obj):
         return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def write_csv(self, name, header, rows):
-        out = [",".join(header)]
-        for row in rows:
-            out.append(",".join(_fmt(v) for v in row))
-        return self.write_text(name, "\n".join(out) + "\n")
+        # row by row: a coefficient file (n*K columns) is never held as text
+        path = self.out / name
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        self.files[name] = _file_hash(path)
+        return path
 
     def finish(self, command, netlist_path, config):
         summary = "\n".join(self.lines) + "\n"
@@ -304,10 +327,13 @@ def _cmd_pss_osc(rep, circuit, cfg):
     )
 
 
+def _write_trajectory(rep, name, header, traj):
+    rep.write_csv(name, ["time"] + header, ([t, *row] for t, row in zip(traj.times, traj.states)))
+
+
 def _write_pss_outputs(rep, circuit, sol):
     rep.write_json("solution.json", sol.summary())
-    sol.trajectory.to_csv(rep.out / "trajectory.csv", circuit.state_names)
-    rep.files["trajectory.csv"] = _file_hash(rep.out / "trajectory.csv")
+    _write_trajectory(rep, "trajectory.csv", circuit.state_names, sol.trajectory)
 
 
 def _solve_st(circuit, cfg, nominal):
@@ -352,8 +378,10 @@ def _cmd_st_osc(rep, circuit, cfg):
 def _write_st_outputs(rep, circuit, cfg, system, sol):
     rep.write_json("solution.json", sol.summary())
     rep.write_text("testing_nodes.json", system.testing.to_json() + "\n")
-    sol.waveform_csv(rep.out / "coefficients.csv", circuit.state_names)
-    rep.files["coefficients.csv"] = _file_hash(rep.out / "coefficients.csv")
+    # column c<k>[<state>]: the k-th chaos coefficient (1-based, index-set
+    # order) of that state, block-major like the coefficient stack
+    header = [f"c{k + 1}[{nm}]" for k in range(system.K) for nm in circuit.state_names]
+    _write_trajectory(rep, "coefficients.csv", header, sol.trajectory)
     ws = waveform_stats(sol)
     header, rows = _waveform_stats_rows(ws.times, ws.mean, ws.std, circuit.state_names)
     rep.write_csv("waveform_stats.csv", header, rows)
@@ -469,14 +497,11 @@ def _speedup_options(cfg):
         raise ConfigError("config field 'speedup' must be a JSON object")
     opts = {"n": 100, "orders": [1, 2, 3, 4], "dim": 4, "steps": 40, "repeats": 3, **opts}
 
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
     for key in ("n", "dim", "steps", "repeats"):
-        if not (is_int(opts[key]) and opts[key] > 0):
+        if not (_is_int(opts[key]) and opts[key] > 0):
             raise ConfigError(f"speedup option {key!r} must be a positive integer")
     orders = opts["orders"]
-    if not (isinstance(orders, list) and orders and all(is_int(p) and p >= 0 for p in orders)):
+    if not (isinstance(orders, list) and orders and all(_is_int(p) and p >= 0 for p in orders)):
         raise ConfigError("speedup option 'orders' must be a non-empty list of integers >= 0")
     return opts
 

@@ -165,10 +165,13 @@ def gauss_rule(family, m):
     return nodes, weights
 
 
-def tensor_rule(basis, points_per_dim, max_candidates=1_000_000):
+MAX_CANDIDATES = 1_000_000  # tensor-rule points kept as testing-node candidates
+
+
+def tensor_rule(basis, points_per_dim):
     """Tensor-product Gauss rule across the basis dimensions.
 
-    When the full tensor grid exceeds ``max_candidates`` points, only the
+    When the full tensor grid exceeds ``MAX_CANDIDATES`` points, only the
     largest-weight points are kept.
     """
     rules = [gauss_rule(fam, points_per_dim) for fam in basis.families]
@@ -178,8 +181,8 @@ def tensor_rule(basis, points_per_dim, max_candidates=1_000_000):
     weights = np.ones(nodes.shape[0])
     for w in wgrids:
         weights = weights * w.ravel()
-    if nodes.shape[0] > max_candidates:
-        keep = np.argsort(-weights, kind="stable")[:max_candidates]
+    if nodes.shape[0] > MAX_CANDIDATES:
+        keep = np.argsort(-weights, kind="stable")[:MAX_CANDIDATES]
         keep.sort()
         nodes, weights = nodes[keep], weights[keep]
         weights = weights / weights.sum()
@@ -216,14 +219,19 @@ class TestingSet:
         )
 
 
-def select_testing_nodes(basis, candidates, cond_bound=1e6, pivot_threshold=1e-3):
+COND_BOUND = 1e6  # largest accepted condition number of the collocation matrix
+PIVOT_THRESHOLD = 1e-3  # first relative pivot a candidate row must exceed
+
+
+def select_testing_nodes(basis, candidates):
     """Pick K candidate nodes whose collocation matrix is well conditioned.
 
     Candidates are visited in order of decreasing quadrature weight (ties
     broken by coordinates, so the choice is deterministic) and accepted
     when the orthogonalized remainder of their basis row exceeds the pivot
-    threshold relative to the row norm. The threshold is relaxed stepwise
-    if the scan cannot fill all K slots.
+    threshold (``PIVOT_THRESHOLD``) relative to the row norm. The threshold
+    is relaxed stepwise if the scan cannot fill all K slots. A selection
+    whose condition number exceeds ``COND_BOUND`` raises GpcError.
     """
     K = basis.size
     if candidates.count < K:
@@ -232,7 +240,7 @@ def select_testing_nodes(basis, candidates, cond_bound=1e6, pivot_threshold=1e-3
     order = np.lexsort(keys + (-candidates.weights,))
     rows_all = basis.eval(candidates.nodes[order])  # (M, K)
 
-    threshold = pivot_threshold
+    threshold = PIVOT_THRESHOLD
     while True:
         picked = []
         ortho = np.zeros((K, K))
@@ -259,7 +267,7 @@ def select_testing_nodes(basis, candidates, cond_bound=1e6, pivot_threshold=1e-3
     nodes = candidates.nodes[sel]
     V = rows_all[picked]
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > cond_bound:
+    if not np.isfinite(cond) or cond > COND_BOUND:
         raise GpcError(f"collocation matrix too ill-conditioned: cond = {cond:.3e}")
     return TestingSet(basis, nodes, V, np.linalg.inv(V), cond)
 

@@ -20,7 +20,6 @@ bisection floor are flagged, not raised, in batched runs.
 ``solve_nominal`` solves the nominal circuit, where every analysis starts.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +69,6 @@ class PssSolution:
             "residual_norm": np.asarray(self.residual_norm).tolist(),
             "converged": np.asarray(self.converged).tolist(),
         }
-
-    def to_json(self):
-        return json.dumps(self.summary(), indent=2)
 
 
 class CircuitDae:
@@ -125,9 +121,11 @@ def _norm_inf(g):
 
 
 MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
+MAX_ITER = 50  # shooting Newton iterations before a solve gives up
+SCALE_FLOOR = 1e-6  # an oscillator's period scaling must stay above this
 
 
-def damped_newton(u0, run, newton_step, tol, max_iter):
+def damped_newton(u0, run, newton_step, tol):
     """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
 
     ``run(u, idle)`` returns ``(g, norm, aux)``: the residual, its infinity
@@ -138,6 +136,7 @@ def damped_newton(u0, run, newton_step, tol, max_iter):
     the first trial whose norm is finite and lower. A sample whose residual
     or step is not finite, or that has not improved after ``MAX_HALVINGS``
     halvings, stalls; it keeps its iterate, residual and norm from then on.
+    At most ``MAX_ITER`` iterations are taken.
     Converged samples keep their iterate in every trial, so the last trial
     is the residual at the new iterates; its ``aux`` is meaningless for the
     stalled samples.
@@ -152,7 +151,7 @@ def damped_newton(u0, run, newton_step, tol, max_iter):
     gn = np.asarray(gn)
     stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
     history = [(u.copy(), gn.copy(), None)]
-    while len(history) <= max_iter:
+    while len(history) <= MAX_ITER:
         pending = ~(gn <= tol) & ~stalled
         if not np.any(pending):
             break
@@ -211,13 +210,13 @@ class Shooting:
     problem (``phase`` None) has unknown y and residual phi(y) - y. An
     oscillator has unknown (y, a): the right-hand side is scaled by a, the
     residual gains the phase row y_j - value, and the Jacobian is bordered.
-    A residual is unusable (norm inf) where a is not above ``scale_floor``
+    A residual is unusable (norm inf) where a is not above ``SCALE_FLOOR``
     or where a batched integration flagged the sample.
     """
 
     def __init__(
         self, instance, horizon, phase=None, scheme=TRAPEZOIDAL, n_steps=200,
-        newton=NewtonOptions(), scale_floor=1e-6,
+        newton=NewtonOptions(),
     ):
         self.sys = CircuitDae(instance, scale=None if phase is None else 1.0)
         self.horizon = horizon
@@ -226,15 +225,14 @@ class Shooting:
         self.scheme = scheme
         self.n_steps = n_steps
         self.newton = newton
-        self.scale_floor = scale_floor
 
     def run(self, u, idle):
         n = self.sys.ndim
         y = u[..., :n]
         unusable = np.zeros(u.shape[:-1], dtype=bool)
         if self.phase is not None:
-            unusable = u[..., n] <= self.scale_floor  # period scaling must stay positive
-            self.sys.scale = np.maximum(u[..., n], self.scale_floor)
+            unusable = u[..., n] <= SCALE_FLOOR  # period scaling must stay positive
+            self.sys.scale = np.maximum(u[..., n], SCALE_FLOOR)
         traj = integrate(
             self.sys, y, 0.0, self.horizon, scheme=self.scheme, n_steps=self.n_steps,
             newton=self.newton, stabilized_start=True, frozen=idle if idle.ndim else None,
@@ -266,7 +264,6 @@ def solve_forced(
     tol=1e-5,
     scheme=TRAPEZOIDAL,
     n_steps=200,
-    max_iter=50,
     newton=NewtonOptions(),
 ):
     """Shooting Newton for the periodic steady state of a driven circuit."""
@@ -278,7 +275,7 @@ def solve_forced(
     if instance.batch_size > 1 and y0.ndim == 1:
         y0 = np.broadcast_to(y0, (instance.batch_size, y0.size)).copy()
     problem = Shooting(instance, period, None, scheme, n_steps, newton)
-    y, g, gn, traj, history = damped_newton(y0, problem.run, problem.newton_step, tol, max_iter)
+    y, g, gn, traj, history = damped_newton(y0, problem.run, problem.newton_step, tol)
     converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
@@ -295,9 +292,7 @@ def solve_autonomous(
     tol=1e-5,
     scheme=TRAPEZOIDAL,
     n_steps=200,
-    max_iter=50,
     newton=NewtonOptions(),
-    scale_floor=1e-6,
 ):
     """Shooting Newton for an oscillator: unknowns are (y, period scale).
 
@@ -319,8 +314,8 @@ def solve_autonomous(
     if batch and y0.ndim == 1:
         y0 = np.broadcast_to(y0, batch + (n,)).copy()
     u0 = np.concatenate([y0, np.ones(batch + (1,))], axis=-1)
-    problem = Shooting(instance, period_guess, phase, scheme, n_steps, newton, scale_floor)
-    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol, max_iter)
+    problem = Shooting(instance, period_guess, phase, scheme, n_steps, newton)
+    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
     converged = gn <= tol
     if not np.any(converged):
         raise ConvergenceError(
@@ -359,8 +354,6 @@ class EstimatedPeriod:
     period: float
     level: float
     y0: np.ndarray
-    state_index: int
-    angular_frequency: float
 
 
 def _oscillation_frequency(instance, x_dc):
@@ -381,45 +374,41 @@ def _oscillation_frequency(instance, x_dc):
     return float(abs(best.imag)), float(best.real)
 
 
-def estimate_period(
-    instance,
-    state_index,
-    n_periods=40,
-    settle_fraction=0.5,
-    ltol=1e-5,
-    kick=0.01,
-    scheme=TRAPEZOIDAL,
-    min_swing=1e-9,
-):
+SETTLE_FRACTION = 0.5  # share of the estimate's transient discarded as settling
+ESTIMATE_LTOL = 1e-5  # local error tolerance of the estimate's adaptive transient
+KICK = 0.01  # start-up perturbation, relative to 1 + the largest DC state
+MIN_SWING = 1e-9  # smallest swing, relative to 1 + |DC level|, taken as oscillation
+
+
+def estimate_period(instance, state_index, n_periods=40):
     """Estimate an oscillator's period, phase level, and on-cycle state.
 
-    Runs a transient from the perturbed DC point, discards the settling
-    span, sets the level to the waveform mid-range and measures the mean
-    spacing of its rising crossings (linearly interpolated). The returned
-    state is the trajectory interpolated at the last crossing, a
-    convenient shooting initial guess.
+    Runs a trapezoidal transient of ``n_periods`` linearized periods from
+    the perturbed DC point, discards the settling span, sets the level to
+    the waveform mid-range and measures the mean spacing of its rising
+    crossings (linearly interpolated). The returned state is the
+    trajectory interpolated at the last crossing, a convenient shooting
+    initial guess.
     """
     x_dc = dc_operating_point(instance)
-    omega, growth = _oscillation_frequency(instance, x_dc)
+    omega, _ = _oscillation_frequency(instance, x_dc)
     t_lin = 2.0 * np.pi / omega
     t_end = n_periods * t_lin
     # perturb only states that carry charge/flux: kicking algebraic states
     # gives an inconsistent DAE initial condition
     ev = instance.eval_dae(x_dc, 0.0)
     differential = np.any(np.abs(ev.dq_dx) > 0.0, axis=0)
-    x_start = x_dc + differential * kick * (1.0 + np.max(np.abs(x_dc)))
+    x_start = x_dc + differential * KICK * (1.0 + np.max(np.abs(x_dc)))
     sys = CircuitDae(instance)
     # a few backward-Euler steps damp the leftover constraint mismatch
     # before the (non L-stable) trapezoidal rule takes over
     pre = integrate(sys, x_start, 0.0, t_lin / 100.0, scheme=BACKWARD_EULER, n_steps=4)
-    traj = integrate(
-        sys, pre.end, pre.times[-1], t_end, scheme=scheme, ltol=ltol, h0=t_lin / 200.0
-    )
-    keep = traj.times >= settle_fraction * t_end
+    traj = integrate(sys, pre.end, pre.times[-1], t_end, ltol=ESTIMATE_LTOL, h0=t_lin / 200.0)
+    keep = traj.times >= SETTLE_FRACTION * t_end
     t = traj.times[keep]
     wave = traj.states[keep, state_index]
     lo, hi = wave.min(), wave.max()
-    if hi - lo < min_swing * (1.0 + np.abs(x_dc[state_index])):
+    if hi - lo < MIN_SWING * (1.0 + np.abs(x_dc[state_index])):
         raise OscillationError(
             f"no oscillation detected on state {state_index} "
             f"(peak-to-peak {hi - lo:.3e})"
@@ -436,4 +425,4 @@ def estimate_period(
     k_last = idx[-1]
     states = traj.states[keep]
     y0 = states[k_last] + frac[-1] * (states[k_last + 1] - states[k_last])
-    return EstimatedPeriod(period, float(level), y0, state_index, omega)
+    return EstimatedPeriod(period, float(level), y0)

@@ -29,19 +29,12 @@ because both linearize the same discrete map:
   is the only place the stacked DAE is evaluated.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gpc import GpcCoefficients, moments
-from .shooting import (
-    CircuitDae,
-    Shooting,
-    damped_newton,
-    shooting_jacobian,
-    solve_nominal,
-)
+from .shooting import CircuitDae, Shooting, damped_newton, shooting_jacobian
 from .transient import (
     ConvergenceError,
     NewtonOptions,
@@ -103,34 +96,27 @@ class StackedSystem:
         return CircuitDae(self.instances, scale=scale)
 
     def eval(self, w, t):
-        """Stacked (Q, F): the stacked DAE can still be integrated directly,
-        as the reference for the node-space run."""
-        ev = self.instances.eval_dae(self.node_states(w), t)
-        F = ev.f - ev.bu
-        if self.kind == "autonomous":
-            F = self.node_scales()[:, None] * F
-        return ev.q.ravel(), F.ravel()
+        """Stacked (Q, F): the node circuits' at the surrogate states, so the
+        stacked DAE can still be integrated directly, as the reference for
+        the node-space run."""
+        q, F = self.node_dae().eval(self.node_states(w), t)
+        return q.ravel(), F.ravel()
 
     def eval_with_jac(self, w, t):
-        ev = self.instances.eval_dae(self.node_states(w), t)
-        F = ev.f - ev.bu
-        dF = ev.df_dx
-        if self.kind == "autonomous":
-            a = self.node_scales()
-            F = a[:, None] * F
-            dF = a[:, None, None] * dF
+        """Stacked (Q, F) and their Jacobians in coefficient space: each node
+        Jacobian times that node's row of V."""
+        q, F, dq, dF = self.node_dae().eval_with_jac(self.node_states(w), t)
         V = self.testing.vandermonde
         nK = self.ndim
-        dQ = np.einsum("kab,kj->kajb", ev.dq_dx, V).reshape(nK, nK)
+        dQ = np.einsum("kab,kj->kajb", dq, V).reshape(nK, nK)
         dFc = np.einsum("kab,kj->kajb", dF, V).reshape(nK, nK)
-        return ev.q.ravel(), F.ravel(), dQ, dFc
+        return q.ravel(), F.ravel(), dQ, dFc
 
     def dF_dscale(self, w, t):
         """Derivative of the stacked F w.r.t. the scaling coefficients."""
         if self.kind != "autonomous":
             raise ValueError("scaling sensitivity only exists for oscillators")
-        ev = self.instances.eval_dae(self.node_states(w), t)
-        base = ev.f - ev.bu  # (K, n)
+        base = self.node_dae().dF_dscale(self.node_states(w), t)[..., 0]  # (K, n)
         V = self.testing.vandermonde
         return np.einsum("ka,kj->kaj", base, V).reshape(self.ndim, self.K)
 
@@ -245,23 +231,6 @@ class StochasticPssSolution:
             out["period"] = float(self.period)
         return out
 
-    def to_json(self):
-        return json.dumps(self.summary(), indent=2)
-
-    def waveform_csv(self, path, state_names=None):
-        """Coefficient waveforms: time, then n*K columns, block-major.
-
-        Column ``c<k>[<state>]`` is the k-th chaos coefficient (1-based,
-        index-set order) of that state.
-        """
-        K = self.coeffs.basis.size
-        n = self.trajectory.states.shape[-1] // K
-        names = state_names or [f"x{i}" for i in range(n)]
-        header = ["time"] + [f"c{k + 1}[{nm}]" for k in range(K) for nm in names]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, row in zip(self.trajectory.times, self.trajectory.states):
-                fh.write(",".join(f"{v:.17g}" for v in [t, *row]) + "\n")
 
 
 def _iteration_log(history):
@@ -271,7 +240,7 @@ def _iteration_log(history):
     return log
 
 
-def _shoot(system, engine, u0, mode, tol, max_iter):
+def _shoot(system, engine, u0, mode, tol):
     """Damped Newton on the coefficient unknowns through the node engine.
 
     The unknown is the n*K state coefficients followed, for oscillators,
@@ -311,7 +280,7 @@ def _shoot(system, engine, u0, mode, tol, max_iter):
             raise ConvergenceError("singular shooting Jacobian")
         return delta
 
-    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, tol, max_iter)
+    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, tol)
     if not gn <= tol:
         raise ConvergenceError(f"stochastic {system.kind} shooting stalled at residual {gn:.3e}")
     scale = None
@@ -348,31 +317,25 @@ def nominal_guess(system, nominal):
 
 def shoot_forced(
     system,
-    coeff_guess=None,
+    coeff_guess,
     tol=1e-5,
     mode="decoupled",
     scheme=TRAPEZOIDAL,
     n_steps=200,
-    max_iter=50,
     newton=NewtonOptions(),
 ):
     """Solve the stochastic shooting problem of a driven circuit.
 
     Returns the chaos coefficients of x(0) with the one-period coefficient
-    trajectory. The guess defaults to the nominal solution in block 1.
-    ``mode`` picks the Jacobian path: ``coupled`` builds the dense stacked
-    monodromy, ``decoupled`` solves the K per-node shooting systems after
-    the V transform; both perform exact Newton on the same discrete
-    equations.
+    trajectory, starting from ``coeff_guess`` (``nominal_guess`` of the
+    nominal solution, say). ``mode`` picks the Jacobian path: ``coupled``
+    builds the dense stacked monodromy, ``decoupled`` solves the K per-node
+    shooting systems after the V transform; both perform exact Newton on
+    the same discrete equations.
     """
-    opts = dict(scheme=scheme, n_steps=n_steps, newton=newton)
-    if coeff_guess is None:
-        coeff_guess = nominal_guess(
-            system, solve_nominal(system.circuit, system.period, tol=tol, **opts)
-        )
-    engine = Shooting(system.instances, system.period, **opts)
+    engine = Shooting(system.instances, system.period, None, scheme, n_steps, newton)
     u0 = np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K)
-    return _shoot(system, engine, u0, mode, tol, max_iter)
+    return _shoot(system, engine, u0, mode, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +351,7 @@ def shoot_autonomous(
     mode="decoupled",
     scheme=TRAPEZOIDAL,
     n_steps=200,
-    max_iter=50,
     newton=NewtonOptions(),
-    scale_floor=1e-6,
 ):
     """Solve the stochastic shooting problem of an oscillator.
 
@@ -403,11 +364,9 @@ def shoot_autonomous(
     nodes; the coupled mode assembles the dense (nK+K) Jacobian from the
     stacked monodromy and the scaling-sensitivity recursion.
     """
-    engine = Shooting(
-        system.instances, system.nominal_period, phase, scheme, n_steps, newton, scale_floor
-    )
+    engine = Shooting(system.instances, system.nominal_period, phase, scheme, n_steps, newton)
     u0 = np.concatenate([
         np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K),
         np.asarray(scale_guess, dtype=float),
     ])
-    return _shoot(system, engine, u0, mode, tol, max_iter)
+    return _shoot(system, engine, u0, mode, tol)

@@ -67,8 +67,11 @@ def scheme_by_name(name):
 @dataclass(frozen=True)
 class NewtonOptions:
     tol: float = 1e-9  # used as both absolute and relative threshold
-    max_iter: int = 50
-    h_min: float = 1e-15
+
+
+STEP_MAX_ITER = 50  # Newton iterations per implicit step
+H_MIN = 1e-15  # smallest step a bisection or the adaptive control may take
+MAX_POINTS = 2_000_000  # grid points an adaptive run may record
 
 
 @dataclass
@@ -96,16 +99,6 @@ class Trajectory:
     @property
     def n_points(self):
         return self.times.size
-
-    def to_csv(self, path, names=None):
-        width = self.states.shape[-1]
-        if self.states.ndim != 2:
-            raise ValueError("CSV export is for unbatched trajectories")
-        names = names or [f"w{i}" for i in range(width)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["time"] + list(names)) + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(",".join(f"{v:.17g}" for v in [t, *row]) + "\n")
 
 
 def batched_solve(J, R):
@@ -143,7 +136,7 @@ def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=N
     w = np.array(w_prev, copy=True)
     skip = np.zeros(w.shape[:-1], dtype=bool) if ignore is None else ignore
     converged = skip.copy()
-    for _ in range(opts.max_iter):
+    for _ in range(STEP_MAX_ITER):
         q, f, dq, df = system.eval_with_jac(w, t_new)
         r = q - q_prev + h * (g1 * f + g2 * f_prev)
         r = np.where(np.isfinite(r), r, 1e300)
@@ -186,7 +179,6 @@ def integrate(
     ltol=None,
     newton=NewtonOptions(),
     h0=None,
-    max_points=2_000_000,
     stabilized_start=False,
     frozen=None,
 ):
@@ -196,7 +188,7 @@ def integrate(
     with local-truncation-error control by step doubling) must be given.
     Batched initial states integrate in lockstep on a shared grid. On a
     fixed grid a step that fails for any sample is bisected for the whole
-    batch, exactly as an unbatched step is, down to the floor (``h_min``
+    batch, exactly as an unbatched step is, down to the floor (``H_MIN``
     or 40 halvings). A sample that still fails there raises in an
     unbatched run; in a batched run it is frozen at the start of the grid
     step, the step is taken again for the other samples without the
@@ -236,7 +228,7 @@ def integrate(
             system, w, t, h, sch, newton, qf_prev, ignore=failed
         )
         if not np.all(conv):
-            if h * 0.5 < newton.h_min or depth > 40:
+            if h * 0.5 < H_MIN or depth > 40:
                 if not batched:
                     _raise_step_failure(system, w, t, h)
                 raise _FloorFailure(~conv)
@@ -293,9 +285,9 @@ def integrate(
                 first = False
             else:
                 h *= max(0.05, 0.9 * (ltol / err) ** err_exp) if ok else 0.25
-                if h < newton.h_min:
+                if h < H_MIN:
                     _raise_step_failure(system, w, t, h)
-            if len(times) > max_points:
+            if len(times) > MAX_POINTS:
                 raise ConvergenceError("adaptive grid exceeded the point budget")
 
     return Trajectory(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pssuq.analysis as analysis
 from pssuq import load_netlist, parse_netlist
 from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous, solve_nominal
@@ -114,6 +115,30 @@ def lna_perturbed():
     system = assemble_forced(circuit, basis, testing)
     guess = nominal_guess(system, solve_nominal(circuit, n_steps=200)).ravel()
     return system, guess + 1e-3 * np.random.default_rng(0).normal(size=guess.size)
+
+
+def nominal_start(system, tol=1e-5, n_steps=200):
+    """``shoot_forced``'s coefficient guess: the nominal solution, solved
+    over the system's period with the same tolerance and grid, in block 1."""
+    nominal = solve_nominal(system.circuit, system.period, tol=tol, n_steps=n_steps)
+    return nominal_guess(system, nominal)
+
+
+def draws_with_short(monkeypatch, rows, drop=False):
+    """Make Monte Carlo draws put a shorted resistor (xi = -1) at ``rows``,
+    or leave those draws out with ``drop``. The other draws stay at
+    xi >= -0.5: near the short the RC pole is fast and unstable enough
+    that shooting fails on its own."""
+    draw = analysis.draw_standardized
+
+    def patched(dists, seed, count, offset=0):
+        xi = np.maximum(draw(dists, seed, count + (len(rows) if drop else 0), offset), -0.5)
+        if drop:
+            return np.delete(xi, rows, axis=0)
+        xi[rows] = -1.0
+        return xi
+
+    monkeypatch.setattr(analysis, "draw_standardized", patched)
 
 
 # acceptance-criterion results, emitted after the run regardless of capture

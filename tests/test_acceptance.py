@@ -41,7 +41,7 @@ from pssuq.stpss import (
 )
 from pssuq.transient import integrate, transition_chain
 
-from conftest import CIRCUITS_DIR
+from conftest import CIRCUITS_DIR, nominal_start
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)
@@ -122,7 +122,7 @@ def test_criterion_3_jacobian_fidelity(rectifier, colpitts, colpitts_nominal):
         basis = build_basis([s for _, s in rectifier.random_params], 2)
         testing = select_testing_nodes(basis, tensor_rule(basis, 3))
         fsys = assemble_forced(rectifier, basis, testing)
-        fsol = shoot_forced(fsys, n_steps=100)
+        fsol = shoot_forced(fsys, nominal_start(fsys, n_steps=100), n_steps=100)
         y = fsol.iterates[-1]
 
         def forced_end(w):
@@ -169,8 +169,9 @@ def test_criterion_4_coupled_equals_decoupled(rectifier, colpitts, colpitts_nomi
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
         assert basis.size == 10
         sys_f = assemble_forced(rectifier, basis, testing)
-        sol_d = shoot_forced(sys_f, mode="decoupled", n_steps=200)
-        sol_c = shoot_forced(sys_f, mode="coupled", n_steps=200)
+        guess_f = nominal_start(sys_f)
+        sol_d = shoot_forced(sys_f, guess_f, mode="decoupled", n_steps=200)
+        sol_c = shoot_forced(sys_f, guess_f, mode="coupled", n_steps=200)
         assert sol_d.iterations == sol_c.iterations
         scale = np.abs(sol_d.iterates[-1]).max()
         for a, b in zip(sol_d.iterates, sol_c.iterates):
@@ -198,7 +199,8 @@ def test_criterion_5_st_vs_mc_forced(rectifier):
     with _Budget("criterion 5: chaos vs Monte Carlo, driven circuit", 600.0):
         basis = build_basis([s for _, s in rectifier.random_params], 3)
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
-        sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=200)
+        sys_f = assemble_forced(rectifier, basis, testing)
+        sol = shoot_forced(sys_f, nominal_start(sys_f), n_steps=200)
         ws = waveform_stats(sol)
         nominal = solve_nominal(rectifier, n_steps=200)
         run_ = monte_carlo(rectifier, nominal, 10_000, seed=101, n_steps=200)

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import pssuq.analysis as analysis
 from pssuq import parse_netlist
 from pssuq.analysis import (
     avg_power,
@@ -26,7 +25,7 @@ from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
 from pssuq.shooting import solve_nominal
 from pssuq.transient import Trajectory
 
-from conftest import SHORTED_AT_A_NODE
+from conftest import SHORTED_AT_A_NODE, draws_with_short, nominal_start
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)
@@ -182,7 +181,8 @@ def test_waveform_stats_single_block_is_deterministic():
 def test_waveform_stats_match_mc_on_rectifier(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 3)
     testing = select_testing_nodes(basis, tensor_rule(basis, 4))
-    sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=100)
+    system = assemble_forced(rectifier, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     ws = waveform_stats(sol)
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 4000, seed=11, n_steps=100)
     mc_mean, mc_std = run.waveform_mean_std()
@@ -235,7 +235,8 @@ def test_metric_distribution_needs_enough_samples():
 def test_surrogate_waveforms_shape(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=64)
+    system = assemble_forced(rectifier, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
     xi = draw_standardized([s for _, s in rectifier.random_params], 0, 7)
     waves = surrogate_waveforms(sol, xi, rectifier.node_state("out"))
     assert waves.shape == (7, sol.trajectory.times.size)
@@ -290,7 +291,8 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
 
     basis = build_basis([s for _, s in rc_circuit.random_params], 0)
     testing = select_testing_nodes(basis, tensor_rule(basis, 1))
-    sol = shoot_forced(assemble_forced(rc_circuit, basis, testing), n_steps=100)
+    system = assemble_forced(rc_circuit, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     ws = waveform_stats(sol)
     det = _solve(rc_circuit.realize_nominal(), 1e-3, n_steps=100)
     assert np.abs(ws.mean - det.trajectory.states).max() < 1e-10
@@ -300,7 +302,8 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
 def test_uq_report_forced(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    sol = shoot_forced(assemble_forced(rectifier, basis, testing), n_steps=100)
+    system = assemble_forced(rectifier, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 1000, seed=21, n_steps=100)
     report = build_uq_report(sol, run)
     assert report.max_rel_mean_delta < 0.05
@@ -310,33 +313,16 @@ def test_uq_report_forced(rectifier):
     assert summary["mc_samples"] == 1000
 
 
-def _draws_with_short(monkeypatch, rows, drop=False):
-    """Make Monte Carlo draws put a shorted resistor (xi = -1) at ``rows``,
-    or leave those draws out with ``drop``. The other draws stay at
-    xi >= -0.5: near the short the RC pole is fast and unstable enough
-    that shooting fails on its own."""
-    draw = analysis.draw_standardized
-
-    def patched(dists, seed, count, offset=0):
-        xi = np.maximum(draw(dists, seed, count + (len(rows) if drop else 0), offset), -0.5)
-        if drop:
-            return np.delete(xi, rows, axis=0)
-        xi[rows] = -1.0
-        return xi
-
-    monkeypatch.setattr(analysis, "draw_standardized", patched)
-
-
 def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
     """A sample that cannot be integrated is flagged, keeps the batch on
     the uniform grid and changes no statistic of the others."""
     c = parse_netlist(SHORTED_AT_A_NODE)
-    _draws_with_short(monkeypatch, [7])
+    draws_with_short(monkeypatch, [7])
     with np.errstate(divide="ignore", invalid="ignore"):
         run = monte_carlo(c, solve_nominal(c, n_steps=64), 100, seed=3, n_steps=64)
     assert np.nonzero(run.failed)[0].tolist() == [7]
     assert run.times.size == 65
-    _draws_with_short(monkeypatch, [7], drop=True)
+    draws_with_short(monkeypatch, [7], drop=True)
     sound = monte_carlo(c, solve_nominal(c, n_steps=64), 99, seed=3, n_steps=64)
     assert not sound.failed.any()
     assert np.array_equal(run.times, sound.times)
@@ -344,7 +330,8 @@ def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     basis = build_basis([s for _, s in c.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    sol = shoot_forced(assemble_forced(c, basis, testing), n_steps=64)
+    system = assemble_forced(c, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
     report = build_uq_report(sol, run)
     assert report.times.size == 65 and report.mc_samples == 100
     assert report.max_rel_mean_delta == build_uq_report(sol, sound).max_rel_mean_delta
@@ -354,7 +341,8 @@ def test_uq_report_compares_on_shared_time_points(rc_circuit):
     """Points a bisected step added to one grid are left out of the deltas."""
     basis = build_basis([s for _, s in rc_circuit.random_params], 1)
     testing = select_testing_nodes(basis, tensor_rule(basis, 2))
-    sol = shoot_forced(assemble_forced(rc_circuit, basis, testing), n_steps=50)
+    system = assemble_forced(rc_circuit, basis, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=50), n_steps=50)
     run = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=50), 20, seed=4, n_steps=50)
     base = build_uq_report(sol, run)
     quarter = run.times[10] + np.array([0.25, 0.5, 0.75]) * (run.times[11] - run.times[10])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pssuq import cli, shooting, stpss
+from pssuq import cli, load_netlist, shooting, stpss
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -21,8 +21,9 @@ from pssuq.cli import (
     speedup_sweep,
     synthetic_ladder,
 )
+from pssuq.shooting import solve_nominal
 
-from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE
+from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short
 
 
 def _cfg(tmp_path, **kw):
@@ -54,6 +55,23 @@ def test_config_validation(tmp_path):
         load_config(_cfg(tmp_path, mode="sideways"))
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("st-forced", "gpc_order", "3"),
+        ("st-forced", "gpc_order", 2.5),
+        ("st-forced", "steps_per_period", None),
+        ("mc", "mc_samples", "10"),
+        ("convergence", "orders", ["x"]),
+    ],
+)
+def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):
+    cfg = _cfg(tmp_path, **{field: value})
+    code = run(command, CIRCUITS_DIR / "rectifier.cir", cfg, tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
 def test_netlist_required_except_speedup(tmp_path, capsys):
     cfg = _cfg(tmp_path, gpc_order=1)
     assert run("st-forced", None, cfg, tmp_path / "out") == EXIT_CONFIG
@@ -68,7 +86,14 @@ def test_pss_forced_on_rectifier(tmp_path):
     sol = json.loads((out / "solution.json").read_text())
     assert max(np.atleast_1d(sol["residual_norm"])) <= 1e-5
     assert sol["iterations"] <= 10
-    assert (out / "trajectory.csv").exists()
+    # one row per grid point, the last one the end state of the same solve
+    circuit = load_netlist(CIRCUITS_DIR / "rectifier.cir")
+    traj = solve_nominal(circuit, n_steps=100).trajectory
+    lines = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert lines[0] == ",".join(["time"] + circuit.state_names)
+    assert len(lines) == traj.n_points + 1
+    last = np.array(lines[-1].split(","), dtype=float)
+    assert last[0] == pytest.approx(traj.times[-1]) and last[1:] == pytest.approx(traj.end)
 
 
 def test_manifest_lists_all_outputs_with_hashes(tmp_path):
@@ -137,6 +162,20 @@ def test_mc_command(tmp_path, rc_circuit):
     assert code == EXIT_OK
     info = json.loads((out / "mc.json").read_text())
     assert info["samples"] == 64 and info["failures"] == 0
+
+
+def test_mc_past_its_failure_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # one shorted sample of 50 is 2% failed, over the 1% a run tolerates
+    netlist = tmp_path / "shorted.cir"
+    netlist.write_text(SHORTED_AT_A_NODE)
+    draws_with_short(monkeypatch, [7])
+    cfg = _cfg(tmp_path, mc_samples=50, steps_per_period=64)
+    out = tmp_path / "out"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run("mc", netlist, cfg, out) == 3
+    assert "Monte Carlo samples failed" in capsys.readouterr().err
+    assert "FAILED: 2.0% of Monte Carlo samples failed" in (out / "summary.txt").read_text()
+    assert "summary.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
 
 
 def test_compare_command_structure(tmp_path):

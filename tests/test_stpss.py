@@ -24,7 +24,7 @@ from pssuq.transient import (
     transition_chain,
 )
 
-from conftest import SHORTED_AT_A_NODE
+from conftest import SHORTED_AT_A_NODE, nominal_start
 
 
 def _setup(circuit, order):
@@ -243,7 +243,7 @@ def test_j12_matches_finite_differences_vdp(vdp_random, vdp_nominal):
 def test_shoot_forced_p0_equals_deterministic(rc_circuit):
     basis, testing = _setup(rc_circuit, 0)
     sys = assemble_forced(rc_circuit, basis, testing)
-    sol = shoot_forced(sys, n_steps=200)
+    sol = shoot_forced(sys, nominal_start(sys), n_steps=200)
     det = solve_forced(rc_circuit.realize(testing.nodes[0]), 1e-3, n_steps=200)
     assert np.abs(sol.coeffs.blocks[0] - det.y).max() < 1e-12
 
@@ -251,7 +251,7 @@ def test_shoot_forced_p0_equals_deterministic(rc_circuit):
 def test_shoot_forced_rc_matches_phasor_quadrature(rc_circuit):
     basis, testing = _setup(rc_circuit, 3)
     sys = assemble_forced(rc_circuit, basis, testing)
-    sol = shoot_forced(sys, n_steps=4000)
+    sol = shoot_forced(sys, nominal_start(sys, n_steps=4000), n_steps=4000)
     m = moments(sol.coeffs)
     # quadrature of the closed-form phasor solution over the resistance
     nodes, wts = gauss_rule("legendre", 10)
@@ -272,8 +272,9 @@ def test_coupled_equals_decoupled_rectifier(rectifier):
     basis, testing = _setup(rectifier, 3)
     assert basis.size == 10
     sys = assemble_forced(rectifier, basis, testing)
-    sol_d = shoot_forced(sys, mode="decoupled", n_steps=200)
-    sol_c = shoot_forced(sys, mode="coupled", n_steps=200)
+    guess = nominal_start(sys)
+    sol_d = shoot_forced(sys, guess, mode="decoupled", n_steps=200)
+    sol_c = shoot_forced(sys, guess, mode="coupled", n_steps=200)
     assert sol_d.iterations == sol_c.iterations
     scale = np.abs(sol_d.iterates[-1]).max()
     for a, b in zip(sol_d.iterates, sol_c.iterates):
@@ -283,7 +284,7 @@ def test_coupled_equals_decoupled_rectifier(rectifier):
 def test_per_node_residuals_reported(rectifier):
     basis, testing = _setup(rectifier, 2)
     sys = assemble_forced(rectifier, basis, testing)
-    sol = shoot_forced(sys, n_steps=200)
+    sol = shoot_forced(sys, nominal_start(sys), n_steps=200)
     assert sol.per_node_residuals.shape == (basis.size,)
     assert np.all(sol.per_node_residuals < 1e-4)
 
@@ -293,7 +294,7 @@ def test_surrogate_reproduces_deterministic_pss(rectifier):
     tol = 1e-5
     basis, testing = _setup(rectifier, 2)
     sys = assemble_forced(rectifier, basis, testing)
-    sol = shoot_forced(sys, tol=tol, n_steps=200)
+    sol = shoot_forced(sys, nominal_start(sys, tol=tol), tol=tol, n_steps=200)
     for k in (0, basis.size - 1):
         xi = testing.nodes[k]
         surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
@@ -457,7 +458,7 @@ def test_failing_testing_node_names_its_cause(mode):
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError, match=expect):
-            shoot_forced(sys, mode=mode, n_steps=64)
+            shoot_forced(sys, nominal_start(sys, n_steps=64), mode=mode, n_steps=64)
 
 
 def _record_solve_orders(monkeypatch):
@@ -520,7 +521,7 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
     basis, testing = _setup(circuit, 3)
     assert (circuit.n, basis.size) == (100, 35)
     sys = assemble_forced(circuit, basis, testing, period=1e-3)
-    sol = shoot_forced(sys, tol=tol, n_steps=40)
+    sol = shoot_forced(sys, nominal_start(sys, tol=tol, n_steps=40), tol=tol, n_steps=40)
     assert sol.converged and sol.residual_norm <= tol
     xi = testing.nodes[-1]
     surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks

@@ -157,17 +157,6 @@ def test_chain_identity_for_zero_rhs():
     assert np.allclose(M, np.eye(2))
 
 
-def test_csv_export(tmp_path):
-    traj = integrate(ScalarDecay(), np.array([1.0]), 0.0, 0.1, TRAPEZOIDAL, n_steps=4)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, ["w"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,w"
-    assert len(lines) == 6
-    t, w = map(float, lines[-1].split(","))
-    assert t == pytest.approx(0.1) and w == pytest.approx(traj.end[0])
-
-
 class Explodes:
     ndim = 1
 
