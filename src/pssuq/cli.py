@@ -328,7 +328,9 @@ def _cmd_pss_osc(rep, circuit, cfg):
 
 
 def _write_trajectory(rep, name, header, traj):
-    rep.write_csv(name, ["time"] + header, ([t, *row] for t, row in zip(traj.times, traj.states)))
+    return rep.write_csv(
+        name, ["time"] + header, ([t, *row] for t, row in zip(traj.times, traj.states))
+    )
 
 
 def _write_pss_outputs(rep, circuit, sol):

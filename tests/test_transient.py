@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pssuq import parse_netlist
+from pssuq import cli, parse_netlist
 from pssuq.shooting import CircuitDae
 from pssuq.transient import (
     BACKWARD_EULER,
@@ -155,6 +155,16 @@ def test_chain_identity_for_zero_rhs():
     traj = integrate(sys, np.array([1.0, 2.0]), 0.0, 1.0, TRAPEZOIDAL, n_steps=50)
     M, _ = transition_chain(sys, traj)
     assert np.allclose(M, np.eye(2))
+
+
+def test_csv_export(tmp_path):
+    traj = integrate(ScalarDecay(), np.array([1.0]), 0.0, 0.1, TRAPEZOIDAL, n_steps=4)
+    path = cli._write_trajectory(cli.Reporter(tmp_path), "traj.csv", ["w"], traj)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "time,w"
+    assert len(lines) == 6
+    t, w = map(float, lines[-1].split(","))
+    assert t == pytest.approx(0.1) and w == pytest.approx(traj.end[0])
 
 
 class Explodes:
