@@ -18,6 +18,10 @@ Carlo driver amortizes its sampling loop and how the stochastic solver
 take is bisected for the whole batch; samples that still fail at the
 bisection floor are flagged, not raised, in batched runs.
 ``solve_nominal`` solves the nominal circuit, where every analysis starts.
+For an oscillator it starts from ``estimate_period``, a transient kicked
+along the least-damped linearized mode and stopped once its cycle settles
+(Aprille & Trick, IEEE Trans. Circuit Theory, 1972); a converged orbit
+whose phase state does not swing (the DC point) is rejected.
 """
 
 from dataclasses import dataclass
@@ -123,6 +127,7 @@ def _norm_inf(g):
 MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
 MAX_ITER = 50  # shooting Newton iterations before a solve gives up
 SCALE_FLOOR = 1e-6  # an oscillator's period scaling must stay above this
+MIN_SWING = 1e-9  # smallest swing, relative to 1 + |level|, taken as oscillation
 
 
 def damped_newton(u0, run, newton_step, tol):
@@ -257,6 +262,14 @@ class Shooting:
         return delta
 
 
+def stationary_orbits(traj, phase):
+    """Samples of ``traj`` whose phase state swings less than ``MIN_SWING``
+    (relative to 1 + |level|) over the period: an equilibrium solves the
+    oscillator residual for every period, so such an orbit is dead."""
+    swing = np.ptp(traj.states[..., phase.index], axis=0)
+    return swing < MIN_SWING * (1.0 + abs(phase.value))
+
+
 def solve_forced(
     instance,
     period,
@@ -299,6 +312,11 @@ def solve_autonomous(
     ``phase`` pins one state at t = 0; ``period_guess`` sets the scaled
     integration horizon, and the converged period is period_guess * a.
 
+    A converged orbit along which the phase state does not swing
+    (``stationary_orbits``) is the DC equilibrium, not an oscillation: an
+    unbatched solve raises OscillationError, a batched one reports that
+    sample as not converged.
+
     Exactly conservative circuits (a lossless LC tank, say) are out of
     scope: every neighboring orbit there is periodic, so the bordered
     Jacobian is singular by construction and any period near the linear
@@ -317,6 +335,10 @@ def solve_autonomous(
     problem = Shooting(instance, period_guess, phase, scheme, n_steps, newton)
     u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
     converged = gn <= tol
+    dead = converged & stationary_orbits(traj, phase)
+    if np.ndim(dead) == 0 and dead:
+        raise OscillationError(f"shooting converged to a stationary orbit (state {phase.index})")
+    converged = converged & ~dead
     if not np.any(converged):
         raise ConvergenceError(
             f"autonomous shooting did not converge (residual {np.min(gn):.3e})"
@@ -357,72 +379,83 @@ class EstimatedPeriod:
 
 
 def _oscillation_frequency(instance, x_dc):
-    """Angular frequency of the least-damped oscillatory mode at the DC point.
+    """Angular frequency and shape of the least-damped oscillatory mode at DC.
 
-    Eigenvalues lambda of the linearized pencil -G v = lambda C v, from
-    mu = 1 / lambda, the eigenvalues of (-G)^{-1} C (G is nonsingular at a
-    DC point). The algebraic states, where C is singular, give mu = 0 up to
-    rounding (infinite lambda); they are discarded.
+    Eigenpairs of the linearized pencil -G v = lambda C v, from mu =
+    1 / lambda, the eigenvalues of (-G)^{-1} C, which has the same
+    eigenvectors (G is nonsingular at a DC point). The algebraic states,
+    where C is singular, give mu = 0 up to rounding (infinite lambda); they
+    are discarded. The mode is the eigenvector rotated so its largest entry
+    is real, whose real part is scaled to a largest entry of 1.
     """
     ev = instance.eval_dae(x_dc, 0.0)
-    mu = np.linalg.eigvals(np.linalg.solve(-ev.df_dx, ev.dq_dx))
-    lam = 1.0 / mu[np.abs(mu) > 1e-12 * np.max(np.abs(mu), initial=0.0)]
-    osc = lam[np.abs(lam.imag) > 1e-9 * (1.0 + np.abs(lam.real))]
+    mu, vecs = np.linalg.eig(np.linalg.solve(-ev.df_dx, ev.dq_dx))
+    keep = np.abs(mu) > 1e-12 * np.max(np.abs(mu), initial=0.0)
+    lam, vecs = 1.0 / mu[keep], vecs[:, keep]
+    osc = np.nonzero(np.abs(lam.imag) > 1e-9 * (1.0 + np.abs(lam.real)))[0]
     if osc.size == 0:
         raise OscillationError("no oscillatory mode at the DC operating point")
-    best = osc[np.argmax(osc.real / np.maximum(np.abs(osc), 1e-300))]
-    return float(abs(best.imag)), float(best.real)
+    k = osc[np.argmax(lam[osc].real / np.maximum(np.abs(lam[osc]), 1e-300))]
+    v = (vecs[:, k] * np.exp(-1j * np.angle(vecs[np.argmax(np.abs(vecs[:, k])), k]))).real
+    return float(abs(lam[k].imag)), v / np.max(np.abs(v))
 
 
-SETTLE_FRACTION = 0.5  # share of the estimate's transient discarded as settling
-ESTIMATE_LTOL = 1e-5  # local error tolerance of the estimate's adaptive transient
 KICK = 0.01  # start-up perturbation, relative to 1 + the largest DC state
-MIN_SWING = 1e-9  # smallest swing, relative to 1 + |DC level|, taken as oscillation
+STEPS_PER_LINEAR_PERIOD = 50  # trapezoidal steps per linearized period of the estimate
+SPACING_RTOL = 1e-3  # spread of the last three crossing spacings, relative to their mean
+SWING_RTOL = 0.01  # change of the peak-to-peak from one two-period span to the next
 
 
 def estimate_period(instance, state_index, n_periods=40):
     """Estimate an oscillator's period, phase level, and on-cycle state.
 
-    Runs a trapezoidal transient of ``n_periods`` linearized periods from
-    the perturbed DC point, discards the settling span, sets the level to
-    the waveform mid-range and measures the mean spacing of its rising
-    crossings (linearly interpolated). The returned state is the
-    trajectory interpolated at the last crossing, a convenient shooting
-    initial guess.
+    Kicks the DC point along the least-damped oscillatory mode and
+    integrates a transient, trapezoidal on ``STEPS_PER_LINEAR_PERIOD``
+    steps per linearized period, two periods at a time, until its cycle
+    has settled: the last four linearized periods hold at least four
+    rising crossings of their mid-range level (the returned level), the
+    last three crossing spacings (the period is their mean) agree within
+    ``SPACING_RTOL``, and the peak-to-peak of the last two periods is
+    within ``SWING_RTOL`` of the two before. The returned state, a shooting
+    initial guess, is interpolated at the last crossing. A transient that
+    has not settled within ``n_periods`` linearized periods, or whose swing
+    is below ``MIN_SWING``, raises OscillationError.
     """
     x_dc = dc_operating_point(instance)
-    omega, _ = _oscillation_frequency(instance, x_dc)
+    omega, mode = _oscillation_frequency(instance, x_dc)
     t_lin = 2.0 * np.pi / omega
-    t_end = n_periods * t_lin
-    # perturb only states that carry charge/flux: kicking algebraic states
-    # gives an inconsistent DAE initial condition
-    ev = instance.eval_dae(x_dc, 0.0)
-    differential = np.any(np.abs(ev.dq_dx) > 0.0, axis=0)
-    x_start = x_dc + differential * KICK * (1.0 + np.max(np.abs(x_dc)))
     sys = CircuitDae(instance)
     # a few backward-Euler steps damp the leftover constraint mismatch
     # before the (non L-stable) trapezoidal rule takes over
+    x_start = x_dc + KICK * (1.0 + np.max(np.abs(x_dc))) * mode
     pre = integrate(sys, x_start, 0.0, t_lin / 100.0, scheme=BACKWARD_EULER, n_steps=4)
-    traj = integrate(sys, pre.end, pre.times[-1], t_end, ltol=ESTIMATE_LTOL, h0=t_lin / 200.0)
-    keep = traj.times >= SETTLE_FRACTION * t_end
-    t = traj.times[keep]
-    wave = traj.states[keep, state_index]
-    lo, hi = wave.min(), wave.max()
-    if hi - lo < MIN_SWING * (1.0 + np.abs(x_dc[state_index])):
-        raise OscillationError(
-            f"no oscillation detected on state {state_index} "
-            f"(peak-to-peak {hi - lo:.3e})"
+    t, states = pre.times[-1:], pre.states[-1:]
+    while t[-1] < n_periods * t_lin:
+        chunk = integrate(
+            sys, states[-1], t[-1], t[-1] + 2.0 * t_lin, n_steps=2 * STEPS_PER_LINEAR_PERIOD
         )
-    level = 0.5 * (lo + hi)
-    below = wave[:-1] < level
-    above = wave[1:] >= level
-    idx = np.nonzero(below & above)[0]
-    if idx.size < 3:
-        raise OscillationError("too few level crossings to measure a period")
-    frac = (level - wave[idx]) / (wave[idx + 1] - wave[idx])
-    t_cross = t[idx] + frac * (t[idx + 1] - t[idx])
-    period = float(np.mean(np.diff(t_cross)))
-    k_last = idx[-1]
-    states = traj.states[keep]
-    y0 = states[k_last] + frac[-1] * (states[k_last + 1] - states[k_last])
-    return EstimatedPeriod(period, float(level), y0)
+        t = np.concatenate([t, chunk.times[1:]])
+        states = np.concatenate([states, chunk.states[1:]])
+        wave = states[:, state_index]
+        first, half = np.searchsorted(t, t[-1] - np.array([4.0, 2.0]) * t_lin)
+        lo, hi = wave[first:].min(), wave[first:].max()
+        level = 0.5 * (lo + hi)
+        if hi - lo < MIN_SWING * (1.0 + abs(level)):
+            raise OscillationError(
+                f"no oscillation detected on state {state_index} (peak-to-peak {hi - lo:.3e})"
+            )
+        k = first + np.nonzero((wave[first:-1] < level) & (wave[first + 1 :] >= level))[0]
+        if k.size < 4:
+            continue
+        frac = (level - wave[k]) / (wave[k + 1] - wave[k])
+        spacing = np.diff(t[k] + frac * (t[k + 1] - t[k]))[-3:]
+        before = np.ptp(wave[first:half])
+        if (
+            np.max(np.abs(spacing - spacing.mean())) <= SPACING_RTOL * spacing.mean()
+            and abs(np.ptp(wave[half:]) - before) <= SWING_RTOL * before
+        ):
+            y0 = states[k[-1]] + frac[-1] * (states[k[-1] + 1] - states[k[-1]])
+            return EstimatedPeriod(float(spacing.mean()), float(level), y0)
+    raise OscillationError(
+        f"no settled oscillation on state {state_index} within {n_periods} linearized periods"
+    )

@@ -34,7 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpc import GpcCoefficients, moments
-from .shooting import CircuitDae, Shooting, damped_newton, shooting_jacobian
+from .shooting import (
+    CircuitDae, OscillationError, Shooting, damped_newton, shooting_jacobian, stationary_orbits,
+)
 from .transient import (
     ConvergenceError,
     NewtonOptions,
@@ -247,7 +249,9 @@ def _shoot(system, engine, u0, mode, tol):
     by the K scaling coefficients. Its blocks (one row per chaos index:
     state, then scaling) times V are the unknowns of ``engine``, the
     shooting problem of the K node circuits. A testing node that fails at
-    the bisection floor raises ConvergenceError naming it.
+    the bisection floor raises ConvergenceError naming it; an oscillator
+    testing node whose converged orbit is stationary raises
+    OscillationError naming it.
     """
     if mode not in ("coupled", "decoupled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -285,6 +289,11 @@ def _shoot(system, engine, u0, mode, tol):
         raise ConvergenceError(f"stochastic {system.kind} shooting stalled at residual {gn:.3e}")
     scale = None
     if pinned is not None:
+        dead = stationary_orbits(node_traj, engine.phase)
+        if np.any(dead):
+            k = int(np.argmax(dead))
+            xi = np.array2string(system.testing.nodes[k], precision=6)
+            raise OscillationError(f"testing node {k} (xi = {xi}): stationary orbit")
         system.scale_coeffs = u[n * K :]
         scale = GpcCoefficients(system.basis, system.scale_coeffs)
     return StochasticPssSolution(

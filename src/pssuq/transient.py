@@ -48,11 +48,10 @@ class IntegrationScheme:
     kind: str
     gamma1: float
     gamma2: float
-    order: int
 
 
-BACKWARD_EULER = IntegrationScheme("backward_euler", 1.0, 0.0, 1)
-TRAPEZOIDAL = IntegrationScheme("trapezoidal", 0.5, 0.5, 2)
+BACKWARD_EULER = IntegrationScheme("backward_euler", 1.0, 0.0)
+TRAPEZOIDAL = IntegrationScheme("trapezoidal", 0.5, 0.5)
 
 _SCHEMES = {s.kind: s for s in (BACKWARD_EULER, TRAPEZOIDAL)}
 
@@ -70,8 +69,7 @@ class NewtonOptions:
 
 
 STEP_MAX_ITER = 50  # Newton iterations per implicit step
-H_MIN = 1e-15  # smallest step a bisection or the adaptive control may take
-MAX_POINTS = 2_000_000  # grid points an adaptive run may record
+H_MIN = 1e-15  # smallest step a bisection may take
 
 
 @dataclass
@@ -175,27 +173,24 @@ def integrate(
     t0,
     t1,
     scheme=TRAPEZOIDAL,
-    n_steps=None,
-    ltol=None,
+    *,
+    n_steps,
     newton=NewtonOptions(),
-    h0=None,
     stabilized_start=False,
     frozen=None,
 ):
-    """Integrate from t0 to t1 on a uniform or error-controlled grid.
+    """Integrate from t0 to t1 on a uniform grid of ``n_steps`` steps.
 
-    Exactly one of ``n_steps`` (uniform grid) or ``ltol`` (adaptive grid
-    with local-truncation-error control by step doubling) must be given.
-    Batched initial states integrate in lockstep on a shared grid. On a
-    fixed grid a step that fails for any sample is bisected for the whole
-    batch, exactly as an unbatched step is, down to the floor (``H_MIN``
-    or 40 halvings). A sample that still fails there raises in an
-    unbatched run; in a batched run it is frozen at the start of the grid
-    step, the step is taken again for the other samples without the
-    bisection's points, and the sample is reported through
-    ``Trajectory.failed`` with that time in ``Trajectory.fail_times``.
-    Samples marked in ``frozen`` (batched runs) are not integrated: they
-    stay at their initial state and are reported as failed from t0.
+    Batched initial states integrate in lockstep on a shared grid. A step
+    that fails for any sample is bisected for the whole batch, exactly as
+    an unbatched step is, down to the floor (``H_MIN`` or 40 halvings). A
+    sample that still fails there raises in an unbatched run; in a batched
+    run it is frozen at the start of the grid step, the step is taken
+    again for the other samples without the bisection's points, and the
+    sample is reported through ``Trajectory.failed`` with that time in
+    ``Trajectory.fail_times``. Samples marked in ``frozen`` (batched runs)
+    are not integrated: they stay at their initial state and are reported
+    as failed from t0.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -208,8 +203,6 @@ def integrate(
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
         return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)))
-    if (n_steps is None) == (ltol is None):
-        raise ValueError("specify exactly one of n_steps or ltol")
     batched = w0.ndim > 1
     failed = np.zeros(w0.shape[:-1], dtype=bool) if batched else None
     fail_times = np.full(w0.shape[:-1], np.nan) if batched else None
@@ -239,56 +232,19 @@ def integrate(
         gammas.append((sch.gamma1, sch.gamma2))
         return w_new, qf_new
 
-    if n_steps is not None:
-        grid = np.linspace(t0, t1, n_steps + 1)
-        w = w0
-        for k in range(n_steps):
-            sch = BACKWARD_EULER if (k == 0 and stabilized_start) else scheme
-            mark = len(times)
-            while True:
-                try:
-                    w, qf = advance(w, grid[k], grid[k + 1] - grid[k], qf, sch)
-                    break
-                except _FloorFailure as floor:
-                    del times[mark:], states[mark:], gammas[mark:]
-                    failed = failed | floor.bad
-                    fail_times[floor.bad] = grid[k]
-    else:
-        # adaptive: compare one h-step against two h/2-steps; both half-step
-        # endpoints are recorded so linearization chains stay consistent.
-        # The error is measured per component relative to its running peak,
-        # which keeps mixed-unit states (volts vs amps) on equal footing.
-        w, t = w0, float(t0)
-        h = h0 if h0 is not None else (t1 - t0) / 100.0
-        err_exp = 1.0 / (scheme.order + 1.0)
-        gain = 2.0**scheme.order - 1.0
-        peaks = np.maximum(np.abs(w0), 1e-9)
-        first = stabilized_start
-        while t < t1 - 1e-15 * (t1 - t0):
-            sch = BACKWARD_EULER if first else scheme
-            h = min(h, t1 - t)
-            w_full, _, conv_f = _newton_step(system, w, t, h, sch, newton, qf)
-            w_h1, qf_h1, conv_1 = _newton_step(system, w, t, 0.5 * h, sch, newton, qf)
-            w_h2, qf_h2, conv_2 = _newton_step(
-                system, w_h1, t + 0.5 * h, 0.5 * h, sch, newton, qf_h1
-            )
-            ok = np.all(conv_f) and np.all(conv_1) and np.all(conv_2)
-            err = np.max(np.abs(w_full - w_h2) / peaks) / gain if ok else np.inf
-            if err <= ltol:
-                times.extend([t + 0.5 * h, t + h])
-                states.extend([w_h1, w_h2])
-                gammas.extend([(sch.gamma1, sch.gamma2)] * 2)
-                w, qf = w_h2, qf_h2
-                t += h
-                peaks = np.maximum(peaks, np.abs(w))
-                h *= min(4.0, max(0.5, 0.9 * (ltol / max(err, 1e-300)) ** err_exp))
-                first = False
-            else:
-                h *= max(0.05, 0.9 * (ltol / err) ** err_exp) if ok else 0.25
-                if h < H_MIN:
-                    _raise_step_failure(system, w, t, h)
-            if len(times) > MAX_POINTS:
-                raise ConvergenceError("adaptive grid exceeded the point budget")
+    grid = np.linspace(t0, t1, n_steps + 1)
+    w = w0
+    for k in range(n_steps):
+        sch = BACKWARD_EULER if (k == 0 and stabilized_start) else scheme
+        mark = len(times)
+        while True:
+            try:
+                w, qf = advance(w, grid[k], grid[k + 1] - grid[k], qf, sch)
+                break
+            except _FloorFailure as floor:
+                del times[mark:], states[mark:], gammas[mark:]
+                failed = failed | floor.bad
+                fail_times[floor.bad] = grid[k]
 
     return Trajectory(
         np.asarray(times), np.stack(states), np.asarray(gammas), failed, fail_times

@@ -6,7 +6,14 @@ import pytest
 import pssuq.shooting as shooting
 from pssuq import parse_netlist
 from pssuq.circuit import dc_operating_point
-from pssuq.shooting import CircuitDae, OscillationError, estimate_period, solve_forced
+from pssuq.shooting import (
+    CircuitDae,
+    OscillationError,
+    PhaseCondition,
+    estimate_period,
+    solve_autonomous,
+    solve_forced,
+)
 from pssuq.transient import TRAPEZOIDAL, integrate, transition_chain
 
 from conftest import SHORTED_AT_A_NODE
@@ -197,18 +204,25 @@ def test_estimate_period_van_der_pol(vdp_circuit):
 def test_oscillation_frequency_matches_the_scipy_pencil(circuit, request):
     """The least-damped oscillatory mode equals scipy's generalized
     eigenvalue solve of the pencil (-G, C), which returns the infinite
-    modes of the algebraic states as inf."""
+    modes of the algebraic states as inf. The returned shape is the real
+    part of its eigenvector, rotated so the largest entry is real and
+    scaled to a largest entry of 1."""
     import scipy.linalg
 
     inst = request.getfixturevalue(circuit).realize_nominal()
     x_dc = dc_operating_point(inst)
     ev = inst.eval_dae(x_dc, 0.0)
-    lam = scipy.linalg.eig(-ev.df_dx, ev.dq_dx, right=False)
-    lam = lam[np.isfinite(lam) & (lam.imag != 0)]
-    best = lam[np.argmax(lam.real / np.abs(lam))]
-    omega, growth = shooting._oscillation_frequency(inst, x_dc)
-    assert omega == pytest.approx(abs(best.imag), rel=1e-12)
-    assert growth == pytest.approx(best.real, rel=1e-12)
+    lam, vecs = scipy.linalg.eig(-ev.df_dx, ev.dq_dx)
+    osc = np.nonzero(np.isfinite(lam) & (lam.imag != 0))[0]
+    j = osc[np.argmax(lam[osc].real / np.abs(lam[osc]))]
+    omega, v = shooting._oscillation_frequency(inst, x_dc)
+    assert omega == pytest.approx(abs(lam[j].imag), rel=1e-12)
+    w = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
+    scale = np.abs(ev.df_dx).max() + abs(lam[j]) * np.abs(ev.dq_dx).max()
+    assert np.abs(-ev.df_dx @ w - lam[j] * (ev.dq_dx @ w)).max() <= 1e-12 * scale
+    assert v.dtype == float and np.max(np.abs(v)) == 1.0
+    assert v[np.argmax(np.abs(w))] == 1.0
+    assert np.abs(v - w.real).max() <= 1e-9
 
 
 def test_estimate_period_rejects_rc():
@@ -245,5 +259,54 @@ def test_autonomous_dual_residual(vdp_circuit, vdp_nominal):
 def test_autonomous_colpitts(colpitts_nominal):
     est, phase, sol = colpitts_nominal
     assert bool(sol.converged)
-    # long-transient crossing oracle agrees with the solved period
+    # the settled start-up's crossing oracle agrees with the solved period
     assert abs(float(sol.period) - est.period) / est.period < 1e-3
+
+
+@pytest.mark.parametrize(
+    "circuit, nominal, state",
+    [("vdp_circuit", "vdp_nominal", "1"), ("colpitts", "colpitts_nominal", "coll")],
+)
+def test_estimated_period_is_near_the_converged_period(circuit, nominal, state, request):
+    c = request.getfixturevalue(circuit)
+    est = estimate_period(c.realize_nominal(), c.node_state(state))
+    _, _, sol = request.getfixturevalue(nominal)
+    assert abs(est.period - float(sol.period)) / float(sol.period) < 5e-3
+
+
+def test_colpitts_estimate_stops_once_the_cycle_settles(colpitts, monkeypatch):
+    """The start-up transient ends within 16 linearized periods."""
+    inst = colpitts.realize_nominal()
+    spans = []
+    integrate_ = shooting.integrate
+
+    def counting(system, w0, t0, t1, *args, **kwargs):
+        spans.append(t1 - t0)
+        return integrate_(system, w0, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    estimate_period(inst, colpitts.node_state("coll"))
+    omega, _ = shooting._oscillation_frequency(inst, dc_operating_point(inst))
+    assert sum(spans) * omega / (2 * np.pi) <= 16
+
+
+def test_autonomous_solve_rejects_the_dc_equilibrium(colpitts):
+    """The DC point solves the oscillator residual for every period."""
+    inst = colpitts.realize_nominal()
+    idx = colpitts.node_state("coll")
+    x_dc = dc_operating_point(inst)
+    with pytest.raises(OscillationError, match="stationary orbit"):
+        solve_autonomous(inst, PhaseCondition(idx, x_dc[idx]), 1.6e-8, x_dc, tol=1e-5, n_steps=300)
+
+
+def test_batched_autonomous_solve_flags_the_dc_equilibrium(colpitts, colpitts_nominal):
+    _, _, sol = colpitts_nominal
+    idx = colpitts.node_state("coll")
+    x_dc = dc_operating_point(colpitts.realize_nominal())
+    batch = colpitts.realize(np.zeros((2, len(colpitts.random_params))))
+    out = solve_autonomous(
+        batch, PhaseCondition(idx, x_dc[idx]), float(sol.period), np.stack([x_dc, sol.y]),
+        tol=1e-5, n_steps=300,
+    )
+    assert out.converged.tolist() == [False, True]
+    assert np.ptp(out.trajectory.states[:, 1, idx]) > 0.5

@@ -6,7 +6,15 @@ import pytest
 from pssuq import parse_netlist
 from pssuq.cli import synthetic_ladder
 from pssuq.gpc import build_basis, gauss_rule, moments, select_testing_nodes, tensor_rule
-from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced, solve_nominal
+from pssuq.circuit import dc_operating_point
+from pssuq.shooting import (
+    CircuitDae,
+    OscillationError,
+    PhaseCondition,
+    solve_autonomous,
+    solve_forced,
+    solve_nominal,
+)
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
@@ -459,6 +467,21 @@ def test_failing_testing_node_names_its_cause(mode):
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError, match=expect):
             shoot_forced(sys, nominal_start(sys, n_steps=64), mode=mode, n_steps=64)
+
+
+@pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+def test_stationary_testing_node_is_rejected(colpitts, mode):
+    """L1 and C1 do not move the Colpitts DC point, so the DC state in
+    block 1 solves every testing node's residual without swinging."""
+    basis, testing = _setup(colpitts, 1)
+    idx = colpitts.node_state("coll")
+    x_dc = dc_operating_point(colpitts.realize_nominal())
+    sys = assemble_autonomous(colpitts, basis, testing, 1.6e-8)
+    guess = np.zeros((basis.size, colpitts.n))
+    guess[0] = x_dc
+    scale = np.eye(basis.size)[0]
+    with pytest.raises(OscillationError, match=r"testing node 0 \(xi = .*\): stationary orbit"):
+        shoot_autonomous(sys, PhaseCondition(idx, x_dc[idx]), guess, scale, mode=mode, n_steps=100)
 
 
 def _record_solve_orders(monkeypatch):

@@ -137,13 +137,6 @@ def test_stacked_batch_shares_grid():
     assert traj.states.shape == (65, 2, 1)
 
 
-def test_adaptive_grid_tracks_tolerance():
-    traj_loose = integrate(ScalarDecay(), np.array([1.0]), 0.0, 1.0, ltol=1e-4)
-    traj_tight = integrate(ScalarDecay(), np.array([1.0]), 0.0, 1.0, ltol=1e-8)
-    assert traj_tight.n_points > traj_loose.n_points
-    assert abs(traj_tight.end[0] - np.exp(-1.0)) < 1e-6
-
-
 def test_monodromy_of_scalar_decay():
     traj = integrate(ScalarDecay(), np.array([1.0]), 0.0, 2.0, TRAPEZOIDAL, n_steps=2000)
     M, _ = transition_chain(ScalarDecay(), traj)
