@@ -313,9 +313,9 @@ def solve_autonomous(
     integration horizon, and the converged period is period_guess * a.
 
     A converged orbit along which the phase state does not swing
-    (``stationary_orbits``) is the DC equilibrium, not an oscillation: an
-    unbatched solve raises OscillationError, a batched one reports that
-    sample as not converged.
+    (``stationary_orbits``) is the DC equilibrium, not an oscillation: a
+    batched solve reports that sample as not converged, and a solve whose
+    every sample is stationary raises OscillationError.
 
     Exactly conservative circuits (a lossless LC tank, say) are out of
     scope: every neighboring orbit there is periodic, so the bordered
@@ -336,7 +336,7 @@ def solve_autonomous(
     u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
     converged = gn <= tol
     dead = converged & stationary_orbits(traj, phase)
-    if np.ndim(dead) == 0 and dead:
+    if np.all(dead):
         raise OscillationError(f"shooting converged to a stationary orbit (state {phase.index})")
     converged = converged & ~dead
     if not np.any(converged):
@@ -402,24 +402,28 @@ def _oscillation_frequency(instance, x_dc):
 
 KICK = 0.01  # start-up perturbation, relative to 1 + the largest DC state
 STEPS_PER_LINEAR_PERIOD = 50  # trapezoidal steps per linearized period of the estimate
+MAX_ESTIMATE_PERIODS = 60  # linearized periods the start-up may run before it gives up
 SPACING_RTOL = 1e-3  # spread of the last three crossing spacings, relative to their mean
-SWING_RTOL = 0.01  # change of the peak-to-peak from one two-period span to the next
+SWING_RTOL = 0.01  # change of the peak-to-peak from one pair of cycles to the next
 
 
-def estimate_period(instance, state_index, n_periods=40):
+def _last_cycles(wave, level):
+    """Indices of the last five rising crossings of ``level`` (fewer if absent)."""
+    return np.nonzero((wave[:-1] < level) & (wave[1:] >= level))[0][-5:]
+
+
+def estimate_period(instance, state_index):
     """Estimate an oscillator's period, phase level, and on-cycle state.
 
-    Kicks the DC point along the least-damped oscillatory mode and
-    integrates a transient, trapezoidal on ``STEPS_PER_LINEAR_PERIOD``
-    steps per linearized period, two periods at a time, until its cycle
-    has settled: the last four linearized periods hold at least four
-    rising crossings of their mid-range level (the returned level), the
-    last three crossing spacings (the period is their mean) agree within
-    ``SPACING_RTOL``, and the peak-to-peak of the last two periods is
-    within ``SWING_RTOL`` of the two before. The returned state, a shooting
-    initial guess, is interpolated at the last crossing. A transient that
-    has not settled within ``n_periods`` linearized periods, or whose swing
-    is below ``MIN_SWING``, raises OscillationError.
+    Kicks the DC point along the least-damped oscillatory mode and runs a
+    trapezoidal transient, ``STEPS_PER_LINEAR_PERIOD`` steps per linearized
+    period, two periods at a time, until its last four cycles, between
+    rising crossings of their mid-range level (the returned level), have
+    settled: the last three spacings (the period is their mean) agree within
+    ``SPACING_RTOL``, and the peak-to-peak of the last two cycles is within
+    ``SWING_RTOL`` of the two before. The shooting start is the state at the
+    last crossing. A transient unsettled after ``MAX_ESTIMATE_PERIODS``
+    linearized periods, or swinging below ``MIN_SWING``, raises OscillationError.
     """
     x_dc = dc_operating_point(instance)
     omega, mode = _oscillation_frequency(instance, x_dc)
@@ -430,32 +434,29 @@ def estimate_period(instance, state_index, n_periods=40):
     x_start = x_dc + KICK * (1.0 + np.max(np.abs(x_dc))) * mode
     pre = integrate(sys, x_start, 0.0, t_lin / 100.0, scheme=BACKWARD_EULER, n_steps=4)
     t, states = pre.times[-1:], pre.states[-1:]
-    while t[-1] < n_periods * t_lin:
+    while t[-1] < MAX_ESTIMATE_PERIODS * t_lin:
         chunk = integrate(
             sys, states[-1], t[-1], t[-1] + 2.0 * t_lin, n_steps=2 * STEPS_PER_LINEAR_PERIOD
         )
         t = np.concatenate([t, chunk.times[1:]])
         states = np.concatenate([states, chunk.states[1:]])
-        wave = states[:, state_index]
-        first, half = np.searchsorted(t, t[-1] - np.array([4.0, 2.0]) * t_lin)
-        lo, hi = wave[first:].min(), wave[first:].max()
-        level = 0.5 * (lo + hi)
-        if hi - lo < MIN_SWING * (1.0 + abs(level)):
-            raise OscillationError(
-                f"no oscillation detected on state {state_index} (peak-to-peak {hi - lo:.3e})"
-            )
-        k = first + np.nonzero((wave[first:-1] < level) & (wave[first + 1 :] >= level))[0]
-        if k.size < 4:
+        wave, recent = states[:, state_index], chunk.states[:, state_index]
+        level, swing = 0.5 * (recent.min() + recent.max()), np.ptp(recent)
+        if swing < MIN_SWING * (1.0 + abs(level)):
+            raise OscillationError(f"no oscillation on state {state_index} (swing {swing:.3e})")
+        k = _last_cycles(wave, level)
+        if k.size == 5:  # re-level on the last four cycles, however long they are
+            level = 0.5 * (wave[k[0] :].min() + wave[k[0] :].max())
+            k = _last_cycles(wave, level)
+        if k.size < 5:
             continue
         frac = (level - wave[k]) / (wave[k + 1] - wave[k])
         spacing = np.diff(t[k] + frac * (t[k + 1] - t[k]))[-3:]
-        before = np.ptp(wave[first:half])
+        before = np.ptp(wave[k[0] : k[2] + 1])
         if (
             np.max(np.abs(spacing - spacing.mean())) <= SPACING_RTOL * spacing.mean()
-            and abs(np.ptp(wave[half:]) - before) <= SWING_RTOL * before
+            and abs(np.ptp(wave[k[2] : k[4] + 1]) - before) <= SWING_RTOL * before
         ):
             y0 = states[k[-1]] + frac[-1] * (states[k[-1] + 1] - states[k[-1]])
             return EstimatedPeriod(float(spacing.mean()), float(level), y0)
-    raise OscillationError(
-        f"no settled oscillation on state {state_index} within {n_periods} linearized periods"
-    )
+    raise OscillationError(f"no settled cycle on state {state_index} after {t[-1]:.3g} s")

@@ -94,7 +94,7 @@ def vdp_nominal(vdp_circuit):
 def colpitts_nominal(colpitts):
     inst = colpitts.realize_nominal()
     idx = colpitts.node_state("coll")
-    est = estimate_period(inst, idx, n_periods=60)
+    est = estimate_period(inst, idx)
     phase = PhaseCondition(idx, est.level)
     sol = solve_autonomous(inst, phase, est.period, est.y0, n_steps=300)
     return est, phase, sol

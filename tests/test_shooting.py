@@ -290,11 +290,32 @@ def test_colpitts_estimate_stops_once_the_cycle_settles(colpitts, monkeypatch):
     assert sum(spans) * omega / (2 * np.pi) <= 16
 
 
-def test_autonomous_solve_rejects_the_dc_equilibrium(colpitts):
-    """The DC point solves the oscillator residual for every period."""
-    inst = colpitts.realize_nominal()
+def test_estimate_settles_a_cycle_longer_than_the_linearized_period(
+    colpitts, colpitts_nominal, monkeypatch
+):
+    """The settling window is four measured cycles, not four linearized
+    periods: with the linearized frequency raised by a fifth the cycle is
+    1.43 linearized periods long, and the estimate still settles on it."""
+    _, _, sol = colpitts_nominal
+    frequency = shooting._oscillation_frequency
+
+    def faster(instance, x_dc):
+        omega, *rest = frequency(instance, x_dc)
+        return (1.2 * omega, *rest)
+
+    monkeypatch.setattr(shooting, "_oscillation_frequency", faster)
+    est = estimate_period(colpitts.realize_nominal(), colpitts.node_state("coll"))
+    assert abs(est.period - float(sol.period)) / float(sol.period) < 5e-3
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_autonomous_solve_rejects_the_dc_equilibrium(colpitts, batch):
+    """The DC point solves the oscillator residual for every period; a
+    batch whose every sample settles there raises as one circuit does."""
+    xi = np.zeros((batch, len(colpitts.random_params)))
+    inst = colpitts.realize(xi[0] if batch == 1 else xi)
     idx = colpitts.node_state("coll")
-    x_dc = dc_operating_point(inst)
+    x_dc = dc_operating_point(colpitts.realize_nominal())
     with pytest.raises(OscillationError, match="stationary orbit"):
         solve_autonomous(inst, PhaseCondition(idx, x_dc[idx]), 1.6e-8, x_dc, tol=1e-5, n_steps=300)
 
