@@ -408,9 +408,18 @@ class CircuitInstance:
             df = self._G + nl[:, n:].reshape(B, n, n)
         else:
             df = _fresh(self._G, B)
-        bu = self._bu0 + plan.ssin.scatter(self._sines(float(t))) if plan.ssin.count else self._bu0
-        out = q, f, _fresh(bu, B), _fresh(self._C, B), df
+        out = q, f, _fresh(self.source(t), B), _fresh(self._C, B), df
         return DaeEval(*(a[0] for a in out)) if squeeze else DaeEval(*out)
+
+    def source(self, t):
+        """B u(t), one row per parameter set (shared, not a fresh array)."""
+        ssin = self._plan.ssin
+        return self._bu0 + ssin.scatter(self._sines(float(t))) if ssin.count else self._bu0
+
+    def take(self, rows):
+        """The instance of batch rows ``rows`` (itself for ``...`` or one parameter set)."""
+        whole = rows is Ellipsis or self.batch_size == 1
+        return self if whole else CircuitInstance(self.circuit, self.theta[rows], scalar=False)
 
     def find_nonfinite_element(self, x, t):
         """Name of an element producing a non-finite contribution, or None."""

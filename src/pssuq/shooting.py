@@ -16,7 +16,10 @@ batch advances in lockstep through the same grids, which is how the Monte
 Carlo driver amortizes its sampling loop and how the stochastic solver
 (``stpss``) runs its K testing-node circuits. A step one sample cannot
 take is bisected for the whole batch; samples that still fail at the
-bisection floor are flagged, not raised, in batched runs.
+bisection floor are flagged, not raised, in batched runs. Converged and
+stalled samples retire: later runs integrate and chain only the pending
+rows, written back in place, and a run that changes the grid is repeated
+for every live sample, so results equal those of the lockstep batch.
 ``solve_nominal`` solves the nominal circuit, where every analysis starts.
 For an oscillator it starts from ``estimate_period``, a transient kicked
 along the least-damped linearized mode and stopped once its cycle settles
@@ -37,6 +40,7 @@ from .transient import (
     Trajectory,
     batched_solve,
     integrate,
+    norm_inf,
     transition_chain,
 )
 
@@ -91,25 +95,23 @@ class CircuitDae:
     def ndim(self):
         return self.instance.n
 
-    def _factor(self):
-        a = np.asarray(self.scale, dtype=float)
-        return a[..., None]
-
     def eval(self, w, t):
-        ev = self.instance.eval_dae(w, t)
-        F = ev.f - ev.bu
-        if self.scale is not None:
-            F = self._factor() * F
-        return ev.q, F
+        return self.terms(self.instance.eval_dae(w, t))[:2]
 
     def eval_with_jac(self, w, t):
-        ev = self.instance.eval_dae(w, t)
-        F = ev.f - ev.bu
+        return self.terms(self.instance.eval_dae(w, t))
+
+    def linearize(self, w, t):
+        return self.instance.eval_dae(w, t)
+
+    def terms(self, ev, t=None):
+        """(Q, F, dQ/dw, dF/dw) of the instance evaluation ``ev``; at time
+        ``t``, if given, with only B u evaluated again."""
+        F = (ev.f - (ev.bu if t is None else self.instance.source(t))).reshape(ev.f.shape)
         dF = ev.df_dx
         if self.scale is not None:
-            a = self._factor()
-            F = a * F
-            dF = a[..., None] * dF
+            a = np.asarray(self.scale, dtype=float)[..., None]
+            F, dF = a * F, a[..., None] * dF
         return ev.q, F, ev.dq_dx, dF
 
     def dF_dscale(self, w, t):
@@ -120,39 +122,39 @@ class CircuitDae:
         return self.instance.find_nonfinite_element(w, t)
 
 
-def _norm_inf(g):
-    return np.max(np.abs(g), axis=-1)
-
-
 MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
 MAX_ITER = 50  # shooting Newton iterations before a solve gives up
 SCALE_FLOOR = 1e-6  # an oscillator's period scaling must stay above this
 MIN_SWING = 1e-9  # smallest swing, relative to 1 + |level|, taken as oscillation
 
 
+def _rows(mask):
+    """Indices of the rows ``mask`` marks; ``...`` (views, no copies) for all."""
+    return Ellipsis if np.all(mask) else np.flatnonzero(mask)
+
+
 def damped_newton(u0, run, newton_step, tol):
     """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
 
-    ``run(u, idle)`` returns ``(g, norm, aux)``: the residual, its infinity
-    norm per sample (inf where the residual is unusable) and what
-    ``newton_step(u, g, aux)`` needs to return the Newton step. ``idle``
-    marks the stalled samples, whose results are not used, so a batched
-    run need not integrate them. Each sample halves its own step and takes
-    the first trial whose norm is finite and lower. A sample whose residual
-    or step is not finite, or that has not improved after ``MAX_HALVINGS``
-    halvings, stalls; it keeps its iterate, residual and norm from then on.
-    At most ``MAX_ITER`` iterations are taken.
-    Converged samples keep their iterate in every trial, so the last trial
-    is the residual at the new iterates; its ``aux`` is meaningless for the
-    stalled samples.
+    ``run(u, rows)`` returns ``(g, norm, traj)`` for the unknowns ``u`` of
+    batch rows ``rows`` (``...``: all): the residual, its infinity norm per
+    sample (inf where the residual is unusable) and the trajectory from
+    which ``newton_step(u, g, traj, rows)`` returns their Newton step. Only
+    pending samples are run and stepped; the others keep their iterate,
+    residual and trajectory rows, into which a pending run is written
+    (``Trajectory.put``) unless it changes the grid: then every sample not
+    stalled runs again. Each sample halves its own step and takes the first
+    trial whose norm is finite and lower. A sample whose residual or step
+    is not finite, or that has not improved after ``MAX_HALVINGS``
+    halvings, stalls; its trajectory row is meaningless. At most
+    ``MAX_ITER`` iterations are taken.
 
-    Returns ``(u, g, norm, aux, history)``. ``history`` holds one
+    Returns ``(u, g, norm, traj, history)``. ``history`` holds one
     ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
     step scale, so ``len(history) - 1`` Newton iterations were taken.
     """
     u = np.array(u0, dtype=float, copy=True)
-    stalled = np.zeros(np.shape(u)[:-1], dtype=bool)
-    g, gn, aux = run(u, stalled)
+    g, gn, traj = run(u, ...)
     gn = np.asarray(gn)
     stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
     history = [(u.copy(), gn.copy(), None)]
@@ -160,17 +162,27 @@ def damped_newton(u0, run, newton_step, tol):
         pending = ~(gn <= tol) & ~stalled
         if not np.any(pending):
             break
-        delta = newton_step(u, g, aux)
+        rows = _rows(pending)
+        delta = np.zeros_like(u)
+        delta[rows] = newton_step(u[rows], g[rows], traj, rows)
         stalled |= pending & ~np.all(np.isfinite(delta), axis=-1)
         pending &= ~stalled
         alpha = np.ones(gn.shape)
         moved = np.zeros(gn.shape, dtype=bool)
-        u_next = u
+        u_next, g_t, gn_t, traj_t = u, g.copy(), gn.copy(), traj
         for _ in range(MAX_HALVINGS + 1):
             if not np.any(pending):
                 break
             u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
-            g_t, gn_t, aux_t = run(u_t, stalled)
+            rows = _rows(pending)
+            g_r, gn_r, part = run(u_t[rows], rows)
+            if rows is Ellipsis:
+                traj_t = part
+            elif np.any(part.failed) or not traj_t.put(rows, part):  # a flag may move the grid
+                rows = _rows(~stalled)
+                g_r, gn_r, part = run(u_t[rows], rows)
+                traj_t = part if rows is Ellipsis else part.spread(rows, gn.size)
+            g_t[rows], gn_t[rows] = g_r, gn_r
             better = pending & (gn_t < gn)  # false for a non-finite norm
             u_next = np.where(better[..., None], u_t, u_next)
             moved |= better
@@ -182,9 +194,9 @@ def damped_newton(u0, run, newton_step, tol):
         u = u_next
         g = np.where(stalled[..., None], g, g_t)
         gn = np.where(stalled, gn, gn_t)
-        aux = aux_t
+        traj = traj_t
         history.append((u.copy(), gn.copy(), np.where(moved, alpha, 0.0)))
-    return u, g, gn, aux, history
+    return u, g, gn, traj, history
 
 
 def shooting_jacobian(sys, traj, pinned=None):
@@ -223,37 +235,33 @@ class Shooting:
         self, instance, horizon, phase=None, scheme=TRAPEZOIDAL, n_steps=200,
         newton=NewtonOptions(),
     ):
-        self.sys = CircuitDae(instance, scale=None if phase is None else 1.0)
+        self.instance = instance
         self.horizon = horizon
         self.phase = phase
         self.pinned = None if phase is None else [phase.index]
-        self.scheme = scheme
-        self.n_steps = n_steps
-        self.newton = newton
+        self.options = dict(scheme=scheme, n_steps=n_steps, newton=newton, stabilized_start=True)
 
-    def run(self, u, idle):
-        n = self.sys.ndim
+    def system(self, u, rows):
+        """The circuit of batch rows ``rows``, scaled by the period scales in ``u``."""
+        a = None if self.phase is None else np.maximum(u[..., self.instance.n], SCALE_FLOOR)
+        return CircuitDae(self.instance.take(rows), scale=a)
+
+    def run(self, u, rows):
+        n = self.instance.n
         y = u[..., :n]
-        unusable = np.zeros(u.shape[:-1], dtype=bool)
-        if self.phase is not None:
-            unusable = u[..., n] <= SCALE_FLOOR  # period scaling must stay positive
-            self.sys.scale = np.maximum(u[..., n], SCALE_FLOOR)
-        traj = integrate(
-            self.sys, y, 0.0, self.horizon, scheme=self.scheme, n_steps=self.n_steps,
-            newton=self.newton, stabilized_start=True, frozen=idle if idle.ndim else None,
-        )
+        traj = integrate(self.system(u, rows), y, 0.0, self.horizon, **self.options)
         g = traj.end - y
+        unusable = np.zeros(u.shape[:-1], dtype=bool) if traj.failed is None else traj.failed
         if self.phase is not None:
-            chi = y[..., self.phase.index] - self.phase.value
-            g = np.concatenate([g, chi[..., None]], axis=-1)
-        if traj.failed is not None:
-            unusable = unusable | traj.failed
-        return g, np.where(unusable, np.inf, _norm_inf(g)), traj
+            unusable = unusable | (u[..., n] <= SCALE_FLOOR)  # the scaling must stay positive
+            g = np.concatenate([g, y[..., self.phase.index, None] - self.phase.value], axis=-1)
+        return g, np.where(unusable, np.inf, norm_inf(g)), traj
 
-    def newton_step(self, u, g, traj):
-        J = shooting_jacobian(self.sys, traj, self.pinned)
+    def newton_step(self, u, g, traj, rows):
+        traj = Trajectory(traj.times, traj.states[:, rows], traj.gammas)
+        J = shooting_jacobian(self.system(u, rows), traj, self.pinned)
         delta = batched_solve(J, g[..., None])[..., 0]
-        if self.phase is not None and np.all(~np.isfinite(delta)):
+        if self.phase is not None and rows is Ellipsis and np.all(~np.isfinite(delta)):
             raise ConvergenceError(
                 "singular bordered shooting Jacobian; the phase pick may be "
                 f"degenerate (state {self.phase.index} stationary at t=0): choose "

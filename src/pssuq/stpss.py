@@ -265,15 +265,15 @@ def _shoot(system, engine, u0, mode, tol):
     def unknowns(b):
         return np.concatenate([b[:, :n].ravel(), b[:, n:].ravel()])
 
-    def run(u, idle):
-        g_nodes, gn_nodes, node_traj = engine.run(V @ blocks(u), idle)
+    def run(u, rows):
+        g_nodes, gn_nodes, node_traj = engine.run(V @ blocks(u), rows)
         _raise_on_failed_node(system, node_traj)
         g = unknowns(V_inv @ g_nodes)
         return g, np.max(np.abs(g)) if np.all(np.isfinite(gn_nodes)) else np.inf, node_traj
 
-    def newton_step(u, g, node_traj):
+    def newton_step(u, g, node_traj, rows):
         if mode == "decoupled":
-            node_step = engine.newton_step(V @ blocks(u), V @ blocks(g), node_traj)
+            node_step = engine.newton_step(V @ blocks(u), V @ blocks(g), node_traj, rows)
             delta = unknowns(V_inv @ node_step)
         else:
             if pinned is not None:

@@ -11,7 +11,10 @@ schemes here is
 
 with (g1, g2) = (1, 0) for backward Euler and (0.5, 0.5) for the
 trapezoidal rule. Each step is solved by an inner Newton iteration with
-the exact step Jacobian dQ/dw + g1*h*dF/dw.
+the exact step Jacobian dQ/dw + g1*h*dF/dw. For a system with
+``linearize(w, t)`` and ``terms(lin, t=None)`` (the circuit adapter), the
+converged state's linearization is the next step's first iterate, with
+only the source evaluated anew, so each iterate is evaluated once.
 
 States may carry a leading batch axis; batched runs advance in lockstep
 on one shared grid. A step on a fixed grid that fails to converge for any
@@ -98,6 +101,22 @@ class Trajectory:
     def n_points(self):
         return self.times.size
 
+    def put(self, rows, part):
+        """Write ``part``, a run of batch rows ``rows``, into them; False if on another grid."""
+        if not np.array_equal(part.times, self.times):
+            return False
+        self.states[:, rows] = part.states
+        self.failed[rows], self.fail_times[rows] = part.failed, part.fail_times
+        return True
+
+    def spread(self, rows, batch):
+        """This run of batch rows ``rows`` as one of ``batch`` rows, the others NaN and failed."""
+        P, n = self.n_points, self.states.shape[-1]
+        full = Trajectory(self.times, np.full((P, batch, n), np.nan), self.gammas,
+                          np.ones(batch, dtype=bool), np.full(batch, self.times[0]))
+        full.put(rows, self)
+        return full
+
 
 def batched_solve(J, R):
     """Solve J X = R, J (..., m, m) and R (..., m, k); NaN for singular J.
@@ -119,43 +138,51 @@ def batched_solve(J, R):
         return out.reshape(R.shape)
 
 
-def _newton_step(system, w_prev, t_prev, h, scheme, opts, qf_prev=None, ignore=None):
-    """Solve one implicit step; returns (w, (q, f) at w, converged_mask).
+def norm_inf(a):
+    """max |a| over the last axis, as B-wide maxima over a state-major copy."""
+    return np.abs(a.T, order="C").max(axis=0).T
 
-    Samples flagged in ``ignore`` stay put and count as converged (used to
-    skip batch members that failed earlier in the run).
+
+def _evaluate(system, w, t):
+    """(Q, F, linearization) at (w, t); None for a system without ``terms``."""
+    lin = system.linearize(w, t) if hasattr(system, "terms") else None
+    return (*(system.eval(w, t) if lin is None else system.terms(lin)[:2]), lin)
+
+
+def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
+    """Solve one implicit step from w; returns (new w, ``_evaluate`` at it, converged_mask).
+
+    ``prev`` is ``_evaluate`` at (w, t_prev); its linearization, moved to
+    the new time, is the first iterate's. Samples flagged in ``ignore``
+    stay put and count as converged (used to skip batch members that
+    failed earlier in the run).
     """
     g1, g2 = scheme.gamma1, scheme.gamma2
-    if qf_prev is None:
-        qf_prev = system.eval(w_prev, t_prev)
-    q_prev, f_prev = qf_prev
+    q_prev, f_prev, lin = prev
     t_new = t_prev + h
-    ref = np.max(np.abs(q_prev), axis=-1) + abs(h) * np.max(np.abs(f_prev), axis=-1)
-    w = np.array(w_prev, copy=True)
-    skip = np.zeros(w.shape[:-1], dtype=bool) if ignore is None else ignore
-    converged = skip.copy()
-    for _ in range(STEP_MAX_ITER):
-        q, f, dq, df = system.eval_with_jac(w, t_new)
+    ref = norm_inf(q_prev) + abs(h) * norm_inf(f_prev)
+    converged = ignore.copy()
+    for k in range(STEP_MAX_ITER):
+        carried = k == 0 and lin is not None
+        q, f, dq, df = system.terms(lin, t_new) if carried else system.eval_with_jac(w, t_new)
         r = q - q_prev + h * (g1 * f + g2 * f_prev)
         r = np.where(np.isfinite(r), r, 1e300)
-        rnorm = np.max(np.abs(r), axis=-1)
+        rnorm = norm_inf(r)
         J = dq + (g1 * h) * df
         delta = batched_solve(J, r[..., None])[..., 0]
-        finite = np.isfinite(delta)
-        bad = ~np.all(finite, axis=-1)
-        delta = np.where(finite, delta, 0.0)
+        unorm = norm_inf(delta)
+        bad = ~np.isfinite(unorm)  # a NaN or inf entry anywhere in the step
+        if np.any(bad):
+            delta = np.where(np.isfinite(delta), delta, 0.0)
         w = w - np.where(converged[..., None], 0.0, delta)
-        unorm = np.max(np.abs(delta), axis=-1)
-        wnorm = np.max(np.abs(w), axis=-1)
-        converged = skip | ((converged | (
-            (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + wnorm))
+        converged = ignore | ((converged | (
+            (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + norm_inf(w)))
         )) & ~bad)
         # a sample with a non-finite step did not move, so it would repeat
         # that step at every further iteration
         if np.all(converged | bad):
             break
-    q, f = system.eval(w, t_new)
-    return w, (q, f), converged
+    return w, _evaluate(system, w, t_new), converged
 
 
 def _raise_step_failure(system, w, t, h):
@@ -177,7 +204,6 @@ def integrate(
     n_steps,
     newton=NewtonOptions(),
     stabilized_start=False,
-    frozen=None,
 ):
     """Integrate from t0 to t1 on a uniform grid of ``n_steps`` steps.
 
@@ -188,9 +214,7 @@ def integrate(
     run it is frozen at the start of the grid step, the step is taken
     again for the other samples without the bisection's points, and the
     sample is reported through ``Trajectory.failed`` with that time in
-    ``Trajectory.fail_times``. Samples marked in ``frozen`` (batched runs)
-    are not integrated: they stay at their initial state and are reported
-    as failed from t0.
+    ``Trajectory.fail_times``.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -204,33 +228,30 @@ def integrate(
     if t1 == t0:
         return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)))
     batched = w0.ndim > 1
-    failed = np.zeros(w0.shape[:-1], dtype=bool) if batched else None
+    failed = np.zeros(w0.shape[:-1], dtype=bool)  # 0-d, never set, for an unbatched run
     fail_times = np.full(w0.shape[:-1], np.nan) if batched else None
-    if frozen is not None:
-        failed = failed | frozen
-        fail_times[frozen] = t0
 
     times = [float(t0)]
     states = [w0]
     gammas = []
-    qf = system.eval(w0, t0)
+    ev = _evaluate(system, w0, t0)
 
-    def advance(w, t, h, qf_prev, sch, depth=0):
+    def advance(w, t, h, ev_prev, sch, depth=0):
         """One step of size h, bisected while any sample fails to converge."""
-        w_new, qf_new, conv = _newton_step(
-            system, w, t, h, sch, newton, qf_prev, ignore=failed
+        w_new, ev_new, conv = _newton_step(
+            system, w, t, h, sch, newton, ev_prev, ignore=failed
         )
         if not np.all(conv):
             if h * 0.5 < H_MIN or depth > 40:
                 if not batched:
                     _raise_step_failure(system, w, t, h)
                 raise _FloorFailure(~conv)
-            w_mid, qf_mid = advance(w, t, 0.5 * h, qf_prev, sch, depth + 1)
-            return advance(w_mid, t + 0.5 * h, 0.5 * h, qf_mid, sch, depth + 1)
+            w_mid, ev_mid = advance(w, t, 0.5 * h, ev_prev, sch, depth + 1)
+            return advance(w_mid, t + 0.5 * h, 0.5 * h, ev_mid, sch, depth + 1)
         times.append(t + h)
         states.append(w_new)
         gammas.append((sch.gamma1, sch.gamma2))
-        return w_new, qf_new
+        return w_new, ev_new
 
     grid = np.linspace(t0, t1, n_steps + 1)
     w = w0
@@ -239,16 +260,15 @@ def integrate(
         mark = len(times)
         while True:
             try:
-                w, qf = advance(w, grid[k], grid[k + 1] - grid[k], qf, sch)
+                w, ev = advance(w, grid[k], grid[k + 1] - grid[k], ev, sch)
                 break
             except _FloorFailure as floor:
                 del times[mark:], states[mark:], gammas[mark:]
                 failed = failed | floor.bad
                 fail_times[floor.bad] = grid[k]
 
-    return Trajectory(
-        np.asarray(times), np.stack(states), np.asarray(gammas), failed, fail_times
-    )
+    return Trajectory(np.asarray(times), np.stack(states), np.asarray(gammas),
+                      failed if batched else None, fail_times)
 
 
 def transition_chain(system, trajectory, with_scale_columns=False):

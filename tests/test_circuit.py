@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pssuq import parse_netlist
-from pssuq.circuit import DistributionSpec, dc_operating_point, thermal_voltage
+from pssuq.circuit import DC_TOL, DistributionSpec, dc_operating_point, thermal_voltage
 
 # one of everything, with both distribution kinds in play
 ALL_DEVICES = """
@@ -177,6 +177,31 @@ def test_dc_operating_point_resistive():
     x = dc_operating_point(c.realize_nominal())
     assert x[0] == pytest.approx(1.0)
     assert x[1] == pytest.approx(-1e-3)
+
+
+def test_dc_operating_point_falls_back_to_source_stepping():
+    """A 12 V source across a cubic conductor (2.8 kA). Damped Newton from
+    0 only creeps there: its line search keeps the cubic KCL residual below
+    the source row's, so the direct solve runs out of iterations, and so
+    does the gmin ladder's first rung, whose conductance is negligible.
+    Ramping the source reaches the point; each of the three stages starts
+    from x = 0."""
+    c = parse_netlist("V1 1 0 DC 12\nN1 1 0 MU=5\n")
+    inst = c.realize_nominal()
+    starts = []
+    eval_dae = inst.eval_dae
+
+    def recording(x, t):
+        starts.append(not np.any(x))
+        return eval_dae(x, t)
+
+    inst.eval_dae = recording
+    x = dc_operating_point(inst)
+    assert sum(starts) == 3
+    assert x[0] == 12.0
+    assert x[1] == pytest.approx(-5.0 * (12.0**3 / 3.0 - 12.0), rel=1e-12)
+    ev = eval_dae(x, 0.0)
+    assert np.abs(ev.f - ev.bu).max() <= DC_TOL
 
 
 def test_pmos_conducts_with_negative_vgs():

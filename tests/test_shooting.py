@@ -13,6 +13,7 @@ from pssuq.shooting import (
     estimate_period,
     solve_autonomous,
     solve_forced,
+    solve_nominal,
 )
 from pssuq.transient import TRAPEZOIDAL, integrate, transition_chain
 
@@ -143,9 +144,9 @@ def test_batched_forced_matches_individual(rc_circuit):
         assert np.abs(batch.y[k] - one.y).max() < 1e-9
 
 
-def test_batched_forced_newton_matches_individual(rectifier):
-    """A batch whose members need different iteration counts, one of them
-    converged from the start, ends where each member ends when solved alone."""
+def _staggered_rectifier_batch(rectifier):
+    """Four rectifier samples and starts that converge after different
+    iteration counts, the first one converged from the start."""
     xi = np.array([[0.0, 0.0], [-1.0, 2.0], [1.0, -2.0], [0.5, 1.0]])
     nominal = solve_forced(rectifier.realize(xi[0]), 1e-3, n_steps=100).y
     y0 = np.stack([
@@ -154,6 +155,27 @@ def test_batched_forced_newton_matches_individual(rectifier):
         dc_operating_point(rectifier.realize(xi[2])),
         np.zeros(rectifier.n),
     ])
+    return xi, y0
+
+
+def _recording_integrate(monkeypatch, batch_theta):
+    """Record, per shooting run, the batch rows of ``batch_theta`` it integrates."""
+    runs = []
+    integrate_ = shooting.integrate
+
+    def recording(system, *args, **kwargs):
+        theta = system.instance.theta
+        runs.append([int(np.flatnonzero((batch_theta == row).all(axis=1))[0]) for row in theta])
+        return integrate_(system, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    return runs
+
+
+def test_batched_forced_newton_matches_individual(rectifier):
+    """A batch whose members need different iteration counts, one of them
+    converged from the start, ends where each member ends when solved alone."""
+    xi, y0 = _staggered_rectifier_batch(rectifier)
     batch = solve_forced(rectifier.realize(xi), 1e-3, y0=y0, n_steps=100)
     iterations = []
     for k in range(len(xi)):
@@ -165,29 +187,64 @@ def test_batched_forced_newton_matches_individual(rectifier):
     assert batch.iterations == max(iterations)
 
 
+def test_forced_batch_retires_converged_samples(rectifier, monkeypatch):
+    """After the first run only the pending samples are integrated, so the
+    runs shrink as samples converge; the kept trajectory rows still hold
+    each sample's own converged period."""
+    xi, y0 = _staggered_rectifier_batch(rectifier)
+    inst = rectifier.realize(xi)
+    runs = _recording_integrate(monkeypatch, inst.theta)
+    batch = solve_forced(inst, 1e-3, y0=y0, n_steps=100)
+    assert runs[0] == [0, 1, 2, 3]
+    assert 0 not in runs[1] and len(runs[-1]) < len(runs[1])
+    assert all(set(later) <= set(earlier) for earlier, later in zip(runs[1:], runs[2:]))
+    monkeypatch.undo()
+    for k in range(len(xi)):
+        one = solve_forced(rectifier.realize(xi[k]), 1e-3, y0=y0[k], n_steps=100)
+        assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
+        if np.array_equal(one.trajectory.times, batch.trajectory.times):
+            gap = np.abs(batch.trajectory.states[:, k] - one.trajectory.states).max()
+            assert gap <= 1e-12 * np.abs(one.trajectory.states).max()
+
+
 def test_batched_newton_idles_a_sample_that_cannot_be_integrated(monkeypatch):
     """A sample whose first run fails is flagged once and left out of every
     later run; the others converge as they do alone."""
     c = parse_netlist(SHORTED_AT_A_NODE)
     xi = np.array([[0.5], [-1.0], [1.0]])  # the middle one is shorted
-    masks = []
-    integrate_ = shooting.integrate
-
-    def recording(*args, frozen=None, **kwargs):
-        masks.append(frozen.tolist())
-        return integrate_(*args, frozen=frozen, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate", recording)
+    inst = c.realize(xi)
+    runs = _recording_integrate(monkeypatch, inst.theta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        batch = solve_forced(c.realize(xi), 1e-3, y0=np.zeros((3, c.n)), n_steps=64)
+        batch = solve_forced(inst, 1e-3, y0=np.zeros((3, c.n)), n_steps=64)
     assert batch.converged.tolist() == [True, False, True]
     assert batch.residual_norm[1] == np.inf
-    assert masks[0] == [False, False, False]
-    assert len(masks) > 1 and all(m == [False, True, False] for m in masks[1:])
-    monkeypatch.setattr(shooting, "integrate", integrate_)
+    assert runs[0] == [0, 1, 2]
+    assert len(runs) > 1 and all(1 not in rows for rows in runs[1:])
+    monkeypatch.undo()
     for k in (0, 2):
         one = solve_forced(c.realize(xi[k]), 1e-3, y0=np.zeros(c.n), n_steps=64)
         assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
+
+
+def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturbed, monkeypatch):
+    """The amplifier's testing-node circuits, one started on its periodic
+    state: the first run bisects a step for the perturbed members, the run
+    of the five pending ones does not, so it is repeated for all six, and
+    the result is bit for bit that of running every sample in every run."""
+    system, w0 = lna_perturbed
+    starts = system.node_states(w0)
+    first = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    starts[0] = first.y[0]
+    runs = _recording_integrate(monkeypatch, system.instances.theta)
+    retired = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    assert runs == [list(range(6)), [1, 2, 3, 4, 5], list(range(6))]
+    monkeypatch.setattr(shooting, "_rows", lambda mask: Ellipsis)  # every run takes every row
+    lockstep = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    assert np.all(retired.converged) and retired.iterations == lockstep.iterations
+    assert np.array_equal(retired.y, lockstep.y)
+    assert np.array_equal(retired.residual_norm, lockstep.residual_norm)
+    assert np.array_equal(retired.trajectory.times, lockstep.trajectory.times)
+    assert np.array_equal(retired.trajectory.states, lockstep.trajectory.states)
 
 
 # -- autonomous ---------------------------------------------------------------
@@ -331,3 +388,33 @@ def test_batched_autonomous_solve_flags_the_dc_equilibrium(colpitts, colpitts_no
     )
     assert out.converged.tolist() == [False, True]
     assert np.ptp(out.trajectory.states[:, 1, idx]) > 0.5
+
+
+@pytest.mark.parametrize(
+    "circuit, state, spread", [("vdp_random", "1", 0.05), ("colpitts", "coll", 0.0)]
+)
+def test_oscillator_batch_retires_converged_samples(circuit, state, spread, request, monkeypatch):
+    """Samples of an oscillator batch that converge early leave the later
+    runs, whose sub-batch is scaled and chained with its own samples'
+    period scales: each sample still takes the iterates it takes alone."""
+    c = request.getfixturevalue(circuit)
+    nominal = solve_nominal(c, phase_index=c.node_state(state), n_steps=100)
+    xi = np.linspace(-1.0, 1.0, 4)[:, None] * np.ones((1, c.dim))
+    y0 = nominal.y * (1.0 + spread * np.arange(4))[:, None]
+    y0[:, nominal.phase.index] = nominal.phase.value
+    inst = c.realize(xi)
+    runs = _recording_integrate(monkeypatch, inst.theta)
+    batch = solve_autonomous(inst, nominal.phase, float(nominal.period), y0, n_steps=100)
+    monkeypatch.undo()
+    iterations = []
+    for k in range(len(xi)):
+        one = solve_autonomous(
+            c.realize(xi[k]), nominal.phase, float(nominal.period), y0[k], n_steps=100
+        )
+        iterations.append(one.iterations)
+        assert batch.converged[k] and one.converged
+        assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
+        assert batch.period[k] == pytest.approx(one.period, rel=1e-12)
+    assert len(set(iterations)) >= 2 and batch.iterations == max(iterations)
+    assert runs[0] == [0, 1, 2, 3] and len(runs[-1]) < 4
+    assert [len(rows) for rows in runs] == sorted((len(rows) for rows in runs), reverse=True)

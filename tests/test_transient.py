@@ -7,8 +7,13 @@ from pssuq import cli, parse_netlist
 from pssuq.shooting import CircuitDae
 from pssuq.transient import (
     BACKWARD_EULER,
+    STEP_MAX_ITER,
     ConvergenceError,
+    NewtonOptions,
     TRAPEZOIDAL,
+    _evaluate,
+    _newton_step,
+    batched_solve,
     integrate,
     scheme_by_name,
     transition_chain,
@@ -216,15 +221,101 @@ def test_batch_freezes_only_samples_failing_at_the_floor():
     assert np.abs(traj.states[:, 1] - solo.states).max() < 1e-12
 
 
-def test_frozen_samples_are_not_integrated():
-    c = parse_netlist(SHORTED_AT_A_NODE)
-    xi = np.array([[1.0], [0.5]])
-    w0 = np.full((2, c.n), 0.1)
-    traj = integrate(
-        CircuitDae(c.realize(xi)), w0, 0.0, 1e-3, n_steps=16, frozen=np.array([True, False])
-    )
-    assert traj.failed.tolist() == [True, False]
-    assert traj.fail_times[0] == 0.0 and np.isnan(traj.fail_times[1])
-    assert np.array_equal(traj.states[:, 0], np.broadcast_to(w0[0], (17, c.n)))
-    solo = integrate(CircuitDae(c.realize(xi[1])), w0[1], 0.0, 1e-3, n_steps=16)
-    assert np.abs(traj.end[1] - solo.end).max() < 1e-12
+def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
+    """A run of some batch rows on the batch's grid is written into those
+    rows in place and equals them bit for bit; a run on another grid is
+    refused; spread to the batch, a run leaves the other rows NaN and
+    failed from its start."""
+    xi = np.array([[-0.7], [0.2], [1.0]])
+    w0 = np.full((3, rc_circuit.n), 0.1)
+    whole = integrate(CircuitDae(rc_circuit.realize(xi)), w0, 0.0, 1e-3, n_steps=16)
+    rows = np.array([0, 2])
+    part = integrate(CircuitDae(rc_circuit.realize(xi[rows])), w0[rows], 0.0, 1e-3, n_steps=16)
+    assert np.array_equal(part.states, whole.states[:, rows])
+    kept = whole.states[:, 1].copy()
+    whole.states[:, rows] = 0.0
+    assert whole.put(rows, part)
+    assert np.array_equal(whole.states[:, rows], part.states)
+    assert np.array_equal(whole.states[:, 1], kept) and not whole.failed.any()
+    finer = integrate(CircuitDae(rc_circuit.realize(xi[rows])), w0[rows], 0.0, 1e-3, n_steps=17)
+    assert not whole.put(rows, finer)
+    assert np.array_equal(whole.states[:, rows], part.states)
+    spread = part.spread(rows, 3)
+    assert np.array_equal(spread.times, part.times)
+    assert np.array_equal(spread.states[:, rows], part.states)
+    assert np.isnan(spread.states[:, 1]).all()
+    assert spread.failed.tolist() == [False, True, False]
+    assert spread.fail_times[1] == 0.0 and np.isnan(spread.fail_times[rows]).all()
+
+
+class Quirks:
+    """Four samples of Q = C w, F = G w - s(t) with their own C and G: a
+    plain decay, a source with an infinite entry (a non-finite residual), a
+    step matrix with a subnormal pivot (one infinite step entry) and a zero
+    step matrix (a singular step, all NaN). With ``carry`` it offers the
+    linearization the circuit adapter offers."""
+
+    ndim = 2
+    C = np.array([np.eye(2), np.eye(2), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+    G = np.array([np.eye(2), np.eye(2), np.diag([1e-319, 0.0]), np.zeros((2, 2))])
+    s0 = np.array([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0], [1.0, 1.0]])
+
+    def __init__(self, carry):
+        if carry:
+            self.linearize = lambda w, t: (w, t)
+            self.terms = lambda lin, t=None: self.eval_with_jac(lin[0], lin[1] if t is None else t)
+
+    def eval(self, w, t):
+        return self.eval_with_jac(w, t)[:2]
+
+    def eval_with_jac(self, w, t):
+        q = (self.C @ w[..., None])[..., 0]
+        f = (self.G @ w[..., None])[..., 0] - self.s0 * (1.0 + t)
+        return q, f, self.C.copy(), self.G.copy()
+
+
+def _plain_newton_step(system, w, t_prev, h, scheme, tol):
+    """The step Newton's rules written out: every iterate evaluated afresh,
+    finiteness and norms reduced along the state axis."""
+    g1, g2 = scheme.gamma1, scheme.gamma2
+    q_prev, f_prev = system.eval(w, t_prev)
+    ref = np.max(np.abs(q_prev), axis=-1) + abs(h) * np.max(np.abs(f_prev), axis=-1)
+    converged = np.zeros(w.shape[:-1], dtype=bool)
+    for _ in range(STEP_MAX_ITER):
+        q, f, dq, df = system.eval_with_jac(w, t_prev + h)
+        r = q - q_prev + h * (g1 * f + g2 * f_prev)
+        r = np.where(np.isfinite(r), r, 1e300)
+        delta = batched_solve(dq + (g1 * h) * df, r[..., None])[..., 0]
+        finite = np.isfinite(delta)
+        bad = ~np.all(finite, axis=-1)
+        delta = np.where(finite, delta, 0.0)
+        w = w - np.where(converged[..., None], 0.0, delta)
+        small_r = np.max(np.abs(r), axis=-1) <= tol * (1.0 + ref)
+        small_u = np.max(np.abs(delta), axis=-1) <= tol * (1.0 + np.max(np.abs(w), axis=-1))
+        converged = (converged | (small_r & small_u)) & ~bad
+        if np.all(converged | bad):
+            break
+    return w, converged
+
+
+@pytest.mark.parametrize("carry", [False, True])
+@pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+def test_step_newton_bookkeeping_of_non_finite_samples(carry, scheme):
+    """A sample with a non-finite residual, one with a partly non-finite
+    step and one with a singular step end with the converged mask and the
+    iterates the plain rules give, next to a sample that converges."""
+    system = Quirks(carry)
+    w0 = np.array([[1.0, -2.0], [0.5, 0.5], [2.0, 3.0], [1.0, 1.0]])
+    opts = NewtonOptions()
+    with np.errstate(all="ignore"):
+        w, (q, f, lin), converged = _newton_step(
+            system, w0, 0.25, 0.1, scheme, opts, _evaluate(system, w0, 0.25), np.zeros(4, bool)
+        )
+        w_ref, converged_ref = _plain_newton_step(system, w0, 0.25, 0.1, scheme, opts.tol)
+        q_ref, f_ref = system.eval(w_ref, 0.35)
+    assert converged.tolist() == converged_ref.tolist() == [True, False, False, False]
+    assert np.array_equal(w, w_ref, equal_nan=True)
+    assert np.array_equal(q, q_ref, equal_nan=True) and np.array_equal(f, f_ref, equal_nan=True)
+    assert (lin is None) != carry
+    assert np.array_equal(w[3], w0[3])  # a singular step moves nothing
+    assert w[2, 0] == w0[2, 0] and w[2, 1] != w0[2, 1]  # only the finite entry moves
