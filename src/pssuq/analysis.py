@@ -271,23 +271,39 @@ def _freedman_diaconis_edges(samples):
     return np.histogram_bin_edges(samples, bins=min(n_bins, 512))
 
 
-# samples per block of the kernel sum: 256 samples x 512 grid points keeps
-# the block's one temporary at 1 MB
+# sorted samples per block of the kernel sum: 256 samples x at most 512
+# grid points keeps the block's one temporary at 1 MB
 KDE_BLOCK = 256
+# squared reach of a kernel beyond a grid point's nearest sample, in units
+# of 2 bw^2: every kernel left out is below exp(-46) ~ 1e-20 of the largest
+KDE_REACH2 = 46.0
 
 
 def _gaussian_kde(samples, grid, bw):
-    """Gaussian kernel density estimate with bandwidth ``bw`` on ``grid``."""
+    """Gaussian kernel density estimate with bandwidth ``bw`` on ``grid`` (ascending).
+
+    Each grid point sums the kernels of the samples within
+    sqrt(d**2 + ``KDE_REACH2``) of it, d the distance to its nearest sample
+    (all lengths in units of sqrt(2) bw). The bounds g -/+ reach rise with
+    g, so the grid points one block of sorted samples reaches are a range.
+    """
     scale = bw * math.sqrt(2.0)
     zg = grid / scale
-    zs = samples / scale
+    zs = np.sort(samples) / scale
+    at = np.searchsorted(zs, zg)
+    near = np.minimum(np.abs(zg - zs[np.maximum(at - 1, 0)]),
+                      np.abs(zs[np.minimum(at, zs.size - 1)] - zg))
+    reach = np.sqrt(near * near + KDE_REACH2)
     total = np.zeros(grid.size)
     for start in range(0, zs.size, KDE_BLOCK):
-        d = zs[start : start + KDE_BLOCK, None] - zg
+        block = zs[start : start + KDE_BLOCK]
+        lo = np.searchsorted(zg + reach, block[0])
+        hi = np.searchsorted(zg - reach, block[-1], side="right")
+        d = block[:, None] - zg[lo:hi]
         np.square(d, out=d)
         np.negative(d, out=d)
         np.exp(d, out=d)
-        total += d.sum(axis=0)
+        total[lo:hi] += d.sum(axis=0)
     return total / (samples.size * math.sqrt(2.0 * math.pi) * bw)
 
 

@@ -84,7 +84,8 @@ class CircuitDae:
 
     ``F = f - B u(t)``; with a period scaling attached the right-hand side
     becomes ``a * (f - B u)`` and ``dF_dscale`` exposes its derivative with
-    respect to ``a`` (one column).
+    respect to ``a`` (one column); ``linearize`` returns the instance
+    evaluation from which ``terms`` and ``scale_columns`` take them.
     """
 
     def __init__(self, instance, scale=None):
@@ -115,7 +116,10 @@ class CircuitDae:
         return ev.q, F, ev.dq_dx, dF
 
     def dF_dscale(self, w, t):
-        ev = self.instance.eval_dae(w, t)
+        return self.scale_columns(self.instance.eval_dae(w, t))
+
+    def scale_columns(self, ev):
+        """``dF_dscale`` of the instance evaluation ``ev``."""
         return (ev.f - ev.bu)[..., None]
 
     def locate_nonfinite(self, w, t):

@@ -271,6 +271,16 @@ def integrate(
                       failed if batched else None, fail_times)
 
 
+def _jacobians(system, w, t, scaled):
+    """(dQ/dw, dF/dw, dF/dscale or None) at (w, t); from one evaluation
+    (``linearize``) for a system that has it."""
+    if not hasattr(system, "linearize"):
+        _, _, E, A = system.eval_with_jac(w, t)
+        return E, A, system.dF_dscale(w, t) if scaled else None
+    lin = system.linearize(w, t)
+    return (*system.terms(lin)[2:], system.scale_columns(lin) if scaled else None)
+
+
 def transition_chain(system, trajectory, with_scale_columns=False):
     """Accumulate d(end state)/d(initial state) along a trajectory.
 
@@ -280,32 +290,35 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     the system's auxiliary scaling coefficients (columns of
     ``system.dF_dscale``) is accumulated as well, starting from zero.
     Returns (M, S) where S is None unless requested.
+
+    Only the columns of M that the first step leaves nonzero for some
+    sample are chained, the rest being exactly zero: after a backward-Euler
+    first step, the charge and flux states; after a trapezoidal one, all.
     """
     times, states, gam = trajectory.times, trajectory.states, trajectory.gammas
-    w0 = states[0]
-    n = w0.shape[-1]
-    batch = w0.shape[:-1]
-    M = np.broadcast_to(np.eye(n), batch + (n, n)).copy()
-    S = None
-    _, _, E_prev, A_prev = system.eval_with_jac(w0, times[0])
-    P_prev = None
-    if with_scale_columns:
-        P_prev = system.dF_dscale(w0, times[0])
-        S = np.zeros(batch + (n, P_prev.shape[-1]))
+    n = states.shape[-1]
+    batch = states.shape[1:-1]
+    M = np.broadcast_to(np.eye(n), batch + (n, n))
+    cols = np.arange(n)
+    E, A, P = _jacobians(system, states[0], times[0], with_scale_columns)
+    S = np.zeros(batch + (n, P.shape[-1])) if with_scale_columns else None
     for k in range(1, times.size):
         h = times[k] - times[k - 1]
         g1, g2 = gam[k - 1]
-        _, _, E_k, A_k = system.eval_with_jac(states[k], times[k])
-        lhs = E_k + (g1 * h) * A_k
-        rhs_m = (E_prev - (g2 * h) * A_prev) @ M
+        carry = E - (g2 * h) * A
+        rhs = carry @ M
+        if k == 1:
+            cols = np.flatnonzero(np.any(rhs != 0, axis=tuple(range(rhs.ndim - 1))))
+            rhs = rhs[..., cols]
+        E, A, P_k = _jacobians(system, states[k], times[k], with_scale_columns)
+        lhs = E + (g1 * h) * A
         if with_scale_columns:
-            P_k = system.dF_dscale(states[k], times[k])
-            rhs_s = (E_prev - (g2 * h) * A_prev) @ S - h * (g1 * P_k + g2 * P_prev)
-            stacked = np.concatenate([rhs_m, rhs_s], axis=-1)
-            sol = batched_solve(lhs, stacked)
-            M, S = sol[..., :n], sol[..., n:]
-            P_prev = P_k
+            rhs_s = carry @ S - h * (g1 * P_k + g2 * P)
+            sol = batched_solve(lhs, np.concatenate([rhs, rhs_s], axis=-1))
+            M, S = sol[..., : cols.size], sol[..., cols.size :]
+            P = P_k
         else:
-            M = batched_solve(lhs, rhs_m)
-        E_prev, A_prev = E_k, A_k
-    return M, S
+            M = batched_solve(lhs, rhs)
+    full = np.zeros(batch + (n, n))
+    full[..., cols] = M
+    return full, S

@@ -286,6 +286,19 @@ def test_kde_matches_scipy(n):
     np.testing.assert_allclose(dist.kde_density, kde(dist.kde_grid), rtol=1e-12, atol=0)
 
 
+def test_kde_reaches_across_a_gap_of_negligible_density():
+    """Between a far cluster and the bulk the density falls to about 1e-40;
+    there the nearest kernels are what a fixed cut-off would drop."""
+    rng = np.random.default_rng(7)
+    samples = np.concatenate([rng.normal(size=2000), 28.0 + rng.normal(size=40)])
+    dist = distribution_from_samples("x", samples)
+    bw = samples.size ** -0.2 * samples.std(ddof=1)
+    z = (dist.kde_grid[:, None] - samples) / bw
+    full = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * np.sqrt(2.0 * np.pi) * bw)
+    assert 1e-42 < full.min() < 1e-38
+    np.testing.assert_allclose(dist.kde_density, full, rtol=1e-12, atol=0)
+
+
 def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
     from pssuq.shooting import solve_forced as _solve
 

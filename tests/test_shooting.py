@@ -5,7 +5,7 @@ import pytest
 
 import pssuq.shooting as shooting
 from pssuq import parse_netlist
-from pssuq.circuit import dc_operating_point
+from pssuq.circuit import CircuitInstance, dc_operating_point
 from pssuq.shooting import (
     CircuitDae,
     OscillationError,
@@ -329,6 +329,23 @@ def test_estimated_period_is_near_the_converged_period(circuit, nominal, state, 
     est = estimate_period(c.realize_nominal(), c.node_state(state))
     _, _, sol = request.getfixturevalue(nominal)
     assert abs(est.period - float(sol.period)) / float(sol.period) < 5e-3
+
+
+def test_oscillator_jacobian_evaluates_each_grid_point_once(colpitts, colpitts_nominal, monkeypatch):
+    """E, A and the period-scaling column of a grid point come from one evaluation."""
+    _, phase, sol = colpitts_nominal
+    system = CircuitDae(colpitts.realize_nominal(), sol.period_scale)
+    calls = []
+    eval_dae = CircuitInstance.eval_dae
+
+    def counted(self, x, t):
+        calls.append(t)
+        return eval_dae(self, x, t)
+
+    monkeypatch.setattr(CircuitInstance, "eval_dae", counted)
+    J = shooting.shooting_jacobian(system, sol.trajectory, [phase.index])
+    assert len(calls) == sol.trajectory.n_points == 301
+    assert np.all(np.isfinite(J))
 
 
 def test_colpitts_estimate_stops_once_the_cycle_settles(colpitts, monkeypatch):

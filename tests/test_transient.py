@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from pssuq import cli, parse_netlist
+from pssuq.circuit import dc_operating_point
+from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import CircuitDae
+from pssuq.stpss import assemble_forced
 from pssuq.transient import (
     BACKWARD_EULER,
     STEP_MAX_ITER,
@@ -19,7 +22,7 @@ from pssuq.transient import (
     transition_chain,
 )
 
-from conftest import SHORTED_AT_A_NODE
+from conftest import SHORTED_AT_A_NODE, nominal_start
 
 
 class ScalarDecay:
@@ -153,6 +156,93 @@ def test_chain_identity_for_zero_rhs():
     traj = integrate(sys, np.array([1.0, 2.0]), 0.0, 1.0, TRAPEZOIDAL, n_steps=50)
     M, _ = transition_chain(sys, traj)
     assert np.allclose(M, np.eye(2))
+
+
+def _dense_chain(system, trajectory, with_scale_columns=False):
+    """``transition_chain`` over every column of M, each grid point evaluated
+    by ``eval_with_jac`` (and ``dF_dscale``): the chain's reference."""
+    times, states, gam = trajectory.times, trajectory.states, trajectory.gammas
+    n = states.shape[-1]
+    batch = states.shape[1:-1]
+    M = np.broadcast_to(np.eye(n), batch + (n, n)).copy()
+    S = P_prev = None
+    _, _, E_prev, A_prev = system.eval_with_jac(states[0], times[0])
+    if with_scale_columns:
+        P_prev = system.dF_dscale(states[0], times[0])
+        S = np.zeros(batch + (n, P_prev.shape[-1]))
+    for k in range(1, times.size):
+        h = times[k] - times[k - 1]
+        g1, g2 = gam[k - 1]
+        _, _, E_k, A_k = system.eval_with_jac(states[k], times[k])
+        lhs = E_k + (g1 * h) * A_k
+        rhs_m = (E_prev - (g2 * h) * A_prev) @ M
+        if with_scale_columns:
+            P_k = system.dF_dscale(states[k], times[k])
+            rhs_s = (E_prev - (g2 * h) * A_prev) @ S - h * (g1 * P_k + g2 * P_prev)
+            sol = batched_solve(lhs, np.concatenate([rhs_m, rhs_s], axis=-1))
+            M, S = sol[..., :n], sol[..., n:]
+            P_prev = P_k
+        else:
+            M = batched_solve(lhs, rhs_m)
+        E_prev, A_prev = E_k, A_k
+    return M, S
+
+
+def _chain_case(case, request):
+    """(system, trajectory, with_scale_columns, charge states) of one chain test case."""
+    if case == "rectifier":
+        inst = request.getfixturevalue("rectifier").realize_nominal()
+        system, y, horizon, scaled = CircuitDae(inst), dc_operating_point(inst), 1e-3, False
+    elif case == "colpitts":
+        est, _, sol = request.getfixturevalue("colpitts_nominal")
+        inst = request.getfixturevalue("colpitts").realize_nominal()
+        system, y, horizon, scaled = CircuitDae(inst, sol.period_scale), sol.y, est.period, True
+    elif case == "lna-nodes":
+        stacked, guess = request.getfixturevalue("lna_perturbed")
+        system, y, horizon, scaled = stacked.node_dae(), stacked.node_states(guess), stacked.period, False
+    else:
+        rect = request.getfixturevalue("rectifier")
+        basis = build_basis([s for _, s in rect.random_params], 2)
+        system = assemble_forced(rect, basis, select_testing_nodes(basis, tensor_rule(basis, 3)))
+        y, horizon, scaled = nominal_start(system).ravel(), system.period, False
+    traj = integrate(system, y, 0.0, horizon, n_steps=200, stabilized_start=True)
+    _, _, E0, _ = system.eval_with_jac(traj.states[0], traj.times[0])
+    charge = np.any(E0 != 0, axis=tuple(range(E0.ndim - 1)))
+    return system, traj, scaled, charge
+
+
+@pytest.mark.parametrize("case, memory", [
+    ("rectifier", 1), ("colpitts", 4), ("lna-nodes", 5), ("stacked-rectifier", 6),
+])
+def test_chain_runs_over_the_charge_columns(case, memory, request):
+    """After the backward-Euler first step only the charge and flux columns
+    of M are nonzero; they equal the dense all-column chain's."""
+    system, traj, scaled, charge = _chain_case(case, request)
+    assert charge.sum() == memory < charge.size
+    M, S = transition_chain(system, traj, with_scale_columns=scaled)
+    M_ref, S_ref = _dense_chain(system, traj, with_scale_columns=scaled)
+    assert np.all(M[..., ~charge] == 0) and np.all(M_ref[..., ~charge] == 0)
+    assert np.all(np.any(M[..., charge] != 0, axis=-2))
+    assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+    if scaled:
+        assert np.abs(S - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
+
+
+def test_chain_keeps_every_column_after_a_trapezoidal_first_step(rectifier):
+    system = CircuitDae(rectifier.realize_nominal())
+    traj = integrate(system, dc_operating_point(system.instance), 0.0, 1e-3, n_steps=200)
+    M, _ = transition_chain(system, traj)
+    M_ref, _ = _dense_chain(system, traj)
+    assert np.all(np.any(M != 0, axis=-2))
+    assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+
+
+def test_chain_of_a_one_point_trajectory_is_the_identity(colpitts, colpitts_nominal):
+    _, _, sol = colpitts_nominal
+    system = CircuitDae(colpitts.realize_nominal(), sol.period_scale)
+    traj = integrate(system, sol.y, 0.0, 0.0, n_steps=1)
+    M, S = transition_chain(system, traj, with_scale_columns=True)
+    assert np.array_equal(M, np.eye(colpitts.n)) and np.array_equal(S, np.zeros((colpitts.n, 1)))
 
 
 def test_csv_export(tmp_path):
