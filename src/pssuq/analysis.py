@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gpc import family_for, lookup_family, surrogate_eval
 from .shooting import solve_autonomous, solve_forced
 from .transient import ConvergenceError, NewtonOptions, TRAPEZOIDAL
 
@@ -24,7 +25,7 @@ from .transient import ConvergenceError, NewtonOptions, TRAPEZOIDAL
 # reproducible sampling
 
 
-def draw_standardized(dists, seed, count, offset=0):
+def draw_standardized(families, seed, count, offset=0):
     """Standardized coordinate draws for each sample index.
 
     Sample i consumes its own fixed block of a counter-based (Philox)
@@ -32,27 +33,22 @@ def draw_standardized(dists, seed, count, offset=0):
     (seed, offset + i): splitting a run into batches, reordering samples,
     or parallel scheduling cannot change any sample's coordinates
     (draw(seed, n, offset=k) equals rows k:k+n of draw(seed, k+n)).
-    Gaussian coordinates come from the Box-Muller transform of the block's
-    uniforms, uniform coordinates map to 2u - 1.
+    Coordinate j maps the next uniforms of the block through the sampler
+    of chaos family ``families[j]``.
     """
-    d = len(dists)
-    need = max(sum(2 if s.kind == "gaussian" else 1 for s in dists), 1)
+    samplers = [lookup_family(f) for f in families]
+    need = max(sum(fam.uniforms for fam in samplers), 1)
     # one counter block yields four doubles; pad so blocks stay aligned
     block = -(-need // 4) * 4
     bitgen = np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF)
     if offset:
         bitgen.advance(offset * (block // 4))
     u = np.random.Generator(bitgen).random((count, block))
-    out = np.empty((count, d))
+    out = np.empty((count, len(samplers)))
     c = 0
-    for j, spec in enumerate(dists):
-        if spec.kind == "gaussian":
-            u1, u2 = u[:, c], u[:, c + 1]
-            c += 2
-            out[:, j] = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
-        else:
-            out[:, j] = 2.0 * u[:, c] - 1.0
-            c += 1
+    for j, fam in enumerate(samplers):
+        out[:, j] = fam.sample(u[:, c : c + fam.uniforms])
+        c += fam.uniforms
     return out
 
 
@@ -88,8 +84,9 @@ class McRun:
 
     def waveform_mean_std(self):
         """Unbiased per-time-point statistics over the converged samples."""
-        w = self.waveforms[self.ok()]
-        return w.mean(axis=0), w.std(axis=0, ddof=1)
+        ok = self.ok()[:, None, None]
+        w = self.waveforms
+        return w.mean(axis=0, where=ok), w.std(axis=0, ddof=1, where=ok)
 
     def scalar_stats(self, values):
         v = np.asarray(values)[self.ok()]
@@ -117,8 +114,7 @@ def monte_carlo(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    dists = [s for _, s in circuit.random_params]
-    xi = draw_standardized(dists, seed, n_samples)
+    xi = draw_standardized([family_for(s) for _, s in circuit.random_params], seed, n_samples)
     batch = circuit.realize(xi)
     opts = dict(tol=tol, scheme=scheme, n_steps=n_steps, newton=newton)
     if nominal.phase is None:
@@ -183,8 +179,7 @@ def sample_periods(solution, xi):
     """Period realizations T0 * a(xi) from an autonomous solution."""
     if solution.kind != "autonomous":
         raise ValueError("period sampling needs an autonomous solution")
-    H = solution.coeffs.basis.eval(np.atleast_2d(xi))
-    return solution.nominal_period * (H @ solution.scale_coeffs.blocks)
+    return solution.nominal_period * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +250,6 @@ class MetricDistribution:
     kde_density: np.ndarray | None
     mean: float
     std: float
-
-    def histogram_mass(self):
-        return float(np.sum(self.density * np.diff(self.bin_edges)))
 
 
 def _freedman_diaconis_edges(samples):
@@ -350,9 +342,7 @@ def metric_distribution(
     """
     if n_samples < 1000:
         raise ValueError("metric distributions need at least 1000 samples")
-    # distribution kinds are encoded in the basis families
-    dists = [_FamilyDist(f) for f in solution.coeffs.basis.families]
-    xi = draw_standardized(dists, seed, n_samples)
+    xi = draw_standardized(solution.coeffs.basis.families, seed, n_samples)
     if metric == "period":
         vals = sample_periods(solution, xi)
         return distribution_from_samples("period", vals)
@@ -369,13 +359,6 @@ def metric_distribution(
         vals = power_sign * avg_power(v, i, solution.trajectory.times)
         return distribution_from_samples("power", vals)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-class _FamilyDist:
-    """Adapter giving draw_standardized the distribution kind of a family."""
-
-    def __init__(self, family):
-        self.kind = "gaussian" if family == "hermite" else "uniform"
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .analysis import (
     waveform_stats,
 )
 from .circuit import CircuitError
-from .gpc import build_basis, select_testing_nodes, tensor_rule
+from .gpc import build_basis, family_for, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
 from .shooting import OscillationError, solve_nominal
 from .stpss import (
@@ -250,14 +250,14 @@ def _basis_and_testing(circuit, order):
     return basis, testing
 
 
-def _analysis_kind(circuit, cfg):
-    return cfg.get("analysis_kind") or ("autonomous" if circuit.is_autonomous else "forced")
+def _solve_nominal(circuit, cfg, kind=None):
+    """The nominal steady state that every command starts from.
 
-
-def _solve_nominal(circuit, cfg, kind):
-    """The nominal steady state that every command starts from."""
+    ``kind`` is "forced" or "autonomous"; by default the circuit's own, an
+    oscillator when it has no time-varying source.
+    """
     phase_index = None
-    if kind == "autonomous":
+    if kind == "autonomous" or (kind is None and circuit.is_autonomous):
         phase_index = circuit.state_index(str(_require(cfg, "phase_state", "oscillator analysis")))
     return solve_nominal(
         circuit, cfg.get("period"), phase_index, cfg.get("phase_value"), **_solver_options(cfg)
@@ -391,7 +391,7 @@ def _write_st_outputs(rep, circuit, cfg, system, sol):
 
 def _cmd_mc(rep, circuit, cfg):
     with rep.phase("nominal_solve"):
-        nominal = _solve_nominal(circuit, cfg, _analysis_kind(circuit, cfg))
+        nominal = _solve_nominal(circuit, cfg)
     _run_mc(rep, circuit, cfg, nominal)
 
 
@@ -427,19 +427,18 @@ def _run_mc(rep, circuit, cfg, nominal):
 
 
 def _cmd_compare(rep, circuit, cfg):
-    kind = _analysis_kind(circuit, cfg)
     with rep.phase("nominal_solve"):
-        nominal = _solve_nominal(circuit, cfg, kind)
+        nominal = _solve_nominal(circuit, cfg)
     with rep.phase("chaos_solve"):
         system, sol = _solve_st(circuit, cfg, nominal)
     _write_st_outputs(rep, circuit, cfg, system, sol)
     run = _run_mc(rep, circuit, cfg, nominal)
 
     surrogate = None
-    if kind == "autonomous":
+    if nominal.phase is not None:
         # independent equal-size surrogate sample for the CDF comparison
-        dists = [s for _, s in circuit.random_params]
-        xi_s = draw_standardized(dists, cfg["seed"] + 2, int(np.sum(run.ok())))
+        families = [family_for(s) for _, s in circuit.random_params]
+        xi_s = draw_standardized(families, cfg["seed"] + 2, int(np.sum(run.ok())))
         surrogate = sample_periods(sol, xi_s)
     report = build_uq_report(sol, run, surrogate_periods=surrogate)
     rep.say(
@@ -511,7 +510,7 @@ def _speedup_options(cfg):
 def _cmd_speedup(rep, circuit, cfg):
     opts = _speedup_options(cfg)
     with rep.phase("sweep"):
-        rows, blas = _sweep_in_child(
+        rows, blas = speedup_sweep(
             n_nodes=opts["n"],
             orders=opts["orders"],
             dim=opts["dim"],
@@ -551,28 +550,6 @@ def synthetic_ladder(n_nodes, dim):
     return parse_netlist("\n".join(lines))
 
 
-def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3, seed=0):
-    """Per-iteration linear-solve times, coupled vs decoupled, vs basis size.
-
-    Builds the per-node shooting Jacobians of a synthetic linear network
-    once per order (outside the timed region), then times (a) one dense
-    solve of the coupled system assembled by the congruence transform and
-    (b) the K independent node solves plus the two V transforms. Returns
-    rows ``[order, K, t_coupled, t_decoupled, ratio]``.
-
-    The sweep runs in a fresh child interpreter whose environment sets every
-    BLAS thread variable to 1 before numpy loads its BLAS, whatever the
-    library and whatever the caller's environment: a multithreaded BLAS
-    speeds up the large coupled solve but not the small block solves, which
-    would flatten the measured scaling.
-    """
-    rows, _ = _sweep_in_child(
-        n_nodes=n_nodes, orders=list(orders), dim=dim, n_steps=n_steps,
-        repeats=repeats, seed=seed,
-    )
-    return rows
-
-
 _BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -584,19 +561,32 @@ _CHILD_CODE = (
 )
 
 
-def _sweep_in_child(**kwargs):
-    """Run the sweep single-threaded in a child; return (rows, BLAS record).
+def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3, seed=0):
+    """Per-iteration linear-solve times, coupled vs decoupled, vs basis size.
 
-    An exception the child raises is raised again here by its class, so a
-    bad option still maps to its exit code, with the child's traceback as
-    its cause; a child that dies without a reply raises RuntimeError
-    carrying its stderr.
+    Builds the per-node shooting Jacobians of a synthetic linear network
+    once per order (outside the timed region), then times (a) one dense
+    solve of the coupled system assembled by the congruence transform and
+    (b) the K independent node solves plus the two V transforms. Returns
+    ``(rows, blas)``: rows ``[order, K, t_coupled, t_decoupled, ratio]``
+    and the BLAS record (library, version, thread count).
+
+    The sweep runs in a fresh child interpreter whose environment sets every
+    BLAS thread variable to 1 before numpy loads its BLAS, whatever the
+    library and whatever the caller's environment: a multithreaded BLAS
+    speeds up the large coupled solve but not the small block solves, which
+    would flatten the measured scaling. An exception the child raises is
+    raised again here by its class, so a bad option still maps to its exit
+    code, with the child's traceback as its cause; a child that dies
+    without a reply raises RuntimeError carrying its stderr.
     """
+    options = {"n_nodes": n_nodes, "orders": list(orders), "dim": dim,
+               "n_steps": n_steps, "repeats": repeats, "seed": seed}
     env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
     package_parent = str(Path(__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD_CODE, package_parent],
-        input=json.dumps(kwargs, default=int), capture_output=True, text=True, env=env,
+        input=json.dumps(options, default=int), capture_output=True, text=True, env=env,
     )
     try:
         reply = json.loads(proc.stdout)
@@ -615,7 +605,7 @@ def _sweep_in_child(**kwargs):
 
 
 def _sweep_child():
-    """Child side of `_sweep_in_child`: JSON options on stdin, JSON reply on stdout."""
+    """Child side of `speedup_sweep`: JSON options on stdin, JSON reply on stdout."""
     try:
         rows = _sweep_rows(**json.load(sys.stdin))
     except Exception as exc:  # reported to the parent, which raises it again

@@ -1,11 +1,15 @@
 """Orthonormal polynomial-chaos bases, quadrature, and testing nodes.
 
-Gaussian parameters use probabilists' Hermite polynomials normalized by
-sqrt(k!), uniform ones use Legendre polynomials on [-1, 1] with density
-1/2 normalized by sqrt(2k+1). Multivariate basis functions are products of
-univariate factors over a total-degree index set in graded lexicographic
-order with the constant function first, so the first coefficient block of
-any expansion is its mean.
+Each chaos family is one entry of ``FAMILIES``: the distribution kind it
+serves, the coefficients beta_k of the three-term recurrence of its
+orthonormal polynomials, and its standardized sampler. Gaussian parameters
+use probabilists' Hermite polynomials (beta_k = k), uniform ones Legendre
+polynomials on [-1, 1] with density 1/2 (beta_k = k^2 / (4k^2 - 1)). The
+same beta_k give the basis values and, through the Jacobi matrix, the Gauss
+rules. Multivariate basis functions are products of univariate factors
+over a total-degree index set in graded lexicographic order with the
+constant function first, so the first coefficient block of any expansion
+is its mean.
 
 The testing-node set is a size-K subset of a tensor Gauss rule chosen so
 that the collocation matrix V[i, j] = H_j(node_i) is well conditioned:
@@ -17,6 +21,7 @@ already taken.
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,12 +33,48 @@ class GpcError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Family:
+    """One chaos family: its distribution kind, recurrence and sampler.
+
+    ``beta(k)`` gives the recurrence coefficients of the orthonormal
+    polynomials, x p_k = sqrt(beta_{k+1}) p_{k+1} + sqrt(beta_k) p_{k-1}
+    (both densities are symmetric, so every alpha_k is zero), for an array
+    of k >= 1. ``sample`` maps an (N, ``uniforms``) block of uniforms on
+    [0, 1) to N standardized coordinates.
+    """
+
+    kind: str
+    beta: Callable
+    uniforms: int
+    sample: Callable
+
+
+def _box_muller(u):
+    return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+
+
+FAMILIES = {
+    HERMITE: Family("gaussian", lambda k: k, 2, _box_muller),
+    LEGENDRE: Family(
+        "uniform", lambda k: k * k / (4.0 * k * k - 1.0), 1, lambda u: 2.0 * u[:, 0] - 1.0
+    ),
+}
+
+
+def lookup_family(name):
+    """The ``FAMILIES`` entry of a family name."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise GpcError(f"unknown family {name!r}") from None
+
+
 def family_for(dist):
     """Polynomial family matching a distribution."""
-    if dist.kind == "gaussian":
-        return HERMITE
-    if dist.kind == "uniform":
-        return LEGENDRE
+    for name, fam in FAMILIES.items():
+        if fam.kind == dist.kind:
+            return name
     raise GpcError(f"no polynomial family for {dist.kind!r} parameters")
 
 
@@ -42,26 +83,16 @@ def eval_univariate(family, max_order, x):
 
     Returns an array of shape (max_order + 1,) + x.shape.
     """
+    b = np.sqrt(lookup_family(family).beta(np.arange(1, max_order + 1, dtype=float)))
     x = np.asarray(x, dtype=float)
     out = np.empty((max_order + 1,) + x.shape)
     out[0] = 1.0
     if max_order == 0:
         return out
-    if family == HERMITE:
-        out[1] = x
-        for k in range(1, max_order):
-            out[k + 1] = (x * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
-    elif family == LEGENDRE:
-        # standard Legendre recurrence, then orthonormal scaling
-        p_prev = np.ones_like(x)
-        p_cur = x
-        out[1] = x * math.sqrt(3.0)
-        for k in range(1, max_order):
-            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-            out[k + 1] = p_next * math.sqrt(2 * k + 3)
-            p_prev, p_cur = p_cur, p_next
-    else:
-        raise GpcError(f"unknown family {family!r}")
+    # b[k - 1] = sqrt(beta_k); p_1 has no p_{-1} term
+    out[1] = x / b[0]
+    for k in range(1, max_order):
+        out[k + 1] = (x * out[k] - b[k - 1] * out[k - 1]) / b[k]
     return out
 
 
@@ -143,22 +174,15 @@ def gauss_rule(family, m):
     """1-D Gauss rule with m points for the family's weight function.
 
     Computed by eigen-decomposition of the symmetric tridiagonal (Jacobi)
-    matrix of the three-term recurrence, stored dense since m is small;
-    weights are normalized to sum to one (the densities are probability
-    densities).
+    matrix with sqrt(beta_1), ..., sqrt(beta_{m-1}) of the family's
+    recurrence off the diagonal (Golub & Welsch), stored dense since m is
+    small; weights are normalized to sum to one (the densities are
+    probability densities). For m = 1 the matrix is the 1x1 zero: node 0,
+    weight 1.
     """
     if m < 1:
         raise GpcError("quadrature needs at least one point")
-    if family == HERMITE:
-        beta = np.arange(1, m, dtype=float)
-    elif family == LEGENDRE:
-        k = np.arange(1, m, dtype=float)
-        beta = k * k / (4.0 * k * k - 1.0)
-    else:
-        raise GpcError(f"unknown family {family!r}")
-    if m == 1:
-        return np.zeros(1), np.ones(1)
-    off = np.sqrt(beta)
+    off = np.sqrt(lookup_family(family).beta(np.arange(1, m, dtype=float)))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2
     weights /= weights.sum()

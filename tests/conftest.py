@@ -131,8 +131,8 @@ def draws_with_short(monkeypatch, rows, drop=False):
     that shooting fails on its own."""
     draw = analysis.draw_standardized
 
-    def patched(dists, seed, count, offset=0):
-        xi = np.maximum(draw(dists, seed, count + (len(rows) if drop else 0), offset), -0.5)
+    def patched(families, seed, count, offset=0):
+        xi = np.maximum(draw(families, seed, count + (len(rows) if drop else 0), offset), -0.5)
         if drop:
             return np.delete(xi, rows, axis=0)
         xi[rows] = -1.0

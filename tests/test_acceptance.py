@@ -247,7 +247,7 @@ def test_criterion_6_st_vs_mc_autonomous(vdp_random, vdp_nominal):
         assert abs(std - std_q) / std_q < 0.02
 
         n_ok = int(np.sum(run_.ok()))
-        xi_s = draw_standardized([s for _, s in vdp_random.random_params], 44, n_ok)
+        xi_s = draw_standardized(sol.coeffs.basis.families, 44, n_ok)
         surrogate = sample_periods(sol, xi_s)
         ks = ks_statistic(surrogate, np.asarray(run_.period)[run_.ok()])
         assert ks < 0.05
@@ -275,7 +275,7 @@ def _write_cfg(tmp_path, obj):
 
 def test_criterion_8_decoupling_speedup():
     with _Budget("criterion 8: decoupled solve cost scaling", 600.0):
-        rows = speedup_sweep(
+        rows, _ = speedup_sweep(
             n_nodes=100, orders=[1, 2, 3, 4], dim=4, n_steps=40, repeats=3, seed=0
         )
         K = np.array([r[1] for r in rows], dtype=float)

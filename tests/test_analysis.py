@@ -1,6 +1,7 @@
 """Monte Carlo driver, metric math, and surrogate statistics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from pssuq.analysis import (
     waveform_stats,
 )
 from pssuq.circuit import DistributionSpec
-from pssuq.gpc import GpcCoefficients, build_basis, select_testing_nodes, tensor_rule
+from pssuq.gpc import (
+    HERMITE,
+    LEGENDRE,
+    GpcCoefficients,
+    GpcError,
+    build_basis,
+    family_for,
+    select_testing_nodes,
+    tensor_rule,
+)
 from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
 from pssuq.shooting import solve_nominal
 from pssuq.transient import Trajectory
@@ -69,20 +79,55 @@ def test_avg_power_examples():
 
 
 def test_draws_are_reproducible_and_splittable():
-    dists = [G, U, G]
-    a = draw_standardized(dists, 42, 50)
-    b = draw_standardized(dists, 42, 50)
+    families = [HERMITE, LEGENDRE, HERMITE]
+    a = draw_standardized(families, 42, 50)
+    b = draw_standardized(families, 42, 50)
     assert np.array_equal(a, b)
-    c = draw_standardized(dists, 42, 20, offset=30)
+    c = draw_standardized(families, 42, 20, offset=30)
     assert np.array_equal(a[30:], c)
-    assert not np.array_equal(a, draw_standardized(dists, 43, 50))
+    assert not np.array_equal(a, draw_standardized(families, 43, 50))
 
 
 def test_draws_have_right_marginals():
-    xi = draw_standardized([G, U], 0, 200_000)
+    xi = draw_standardized([HERMITE, LEGENDRE], 0, 200_000)
     assert abs(xi[:, 0].mean()) < 0.01 and abs(xi[:, 0].std() - 1.0) < 0.01
     assert abs(xi[:, 1].mean()) < 0.01 and abs(xi[:, 1].std() - 1 / np.sqrt(3)) < 0.01
     assert xi[:, 1].min() > -1 and xi[:, 1].max() < 1
+
+
+def _per_kind_draw(dists, seed, count, offset=0):
+    """The Box-Muller / 2u - 1 branch the family samplers replaced, as it was."""
+    need = max(sum(2 if s.kind == "gaussian" else 1 for s in dists), 1)
+    block = -(-need // 4) * 4
+    bitgen = np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF)
+    if offset:
+        bitgen.advance(offset * (block // 4))
+    u = np.random.Generator(bitgen).random((count, block))
+    out = np.empty((count, len(dists)))
+    c = 0
+    for j, spec in enumerate(dists):
+        if spec.kind == "gaussian":
+            u1, u2 = u[:, c], u[:, c + 1]
+            c += 2
+            out[:, j] = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+        else:
+            out[:, j] = 2.0 * u[:, c] - 1.0
+            c += 1
+    return out
+
+
+@pytest.mark.parametrize("dists", [[], [G], [U], [G, U, G], [U, U, G, U, G]])
+def test_family_samplers_reproduce_the_per_kind_draws(dists):
+    families = [family_for(s) for s in dists]
+    for seed, offset in ((0, 0), (7, 0), (7, 13)):
+        assert np.array_equal(
+            draw_standardized(families, seed, 64, offset), _per_kind_draw(dists, seed, 64, offset)
+        )
+
+
+def test_draw_rejects_an_unknown_family():
+    with pytest.raises(GpcError, match="unknown family"):
+        draw_standardized([HERMITE, "laguerre"], 0, 4)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -200,7 +245,7 @@ def test_period_point_mass():
     dist = metric_distribution(sol, "period", 2000, seed=0)
     assert dist.std == 0.0
     assert dist.samples.min() == dist.samples.max() == pytest.approx(1.0)
-    assert dist.histogram_mass() == pytest.approx(1.0)
+    assert np.sum(dist.density * np.diff(dist.bin_edges)) == pytest.approx(1.0)
 
 
 def test_period_linear_gaussian_map():
@@ -219,7 +264,7 @@ def test_period_linear_gaussian_map():
     m = moments(sol.scale_coeffs)
     assert abs(dist.mean - m.mean) / m.mean < 0.005
     assert abs(dist.std - m.std) / m.std < 0.005
-    assert dist.histogram_mass() == pytest.approx(1.0, abs=1e-6)
+    assert np.sum(dist.density * np.diff(dist.bin_edges)) == pytest.approx(1.0, abs=1e-6)
     kde_mass = np.trapezoid(dist.kde_density, dist.kde_grid)
     assert kde_mass == pytest.approx(1.0, abs=1e-6)
 
@@ -237,7 +282,7 @@ def test_surrogate_waveforms_shape(rectifier):
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
     system = assemble_forced(rectifier, basis, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
-    xi = draw_standardized([s for _, s in rectifier.random_params], 0, 7)
+    xi = draw_standardized(basis.families, 0, 7)
     waves = surrogate_waveforms(sol, xi, rectifier.node_state("out"))
     assert waves.shape == (7, sol.trajectory.times.size)
     with pytest.raises(ValueError):
@@ -254,7 +299,7 @@ def test_ks_statistic_sanity():
 def test_distribution_from_samples_histogram_mass():
     rng = np.random.default_rng(1)
     dist = distribution_from_samples("x", rng.normal(size=20_000))
-    assert dist.histogram_mass() == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(dist.density * np.diff(dist.bin_edges)) == pytest.approx(1.0, abs=1e-9)
     assert np.trapezoid(dist.kde_density, dist.kde_grid) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -386,7 +431,7 @@ def test_uq_report_autonomous(vdp_random):
     scale[0] = 1.0
     sol = shoot_autonomous(sys_a, det.phase, guess, scale, n_steps=300)
     run = monte_carlo(vdp_random, det, 300, seed=5, n_steps=300)
-    surro = sample_periods(sol, draw_standardized([U], 6, 300))
+    surro = sample_periods(sol, draw_standardized([LEGENDRE], 6, 300))
     report = build_uq_report(sol, run, surrogate_periods=surro)
     assert report.period["mean_rel_delta"] < 0.01
     assert report.period["ks_statistic"] < 0.2

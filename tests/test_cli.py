@@ -180,7 +180,7 @@ def test_mc_past_its_failure_limit_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_compare_command_structure(tmp_path):
     cfg = _cfg(
-        tmp_path, analysis_kind="forced", gpc_order=2, mc_samples=256,
+        tmp_path, gpc_order=2, mc_samples=256,
         steps_per_period=64, seed=1,
     )
     out = tmp_path / "out"
@@ -233,7 +233,7 @@ def test_synthetic_ladder_structure():
 
 
 def test_speedup_small_sizes(tmp_path):
-    rows = speedup_sweep(n_nodes=40, orders=[0, 1, 2], dim=2, n_steps=16, repeats=5)
+    rows, _ = speedup_sweep(n_nodes=40, orders=[0, 1, 2], dim=2, n_steps=16, repeats=5)
     by_K = {r[1]: r for r in rows}
     assert 1 in by_K  # order 0 collapses to one basis function
     ratio_k1 = by_K[1][4]
