@@ -39,7 +39,7 @@ from .analysis import (
     waveform_stats,
 )
 from .circuit import CircuitError
-from .gpc import build_basis, family_for, select_testing_nodes, tensor_rule
+from .gpc import build_basis, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
 from .shooting import OscillationError, solve_nominal
 from .stpss import (
@@ -437,8 +437,7 @@ def _cmd_compare(rep, circuit, cfg):
     surrogate = None
     if nominal.phase is not None:
         # independent equal-size surrogate sample for the CDF comparison
-        families = [family_for(s) for _, s in circuit.random_params]
-        xi_s = draw_standardized(families, cfg["seed"] + 2, int(np.sum(run.ok())))
+        xi_s = draw_standardized(sol.coeffs.basis.families, cfg["seed"] + 2, int(np.sum(run.ok())))
         surrogate = sample_periods(sol, xi_s)
     report = build_uq_report(sol, run, surrogate_periods=surrogate)
     rep.say(
