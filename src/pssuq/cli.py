@@ -118,6 +118,11 @@ def load_config(path, overrides=None):
     for key in ("shooting_tol", "newton_tol"):
         if not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
+    for key in ("period", "phase_value", "power_sign"):
+        if cfg.get(key) is not None and not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a number")
+    if not (isinstance(cfg["metrics"], list) and all(isinstance(m, str) for m in cfg["metrics"])):
+        raise ConfigError("metrics must be a list of strings")
     if not (_is_int(cfg["gpc_order"]) and cfg["gpc_order"] >= 0):
         raise ConfigError("gpc_order must be an integer >= 0")
     if not (_is_int(cfg["steps_per_period"]) and cfg["steps_per_period"] >= 16):

@@ -13,9 +13,11 @@ is its mean.
 
 The testing-node set is a size-K subset of a tensor Gauss rule chosen so
 that the collocation matrix V[i, j] = H_j(node_i) is well conditioned:
-candidates are ranked by quadrature weight and accepted greedily when
-their basis-evaluation row stays numerically independent of the rows
-already taken.
+one pass ranks the candidates by quadrature weight, evaluates their basis
+rows as it reaches them, and accepts a candidate greedily when its row
+stays numerically independent of the rows already taken. The rule's
+exactness on the Gram matrix leaves some candidate at least 1/sqrt(K) of
+its row outside any smaller span, so the first pivot threshold fills K.
 """
 
 import json
@@ -189,27 +191,14 @@ def gauss_rule(family, m):
     return nodes, weights
 
 
-MAX_CANDIDATES = 1_000_000  # tensor-rule points kept as testing-node candidates
-
-
 def tensor_rule(basis, points_per_dim):
-    """Tensor-product Gauss rule across the basis dimensions.
-
-    When the full tensor grid exceeds ``MAX_CANDIDATES`` points, only the
-    largest-weight points are kept.
-    """
+    """Tensor-product Gauss rule across the basis dimensions: the full grid."""
     rules = [gauss_rule(fam, points_per_dim) for fam in basis.families]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(nodes.shape[0])
-    for w in wgrids:
-        weights = weights * w.ravel()
-    if nodes.shape[0] > MAX_CANDIDATES:
-        keep = np.argsort(-weights, kind="stable")[:MAX_CANDIDATES]
-        keep.sort()
-        nodes, weights = nodes[keep], weights[keep]
-        weights = weights / weights.sum()
+    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij", copy=False)
+    nodes = np.stack(grids, axis=-1).reshape(-1, basis.dim)
+    weights = rules[0][1]
+    for r in rules[1:]:
+        weights = np.multiply.outer(weights, r[1]).ravel()
     return QuadratureRule(nodes, weights)
 
 
@@ -244,52 +233,55 @@ class TestingSet:
 
 
 COND_BOUND = 1e6  # largest accepted condition number of the collocation matrix
-PIVOT_THRESHOLD = 1e-3  # first relative pivot a candidate row must exceed
+PIVOT_THRESHOLD = 1e-3  # relative pivot a candidate row must exceed
 
 
 def select_testing_nodes(basis, candidates):
     """Pick K candidate nodes whose collocation matrix is well conditioned.
 
-    Candidates are visited in order of decreasing quadrature weight (ties
-    broken by coordinates, so the choice is deterministic) and accepted
-    when the orthogonalized remainder of their basis row exceeds the pivot
-    threshold (``PIVOT_THRESHOLD``) relative to the row norm. The threshold
-    is relaxed stepwise if the scan cannot fill all K slots. A selection
-    whose condition number exceeds ``COND_BOUND`` raises GpcError.
+    One pass visits the candidates in order of decreasing quadrature weight
+    (ties broken by coordinates, so the choice is deterministic), evaluating
+    their basis rows K at a time as the scan reaches them, and accepts a
+    candidate when the orthogonalized remainder of its row exceeds
+    ``PIVOT_THRESHOLD`` relative to the row norm. For a rule that integrates
+    the Gram matrix exactly, as the (p + 1)-point tensor Gauss rule does,
+    sum_q w_q H(xi_q) H(xi_q)^T = I, so while fewer than K rows are taken
+    some candidate keeps at least 1/sqrt(K) of its row norm outside their
+    span and the pass fills all K slots. Candidates that run out first do
+    not span the basis; that, or a selection whose condition number exceeds
+    ``COND_BOUND``, raises GpcError.
     """
     K = basis.size
     if candidates.count < K:
         raise GpcError(f"need at least {K} candidates, got {candidates.count}")
     keys = tuple(candidates.nodes[:, j] for j in range(basis.dim - 1, -1, -1))
     order = np.lexsort(keys + (-candidates.weights,))
-    rows_all = basis.eval(candidates.nodes[order])  # (M, K)
+    rows = (
+        row
+        for start in range(0, order.size, K)
+        for row in basis.eval(candidates.nodes[order[start:start + K]])
+    )
 
-    threshold = PIVOT_THRESHOLD
-    while True:
-        picked = []
-        ortho = np.zeros((K, K))
-        n_ortho = 0
-        for i in range(rows_all.shape[0]):
-            row = rows_all[i]
-            resid = row - ortho[:n_ortho].T @ (ortho[:n_ortho] @ row)
-            # second orthogonalization pass for numerical safety
-            resid -= ortho[:n_ortho].T @ (ortho[:n_ortho] @ resid)
-            rnorm = np.linalg.norm(resid)
-            if rnorm > threshold * max(np.linalg.norm(row), 1e-300):
-                ortho[n_ortho] = resid / rnorm
-                n_ortho += 1
-                picked.append(i)
-                if n_ortho == K:
-                    break
-        if n_ortho == K:
-            break
-        threshold *= 0.1
-        if threshold < 1e-13:
-            raise GpcError("candidate set does not span the basis (rank deficient)")
+    picked = []
+    V = np.empty((K, K))
+    ortho = np.zeros((K, K))
+    for i, row in zip(order, rows):
+        n = len(picked)
+        q = ortho[:n]
+        resid = row - q.T @ (q @ row)
+        # second orthogonalization pass for numerical safety
+        resid -= q.T @ (q @ resid)
+        rnorm = np.sqrt(resid @ resid)
+        if rnorm > PIVOT_THRESHOLD * max(np.sqrt(row @ row), 1e-300):
+            ortho[n] = resid / rnorm
+            V[n] = row
+            picked.append(i)
+            if n + 1 == K:
+                break
+    else:
+        raise GpcError("candidate set does not span the basis (rank deficient)")
 
-    sel = order[picked]
-    nodes = candidates.nodes[sel]
-    V = rows_all[picked]
+    nodes = candidates.nodes[picked]
     cond = float(np.linalg.cond(V))
     if not np.isfinite(cond) or cond > COND_BOUND:
         raise GpcError(f"collocation matrix too ill-conditioned: cond = {cond:.3e}")

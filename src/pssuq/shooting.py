@@ -92,10 +92,6 @@ class CircuitDae:
         self.instance = instance
         self.scale = scale
 
-    @property
-    def ndim(self):
-        return self.instance.n
-
     def eval(self, w, t):
         return self.terms(self.instance.eval_dae(w, t))[:2]
 

@@ -1,6 +1,6 @@
 """Implicit time integration for DAE systems d Q(w)/dt + F(w, t) = 0.
 
-Any object with ``ndim``, ``eval(w, t) -> (Q, F)`` and
+Any object with ``eval(w, t) -> (Q, F)`` and
 ``eval_with_jac(w, t) -> (Q, F, dQ/dw, dF/dw)`` can be integrated; the
 circuit adapter of the shooting module (one circuit or a batch of them)
 and the stacked collocation DAE both provide this interface. ``F``

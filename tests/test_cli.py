@@ -63,6 +63,10 @@ def test_config_validation(tmp_path):
         ("st-forced", "steps_per_period", None),
         ("mc", "mc_samples", "10"),
         ("convergence", "orders", ["x"]),
+        ("st-forced", "period", "1e-3"),
+        ("st-osc", "phase_value", "abc"),
+        ("st-forced", "power_sign", "x"),
+        ("st-forced", "metrics", "power"),
     ],
 )
 def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):

@@ -9,10 +9,13 @@ import scipy.stats
 
 from pssuq.circuit import DistributionSpec
 from pssuq.gpc import (
+    COND_BOUND,
+    PIVOT_THRESHOLD,
     GpcCoefficients,
     GpcError,
     HERMITE,
     LEGENDRE,
+    QuadratureRule,
     basis_size,
     build_basis,
     eval_univariate,
@@ -277,6 +280,81 @@ def test_selection_needs_enough_candidates():
     b = build_basis([G], 3)
     with pytest.raises(GpcError):
         select_testing_nodes(b, tensor_rule(b, 2))
+
+
+def test_selection_raises_when_candidates_do_not_span():
+    b = build_basis([G], 2)
+    repeated = QuadratureRule(np.array([[-1.0], [1.0], [-1.0], [1.0]]), np.full(4, 0.25))
+    with pytest.raises(GpcError, match="does not span"):
+        select_testing_nodes(b, repeated)
+
+
+def test_selection_at_twelve_dimensions():
+    b = build_basis([G, U] * 6, 2)  # K = 91 of 531,441 candidates
+    ts = select_testing_nodes(b, tensor_rule(b, 3))
+    assert ts.size == b.size == 91
+    assert np.linalg.matrix_rank(ts.vandermonde) == b.size
+    assert ts.cond_estimate < COND_BOUND
+    assert np.abs(ts.vandermonde @ ts.v_inv - np.eye(b.size)).max() < 1e-8
+
+
+def _parent_tensor_rule(basis, points_per_dim):
+    """The earlier tensor rule: one meshgrid of nodes, one of weights."""
+    rules = [gauss_rule(fam, points_per_dim) for fam in basis.families]
+    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.ones(nodes.shape[0])
+    for w in wgrids:
+        weights = weights * w.ravel()
+    return QuadratureRule(nodes, weights)
+
+
+def _parent_selection(basis, candidates):
+    """The earlier selection: every candidate row evaluated up front, and
+    the scan restarted at a tenth of the threshold until K rows are found."""
+    K = basis.size
+    keys = tuple(candidates.nodes[:, j] for j in range(basis.dim - 1, -1, -1))
+    order = np.lexsort(keys + (-candidates.weights,))
+    rows_all = basis.eval(candidates.nodes[order])
+    threshold = PIVOT_THRESHOLD
+    while True:
+        picked = []
+        ortho = np.zeros((K, K))
+        for i, row in enumerate(rows_all):
+            n = len(picked)
+            resid = row - ortho[:n].T @ (ortho[:n] @ row)
+            resid -= ortho[:n].T @ (ortho[:n] @ resid)
+            rnorm = np.linalg.norm(resid)
+            if rnorm > threshold * max(np.linalg.norm(row), 1e-300):
+                ortho[n] = resid / rnorm
+                picked.append(i)
+                if n + 1 == K:
+                    break
+        if len(picked) == K:
+            break
+        threshold *= 0.1
+        assert threshold >= 1e-13
+    V = rows_all[picked]
+    return candidates.nodes[order[picked]], V, np.linalg.inv(V), float(np.linalg.cond(V))
+
+
+@pytest.mark.parametrize("pattern", ["alternating", "hermite", "legendre"])
+def test_selection_matches_the_full_evaluation_bit_for_bit(pattern):
+    fams = {"alternating": [G, U], "hermite": [G], "legendre": [U]}[pattern]
+    for d in range(1, 7):
+        for p in range(6):
+            if (p + 1) ** d > 4096:
+                break
+            b = build_basis((fams * d)[:d], p)
+            rule = tensor_rule(b, p + 1)
+            ref_rule = _parent_tensor_rule(b, p + 1)
+            assert np.array_equal(rule.nodes, ref_rule.nodes)
+            assert np.array_equal(rule.weights, ref_rule.weights)
+            ts = select_testing_nodes(b, rule)
+            got = (ts.nodes, ts.vandermonde, ts.v_inv, ts.cond_estimate)
+            for name, a, r in zip(("nodes", "V", "V^-1", "cond"), got, _parent_selection(b, ref_rule)):
+                assert np.array_equal(a, r), (d, p, name)
 
 
 # -- coefficients -------------------------------------------------------------

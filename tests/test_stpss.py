@@ -191,8 +191,6 @@ def test_j12_zero_when_rhs_vanishes(vdp_random):
 class _ScaledConstant:
     """Q = w, F = -c * a: hand-checkable one-step scaling sensitivity."""
 
-    ndim = 1
-
     def __init__(self, c):
         self.c = c
 

@@ -28,8 +28,6 @@ from conftest import SHORTED_AT_A_NODE, nominal_start
 class ScalarDecay:
     """Q = w, F = w: the unit linear decay dw/dt = -w."""
 
-    ndim = 1
-
     def eval(self, w, t):
         return w.copy(), w.copy()
 
@@ -40,8 +38,6 @@ class ScalarDecay:
 
 class ConstantCharge:
     """F = 0: the state must not move."""
-
-    ndim = 2
 
     def eval(self, w, t):
         return w.copy(), np.zeros_like(w)
@@ -256,8 +252,6 @@ def test_csv_export(tmp_path):
 
 
 class Explodes:
-    ndim = 1
-
     def eval(self, w, t):
         return w.copy(), np.full_like(w, np.nan)
 
@@ -345,7 +339,6 @@ class Quirks:
     step matrix (a singular step, all NaN). With ``carry`` it offers the
     linearization the circuit adapter offers."""
 
-    ndim = 2
     C = np.array([np.eye(2), np.eye(2), np.diag([0.0, 1.0]), np.zeros((2, 2))])
     G = np.array([np.eye(2), np.eye(2), np.diag([1e-319, 0.0]), np.zeros((2, 2))])
     s0 = np.array([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0], [1.0, 1.0]])
