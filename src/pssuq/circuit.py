@@ -888,5 +888,8 @@ def dc_operating_point(instance):
             if not ok:
                 break
     if not ok:
-        raise CircuitError(f"DC operating point did not converge (residual {rn:.3e})")
+        # every stage starts from x = 0, so an element non-finite there fails them all
+        element = None if np.isfinite(rn) else instance.find_nonfinite_element(np.zeros(shape), 0.0)
+        extra = f" (non-finite contribution from element {element})" if element else ""
+        raise CircuitError(f"DC operating point did not converge (residual {rn:.3e}){extra}")
     return x

@@ -115,9 +115,11 @@ def load_config(path, overrides=None):
     for key in ("seed", "mc_samples", "metric_samples"):
         if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer")
+        if key != "seed" and cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
     for key in ("shooting_tol", "newton_tol"):
-        if not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be a number")
+        if not (_is_number(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"{key} must be a positive number")
     for key in ("period", "phase_value", "power_sign"):
         if cfg.get(key) is not None and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")

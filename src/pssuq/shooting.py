@@ -15,11 +15,12 @@ gives the residual run and Newton step (``shooting_jacobian``) that
 batch advances in lockstep through the same grids, which is how the Monte
 Carlo driver amortizes its sampling loop and how the stochastic solver
 (``stpss``) runs its K testing-node circuits. A step one sample cannot
-take is bisected for the whole batch; samples that still fail at the
-bisection floor are flagged, not raised, in batched runs. Converged and
-stalled samples retire: later runs integrate and chain only the pending
-rows, written back in place, and a run that changes the grid is repeated
-for every live sample, so results equal those of the lockstep batch.
+take is bisected for the whole batch; ``floor_failure`` names the first
+sample the integrator flags at the bisection floor: one circuit's solve
+raises with it, a flagged batch sample is unusable. Converged and stalled
+samples retire: later runs integrate and chain only the pending rows,
+written back in place, and a run that changes the grid is repeated for
+every live sample, so results equal those of the lockstep batch.
 ``solve_nominal`` solves the nominal circuit, where every analysis starts.
 For an oscillator it starts from ``estimate_period``, a transient kicked
 along the least-damped linearized mode and stopped once its cycle settles
@@ -35,6 +36,7 @@ from .circuit import dc_operating_point
 from .transient import (
     BACKWARD_EULER,
     ConvergenceError,
+    Dae,
     NewtonOptions,
     TRAPEZOIDAL,
     Trajectory,
@@ -79,11 +81,11 @@ class PssSolution:
         }
 
 
-class CircuitDae:
-    """Adapts a CircuitInstance to the integrator interface.
+class CircuitDae(Dae):
+    """Adapts a CircuitInstance to the integrator's ``Dae`` contract.
 
     ``F = f - B u(t)``; with a period scaling attached the right-hand side
-    becomes ``a * (f - B u)`` and ``dF_dscale`` exposes its derivative with
+    becomes ``a * (f - B u)`` and ``scale_columns`` gives its derivative with
     respect to ``a`` (one column); ``linearize`` returns the instance
     evaluation from which ``terms`` and ``scale_columns`` take them.
     """
@@ -91,12 +93,6 @@ class CircuitDae:
     def __init__(self, instance, scale=None):
         self.instance = instance
         self.scale = scale
-
-    def eval(self, w, t):
-        return self.terms(self.instance.eval_dae(w, t))[:2]
-
-    def eval_with_jac(self, w, t):
-        return self.terms(self.instance.eval_dae(w, t))
 
     def linearize(self, w, t):
         return self.instance.eval_dae(w, t)
@@ -111,15 +107,29 @@ class CircuitDae:
             F, dF = a * F, a[..., None] * dF
         return ev.q, F, ev.dq_dx, dF
 
-    def dF_dscale(self, w, t):
-        return self.scale_columns(self.instance.eval_dae(w, t))
-
     def scale_columns(self, ev):
-        """``dF_dscale`` of the instance evaluation ``ev``."""
+        """dF/da of the instance evaluation ``ev``."""
         return (ev.f - ev.bu)[..., None]
 
-    def locate_nonfinite(self, w, t):
-        return self.instance.find_nonfinite_element(w, t)
+
+def floor_failure(instance, traj):
+    """The first sample of ``traj`` (a run of ``instance``) flagged at the
+    bisection floor, as (row, text), or None: the text gives the time it
+    froze at and the element with a non-finite contribution there, if any."""
+    failed = traj.failed.ravel()
+    if not failed.any():
+        return None
+    k = int(np.argmax(failed))
+    t = float(traj.fail_times.ravel()[k])
+    element = instance.take([k]).find_nonfinite_element(traj.end.reshape(failed.size, -1)[k], t)
+    extra = f" (non-finite contribution from element {element})" if element else ""
+    return k, f"implicit step at t={t:.6g} did not converge at the bisection floor{extra}"
+
+
+def _raise_on_floor_failure(instance, traj):
+    """Raise ConvergenceError with ``floor_failure``'s text for a flagged run of one circuit."""
+    if traj.failed.ndim == 0 and traj.failed:
+        raise ConvergenceError(floor_failure(instance, traj)[1])
 
 
 MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
@@ -204,7 +214,7 @@ def shooting_jacobian(sys, traj, pinned=None):
 
     M - I, M the monodromy of ``sys``. With ``pinned`` (oscillators) it is
     bordered by the scaling columns S = d(end state)/d(scaling) of
-    ``sys.dF_dscale`` and by one phase row per column, row i pinning state
+    ``sys.scale_columns`` and by one phase row per column, row i pinning state
     ``pinned[i]``: [[M - I, S], [P, 0]].
     """
     if pinned is None:
@@ -228,7 +238,7 @@ class Shooting:
     oscillator has unknown (y, a): the right-hand side is scaled by a, the
     residual gains the phase row y_j - value, and the Jacobian is bordered.
     A residual is unusable (norm inf) where a is not above ``SCALE_FLOOR``
-    or where a batched integration flagged the sample.
+    or where the run flagged a batch sample; one circuit's flagged run raises.
     """
 
     def __init__(
@@ -250,8 +260,9 @@ class Shooting:
         n = self.instance.n
         y = u[..., :n]
         traj = integrate(self.system(u, rows), y, 0.0, self.horizon, **self.options)
+        _raise_on_floor_failure(self.instance, traj)
         g = traj.end - y
-        unusable = np.zeros(u.shape[:-1], dtype=bool) if traj.failed is None else traj.failed
+        unusable = traj.failed
         if self.phase is not None:
             unusable = unusable | (u[..., n] <= SCALE_FLOOR)  # the scaling must stay positive
             g = np.concatenate([g, y[..., self.phase.index, None] - self.phase.value], axis=-1)
@@ -441,11 +452,13 @@ def estimate_period(instance, state_index):
     # before the (non L-stable) trapezoidal rule takes over
     x_start = x_dc + KICK * (1.0 + np.max(np.abs(x_dc))) * mode
     pre = integrate(sys, x_start, 0.0, t_lin / 100.0, scheme=BACKWARD_EULER, n_steps=4)
+    _raise_on_floor_failure(instance, pre)
     t, states = pre.times[-1:], pre.states[-1:]
     while t[-1] < MAX_ESTIMATE_PERIODS * t_lin:
         chunk = integrate(
             sys, states[-1], t[-1], t[-1] + 2.0 * t_lin, n_steps=2 * STEPS_PER_LINEAR_PERIOD
         )
+        _raise_on_floor_failure(instance, chunk)
         t = np.concatenate([t, chunk.times[1:]])
         states = np.concatenate([states, chunk.states[1:]])
         wave, recent = states[:, state_index], chunk.states[:, state_index]

@@ -35,10 +35,12 @@ import numpy as np
 
 from .gpc import GpcCoefficients, moments
 from .shooting import (
-    CircuitDae, OscillationError, Shooting, damped_newton, shooting_jacobian, stationary_orbits,
+    CircuitDae, OscillationError, Shooting, damped_newton, floor_failure, shooting_jacobian,
+    stationary_orbits,
 )
 from .transient import (
     ConvergenceError,
+    Dae,
     NewtonOptions,
     TRAPEZOIDAL,
     Trajectory,
@@ -51,14 +53,15 @@ from .transient import (
 # stacked system
 
 
-class StackedSystem:
+class StackedSystem(Dae):
     """The coupled DAE over chaos coefficients, sized n*K.
 
     Residual block k is the deterministic residual at testing node k with
     the state surrogate evaluated there; the unknown vector is the
     coefficient stack. For oscillators the resistive part of each block is
     multiplied by that node's period scaling, read from ``scale_coeffs``
-    (set by the coupled step). The solvers integrate the node circuits
+    (set by the coupled step). A grid point is one evaluation of the node
+    batch at V @ w, lifted by V. The solvers integrate the node circuits
     (``instances``); the stacked Jacobians serve the coupled shooting
     update, and ``period_map`` integrates the per-node view (``node_dae``)
     as the reference coefficient map.
@@ -97,30 +100,25 @@ class StackedSystem:
         scale = self.node_scales() if self.kind == "autonomous" else None
         return CircuitDae(self.instances, scale=scale)
 
-    def eval(self, w, t):
-        """Stacked (Q, F): the node circuits' at the surrogate states, so the
-        stacked DAE can still be integrated directly, as the reference for
-        the node-space run."""
-        q, F = self.node_dae().eval(self.node_states(w), t)
-        return q.ravel(), F.ravel()
+    def linearize(self, w, t):
+        """The node batch's evaluation at the surrogate states of ``w``."""
+        return self.node_dae().linearize(self.node_states(w), t)
 
-    def eval_with_jac(self, w, t):
-        """Stacked (Q, F) and their Jacobians in coefficient space: each node
-        Jacobian times that node's row of V."""
-        q, F, dq, dF = self.node_dae().eval_with_jac(self.node_states(w), t)
-        V = self.testing.vandermonde
-        nK = self.ndim
-        dQ = np.einsum("kab,kj->kajb", dq, V).reshape(nK, nK)
-        dFc = np.einsum("kab,kj->kajb", dF, V).reshape(nK, nK)
-        return q.ravel(), F.ravel(), dQ, dFc
+    def _lift(self, d):
+        """Node blocks d (K, n, m) -> coefficient columns: each times that node's row of V."""
+        return np.einsum("kab,kj->kajb", d, self.testing.vandermonde).reshape(self.ndim, -1)
 
-    def dF_dscale(self, w, t):
+    def terms(self, lin, t=None):
+        """Stacked (Q, F), the node circuits' at the surrogate states, and
+        their Jacobians in coefficient space."""
+        q, F, dq, dF = self.node_dae().terms(lin, t)
+        return q.ravel(), F.ravel(), self._lift(dq), self._lift(dF)
+
+    def scale_columns(self, lin):
         """Derivative of the stacked F w.r.t. the scaling coefficients."""
         if self.kind != "autonomous":
             raise ValueError("scaling sensitivity only exists for oscillators")
-        base = self.node_dae().dF_dscale(self.node_states(w), t)[..., 0]  # (K, n)
-        V = self.testing.vandermonde
-        return np.einsum("ka,kj->kaj", base, V).reshape(self.ndim, self.K)
+        return self._lift(self.node_dae().scale_columns(lin))
 
 
 def assemble_forced(circuit, basis, testing, period=None):
@@ -169,20 +167,13 @@ def _coefficient_trajectory(system, node_traj):
 
 
 def _raise_on_failed_node(system, node_traj):
-    """Name the first testing node whose step failed at the bisection floor:
-    its index, its xi, the time point and the element with a non-finite
-    contribution there, if any."""
-    if not np.any(node_traj.failed):
-        return
-    k = int(np.argmax(node_traj.failed))
-    xi = system.testing.nodes[k]
-    t = float(node_traj.fail_times[k])
-    element = system.circuit.realize(xi).find_nonfinite_element(node_traj.end[k], t)
-    extra = f" (non-finite contribution from element {element})" if element else ""
-    raise ConvergenceError(
-        f"testing node {k} (xi = {np.array2string(xi, precision=6)}): implicit "
-        f"step at t={t:.6g} did not converge at the bisection floor{extra}"
-    )
+    """Name the first testing node flagged at the bisection floor: its index
+    and xi in front of its ``floor_failure``."""
+    failure = floor_failure(system.instances, node_traj)
+    if failure is not None:
+        k, text = failure
+        xi = np.array2string(system.testing.nodes[k], precision=6)
+        raise ConvergenceError(f"testing node {k} (xi = {xi}): {text}")
 
 
 # ---------------------------------------------------------------------------

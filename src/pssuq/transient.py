@@ -1,32 +1,27 @@
 """Implicit time integration for DAE systems d Q(w)/dt + F(w, t) = 0.
 
-Any object with ``eval(w, t) -> (Q, F)`` and
-``eval_with_jac(w, t) -> (Q, F, dQ/dw, dF/dw)`` can be integrated; the
-circuit adapter of the shooting module (one circuit or a batch of them)
-and the stacked collocation DAE both provide this interface. ``F``
-includes the source term, so the one-step residual of the two-point
-schemes here is
+Every system is a ``Dae``: ``linearize(w, t)`` evaluates it once and
+``terms(lin, t=None)`` gives (Q, F, dQ/dw, dF/dw) from that evaluation; a
+scaled system's ``scale_columns(lin)`` gives dF/d(scaling). The circuit
+adapter of the shooting module (one circuit or a batch of them) and the
+stacked collocation DAE are both ``Dae``s. ``F`` includes the source
+term, so the one-step residual of the two-point schemes here is
 
     Q(w_k) - Q(w_{k-1}) + h_k * (g1 * F(w_k, t_k) + g2 * F(w_{k-1}, t_{k-1})) = 0
 
 with (g1, g2) = (1, 0) for backward Euler and (0.5, 0.5) for the
 trapezoidal rule. Each step is solved by an inner Newton iteration with
-the exact step Jacobian dQ/dw + g1*h*dF/dw. For a system with
-``linearize(w, t)`` and ``terms(lin, t=None)`` (the circuit adapter), the
-converged state's linearization is the next step's first iterate, with
-only the source evaluated anew, so each iterate is evaluated once.
+the exact step Jacobian dQ/dw + g1*h*dF/dw. The converged state's
+linearization is the next step's first iterate, with only the source
+evaluated anew, so each iterate is evaluated once.
 
 States may carry a leading batch axis; batched runs advance in lockstep
-on one shared grid. A step on a fixed grid that fails to converge for any
-sample is bisected for the whole batch, exactly as an unbatched step is;
-the members that would have converged take the finer steps too. Only at
-the bisection floor do the runs differ: an unbatched run raises, a
-batched run freezes the samples that still fail where the grid step
-began, flags them (rather than raising), which is what the Monte Carlo
-driver needs, and takes that step again for the rest without the points
-the bisection added. A sample that can never take a step thus leaves the
-grid as it was. The recorded trajectory always reflects the steps
-actually taken, so the one-period linearization chain stays exact.
+on one shared grid. A step that fails for any sample is bisected for the
+whole batch, and a sample that still fails at the bisection floor, one
+circuit's as a batch member's, is frozen and flagged (``integrate``): the
+integrator never raises on a step, the solver decides. The recorded
+trajectory always reflects the steps actually taken, so the one-period
+linearization chain stays exact.
 """
 
 from dataclasses import dataclass
@@ -39,7 +34,7 @@ class ConvergenceError(RuntimeError):
 
 
 class _FloorFailure(Exception):
-    """Samples ``bad`` of a batched step still fail at the bisection floor."""
+    """Samples ``bad`` of a step still fail at the bisection floor."""
 
     def __init__(self, bad):
         super().__init__()
@@ -71,6 +66,20 @@ class NewtonOptions:
     tol: float = 1e-9  # used as both absolute and relative threshold
 
 
+class Dae:
+    """Base of the integrable systems: one-shot evaluations from a subclass's
+    ``linearize``, ``terms`` and (if scaled) ``scale_columns``."""
+
+    def eval(self, w, t):
+        return self.terms(self.linearize(w, t))[:2]
+
+    def eval_with_jac(self, w, t):
+        return self.terms(self.linearize(w, t))
+
+    def dF_dscale(self, w, t):
+        return self.scale_columns(self.linearize(w, t))
+
+
 STEP_MAX_ITER = 50  # Newton iterations per implicit step
 H_MIN = 1e-15  # smallest step a bisection may take
 
@@ -90,7 +99,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     gammas: np.ndarray  # (P-1, 2)
-    failed: np.ndarray | None = None  # per-sample failure mask (batched runs)
+    failed: np.ndarray | None = None  # per-sample floor-failure mask; 0-d for one circuit
     fail_times: np.ndarray | None = None  # start of the step a flagged sample froze at
 
     @property
@@ -144,9 +153,9 @@ def norm_inf(a):
 
 
 def _evaluate(system, w, t):
-    """(Q, F, linearization) at (w, t); None for a system without ``terms``."""
-    lin = system.linearize(w, t) if hasattr(system, "terms") else None
-    return (*(system.eval(w, t) if lin is None else system.terms(lin)[:2]), lin)
+    """(Q, F, linearization) at (w, t)."""
+    lin = system.linearize(w, t)
+    return (*system.terms(lin)[:2], lin)
 
 
 def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
@@ -163,8 +172,7 @@ def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
     ref = norm_inf(q_prev) + abs(h) * norm_inf(f_prev)
     converged = ignore.copy()
     for k in range(STEP_MAX_ITER):
-        carried = k == 0 and lin is not None
-        q, f, dq, df = system.terms(lin, t_new) if carried else system.eval_with_jac(w, t_new)
+        q, f, dq, df = system.terms(lin, t_new) if k == 0 else system.eval_with_jac(w, t_new)
         r = q - q_prev + h * (g1 * f + g2 * f_prev)
         r = np.where(np.isfinite(r), r, 1e300)
         rnorm = norm_inf(r)
@@ -185,15 +193,6 @@ def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
     return w, _evaluate(system, w, t_new), converged
 
 
-def _raise_step_failure(system, w, t, h):
-    name = None
-    locate = getattr(system, "locate_nonfinite", None)
-    if locate is not None:
-        name = locate(w, t)
-    extra = f" (non-finite contribution from element {name})" if name else ""
-    raise ConvergenceError(f"implicit step at t={t:.6g}, h={h:.3g} did not converge{extra}")
-
-
 def integrate(
     system,
     w0,
@@ -208,13 +207,13 @@ def integrate(
     """Integrate from t0 to t1 on a uniform grid of ``n_steps`` steps.
 
     Batched initial states integrate in lockstep on a shared grid. A step
-    that fails for any sample is bisected for the whole batch, exactly as
-    an unbatched step is, down to the floor (``H_MIN`` or 40 halvings). A
-    sample that still fails there raises in an unbatched run; in a batched
-    run it is frozen at the start of the grid step, the step is taken
-    again for the other samples without the bisection's points, and the
-    sample is reported through ``Trajectory.failed`` with that time in
-    ``Trajectory.fail_times``.
+    that fails for any sample is bisected for the whole batch down to the
+    floor (``H_MIN`` or 40 halvings). A sample that still fails there is
+    frozen at the start of the grid step and the step is taken again for
+    the others without the bisection's points, so a sample that can never
+    take a step leaves the grid as it was. ``Trajectory.failed`` flags it,
+    with that time in ``Trajectory.fail_times`` (both 0-d for one circuit).
+    It never raises on a failed step.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -225,11 +224,10 @@ def integrate(
     w0 = np.asarray(w0, dtype=float)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    failed = np.zeros(w0.shape[:-1], dtype=bool)
+    fail_times = np.full(w0.shape[:-1], np.nan)
     if t1 == t0:
-        return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)))
-    batched = w0.ndim > 1
-    failed = np.zeros(w0.shape[:-1], dtype=bool)  # 0-d, never set, for an unbatched run
-    fail_times = np.full(w0.shape[:-1], np.nan) if batched else None
+        return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)), failed, fail_times)
 
     times = [float(t0)]
     states = [w0]
@@ -243,8 +241,6 @@ def integrate(
         )
         if not np.all(conv):
             if h * 0.5 < H_MIN or depth > 40:
-                if not batched:
-                    _raise_step_failure(system, w, t, h)
                 raise _FloorFailure(~conv)
             w_mid, ev_mid = advance(w, t, 0.5 * h, ev_prev, sch, depth + 1)
             return advance(w_mid, t + 0.5 * h, 0.5 * h, ev_mid, sch, depth + 1)
@@ -264,19 +260,14 @@ def integrate(
                 break
             except _FloorFailure as floor:
                 del times[mark:], states[mark:], gammas[mark:]
-                failed = failed | floor.bad
+                failed |= floor.bad
                 fail_times[floor.bad] = grid[k]
 
-    return Trajectory(np.asarray(times), np.stack(states), np.asarray(gammas),
-                      failed if batched else None, fail_times)
+    return Trajectory(np.asarray(times), np.stack(states), np.asarray(gammas), failed, fail_times)
 
 
 def _jacobians(system, w, t, scaled):
-    """(dQ/dw, dF/dw, dF/dscale or None) at (w, t); from one evaluation
-    (``linearize``) for a system that has it."""
-    if not hasattr(system, "linearize"):
-        _, _, E, A = system.eval_with_jac(w, t)
-        return E, A, system.dF_dscale(w, t) if scaled else None
+    """(dQ/dw, dF/dw, dF/dscale or None) at (w, t), from one evaluation."""
     lin = system.linearize(w, t)
     return (*system.terms(lin)[2:], system.scale_columns(lin) if scaled else None)
 
@@ -287,8 +278,8 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     Walks the recorded steps and chains the exact derivatives of each
     implicit step equation (using each step's own scheme weights). With
     ``with_scale_columns`` the derivative of the end state with respect to
-    the system's auxiliary scaling coefficients (columns of
-    ``system.dF_dscale``) is accumulated as well, starting from zero.
+    the system's auxiliary scaling coefficients (``system.scale_columns``)
+    is accumulated as well, starting from zero.
     Returns (M, S) where S is None unless requested.
 
     Only the columns of M that the first step leaves nonzero for some

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pssuq import parse_netlist
-from pssuq.circuit import DC_TOL, DistributionSpec, dc_operating_point, thermal_voltage
+from pssuq.circuit import DC_TOL, CircuitError, DistributionSpec, dc_operating_point, thermal_voltage
 
 # one of everything, with both distribution kinds in play
 ALL_DEVICES = """
@@ -202,6 +202,20 @@ def test_dc_operating_point_falls_back_to_source_stepping():
     assert x[1] == pytest.approx(-5.0 * (12.0**3 / 3.0 - 12.0), rel=1e-12)
     ev = eval_dae(x, 0.0)
     assert np.abs(ev.f - ev.bu).max() <= DC_TOL
+
+
+@pytest.mark.parametrize("netlist, message", [
+    # a short: the residual at x = 0 is not finite, so the element is named
+    (".param r = const(0)\nV1 in 0 DC 1\nR1 in out {r}\nC1 out 0 1u\n",
+     r"\(residual nan\) \(non-finite contribution from element R1\)$"),
+    # every stage creeps on the cubic conductor: a finite failure names none
+    ("V1 1 0 DC 40\nN1 1 0 MU=5\n", r"\(residual 2\.350e\+00\)$"),
+], ids=["short", "cubic"])
+def test_dc_failure_names_a_non_finite_element(netlist, message):
+    inst = parse_netlist(netlist).realize_nominal()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(CircuitError, match=r"^DC operating point did not converge " + message):
+            dc_operating_point(inst)
 
 
 def test_pmos_conducts_with_negative_vgs():

@@ -53,6 +53,8 @@ def test_config_validation(tmp_path):
         load_config(_cfg(tmp_path, gpc_order=-1))
     with pytest.raises(Exception, match="mode"):
         load_config(_cfg(tmp_path, mode="sideways"))
+    with pytest.raises(Exception, match="metric_samples"):
+        load_config(_cfg(tmp_path, metric_samples=0))
 
 
 @pytest.mark.parametrize(
@@ -67,6 +69,10 @@ def test_config_validation(tmp_path):
         ("st-osc", "phase_value", "abc"),
         ("st-forced", "power_sign", "x"),
         ("st-forced", "metrics", "power"),
+        # well typed but out of range
+        ("pss-forced", "shooting_tol", -1),
+        ("pss-forced", "newton_tol", 0),
+        ("mc", "mc_samples", 0),
     ],
 )
 def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):

@@ -11,11 +11,12 @@ from pssuq.shooting import (
     OscillationError,
     PhaseCondition,
     estimate_period,
+    floor_failure,
     solve_autonomous,
     solve_forced,
     solve_nominal,
 )
-from pssuq.transient import TRAPEZOIDAL, integrate, transition_chain
+from pssuq.transient import TRAPEZOIDAL, ConvergenceError, integrate, transition_chain
 
 from conftest import SHORTED_AT_A_NODE
 
@@ -224,6 +225,30 @@ def test_batched_newton_idles_a_sample_that_cannot_be_integrated(monkeypatch):
     for k in (0, 2):
         one = solve_forced(c.realize(xi[k]), 1e-3, y0=np.zeros(c.n), n_steps=64)
         assert np.abs(batch.y[k] - one.y).max() <= 1e-12 * np.abs(one.y).max()
+
+
+def test_floor_failure_names_the_first_flagged_row():
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    inst = c.realize(np.array([[0.5], [-1.0]]))  # the second one is shorted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        traj = integrate(CircuitDae(inst), np.zeros((2, c.n)), 0.0, 1e-3, n_steps=16)
+        assert floor_failure(inst, traj) == (1, (
+            "implicit step at t=0 did not converge at the bisection floor "
+            "(non-finite contribution from element R1)"
+        ))
+    sound = integrate(CircuitDae(c.realize([0.5])), np.zeros(c.n), 0.0, 1e-3, n_steps=16)
+    assert floor_failure(c.realize([0.5]), sound) is None
+
+
+def test_a_lone_solve_failing_at_the_floor_names_the_element_and_time():
+    c = parse_netlist(SHORTED_AT_A_NODE.replace("gauss(1k, 1k)", "const(0)"))
+    expect = (
+        r"^implicit step at t=0 did not converge at the bisection floor "
+        r"\(non-finite contribution from element R1\)$"
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=expect):
+            solve_forced(c.realize_nominal(), 1e-3, y0=np.zeros(c.n), n_steps=16)
 
 
 def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturbed, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from pssuq import parse_netlist
 from pssuq.cli import synthetic_ladder
 from pssuq.gpc import build_basis, gauss_rule, moments, select_testing_nodes, tensor_rule
-from pssuq.circuit import dc_operating_point
+from pssuq.circuit import CircuitInstance, dc_operating_point
 from pssuq.shooting import (
     CircuitDae,
     OscillationError,
@@ -26,6 +26,7 @@ from pssuq.stpss import (
 from pssuq.transient import (
     BACKWARD_EULER,
     ConvergenceError,
+    Dae,
     TRAPEZOIDAL,
     Trajectory,
     integrate,
@@ -188,21 +189,19 @@ def test_j12_zero_when_rhs_vanishes(vdp_random):
     assert np.abs(S).max() < 1e-12
 
 
-class _ScaledConstant:
+class _ScaledConstant(Dae):
     """Q = w, F = -c * a: hand-checkable one-step scaling sensitivity."""
 
     def __init__(self, c):
         self.c = c
 
-    def eval(self, w, t):
-        return w.copy(), np.full_like(w, 0.0)
+    def linearize(self, w, t):
+        return w
 
-    def eval_with_jac(self, w, t):
-        q, f = self.eval(w, t)
-        eye = np.eye(1)
-        return q, f, eye, np.zeros((1, 1))
+    def terms(self, w, t=None):
+        return w.copy(), np.full_like(w, 0.0), np.eye(1), np.zeros((1, 1))
 
-    def dF_dscale(self, w, t):
+    def scale_columns(self, w):
         return np.array([[-self.c]])
 
 
@@ -241,6 +240,27 @@ def test_j12_matches_finite_differences_vdp(vdp_random, vdp_nominal):
         am[j] -= h
         fd[:, j] = (endpoint(ap).end - endpoint(am).end) / (2 * h)
     assert np.abs(S - fd).max() / np.abs(fd).max() < 1e-4
+
+
+def test_stacked_chain_evaluates_each_grid_point_once(vdp_random, vdp_nominal, monkeypatch):
+    """The coupled reference's Jacobians and scaling columns at a grid
+    point come from one node-batch evaluation."""
+    _, _, det = vdp_nominal
+    basis, testing = _setup(vdp_random, 1)
+    sys = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    sys.scale_coeffs = np.array([1.0, 0.02])
+    traj = period_map(sys, np.concatenate([det.y, 0.1 * det.y]), n_steps=100)[0]
+    calls = []
+    eval_dae = CircuitInstance.eval_dae
+
+    def counted(self, x, t):
+        calls.append(t)
+        return eval_dae(self, x, t)
+
+    monkeypatch.setattr(CircuitInstance, "eval_dae", counted)
+    M, S = transition_chain(sys, traj, with_scale_columns=True)
+    assert len(calls) == traj.n_points == 101
+    assert np.all(np.isfinite(M)) and np.all(np.isfinite(S))
 
 
 # -- forced solves ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from pssuq.stpss import assemble_forced
 from pssuq.transient import (
     BACKWARD_EULER,
     STEP_MAX_ITER,
-    ConvergenceError,
+    Dae,
     NewtonOptions,
     TRAPEZOIDAL,
     _evaluate,
@@ -25,27 +25,26 @@ from pssuq.transient import (
 from conftest import SHORTED_AT_A_NODE, nominal_start
 
 
-class ScalarDecay:
+class ScalarDecay(Dae):
     """Q = w, F = w: the unit linear decay dw/dt = -w."""
 
-    def eval(self, w, t):
-        return w.copy(), w.copy()
+    def linearize(self, w, t):
+        return w
 
-    def eval_with_jac(self, w, t):
+    def terms(self, w, t=None):
         eye = np.broadcast_to(np.eye(1), w.shape + (1,)).copy()
         return w.copy(), w.copy(), eye, eye
 
 
-class ConstantCharge:
+class ConstantCharge(Dae):
     """F = 0: the state must not move."""
 
-    def eval(self, w, t):
-        return w.copy(), np.zeros_like(w)
+    def linearize(self, w, t):
+        return w
 
-    def eval_with_jac(self, w, t):
-        q, f = self.eval(w, t)
+    def terms(self, w, t=None):
         eye = np.broadcast_to(np.eye(2), w.shape + (2,)).copy()
-        return q, f, eye, np.zeros_like(eye)
+        return w.copy(), np.zeros_like(w), eye, np.zeros_like(eye)
 
 
 def _one_step(system, w0, h, scheme):
@@ -251,19 +250,22 @@ def test_csv_export(tmp_path):
     assert t == pytest.approx(0.1) and w == pytest.approx(traj.end[0])
 
 
-class Explodes:
-    def eval(self, w, t):
-        return w.copy(), np.full_like(w, np.nan)
+class Explodes(Dae):
+    def linearize(self, w, t):
+        return w
 
-    def eval_with_jac(self, w, t):
-        q, f = self.eval(w, t)
+    def terms(self, w, t=None):
         eye = np.broadcast_to(np.eye(1), w.shape + (1,)).copy()
-        return q, f, eye, eye
+        return w.copy(), np.full_like(w, np.nan), eye, eye
 
 
-def test_nonfinite_residual_raises():
-    with pytest.raises(ConvergenceError):
-        integrate(Explodes(), np.array([1.0]), 0.0, 1.0, n_steps=4)
+def test_a_lone_run_failing_at_the_floor_is_flagged():
+    """One circuit's run is flagged like a batch sample, not raised: it
+    freezes where the failing grid step began and keeps the grid."""
+    traj = integrate(Explodes(), np.array([1.0]), 0.0, 1.0, n_steps=4)
+    assert traj.failed.shape == traj.fail_times.shape == ()
+    assert traj.failed and traj.fail_times == 0.0
+    assert traj.n_points == 5 and np.all(traj.states == 1.0)
 
 
 def test_batch_member_matches_solo_run_through_bisection(lna_perturbed):
@@ -332,26 +334,23 @@ def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
     assert spread.fail_times[1] == 0.0 and np.isnan(spread.fail_times[rows]).all()
 
 
-class Quirks:
+class Quirks(Dae):
     """Four samples of Q = C w, F = G w - s(t) with their own C and G: a
     plain decay, a source with an infinite entry (a non-finite residual), a
     step matrix with a subnormal pivot (one infinite step entry) and a zero
-    step matrix (a singular step, all NaN). With ``carry`` it offers the
-    linearization the circuit adapter offers."""
+    step matrix (a singular step, all NaN). Its linearization is (w, t), so
+    ``terms`` at a new time evaluates the source there, as the circuit
+    adapter's does."""
 
     C = np.array([np.eye(2), np.eye(2), np.diag([0.0, 1.0]), np.zeros((2, 2))])
     G = np.array([np.eye(2), np.eye(2), np.diag([1e-319, 0.0]), np.zeros((2, 2))])
     s0 = np.array([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
-    def __init__(self, carry):
-        if carry:
-            self.linearize = lambda w, t: (w, t)
-            self.terms = lambda lin, t=None: self.eval_with_jac(lin[0], lin[1] if t is None else t)
+    def linearize(self, w, t):
+        return w, t
 
-    def eval(self, w, t):
-        return self.eval_with_jac(w, t)[:2]
-
-    def eval_with_jac(self, w, t):
+    def terms(self, lin, t=None):
+        w, t = lin[0], lin[1] if t is None else t
         q = (self.C @ w[..., None])[..., 0]
         f = (self.G @ w[..., None])[..., 0] - self.s0 * (1.0 + t)
         return q, f, self.C.copy(), self.G.copy()
@@ -381,13 +380,12 @@ def _plain_newton_step(system, w, t_prev, h, scheme, tol):
     return w, converged
 
 
-@pytest.mark.parametrize("carry", [False, True])
 @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
-def test_step_newton_bookkeeping_of_non_finite_samples(carry, scheme):
+def test_step_newton_bookkeeping_of_non_finite_samples(scheme):
     """A sample with a non-finite residual, one with a partly non-finite
     step and one with a singular step end with the converged mask and the
     iterates the plain rules give, next to a sample that converges."""
-    system = Quirks(carry)
+    system = Quirks()
     w0 = np.array([[1.0, -2.0], [0.5, 0.5], [2.0, 3.0], [1.0, 1.0]])
     opts = NewtonOptions()
     with np.errstate(all="ignore"):
@@ -399,6 +397,6 @@ def test_step_newton_bookkeeping_of_non_finite_samples(carry, scheme):
     assert converged.tolist() == converged_ref.tolist() == [True, False, False, False]
     assert np.array_equal(w, w_ref, equal_nan=True)
     assert np.array_equal(q, q_ref, equal_nan=True) and np.array_equal(f, f_ref, equal_nan=True)
-    assert (lin is None) != carry
+    assert lin[0] is w and lin[1] == 0.25 + 0.1  # the linearization at the new state
     assert np.array_equal(w[3], w0[3])  # a singular step moves nothing
     assert w[2, 0] == w0[2, 0] and w[2, 1] != w0[2, 1]  # only the finite entry moves
