@@ -834,7 +834,8 @@ def dc_operating_point(instance):
 
     Uses residual-halving damping from x = 0. When the direct solve stalls,
     gmin stepping (a conductance from every node voltage to ground, relaxed
-    away) and then source stepping take over.
+    away) and then source stepping take over. A stage whose residual is not
+    finite where it starts fails at once.
     """
     shape = (instance.n,) if instance.scalar else (instance.batch_size, instance.n)
     nodes = np.arange(len(instance.circuit.node_names))
@@ -851,6 +852,8 @@ def dc_operating_point(instance):
     def newton(xv, scale=1.0, gmin=0.0):
         r, J = residual(xv, scale, gmin)
         rn = np.max(np.abs(r))
+        if not np.isfinite(rn):  # no step can decrease a NaN or inf residual
+            return xv, rn, False
         for _ in range(DC_MAX_ITER):
             if rn <= DC_TOL:
                 return xv, rn, True

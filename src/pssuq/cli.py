@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import time
+import timeit
 import traceback
 from pathlib import Path
 
@@ -573,9 +574,11 @@ def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3
     Builds the per-node shooting Jacobians of a synthetic linear network
     once per order (outside the timed region), then times (a) one dense
     solve of the coupled system assembled by the congruence transform and
-    (b) the K independent node solves plus the two V transforms. Returns
-    ``(rows, blas)``: rows ``[order, K, t_coupled, t_decoupled, ratio]``
-    and the BLAS record (library, version, thread count).
+    (b) the K independent node solves plus the two V transforms, each as
+    the best per-call time of ``repeats`` batches of calls lasting at least
+    50 ms. Returns ``(rows, blas)``: rows ``[order, K, t_coupled,
+    t_decoupled, ratio]`` and the BLAS record (library, version, thread
+    count).
 
     The sweep runs in a fresh child interpreter whose environment sets every
     BLAS thread variable to 1 before numpy loads its BLAS, whatever the
@@ -662,22 +665,30 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
             row = (weights[i] @ flat_nodes).reshape(K, n, n)  # (K, n, n)
             J_big[i * n : (i + 1) * n] = np.moveaxis(row, 0, 1).reshape(n, n * K)
 
-        t_c = min(_timed(lambda: np.linalg.solve(J_big, g)) for _ in range(repeats))
+        t_c = _timed(lambda: np.linalg.solve(J_big, g), repeats)
 
         def decoupled():
             g_nodes = V @ g.reshape(K, n)
             delta = np.linalg.solve(J_nodes, g_nodes[..., None])[..., 0]
             return (Vi @ delta).ravel()
 
-        t_d = min(_timed(decoupled) for _ in range(repeats))
+        t_d = _timed(decoupled, repeats)
         rows.append([p, int(K), t_c, t_d, t_c / t_d])
     return rows
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+TIMING_BATCH_S = 0.05  # shortest batch of calls `speedup` times
+
+
+def _timed(fn, repeats):
+    """Seconds per call of ``fn``: the best of ``repeats`` batches of calls,
+    the batch size doubled until a batch lasts ``TIMING_BATCH_S``. One call
+    of a few milliseconds is at the mercy of the scheduler; a batch is not."""
+    timer = timeit.Timer(fn)
+    number = 1
+    while (elapsed := timer.timeit(number)) < TIMING_BATCH_S:
+        number *= 2
+    return min([elapsed] + timer.repeat(repeats - 1, number)) / number
 
 
 # ---------------------------------------------------------------------------

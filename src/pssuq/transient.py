@@ -33,14 +33,6 @@ class ConvergenceError(RuntimeError):
     """Newton iteration failed to converge."""
 
 
-class _FloorFailure(Exception):
-    """Samples ``bad`` of a step still fail at the bisection floor."""
-
-    def __init__(self, bad):
-        super().__init__()
-        self.bad = bad
-
-
 @dataclass(frozen=True)
 class IntegrationScheme:
     kind: str
@@ -93,7 +85,8 @@ class Trajectory:
     k-th step was taken with, so derivative chains can replay mixed-scheme
     runs (an L-stable first step, say) exactly. Step factors (the
     Jacobians at each grid point) are re-evaluated on demand by the chain
-    routines, so trajectories stay small.
+    routines, so trajectories stay small. ``states`` is the buffer the run
+    wrote its states into, the only copy, freed with the trajectory.
     """
 
     times: np.ndarray
@@ -164,8 +157,11 @@ def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
     ``prev`` is ``_evaluate`` at (w, t_prev); its linearization, moved to
     the new time, is the first iterate's. Samples flagged in ``ignore``
     stay put and count as converged (used to skip batch members that
-    failed earlier in the run).
+    failed earlier in the run); when every sample is, the step returns at
+    once with w and ``prev`` as they are.
     """
+    if np.all(ignore):
+        return w, prev, ignore.copy()
     g1, g2 = scheme.gamma1, scheme.gamma2
     q_prev, f_prev, lin = prev
     t_new = t_prev + h
@@ -213,7 +209,14 @@ def integrate(
     the others without the bisection's points, so a sample that can never
     take a step leaves the grid as it was. ``Trajectory.failed`` flags it,
     with that time in ``Trajectory.fail_times`` (both 0-d for one circuit).
-    It never raises on a failed step.
+    It never raises on a failed step, and once every sample is flagged the
+    remaining steps keep the states without evaluating the system.
+
+    The accepted states go straight into one buffer of ``n_steps + 1``
+    points, grown only when a bisection adds points and trimmed once at
+    the end; the returned ``Trajectory`` owns it. The run keeps no other
+    copy and leaves no reference cycle, so its memory goes when the
+    trajectory does, not at the next full garbage collection.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -229,41 +232,46 @@ def integrate(
     if t1 == t0:
         return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)), failed, fail_times)
 
-    times = [float(t0)]
-    states = [w0]
-    gammas = []
-    ev = _evaluate(system, w0, t0)
-
-    def advance(w, t, h, ev_prev, sch, depth=0):
-        """One step of size h, bisected while any sample fails to converge."""
-        w_new, ev_new, conv = _newton_step(
-            system, w, t, h, sch, newton, ev_prev, ignore=failed
-        )
-        if not np.all(conv):
-            if h * 0.5 < H_MIN or depth > 40:
-                raise _FloorFailure(~conv)
-            w_mid, ev_mid = advance(w, t, 0.5 * h, ev_prev, sch, depth + 1)
-            return advance(w_mid, t + 0.5 * h, 0.5 * h, ev_mid, sch, depth + 1)
-        times.append(t + h)
-        states.append(w_new)
-        gammas.append((sch.gamma1, sch.gamma2))
-        return w_new, ev_new
-
     grid = np.linspace(t0, t1, n_steps + 1)
-    w = w0
+    times = [float(t0)]
+    gammas = []
+    # the accepted states, written in place; a bisection grows the buffer
+    # and the end trims it, so the run holds one copy of its trajectory
+    states = np.empty((n_steps + 1,) + w0.shape)
+    states[0] = w0
+    w, ev = w0, _evaluate(system, w0, t0)
     for k in range(n_steps):
         sch = BACKWARD_EULER if (k == 0 and stabilized_start) else scheme
-        mark = len(times)
-        while True:
-            try:
-                w, ev = advance(w, grid[k], grid[k + 1] - grid[k], ev, sch)
-                break
-            except _FloorFailure as floor:
-                del times[mark:], states[mark:], gammas[mark:]
-                failed |= floor.bad
-                fail_times[floor.bad] = grid[k]
+        mark, w_start, ev_start = len(times), w, ev
+        # steps still to take, as (start, size, depth), the next on top
+        whole = (grid[k], grid[k + 1] - grid[k], 0)
+        pending = [whole]
+        while pending:
+            t, h, depth = pending.pop()
+            w_new, ev_new, conv = _newton_step(system, w, t, h, sch, newton, ev, ignore=failed)
+            if np.all(conv):
+                if len(times) == len(states):
+                    # room for the grid points still to come and an eighth more
+                    size = len(times) + n_steps - k + len(states) // 8
+                    states.resize((size,) + w0.shape, refcheck=False)  # no views exist
+                states[len(times)] = w_new
+                times.append(t + h)
+                gammas.append((sch.gamma1, sch.gamma2))
+                w, ev = w_new, ev_new
+            elif h * 0.5 < H_MIN or depth > 40:
+                # freeze the samples failing at the floor and take the grid
+                # step again for the others without the bisection's points
+                failed |= ~conv
+                fail_times[~conv] = grid[k]
+                del times[mark:], gammas[mark:]
+                w, ev = w_start, ev_start
+                pending = [whole]
+            else:
+                pending += [(t + 0.5 * h, 0.5 * h, depth + 1), (t, 0.5 * h, depth + 1)]
 
-    return Trajectory(np.asarray(times), np.stack(states), np.asarray(gammas), failed, fail_times)
+    if len(times) < len(states):
+        states.resize((len(times),) + w0.shape, refcheck=False)
+    return Trajectory(np.asarray(times), states, np.asarray(gammas), failed, fail_times)
 
 
 def _jacobians(system, w, t, scaled):

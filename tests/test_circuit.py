@@ -218,6 +218,28 @@ def test_dc_failure_names_a_non_finite_element(netlist, message):
             dc_operating_point(inst)
 
 
+def test_dc_stages_end_at_once_on_a_non_finite_start():
+    """A shorted resistor makes the residual at x = 0 NaN: every stage
+    starts there, so each fails on its first evaluation instead of
+    halving every Newton step to exhaustion."""
+    netlist = ".param r = const(0)\nV1 in 0 DC 1\nR1 in out {r}\nC1 out 0 1u\n"
+    inst = parse_netlist(netlist).realize_nominal()
+    calls = []
+    eval_dae = inst.eval_dae
+
+    def counting(x, t):
+        calls.append(t)
+        return eval_dae(x, t)
+
+    inst.eval_dae = counting
+    expect = (r"^DC operating point did not converge \(residual nan\) "
+              r"\(non-finite contribution from element R1\)$")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(CircuitError, match=expect):
+            dc_operating_point(inst)
+    assert len(calls) <= 20
+
+
 def test_pmos_conducts_with_negative_vgs():
     # source at 1.5 V, gate at 0: |vgs| = 1.5 > VT0 -> current s -> d
     c = parse_netlist("V1 s 0 DC 1.5\nM1 d g s KP=1m VT0=0.5 PMOS\nR1 d 0 1k\nR2 g 0 1k\n")

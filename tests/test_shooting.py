@@ -251,6 +251,40 @@ def test_a_lone_solve_failing_at_the_floor_names_the_element_and_time():
             solve_forced(c.realize_nominal(), 1e-3, y0=np.zeros(c.n), n_steps=16)
 
 
+def test_a_run_whose_every_sample_is_flagged_stops_evaluating():
+    """Once the lone sample freezes at t = 0, the later grid steps keep its
+    state without evaluating the circuit: the solve raises as before after
+    the floor failure's own evaluations, and the run keeps its grid."""
+    c = parse_netlist(SHORTED_AT_A_NODE.replace("gauss(1k, 1k)", "const(0)"))
+
+    def counted():
+        inst = c.realize_nominal()
+        calls, eval_dae = [], inst.eval_dae
+
+        def counting(x, t):
+            calls.append(t)
+            return eval_dae(x, t)
+
+        inst.eval_dae = counting
+        return inst, calls
+
+    expect = (
+        r"^implicit step at t=0 did not converge at the bisection floor "
+        r"\(non-finite contribution from element R1\)$"
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inst, calls = counted()
+        with pytest.raises(ConvergenceError, match=expect):
+            solve_forced(inst, 1e-3, y0=np.zeros(c.n), n_steps=200)
+        assert len(calls) <= 40
+        inst, calls = counted()
+        traj = integrate(CircuitDae(inst), np.zeros(c.n), 0.0, 1e-3, n_steps=200)
+    assert len(calls) <= 40
+    assert np.array_equal(traj.times, np.linspace(0.0, 1e-3, 201))
+    assert np.all(traj.states == 0.0) and traj.gammas.shape == (200, 2)
+    assert traj.failed and traj.fail_times == 0.0
+
+
 def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturbed, monkeypatch):
     """The amplifier's testing-node circuits, one started on its periodic
     state: the first run bisects a step for the perturbed members, the run

@@ -1,5 +1,8 @@
 """Implicit integrator: step values, accuracy orders, grids, chains."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from pssuq.transient import (
     transition_chain,
 )
 
-from conftest import SHORTED_AT_A_NODE, nominal_start
+from conftest import RECTIFIER, SHORTED_AT_A_NODE, nominal_start
 
 
 class ScalarDecay(Dae):
@@ -305,6 +308,31 @@ def test_batch_freezes_only_samples_failing_at_the_floor():
     solo = integrate(CircuitDae(c.realize(xi[1])), np.zeros(c.n), 0.0, 1e-3, n_steps=64)
     assert np.array_equal(traj.times, solo.times) and traj.n_points == 65
     assert np.abs(traj.states[:, 1] - solo.states).max() < 1e-12
+
+
+def test_a_run_holds_one_copy_of_its_trajectory():
+    """A 500-sample rectifier batch writes its states into one buffer: the
+    run leaves nothing for the collector to free, keeps no more than its
+    trajectory once it returns, and never holds a second copy of it."""
+    c = parse_netlist(RECTIFIER)
+    xi = np.random.default_rng(0).uniform(-1.0, 1.0, (500, c.dim))
+    system, w0 = CircuitDae(c.realize(xi)), np.zeros((500, c.n))
+    integrate(system, w0, 0.0, 1e-3, n_steps=200)  # first-call allocations
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = integrate(system, w0, 0.0, 1e-3, n_steps=200)
+        end, peak = tracemalloc.get_traced_memory()
+        unreachable = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    size = traj.states.nbytes
+    assert unreachable == 0
+    assert end - start <= size + 2**20
+    assert peak - start < 1.5 * size
 
 
 def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
