@@ -124,6 +124,8 @@ def load_config(path, overrides=None):
     for key in ("period", "phase_value", "power_sign"):
         if cfg.get(key) is not None and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
+    if cfg.get("period") is not None and cfg["period"] <= 0:
+        raise ConfigError("period must be positive")
     if not (isinstance(cfg["metrics"], list) and all(isinstance(m, str) for m in cfg["metrics"])):
         raise ConfigError("metrics must be a list of strings")
     if not (_is_int(cfg["gpc_order"]) and cfg["gpc_order"] >= 0):
@@ -665,14 +667,12 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
             row = (weights[i] @ flat_nodes).reshape(K, n, n)  # (K, n, n)
             J_big[i * n : (i + 1) * n] = np.moveaxis(row, 0, 1).reshape(n, n * K)
 
-        t_c = _timed(lambda: np.linalg.solve(J_big, g), repeats)
-
         def decoupled():
             g_nodes = V @ g.reshape(K, n)
             delta = np.linalg.solve(J_nodes, g_nodes[..., None])[..., 0]
             return (Vi @ delta).ravel()
 
-        t_d = _timed(decoupled, repeats)
+        t_c, t_d = _timed_alternately([lambda: np.linalg.solve(J_big, g), decoupled], repeats)
         rows.append([p, int(K), t_c, t_d, t_c / t_d])
     return rows
 
@@ -680,15 +680,24 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
 TIMING_BATCH_S = 0.05  # shortest batch of calls `speedup` times
 
 
-def _timed(fn, repeats):
-    """Seconds per call of ``fn``: the best of ``repeats`` batches of calls,
-    the batch size doubled until a batch lasts ``TIMING_BATCH_S``. One call
-    of a few milliseconds is at the mercy of the scheduler; a batch is not."""
-    timer = timeit.Timer(fn)
-    number = 1
-    while (elapsed := timer.timeit(number)) < TIMING_BATCH_S:
-        number *= 2
-    return min([elapsed] + timer.repeat(repeats - 1, number)) / number
+def _timed_alternately(fns, repeats):
+    """Seconds per call of each of ``fns``: the best of ``repeats`` batches
+    of its calls, the batch size doubled until a batch lasts
+    ``TIMING_BATCH_S``. One call of a few milliseconds is at the mercy of
+    the scheduler; a batch is not. The functions' batches alternate, so a
+    change in the host's speed reaches all of them, not their ratio."""
+    timers = [timeit.Timer(fn) for fn in fns]
+    numbers, best = [], []
+    for timer in timers:
+        number = 1
+        while (elapsed := timer.timeit(number)) < TIMING_BATCH_S:
+            number *= 2
+        numbers.append(number)
+        best.append(elapsed)
+    for _ in range(repeats - 1):
+        for i, timer in enumerate(timers):
+            best[i] = min(best[i], timer.timeit(numbers[i]))
+    return [b / n for b, n in zip(best, numbers)]
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,9 @@ def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **op
     """
     nominal = circuit.realize_nominal()
     if phase_index is None:
-        return solve_forced(nominal, period or circuit.fundamental_period(), **options)
+        if period is None:
+            period = circuit.fundamental_period()
+        return solve_forced(nominal, period, **options)
     est = estimate_period(nominal, phase_index)
     level = est.level if phase_value is None else float(phase_value)
     phase = PhaseCondition(phase_index, level)

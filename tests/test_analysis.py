@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pssuq import parse_netlist
+from pssuq import load_netlist, parse_netlist
 from pssuq.analysis import (
     avg_power,
     build_uq_report,
@@ -32,10 +32,10 @@ from pssuq.gpc import (
     tensor_rule,
 )
 from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
-from pssuq.shooting import solve_nominal
-from pssuq.transient import Trajectory
+from pssuq.shooting import solve_forced, solve_nominal
+from pssuq.transient import SHARED_ORDER_MIN_BATCH, Trajectory
 
-from conftest import SHORTED_AT_A_NODE, draws_with_short, nominal_start
+from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, nominal_start
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)
@@ -146,6 +146,22 @@ def test_mc_same_seed_bit_identical(rc_circuit):
     b = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=64), 64, seed=5, n_steps=64)
     assert np.array_equal(a.waveforms, b.waveforms)
     assert np.array_equal(a.xi, b.xi)
+
+
+def test_mc_members_above_the_crossover_match_their_solo_solves():
+    """A 2,000-sample rectifier batch, whose step, chain and shooting solves
+    take the shared row order, gives each member's state and waveform as
+    that member solved alone from the nominal start, within 1e-12."""
+    circuit = load_netlist(CIRCUITS_DIR / "rectifier.cir")
+    nominal = solve_nominal(circuit)
+    run = monte_carlo(circuit, nominal, 2000, seed=3)
+    assert run.n_samples >= SHARED_ORDER_MIN_BATCH and not run.failed.any()
+    for i in (0, 777, 1999):
+        solo = solve_forced(circuit.realize(run.xi[i]), nominal.period, y0=nominal.y)
+        assert np.array_equal(solo.trajectory.times, run.times)
+        wave = solo.trajectory.states
+        assert np.abs(solo.y - run.y[i]).max() <= 1e-12 * np.abs(solo.y).max()
+        assert np.abs(wave - run.waveforms[i]).max() <= 1e-12 * np.abs(wave).max()
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,8 @@ def test_config_validation(tmp_path):
         ("pss-forced", "shooting_tol", -1),
         ("pss-forced", "newton_tol", 0),
         ("mc", "mc_samples", 0),
+        ("st-forced", "period", 0),
+        ("st-forced", "period", -1e-3),
     ],
 )
 def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):

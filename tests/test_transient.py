@@ -6,13 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pssuq import cli, parse_netlist
+from pssuq import cli, parse_netlist, transient
+from pssuq.analysis import draw_standardized
 from pssuq.circuit import dc_operating_point
-from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
-from pssuq.shooting import CircuitDae
+from pssuq.gpc import build_basis, family_for, select_testing_nodes, tensor_rule
+from pssuq.shooting import CircuitDae, shooting_jacobian, solve_nominal
 from pssuq.stpss import assemble_forced
 from pssuq.transient import (
     BACKWARD_EULER,
+    SHARED_ORDER_BLOCK,
+    SHARED_ORDER_MAX_ORDER,
+    SHARED_ORDER_MIN_BATCH,
     STEP_MAX_ITER,
     Dae,
     NewtonOptions,
@@ -428,3 +432,134 @@ def test_step_newton_bookkeeping_of_non_finite_samples(scheme):
     assert lin[0] is w and lin[1] == 0.25 + 0.1  # the linearization at the new state
     assert np.array_equal(w[3], w0[3])  # a singular step moves nothing
     assert w[2, 0] == w0[2, 0] and w[2, 1] != w0[2, 1]  # only the finite entry moves
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Batch sizes of the LAPACK calls ``batched_solve`` makes, in order."""
+    calls = []
+    lapack = transient._lapack_solve
+
+    def spy(J, R):
+        calls.append(J.shape[0] if J.ndim == 3 else None)
+        return lapack(J, R)
+
+    monkeypatch.setattr(transient, "_lapack_solve", spy)
+    return calls
+
+
+def _random_draws(circuit, count, seed=0):
+    return circuit.realize(draw_standardized([family_for(s) for _, s in circuit.random_params], seed, count))
+
+
+@pytest.fixture(scope="module")
+def rectifier_steps(rectifier):
+    """Trapezoidal step matrices dq + h/2 df of 2 ``SHARED_ORDER_BLOCK`` + 1
+    rectifier samples (three blocks) at ten points of the nominal orbit,
+    diode on and off."""
+    count = 2 * SHARED_ORDER_BLOCK + 1
+    nominal = solve_nominal(rectifier, n_steps=200)
+    system, h = CircuitDae(_random_draws(rectifier, count)), nominal.period / 200
+    out = []
+    for k in range(0, 200, 20):
+        w = np.broadcast_to(nominal.trajectory.states[k], (count, rectifier.n))
+        _, _, dq, df = system.eval_with_jac(w, nominal.trajectory.times[k])
+        out.append(dq + 0.5 * h * df)
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def colpitts_jacobians(colpitts, colpitts_nominal):
+    """Bordered shooting Jacobians of ``SHARED_ORDER_MIN_BATCH`` Colpitts
+    samples at the nominal orbit; the phase row has a zero diagonal."""
+    est, phase, sol = colpitts_nominal
+    B = SHARED_ORDER_MIN_BATCH
+    system = CircuitDae(_random_draws(colpitts, B), np.full(B, float(sol.period_scale)))
+    y = np.broadcast_to(sol.y, (B, colpitts.n))
+    traj = integrate(system, y, 0.0, est.period, n_steps=300, stabilized_start=True)
+    return shooting_jacobian(system, traj, [phase.index])
+
+
+def _normwise_error(X, Y):
+    return np.linalg.norm(X - Y, axis=(-2, -1)) / np.linalg.norm(Y, axis=(-2, -1))
+
+
+def test_shared_order_solve_of_rectifier_step_matrices(rectifier_steps, lapack_calls):
+    """Above the crossover batches of real step matrices, one block and
+    three, are eliminated in a shared row order, none falling back, each
+    sample within 1e-12 of LAPACK's solution of it alone."""
+    R = np.random.default_rng(3).standard_normal(rectifier_steps.shape[1:-1] + (2,))
+    for J in rectifier_steps:
+        for B in (SHARED_ORDER_MIN_BATCH, len(J)):
+            X = batched_solve(J[:B], R[:B])
+            Y = np.array([np.linalg.solve(a, b) for a, b in zip(J[:B], R[:B])])
+            assert X.shape == R[:B].shape and X.flags.c_contiguous
+            assert _normwise_error(X, Y).max() <= 1e-12
+    assert lapack_calls == []
+
+
+def test_shared_order_solve_of_bordered_oscillator_jacobians(colpitts_jacobians, lapack_calls):
+    """Bordered Colpitts shooting Jacobians, whose phase row has a zero
+    diagonal, are solved within 1e-12 of LAPACK sample by sample; the few
+    samples whose pivots fail the threshold test under the shared order are
+    solved again by LAPACK in one call."""
+    J = colpitts_jacobians
+    B, m = J.shape[:2]
+    assert np.all(J[:, -1, -1] == 0)
+    R = np.random.default_rng(4).standard_normal((B, m, 1))
+    X = batched_solve(J, R)
+    Y = np.array([np.linalg.solve(a, b) for a, b in zip(J, R)])
+    assert _normwise_error(X, Y).max() <= 1e-12
+    assert len(lapack_calls) <= 1 and sum(lapack_calls) < B // 100
+
+
+def test_a_sample_failing_the_threshold_test_is_solved_by_lapack(rectifier_steps, lapack_calls):
+    """A sample whose first column has its two largest rows swapped against
+    sample 0's gets a multiplier above 10 under sample 0's order; it alone
+    is solved again, bit-equal to LAPACK on that sample."""
+    J = rectifier_steps[0, :SHARED_ORDER_MIN_BATCH].copy()
+    R = np.random.default_rng(5).standard_normal(J.shape[:-1] + (1,))
+    i, j = np.argsort(np.abs(J[0, :, 0]))[::-1][:2]
+    assert np.abs(J[0, i, 0]) > 10 * np.abs(J[0, j, 0])
+    J[17, [i, j]] = J[17, [j, i]]
+    X = batched_solve(J, R)
+    assert lapack_calls == [1]
+    assert np.array_equal(X[17], np.linalg.solve(J[17], R[17]))
+    assert _normwise_error(X, np.linalg.solve(J, R)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [SHARED_ORDER_MIN_BATCH + 1, 2 * SHARED_ORDER_BLOCK + 1])
+def test_shared_order_gives_nan_for_singular_and_non_finite_samples(rectifier_steps, lapack_calls, batch):
+    """A NaN matrix (the first sample: the order comes from the next one)
+    and a singular one, in the first and the last block, give NaN rows;
+    the others keep the values they have in the batch with those two
+    replaced by sound matrices, sample 0 by a copy of sample 1."""
+    J = rectifier_steps[3, :batch].copy()
+    R = np.random.default_rng(6).standard_normal(J.shape[:-1] + (1,))
+    bad = [0, batch - 2]
+    J[0] = J[1]
+    clean = batched_solve(J, R)
+    J[0, 2, 1] = np.nan
+    J[batch - 2, 1] = 0.0
+    X = batched_solve(J, R)
+    assert lapack_calls == ([2] if batch <= SHARED_ORDER_BLOCK else [1, 1])
+    assert np.isnan(X[0]).any() and np.isnan(X[batch - 2]).all()
+    keep = np.ones(batch, dtype=bool)
+    keep[bad] = False
+    assert np.array_equal(X[keep], clean[keep])
+
+
+@pytest.mark.parametrize("shape", [
+    (35, 12, 12), (6, 7, 7), (10, 4, 4), (4, 4),
+    (SHARED_ORDER_MIN_BATCH - 1, 4, 4),
+    (SHARED_ORDER_MIN_BATCH, SHARED_ORDER_MAX_ORDER + 1, SHARED_ORDER_MAX_ORDER + 1),
+])
+def test_below_the_crossover_the_solve_is_lapack_bit_for_bit(shape, lapack_calls):
+    """Node batches, single circuits and batches just below the crossover
+    in size or above it in order keep LAPACK's bits."""
+    rng = np.random.default_rng(7)
+    m = shape[-1]
+    J = rng.standard_normal(shape) + m * np.eye(m)
+    R = rng.standard_normal(shape[:-1] + (3,))
+    assert np.array_equal(batched_solve(J, R), np.linalg.solve(J, R))
+    assert len(lapack_calls) == 1
