@@ -394,25 +394,36 @@ class CircuitInstance:
             fill(x_pad, v)
         return x_pad, v
 
+    def _stamp_nonlinear(self, x):
+        """The devices' currents and df/dx = G + J_nl at states x (B, n)."""
+        B, n = x.shape
+        nl = self._plan.nl.scatter(self._nonlinear(x)[1])
+        return nl[:, :n], self._G + nl[:, n:].reshape(B, n, n)
+
     def eval_dae(self, x, t):
         """Evaluate q, f, B*u and the exact Jacobians dq/dx, df/dx."""
         squeeze = self.scalar and np.ndim(x) == 1
         x = self._states(x)
         B, n = x.shape
-        plan = self._plan
         qf = (self._CG @ x[..., None])[..., 0]
         q, f = qf[:, :n], qf[:, n:]
-        if self._fills:
-            nl = plan.nl.scatter(self._nonlinear(x)[1])
-            f = f + nl[:, :n]
-            df = self._G + nl[:, n:].reshape(B, n, n)
-        else:
-            df = _fresh(self._G, B)
-        out = q, f, _fresh(self.source(t), B), _fresh(self._C, B), df
+        f_nl, df = self._stamp_nonlinear(x) if self._fills else (None, _fresh(self._G, B))
+        f = f if f_nl is None else f + f_nl
+        bu = self.source(t)  # a new array if time-varying
+        bu = _fresh(bu, B) if bu is self._bu0 or len(bu) != B else bu
+        out = q, f, bu, _fresh(self._C, B), df
         return DaeEval(*(a[0] for a in out)) if squeeze else DaeEval(*out)
 
+    def jacobians(self, x):
+        """``eval_dae``'s dq/dx and df/dx alone; C (and G without devices) shared read-only."""
+        squeeze = self.scalar and np.ndim(x) == 1
+        x = self._states(x)
+        dq = np.broadcast_to(self._C, x.shape + x.shape[1:])
+        df = self._stamp_nonlinear(x)[1] if self._fills else np.broadcast_to(self._G, dq.shape)
+        return (dq[0], df[0]) if squeeze else (dq, df)
+
     def source(self, t):
-        """B u(t), one row per parameter set (shared, not a fresh array)."""
+        """B u(t), one row per parameter set (the instance's own array if constant)."""
         ssin = self._plan.ssin
         return self._bu0 + ssin.scatter(self._sines(float(t))) if ssin.count else self._bu0
 
@@ -498,8 +509,8 @@ class _SlotSpace:
     dropped, since that equation is not part of the system.
     """
 
-    def __init__(self, n, rows, matrix):
-        self._n = n
+    def __init__(self, n, rows, matrix, per_eval=False):
+        self._n, self._per_eval = n, per_eval  # per_eval: keep the last batch size's index
         self._offset = n if rows else 0
         self.size = self._offset + (n * n if matrix else 0)
         self.names = []
@@ -528,13 +539,16 @@ class _SlotSpace:
         self.flat = np.array(flat, dtype=int)
         self.col = np.array(col, dtype=int)
         self.sign = np.array(sign, dtype=float)[:, None]
+        self._index = self.flat  # scatter's target indices, here for batch size 1
 
     def scatter(self, vals):
         """Sum the slot values (S, B) into their positions: (B, size)."""
         B = vals.shape[1]
+        if (index := self._index).size != self.flat.size * B:
+            index = (self.flat[:, None] + self.size * np.arange(B)).ravel()
+            self._index = index if self._per_eval else self._index
         w = vals[self.slot] * self.sign
-        idx = self.flat if B == 1 else self.flat[:, None] + self.size * np.arange(B)
-        return np.bincount(idx.ravel(), w.ravel(), B * self.size).reshape(B, self.size)
+        return np.bincount(index, w.ravel(), B * self.size).reshape(B, self.size)
 
     def first_nonfinite(self, vals, x_pad=None):
         """Name of the first slot with a non-finite contribution, or None.
@@ -573,8 +587,8 @@ class _EvalPlan:
         self.cq = _SlotSpace(n, rows=False, matrix=True)  # C: charge coefficients
         self.cg = _SlotSpace(n, rows=False, matrix=True)  # G: linear conductances
         self.sdc = _SlotSpace(n, rows=True, matrix=False)  # source levels (DC, sine offset)
-        self.ssin = _SlotSpace(n, rows=True, matrix=False)  # sine parts of the sources
-        self.nl = _SlotSpace(n, rows=True, matrix=True)  # nonlinear currents | conductances
+        self.ssin = _SlotSpace(n, rows=True, matrix=False, per_eval=True)  # sine parts of sources
+        self.nl = _SlotSpace(n, rows=True, matrix=True, per_eval=True)  # currents | conductances
         self.linear = []  # (space, slots, values, transform of the values)
         self.levels, self.amps, self.phases, self.freqs = [], [], [], []
         self.devices = []  # bind(resolve) -> fill(x_pad, out)

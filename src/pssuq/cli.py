@@ -578,9 +578,9 @@ def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3
     solve of the coupled system assembled by the congruence transform and
     (b) the K independent node solves plus the two V transforms, each as
     the best per-call time of ``repeats`` batches of calls lasting at least
-    50 ms. Returns ``(rows, blas)``: rows ``[order, K, t_coupled,
-    t_decoupled, ratio]`` and the BLAS record (library, version, thread
-    count).
+    50 ms, at the speed of the sweep's first speed probe. Returns ``(rows,
+    blas)``: rows ``[order, K, t_coupled, t_decoupled, ratio]`` and the
+    BLAS record (library, version, thread count).
 
     The sweep runs in a fresh child interpreter whose environment sets every
     BLAS thread variable to 1 before numpy loads its BLAS, whatever the
@@ -643,7 +643,7 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
     circuit = synthetic_ladder(n_nodes, dim)
     n = circuit.n_states
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, probes = [], []
     for p in orders:
         basis, testing = _basis_and_testing(circuit, p)
         K = basis.size
@@ -672,7 +672,8 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
             delta = np.linalg.solve(J_nodes, g_nodes[..., None])[..., 0]
             return (Vi @ delta).ravel()
 
-        t_c, t_d = _timed_alternately([lambda: np.linalg.solve(J_big, g), decoupled], repeats)
+        calls = [lambda: np.linalg.solve(J_big, g), decoupled]
+        t_c, t_d = _timed_alternately(calls, repeats, probes)
         rows.append([p, int(K), t_c, t_d, t_c / t_d])
     return rows
 
@@ -680,23 +681,34 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
 TIMING_BATCH_S = 0.05  # shortest batch of calls `speedup` times
 
 
-def _timed_alternately(fns, repeats):
-    """Seconds per call of each of ``fns``: the best of ``repeats`` batches
-    of its calls, the batch size doubled until a batch lasts
+def _timed_alternately(fns, repeats, probes):
+    """Time per call of each of ``fns``: the best of ``repeats`` batches of
+    its calls, the batch size doubled until a batch lasts
     ``TIMING_BATCH_S``. One call of a few milliseconds is at the mercy of
-    the scheduler; a batch is not. The functions' batches alternate, so a
-    change in the host's speed reaches all of them, not their ratio."""
+    the scheduler; a batch is not. The batches alternate, each between two
+    speed probes (thread CPU times of 16 order-100 solves, appended to
+    ``probes``), and count at the speed of the first probe in ``probes``,
+    so the host's speed reaches neither the times nor their ratio."""
+    a = np.random.default_rng(0).standard_normal((16, 100, 100)) + 100 * np.eye(100)
+    probe = timeit.Timer(lambda: np.linalg.solve(a, a[..., :1]), timer=time.thread_time)
     timers = [timeit.Timer(fn) for fn in fns]
+    probes.append(probe.timeit(1))
+
+    def batch(i, number):  # (seconds, seconds at the first probe's speed)
+        elapsed = timers[i].timeit(number)
+        probes.append(probe.timeit(1))
+        return elapsed, elapsed * probes[0] / (0.5 * (probes[-2] + probes[-1]))
+
     numbers, best = [], []
-    for timer in timers:
+    for i in range(len(timers)):
         number = 1
-        while (elapsed := timer.timeit(number)) < TIMING_BATCH_S:
+        while (run := batch(i, number))[0] < TIMING_BATCH_S:
             number *= 2
         numbers.append(number)
-        best.append(elapsed)
+        best.append(run[1])
     for _ in range(repeats - 1):
-        for i, timer in enumerate(timers):
-            best[i] = min(best[i], timer.timeit(numbers[i]))
+        for i in range(len(timers)):
+            best[i] = min(best[i], batch(i, numbers[i])[1])
     return [b / n for b, n in zip(best, numbers)]
 
 

@@ -111,6 +111,10 @@ class CircuitDae(Dae):
         """dF/da of the instance evaluation ``ev``."""
         return (ev.f - ev.bu)[..., None]
 
+    def jacobians(self, w, t):
+        """(dQ/dw, dF/dw): the instance's Jacobian-only evaluation if unscaled."""
+        return self.instance.jacobians(w) if self.scale is None else super().jacobians(w, t)
+
 
 def floor_failure(instance, traj):
     """The first sample of ``traj`` (a run of ``instance``) flagged at the

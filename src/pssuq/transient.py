@@ -2,10 +2,10 @@
 
 Every system is a ``Dae``: ``linearize(w, t)`` evaluates it once and
 ``terms(lin, t=None)`` gives (Q, F, dQ/dw, dF/dw) from that evaluation; a
-scaled system's ``scale_columns(lin)`` gives dF/d(scaling). The circuit
-adapter of the shooting module (one circuit or a batch of them) and the
-stacked collocation DAE are both ``Dae``s. ``F`` includes the source
-term, so the one-step residual of the two-point schemes here is
+scaled system's ``scale_columns(lin)`` gives dF/d(scaling), ``jacobians``
+dQ/dw and dF/dw alone. The shooting module's circuit adapter (one circuit
+or a batch) and the stacked collocation DAE are both ``Dae``s. ``F``
+includes the source term: the two-point schemes' one-step residual is
 
     Q(w_k) - Q(w_{k-1}) + h_k * (g1 * F(w_k, t_k) + g2 * F(w_{k-1}, t_{k-1})) = 0
 
@@ -20,8 +20,8 @@ on one shared grid. A step that fails for any sample is bisected for the
 whole batch, and a sample that still fails at the bisection floor, one
 circuit's as a batch member's, is frozen and flagged (``integrate``): the
 integrator never raises on a step, the solver decides. The recorded
-trajectory always reflects the steps actually taken, so the one-period
-linearization chain stays exact.
+trajectory reflects the steps actually taken, so the one-period chain,
+which re-evaluates Jacobians only (with scaling columns: all), is exact.
 
 Every linear solve of the step Newton, the chain and the shooting Newton
 is one ``batched_solve``. A large batch of small systems (a Monte Carlo
@@ -70,7 +70,8 @@ class NewtonOptions:
 
 class Dae:
     """Base of the integrable systems: one-shot evaluations from a subclass's
-    ``linearize``, ``terms`` and (if scaled) ``scale_columns``."""
+    ``linearize``, ``terms`` and (if scaled) ``scale_columns``; one that can
+    stamp dQ/dw and dF/dw without Q and F overrides ``jacobians``."""
 
     def eval(self, w, t):
         return self.terms(self.linearize(w, t))[:2]
@@ -80,6 +81,10 @@ class Dae:
 
     def dF_dscale(self, w, t):
         return self.scale_columns(self.linearize(w, t))
+
+    def jacobians(self, w, t):
+        """(dQ/dw, dF/dw) at (w, t), possibly shared with the system: read-only."""
+        return self.terms(self.linearize(w, t))[2:]
 
 
 STEP_MAX_ITER = 50  # Newton iterations per implicit step
@@ -93,10 +98,10 @@ class Trajectory:
     ``states[k]`` is the state at ``times[k]``; shape (P, N) or (P, B, N)
     for batched runs. ``gammas[k]`` holds the (gamma1, gamma2) weights the
     k-th step was taken with, so derivative chains can replay mixed-scheme
-    runs (an L-stable first step, say) exactly. Step factors (the
-    Jacobians at each grid point) are re-evaluated on demand by the chain
-    routines, so trajectories stay small. ``states`` is the buffer the run
-    wrote its states into, the only copy, freed with the trajectory.
+    runs (an L-stable first step, say) exactly. The chain re-evaluates
+    the Jacobians at each grid point on demand (Jacobians only), so
+    trajectories stay small. ``states`` is the buffer the run wrote its
+    states into, the only copy, freed with the trajectory.
     """
 
     times: np.ndarray
@@ -184,15 +189,17 @@ def _lapack_solve(J, R):
 
 
 def _pivot_rows(a):
-    """Row swaps of partial pivoting on one matrix: step p swaps row p with row ``swaps[p]``."""
-    a = a.copy()
+    """Row swaps of partial pivoting on one matrix: step p swaps row p with row ``swaps[p]``.
+    On Python floats, with numpy's rounding and ``np.argmax``'s pick (the first NaN, else max)."""
+    a = a.tolist()
     swaps = []
-    for p in range(a.shape[0] - 1):
-        i = p + int(np.argmax(np.abs(a[p:, p])))
-        a[[p, i]] = a[[i, p]]
+    for p in range(len(a) - 1):
+        i = max(range(p, len(a)), key=lambda k: (a[k][p] != a[k][p], abs(a[k][p])))
+        a[p], a[i] = a[i], a[p]
         swaps.append(i)
-        if a[p, p] != 0:
-            a[p + 1 :] -= np.outer(a[p + 1 :, p] / a[p, p], a[p])
+        if (top := a[p])[p] != 0:
+            for row in a[p + 1 :]:
+                row[p + 1 :] = [r - row[p] / top[p] * v for r, v in zip(row[p + 1 :], top[p + 1 :])]
     return swaps
 
 
@@ -373,9 +380,11 @@ def integrate(
 
 
 def _jacobians(system, w, t, scaled):
-    """(dQ/dw, dF/dw, dF/dscale or None) at (w, t), from one evaluation."""
+    """(dQ/dw, dF/dw, dF/dscale or None) at (w, t): Jacobians only, or one full evaluation."""
+    if not scaled:
+        return (*system.jacobians(w, t), None)
     lin = system.linearize(w, t)
-    return (*system.terms(lin)[2:], system.scale_columns(lin) if scaled else None)
+    return (*system.terms(lin)[2:], system.scale_columns(lin))
 
 
 def transition_chain(system, trajectory, with_scale_columns=False):

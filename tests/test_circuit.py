@@ -309,3 +309,46 @@ def test_find_nonfinite_element_names_a_shorted_resistor():
         batch = c.realize([[0.5], [-1.0], [0.2]])
         assert batch.find_nonfinite_element(np.tile(x, (3, 1)), 0.0) == "R1"
         assert not np.isfinite(batch.eval_dae(np.tile(x, (3, 1)), 0.0).f[1]).all()
+
+
+def _jacobian_case(case, devices):
+    """(instance, states) of one ``jacobians`` test case."""
+    from conftest import CIRCUITS_DIR, RECTIFIER, SHORTED_AT_A_NODE
+    from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
+
+    rng = np.random.default_rng(16)
+    if case == "one-circuit":
+        c = parse_netlist(RECTIFIER)
+        return c.realize_nominal(), rng.normal(size=c.n) * 0.3
+    if case == "one-set-state-batch":
+        return devices.realize(rng.normal(size=devices.dim) * 0.5), rng.normal(size=(3, devices.n)) * 0.3
+    if case == "node-batch":
+        c = parse_netlist((CIRCUITS_DIR / "lna.cir").read_text())
+        basis = build_basis([s for _, s in c.random_params], 2)
+        nodes = select_testing_nodes(basis, tensor_rule(basis, 3)).nodes
+        return c.realize(nodes), rng.normal(size=(len(nodes), c.n)) * 0.3
+    if case == "2000-samples":
+        c = parse_netlist(RECTIFIER)
+        return c.realize(rng.normal(size=(2000, c.dim))), rng.normal(size=(2000, c.n)) * 0.3
+    if case == "all-devices":
+        return devices.realize(rng.normal(size=(8, devices.dim)) * 0.5), rng.normal(size=(8, devices.n)) * 0.3
+    c = parse_netlist(SHORTED_AT_A_NODE)  # xi = -1 shorts R1: infinite conductances
+    return c.realize([[0.5], [-1.0], [0.2]]), rng.normal(size=(3, c.n))
+
+
+@pytest.mark.parametrize("case", [
+    "one-circuit", "one-set-state-batch", "node-batch", "2000-samples", "all-devices", "shorted",
+])
+def test_jacobian_only_evaluation_is_eval_dae_bit_for_bit(devices, case):
+    """``jacobians`` stamps dq/dx and df/dx alone, with ``eval_dae``'s bits
+    and shapes; what it shares with the instance is read-only."""
+    inst, x = _jacobian_case(case, devices)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ev = inst.eval_dae(x, 2e-4)
+        dq, df = inst.jacobians(x)
+    for got, want in ((dq, ev.dq_dx), (df, ev.df_dx)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert not dq.flags.writeable
+    if case == "shorted":
+        assert np.isinf(df[1]).any() and np.isfinite(df[[0, 2]]).all()

@@ -407,6 +407,17 @@ def test_oscillator_jacobian_evaluates_each_grid_point_once(colpitts, colpitts_n
     assert np.all(np.isfinite(J))
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+def test_circuit_dae_jacobians_are_those_of_its_full_evaluation(colpitts, colpitts_nominal, scaled):
+    """Unscaled from the instance's Jacobian-only evaluation, scaled from
+    the full one: either way the bits of ``eval_with_jac``."""
+    _, _, sol = colpitts_nominal
+    system = CircuitDae(colpitts.realize_nominal(), sol.period_scale if scaled else None)
+    dq, dF = system.jacobians(sol.y, 1e-7)
+    _, _, dq_ref, dF_ref = system.eval_with_jac(sol.y, 1e-7)
+    assert dq.tobytes() == dq_ref.tobytes() and dF.tobytes() == dF_ref.tobytes()
+
+
 def test_colpitts_estimate_stops_once_the_cycle_settles(colpitts, monkeypatch):
     """The start-up transient ends within 16 linearized periods."""
     inst = colpitts.realize_nominal()

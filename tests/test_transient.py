@@ -230,6 +230,44 @@ def test_chain_runs_over_the_charge_columns(case, memory, request):
         assert np.abs(S - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
 
 
+class FullEvaluation(Dae):
+    """``system`` with the base class's ``jacobians``: each grid point of a
+    chain evaluated in full, the reference for its bits."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def linearize(self, w, t):
+        return self.system.linearize(w, t)
+
+    def terms(self, lin, t=None):
+        return self.system.terms(lin, t)
+
+
+@pytest.mark.parametrize("case", ["rectifier-2000", "lna-nodes"])
+def test_an_unscaled_chain_evaluates_jacobians_only_with_the_same_bits(case, request, monkeypatch):
+    """An unscaled chain stamps each grid point's Jacobians without q, f
+    and B u, calling no ``eval_dae``, and gives the bits of the chain that
+    evaluates every point in full; both agree with the dense chain."""
+    if case == "lna-nodes":
+        stacked, guess = request.getfixturevalue("lna_perturbed")
+        system, y, horizon = stacked.node_dae(), stacked.node_states(guess), stacked.period
+    else:
+        rect = request.getfixturevalue("rectifier")
+        nominal = solve_nominal(rect, n_steps=200)
+        system = CircuitDae(_random_draws(rect, 2000))
+        y, horizon = np.broadcast_to(nominal.y, (2000, rect.n)), nominal.period
+    traj = integrate(system, y, 0.0, horizon, n_steps=200, stabilized_start=True)
+    M_full, _ = transition_chain(FullEvaluation(system), traj)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(type(system.instance), "eval_dae", lambda *args: calls.append(args))
+        M, _ = transition_chain(system, traj)
+    assert calls == [] and M.tobytes() == M_full.tobytes()
+    M_ref, _ = _dense_chain(system, traj)
+    assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+
+
 def test_chain_keeps_every_column_after_a_trapezoidal_first_step(rectifier):
     system = CircuitDae(rectifier.realize_nominal())
     traj = integrate(system, dc_operating_point(system.instance), 0.0, 1e-3, n_steps=200)
@@ -563,3 +601,56 @@ def test_below_the_crossover_the_solve_is_lapack_bit_for_bit(shape, lapack_calls
     R = rng.standard_normal(shape[:-1] + (3,))
     assert np.array_equal(batched_solve(J, R), np.linalg.solve(J, R))
     assert len(lapack_calls) == 1
+
+
+def _numpy_pivot_rows(a):
+    """The numpy form of ``_pivot_rows`` that the Python-float one replaced:
+    its reference."""
+    a = a.copy()
+    swaps = []
+    with np.errstate(all="ignore"):
+        for p in range(a.shape[0] - 1):
+            i = p + int(np.argmax(np.abs(a[p:, p])))
+            a[[p, i]] = a[[i, p]]
+            swaps.append(i)
+            if a[p, p] != 0:
+                a[p + 1 :] -= np.outer(a[p + 1 :, p] / a[p, p], a[p])
+    return swaps
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_pivot_rows_match_numpys_on_random_matrices(m):
+    """Normal entries, and small integers, which tie column maxima and
+    zero whole columns."""
+    rng = np.random.default_rng(m)
+    for a in (*rng.standard_normal((300, m, m)), *rng.integers(-2, 3, (300, m, m)).astype(float)):
+        assert transient._pivot_rows(a) == _numpy_pivot_rows(a)
+
+
+@pytest.mark.parametrize("a, swaps", [
+    ([[1.0, 2.0], [-1.0, 3.0]], [0]),  # tied column maximum: the first wins
+    ([[0.5, 1.0, 0.0], [-2.0, 0.0, 1.0], [2.0, 1.0, 1.0]], [1, 1]),  # ties before and after a step
+    ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], [0, 2]),  # zero pivot column
+    # finite, but the elimination overflows: step 2's column reads (-inf,
+    # NaN), and the pivot is the NaN's row, as np.argmax picks it
+    ([[1.0, 0.0, -1e308, 0.0], [1.0, 2.0, 1e308, 0.0],
+      [1.0, 1.0, -1e308, 0.0], [1.0, 0.0, -1e308, 1.0]], [0, 1, 3]),
+])
+def test_pivot_rows_of_ties_zero_columns_and_overflow(a, swaps):
+    a = np.array(a)
+    assert np.isfinite(a).all()
+    assert transient._pivot_rows(a) == _numpy_pivot_rows(a) == swaps
+
+
+def test_pivot_rows_match_numpys_on_step_matrices(rectifier_steps, colpitts, colpitts_nominal):
+    """Rectifier and Colpitts trapezoidal step matrices along the nominal orbit."""
+    _, _, sol = colpitts_nominal
+    system = CircuitDae(_random_draws(colpitts, 200), np.full(200, float(sol.period_scale)))
+    traj = sol.trajectory
+    colpitts_steps = []
+    for k in range(0, traj.n_points, 30):
+        _, _, dq, df = system.eval_with_jac(np.broadcast_to(traj.states[k], (200, colpitts.n)), traj.times[k])
+        colpitts_steps.append(dq + 0.5 * (traj.times[1] - traj.times[0]) * df)
+    for steps in (rectifier_steps[:, ::41], colpitts_steps):
+        for a in np.reshape(steps, (-1,) + np.shape(steps)[-2:]):
+            assert transient._pivot_rows(a) == _numpy_pivot_rows(a)
