@@ -12,7 +12,7 @@ cheaply from the surrogate, and quantitative ST-vs-MC comparisons.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,20 +56,23 @@ def draw_standardized(families, seed, count, offset=0):
 # Monte Carlo driver
 
 MAX_FAILURE_FRACTION = 0.01  # share of failed samples a Monte Carlo run tolerates
+STATS_BLOCK_BYTES = 2**20  # waveform values copied at once by ``McRun.waveform_mean_std``
 
 
 @dataclass
 class McRun:
-    """Per-sample periodic steady states of a parameter sample batch."""
+    """Per-sample periodic steady states of a parameter sample batch; ``waveforms``
+    is a view of the shooting solver's trajectory buffer, not a copy."""
 
     seed: int
     xi: np.ndarray  # (N, d)
     times: np.ndarray  # (P,)
-    waveforms: np.ndarray  # (N, P, n)
+    waveforms: np.ndarray  # (N, P, n) view of a (P, N, n) buffer
     y: np.ndarray  # (N, n)
     failed: np.ndarray  # (N,)
     period: np.ndarray | float  # (N,) for oscillators, scalar otherwise
     iterations: int
+    _stats: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self):
@@ -83,10 +86,19 @@ class McRun:
         return ~self.failed
 
     def waveform_mean_std(self):
-        """Unbiased per-time-point statistics over the converged samples."""
-        ok = self.ok()[:, None, None]
-        w = self.waveforms
-        return w.mean(axis=0, where=ok), w.std(axis=0, ddof=1, where=ok)
+        """Unbiased per-time-point statistics over the converged samples, computed once:
+        per block of time points copied C-ordered, so with the bits of one
+        reduction over a C-ordered copy of all the waveforms, without one."""
+        if self._stats is None:
+            (N, P, n), ok = self.waveforms.shape, self.ok()[:, None, None]
+            mean, std = np.empty((P, n)), np.empty((P, n))
+            step = max(STATS_BLOCK_BYTES // (8 * N * n), 1)
+            for lo in range(0, P, step):
+                w = np.ascontiguousarray(self.waveforms[:, lo : lo + step])
+                mean[lo : lo + step] = w.mean(axis=0, where=ok)
+                std[lo : lo + step] = w.std(axis=0, ddof=1, where=ok)
+            self._stats = mean, std
+        return self._stats
 
     def scalar_stats(self, values):
         v = np.asarray(values)[self.ok()]
@@ -129,7 +141,7 @@ def monte_carlo(
         seed=seed,
         xi=xi,
         times=sol.trajectory.times.copy(),
-        waveforms=np.moveaxis(sol.trajectory.states, 0, 1).copy(),
+        waveforms=np.moveaxis(sol.trajectory.states, 0, 1),
         y=np.atleast_2d(sol.y).copy(),
         failed=failed,
         period=sol.period,

@@ -19,8 +19,9 @@ take is bisected for the whole batch; ``floor_failure`` names the first
 sample the integrator flags at the bisection floor: one circuit's solve
 raises with it, a flagged batch sample is unusable. Converged and stalled
 samples retire: later runs integrate and chain only the pending rows,
-written back in place, and a run that changes the grid is repeated for
-every live sample, so results equal those of the lockstep batch.
+which they write and read in the live trajectory's buffer, and a run that
+changes the grid is repeated for every live sample, so results equal
+those of the lockstep batch.
 ``solve_nominal`` solves the nominal circuit, where every analysis starts.
 For an oscillator it starts from ``estimate_period``, a transient kicked
 along the least-damped linearized mode and stopped once its cycle settles
@@ -150,14 +151,17 @@ def _rows(mask):
 def damped_newton(u0, run, newton_step, tol):
     """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
 
-    ``run(u, rows)`` returns ``(g, norm, traj)`` for the unknowns ``u`` of
-    batch rows ``rows`` (``...``: all): the residual, its infinity norm per
-    sample (inf where the residual is unusable) and the trajectory from
-    which ``newton_step(u, g, traj, rows)`` returns their Newton step. Only
-    pending samples are run and stepped; the others keep their iterate,
-    residual and trajectory rows, into which a pending run is written
-    (``Trajectory.put``) unless it changes the grid: then every sample not
-    stalled runs again. Each sample halves its own step and takes the first
+    ``run(u, rows, into)`` returns ``(g, norm, traj)`` for the unknowns
+    ``u`` of batch rows ``rows`` (``...``: all): the residual, its infinity
+    norm per sample (inf where the residual is unusable) and the trajectory
+    from which ``newton_step(u, g, traj, rows)`` returns their Newton step.
+    Only pending samples are run and stepped; the others keep their
+    iterate, residual and trajectory rows. A pending run writes its states
+    into its rows of the live trajectory (``into``, ``integrate``'s), so
+    the batch holds one copy of it, and its flags are recorded there
+    (``Trajectory.put``) unless it changes the grid or flags a sample:
+    then every sample not stalled runs again in a buffer of its own
+    (``into`` None). Each sample halves its own step and takes the first
     trial whose norm is finite and lower. A sample whose residual or step
     is not finite, or that has not improved after ``MAX_HALVINGS``
     halvings, stalls; its trajectory row is meaningless. At most
@@ -168,7 +172,7 @@ def damped_newton(u0, run, newton_step, tol):
     step scale, so ``len(history) - 1`` Newton iterations were taken.
     """
     u = np.array(u0, dtype=float, copy=True)
-    g, gn, traj = run(u, ...)
+    g, gn, traj = run(u, ..., None)
     gn = np.asarray(gn)
     stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
     history = [(u.copy(), gn.copy(), None)]
@@ -189,13 +193,15 @@ def damped_newton(u0, run, newton_step, tol):
                 break
             u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
             rows = _rows(pending)
-            g_r, gn_r, part = run(u_t[rows], rows)
+            g_r, gn_r, part = run(u_t[rows], rows, traj_t.take(rows))
             if rows is Ellipsis:
                 traj_t = part
             elif np.any(part.failed) or not traj_t.put(rows, part):  # a flag may move the grid
+                del part  # the run off the grid goes before its rerun
                 rows = _rows(~stalled)
-                g_r, gn_r, part = run(u_t[rows], rows)
+                g_r, gn_r, part = run(u_t[rows], rows, None)
                 traj_t = part if rows is Ellipsis else part.spread(rows, gn.size)
+            del part  # else a rerun's own buffer, once spread, lives through the next step
             g_t[rows], gn_t[rows] = g_r, gn_r
             better = pending & (gn_t < gn)  # false for a non-finite norm
             u_next = np.where(better[..., None], u_t, u_next)
@@ -260,10 +266,11 @@ class Shooting:
         a = None if self.phase is None else np.maximum(u[..., self.instance.n], SCALE_FLOOR)
         return CircuitDae(self.instance.take(rows), scale=a)
 
-    def run(self, u, rows):
+    def run(self, u, rows, into):
+        """``damped_newton``'s run of batch rows ``rows``, into ``into`` if not None."""
         n = self.instance.n
         y = u[..., :n]
-        traj = integrate(self.system(u, rows), y, 0.0, self.horizon, **self.options)
+        traj = integrate(self.system(u, rows), y, 0.0, self.horizon, into=into, **self.options)
         _raise_on_floor_failure(self.instance, traj)
         g = traj.end - y
         unusable = traj.failed
@@ -273,8 +280,7 @@ class Shooting:
         return g, np.where(unusable, np.inf, norm_inf(g)), traj
 
     def newton_step(self, u, g, traj, rows):
-        traj = Trajectory(traj.times, traj.states[:, rows], traj.gammas)
-        J = shooting_jacobian(self.system(u, rows), traj, self.pinned)
+        J = shooting_jacobian(self.system(u, rows), traj.take(rows), self.pinned)
         delta = batched_solve(J, g[..., None])[..., 0]
         if self.phase is not None and rows is Ellipsis and np.all(~np.isfinite(delta)):
             raise ConvergenceError(

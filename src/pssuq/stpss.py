@@ -256,8 +256,8 @@ def _shoot(system, engine, u0, mode, tol):
     def unknowns(b):
         return np.concatenate([b[:, :n].ravel(), b[:, n:].ravel()])
 
-    def run(u, rows):
-        g_nodes, gn_nodes, node_traj = engine.run(V @ blocks(u), rows)
+    def run(u, rows, into):
+        g_nodes, gn_nodes, node_traj = engine.run(V @ blocks(u), rows, into)
         _raise_on_failed_node(system, node_traj)
         g = unknowns(V_inv @ g_nodes)
         return g, np.max(np.abs(g)) if np.all(np.isfinite(gn_nodes)) else np.inf, node_traj

@@ -101,7 +101,9 @@ class Trajectory:
     runs (an L-stable first step, say) exactly. The chain re-evaluates
     the Jacobians at each grid point on demand (Jacobians only), so
     trajectories stay small. ``states`` is the buffer the run wrote its
-    states into, the only copy, freed with the trajectory.
+    states into, the only copy, freed with the trajectory. A run of some
+    rows of a batch may share the batch's buffer: its states are then
+    ``states[:, rows]``, read one grid point at a time (``take``).
     """
 
     times: np.ndarray
@@ -109,20 +111,27 @@ class Trajectory:
     gammas: np.ndarray  # (P-1, 2)
     failed: np.ndarray | None = None  # per-sample floor-failure mask; 0-d for one circuit
     fail_times: np.ndarray | None = None  # start of the step a flagged sample froze at
+    rows: object = ...  # the batch rows of ``states`` that are this run's
 
     @property
     def end(self):
-        return self.states[-1]
+        return self.states[-1, self.rows]
 
     @property
     def n_points(self):
         return self.times.size
 
+    def take(self, rows):
+        """Batch rows ``rows`` of this run, on its buffer: nothing is copied."""
+        return Trajectory(self.times, self.states, self.gammas, rows=rows)
+
     def put(self, rows, part):
-        """Write ``part``, a run of batch rows ``rows``, into them; False if on another grid."""
+        """Record ``part``, a run of batch rows ``rows``, in them; False if on another grid.
+        A run that wrote its states there (``integrate``'s ``into``) leaves only its flags."""
         if not np.array_equal(part.times, self.times):
             return False
-        self.states[:, rows] = part.states
+        if part.states is not self.states:
+            self.states[:, rows] = part.states
         self.failed[rows], self.fail_times[rows] = part.failed, part.fail_times
         return True
 
@@ -304,6 +313,7 @@ def integrate(
     n_steps,
     newton=NewtonOptions(),
     stabilized_start=False,
+    into=None,
 ):
     """Integrate from t0 to t1 on a uniform grid of ``n_steps`` steps.
 
@@ -321,7 +331,12 @@ def integrate(
     points, grown only when a bisection adds points and trimmed once at
     the end; the returned ``Trajectory`` owns it. The run keeps no other
     copy and leaves no reference cycle, so its memory goes when the
-    trajectory does, not at the next full garbage collection.
+    trajectory does, not at the next full garbage collection. With
+    ``into``, the ``Trajectory.take`` of a live run from t0 to t1, the
+    states overwrite its rows instead and the returned trajectory shares
+    its buffer, until the first point off ``into``'s grid (a bisection
+    either run took): there the run copies the states it wrote so far to
+    a buffer of its own and goes on in it.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -340,10 +355,11 @@ def integrate(
     grid = np.linspace(t0, t1, n_steps + 1)
     times = [float(t0)]
     gammas = []
-    # the accepted states, written in place; a bisection grows the buffer
-    # and the end trims it, so the run holds one copy of its trajectory
-    states = np.empty((n_steps + 1,) + w0.shape)
-    states[0] = w0
+    # the accepted states, written into ``into``'s rows or a buffer of the run's
+    # own, grown by a bisection and trimmed at the end: one copy of the trajectory
+    states, rows = (np.empty((n_steps + 1,) + w0.shape), ...) if into is None else (
+        into.states, into.rows)
+    states[0, rows] = w0
     w, ev = w0, _evaluate(system, w0, t0)
     for k in range(n_steps):
         sch = BACKWARD_EULER if (k == 0 and stabilized_start) else scheme
@@ -355,11 +371,15 @@ def integrate(
             t, h, depth = pending.pop()
             w_new, ev_new, conv = _newton_step(system, w, t, h, sch, newton, ev, ignore=failed)
             if np.all(conv):
-                if len(times) == len(states):
+                i = len(times)
+                if into is not None and (i == len(states) or into.times[i] != t + h):
+                    # off ``into``'s grid: on in a buffer of the run's own
+                    states, rows, into = np.array(states[:i, rows], order="C"), ..., None
+                if i == len(states):
                     # room for the grid points still to come and an eighth more
-                    size = len(times) + n_steps - k + len(states) // 8
+                    size = i + n_steps - k + len(states) // 8
                     states.resize((size,) + w0.shape, refcheck=False)  # no views exist
-                states[len(times)] = w_new
+                states[i, rows] = w_new
                 times.append(t + h)
                 gammas.append((sch.gamma1, sch.gamma2))
                 w, ev = w_new, ev_new
@@ -374,9 +394,9 @@ def integrate(
             else:
                 pending += [(t + 0.5 * h, 0.5 * h, depth + 1), (t, 0.5 * h, depth + 1)]
 
-    if len(times) < len(states):
+    if into is None and len(times) < len(states):
         states.resize((len(times),) + w0.shape, refcheck=False)
-    return Trajectory(np.asarray(times), states, np.asarray(gammas), failed, fail_times)
+    return Trajectory(np.asarray(times), states, np.asarray(gammas), failed, fail_times, rows)
 
 
 def _jacobians(system, w, t, scaled):
@@ -402,11 +422,11 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     first step, the charge and flux states; after a trapezoidal one, all.
     """
     times, states, gam = trajectory.times, trajectory.states, trajectory.gammas
-    n = states.shape[-1]
-    batch = states.shape[1:-1]
+    rows = trajectory.rows  # read per grid point: a run's rows are never copied whole
+    batch, n = states[0, rows].shape[:-1], states.shape[-1]
     M = np.broadcast_to(np.eye(n), batch + (n, n))
     cols = np.arange(n)
-    E, A, P = _jacobians(system, states[0], times[0], with_scale_columns)
+    E, A, P = _jacobians(system, states[0, rows], times[0], with_scale_columns)
     S = np.zeros(batch + (n, P.shape[-1])) if with_scale_columns else None
     for k in range(1, times.size):
         h = times[k] - times[k - 1]
@@ -416,7 +436,7 @@ def transition_chain(system, trajectory, with_scale_columns=False):
         if k == 1:
             cols = np.flatnonzero(np.any(rhs != 0, axis=tuple(range(rhs.ndim - 1))))
             rhs = rhs[..., cols]
-        E, A, P_k = _jacobians(system, states[k], times[k], with_scale_columns)
+        E, A, P_k = _jacobians(system, states[k, rows], times[k], with_scale_columns)
         lhs = E + (g1 * h) * A
         if with_scale_columns:
             rhs_s = carry @ S - h * (g1 * P_k + g2 * P)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pssuq.shooting as shooting
+import pssuq.transient as transient
 from pssuq import parse_netlist
 from pssuq.circuit import CircuitInstance, dc_operating_point
 from pssuq.shooting import (
@@ -304,6 +305,51 @@ def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturb
     assert np.array_equal(retired.residual_norm, lockstep.residual_norm)
     assert np.array_equal(retired.trajectory.times, lockstep.trajectory.times)
     assert np.array_equal(retired.trajectory.states, lockstep.trajectory.states)
+
+
+def test_a_line_search_run_that_bisects_equals_the_lockstep_batch(rectifier, monkeypatch):
+    """The staggered rectifier batch with the whole step from mid-period
+    refused to its last member once its output passes 0.29 V: the first
+    run keeps the uniform grid; the line-search run of the three pending
+    members writes into the live trajectory's rows, bisects that step,
+    goes on in a buffer of its own and is repeated for all four. The
+    result is bit for bit that of running every sample in every run,
+    with the same flags and the same grid."""
+    xi, y0 = _staggered_rectifier_batch(rectifier)
+    inst = rectifier.realize(xi)
+    out = rectifier.state_names.index("v(out)")
+    grid = np.linspace(0.0, 1e-3, 101)
+    step = transient._newton_step
+
+    def refusing(system, w, t, h, *args, **kwargs):
+        w_new, ev, conv = step(system, w, t, h, *args, **kwargs)
+        if t == grid[50] and h == grid[51] - grid[50]:
+            last = (system.instance.theta == inst.theta[3]).all(axis=-1)
+            conv = conv & ~(last & (w[..., out] > 0.29))
+        return w_new, ev, conv
+
+    monkeypatch.setattr(transient, "_newton_step", refusing)
+    runs, integrate_ = [], shooting.integrate
+
+    def recording(system, *args, into=None, **kwargs):
+        traj = integrate_(system, *args, into=into, **kwargs)
+        shared = into is not None and traj.states is into.states
+        runs.append((system.instance.theta[:, 0].size, into is not None, shared, traj.n_points))
+        return traj
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    retired = solve_forced(inst, 1e-3, y0=y0, n_steps=100)
+    assert runs[:3] == [(4, False, False, 101), (3, True, False, 102), (4, False, False, 102)]
+    monkeypatch.setattr(shooting, "_rows", lambda mask: Ellipsis)  # every run takes every row
+    lockstep = solve_forced(inst, 1e-3, y0=y0, n_steps=100)
+    assert np.all(retired.converged) and retired.iterations == lockstep.iterations
+    assert np.array_equal(retired.y, lockstep.y)
+    assert np.array_equal(retired.residual_norm, lockstep.residual_norm)
+    a, b = retired.trajectory, lockstep.trajectory
+    assert np.array_equal(a.times, b.times) and a.n_points == 102
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.failed, b.failed) and not a.failed.any()
+    assert np.array_equal(a.fail_times, b.fail_times, equal_nan=True)
 
 
 # -- autonomous ---------------------------------------------------------------

@@ -404,6 +404,31 @@ def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
     assert spread.fail_times[1] == 0.0 and np.isnan(spread.fail_times[rows]).all()
 
 
+@pytest.mark.parametrize("rows", [np.array([0, 2]), ...])
+def test_a_run_into_live_rows_writes_them_until_it_leaves_their_grid(rc_circuit, rows):
+    """A run given rows of a live run on its grid overwrites them in place
+    and shares the live buffer, bit for bit the run on a buffer of its own,
+    the other rows untouched, and the chain reads them as it reads that
+    run; a run off the live grid goes on in a buffer of its own."""
+    xi = np.array([[-0.7], [0.2], [1.0]])
+    w0 = np.full((3, rc_circuit.n), 0.1)
+    live = integrate(CircuitDae(rc_circuit.realize(xi)), w0, 0.0, 1e-3, n_steps=16)
+    sub, start = CircuitDae(rc_circuit.realize(xi[rows])), 0.5 * w0[rows]
+    own = integrate(sub, start, 0.0, 1e-3, n_steps=16)
+    kept = live.states[:, 1].copy()
+    part = integrate(sub, start, 0.0, 1e-3, n_steps=16, into=live.take(rows))
+    assert part.states is live.states and live.put(rows, part)
+    assert np.array_equal(live.states[:, rows], own.states) and np.array_equal(part.end, own.end)
+    if rows is not Ellipsis:
+        assert np.array_equal(live.states[:, 1], kept)
+    assert np.array_equal(transition_chain(sub, live.take(rows))[0], transition_chain(sub, own)[0])
+    finer = integrate(sub, start, 0.0, 1e-3, n_steps=17, into=live.take(rows))
+    alone = integrate(sub, start, 0.0, 1e-3, n_steps=17)
+    assert finer.states is not live.states and finer.states.flags.owndata
+    assert np.array_equal(finer.times, alone.times) and np.array_equal(finer.states, alone.states)
+    assert not live.put(rows, finer)
+
+
 class Quirks(Dae):
     """Four samples of Q = C w, F = G w - s(t) with their own C and G: a
     plain decay, a source with an infinite entry (a non-finite residual), a
