@@ -807,29 +807,27 @@ class _EvalPlan:
         av = self._pval(elems, "ALPHA")
         isv = self._pval(elems, "IS")
         tv = self._pval(elems, "TEMP", default=DEFAULT_TEMPERATURE)
-        # forward transport: i_f into emitter terminal, alpha*i_f into collector
-        fc, fb, fe = (self._slots(self.nl, elems, lambda k: [(t[k], 1.0)]) for t in (c_, b_, e_))
-        jc, jb, je = (
+        # forward transport: i_f into emitter terminal, alpha*i_f into
+        # collector; one block of slots: the currents into c, b and e, then
+        # their rows of d/d(v_b - v_e)
+        first = self.nl.count
+        for t in (c_, b_, e_):
+            self._slots(self.nl, elems, lambda k: [(t[k], 1.0)])
+        for t in (c_, b_, e_):
             self._slots(self.nl, elems, lambda k: [(t[k], b_[k], +1.0), (t[k], e_[k], -1.0)])
-            for t in (c_, b_, e_)
-        )
+        block = slice(first, self.nl.count)
 
         def bind(resolve):
             i_s = resolve(isv)
             alpha = resolve(av)
-            beta = 1.0 - alpha
             vt = thermal_voltage(resolve(tv))
+            coef = np.concatenate((alpha, 1.0 - alpha, -np.ones_like(alpha)) * 2)
 
             def fill(x, out):
                 ev, dev = _limited_exp((x[b_] - x[e_]) / vt)
                 i_f = i_s * (ev - 1.0)
                 gpi = i_s * dev / vt
-                out[fc] = alpha * i_f
-                out[fb] = beta * i_f
-                out[fe] = -i_f
-                out[jc] = alpha * gpi
-                out[jb] = beta * gpi
-                out[je] = -gpi
+                out[block] = coef * np.concatenate((i_f, i_f, i_f, gpi, gpi, gpi))
 
             return fill
 

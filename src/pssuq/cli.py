@@ -188,12 +188,21 @@ class Reporter:
         return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def write_csv(self, name, header, rows):
-        # row by row: a coefficient file (n*K columns) is never held as text
+        # row by row: a coefficient file (n*K columns) is never held as text.
+        # One printf format per layout of value types: "%d" for an integer
+        # (str(int(v))), "%.17g" for anything else (17 digits: the float back)
         path = self.out / name
+        formats = {}
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                if (line := formats.get(kinds)) is None:
+                    line = formats[kinds] = ",".join(
+                        "%d" if issubclass(k, (int, np.integer)) else "%.17g" for k in kinds
+                    ) + "\n"
+                fh.write(line % row)
         self.files[name] = _file_hash(path)
         return path
 
@@ -219,12 +228,6 @@ class Reporter:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         return manifest
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
 
 
 def _file_hash(path):
@@ -339,7 +342,8 @@ def _cmd_pss_osc(rep, circuit, cfg):
 
 def _write_trajectory(rep, name, header, traj):
     return rep.write_csv(
-        name, ["time"] + header, ([t, *row] for t, row in zip(traj.times, traj.states))
+        name, ["time"] + header,
+        ([t, *row.tolist()] for t, row in zip(traj.times.tolist(), traj.states)),
     )
 
 

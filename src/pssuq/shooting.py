@@ -93,7 +93,7 @@ class CircuitDae(Dae):
 
     def __init__(self, instance, scale=None):
         self.instance = instance
-        self.scale = scale
+        self._scale = None if scale is None else np.asarray(scale, dtype=float)[..., None]
 
     def linearize(self, w, t):
         return self.instance.eval_dae(w, t)
@@ -103,8 +103,7 @@ class CircuitDae(Dae):
         ``t``, if given, with only B u evaluated again."""
         F = (ev.f - (ev.bu if t is None else self.instance.source(t))).reshape(ev.f.shape)
         dF = ev.df_dx
-        if self.scale is not None:
-            a = np.asarray(self.scale, dtype=float)[..., None]
+        if (a := self._scale) is not None:
             F, dF = a * F, a[..., None] * dF
         return ev.q, F, ev.dq_dx, dF
 
@@ -114,7 +113,7 @@ class CircuitDae(Dae):
 
     def jacobians(self, w, t):
         """(dQ/dw, dF/dw): the instance's Jacobian-only evaluation if unscaled."""
-        return self.instance.jacobians(w) if self.scale is None else super().jacobians(w, t)
+        return self.instance.jacobians(w) if self._scale is None else super().jacobians(w, t)
 
 
 def floor_failure(instance, traj):

@@ -255,8 +255,10 @@ def _shared_order_solve(J, R, out):
 
 
 def norm_inf(a):
-    """max |a| over the last axis, as B-wide maxima over a state-major copy."""
-    return np.abs(a.T, order="C").max(axis=0).T
+    """max |a| over the last axis: one maximum reduction over a state-major
+    copy, so each step of it compares B-wide rows (the ufunc is called
+    directly, not through the ``max`` method's Python wrapper)."""
+    return np.maximum.reduce(np.abs(a.T, order="C"), axis=0).T
 
 
 def _evaluate(system, w, t):
@@ -273,32 +275,39 @@ def _newton_step(system, w, t_prev, h, scheme, opts, prev, ignore):
     stay put and count as converged (used to skip batch members that
     failed earlier in the run); when every sample is, the step returns at
     once with w and ``prev`` as they are.
+
+    What the step fixes is computed once: g2 F(w_{k-1}), g1 h and the
+    residual tolerance. The residual is cleaned of non-finite entries only
+    when its norm is not finite, and the converged samples' step is zeroed
+    only once some sample has converged; either way the iterates are those
+    of doing both at every iteration.
     """
-    if np.all(ignore):
+    if ignore.all():
         return w, prev, ignore.copy()
-    g1, g2 = scheme.gamma1, scheme.gamma2
+    g1, tol = scheme.gamma1, opts.tol
     q_prev, f_prev, lin = prev
-    t_new = t_prev + h
-    ref = norm_inf(q_prev) + abs(h) * norm_inf(f_prev)
+    t_new, g1h, g2f_prev = t_prev + h, g1 * h, scheme.gamma2 * f_prev
+    r_tol = tol * (1.0 + (norm_inf(q_prev) + abs(h) * norm_inf(f_prev)))
     converged = ignore.copy()
     for k in range(STEP_MAX_ITER):
         q, f, dq, df = system.terms(lin, t_new) if k == 0 else system.eval_with_jac(w, t_new)
-        r = q - q_prev + h * (g1 * f + g2 * f_prev)
-        r = np.where(np.isfinite(r), r, 1e300)
-        rnorm = norm_inf(r)
-        J = dq + (g1 * h) * df
-        delta = batched_solve(J, r[..., None])[..., 0]
+        r = q - q_prev + h * (g1 * f + g2f_prev)
+        rnorm = norm_inf(r)  # not finite exactly where r has a non-finite entry
+        if not np.isfinite(rnorm).all():
+            r = np.where(np.isfinite(r), r, 1e300)
+            rnorm = norm_inf(r)
+        delta = batched_solve(dq + g1h * df, r[..., None])[..., 0]
         unorm = norm_inf(delta)
         bad = ~np.isfinite(unorm)  # a NaN or inf entry anywhere in the step
-        if np.any(bad):
+        if bad.any():
             delta = np.where(np.isfinite(delta), delta, 0.0)
-        w = w - np.where(converged[..., None], 0.0, delta)
+        w = w - (np.where(converged[..., None], 0.0, delta) if converged.any() else delta)
         converged = ignore | ((converged | (
-            (rnorm <= opts.tol * (1.0 + ref)) & (unorm <= opts.tol * (1.0 + norm_inf(w)))
+            (rnorm <= r_tol) & (unorm <= tol * (1.0 + norm_inf(w)))
         )) & ~bad)
         # a sample with a non-finite step did not move, so it would repeat
         # that step at every further iteration
-        if np.all(converged | bad):
+        if (converged | bad).all():
             break
     return w, _evaluate(system, w, t_new), converged
 
@@ -370,7 +379,7 @@ def integrate(
         while pending:
             t, h, depth = pending.pop()
             w_new, ev_new, conv = _newton_step(system, w, t, h, sch, newton, ev, ignore=failed)
-            if np.all(conv):
+            if conv.all():
                 i = len(times)
                 if into is not None and (i == len(states) or into.times[i] != t + h):
                     # off ``into``'s grid: on in a buffer of the run's own
@@ -428,9 +437,10 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     cols = np.arange(n)
     E, A, P = _jacobians(system, states[0, rows], times[0], with_scale_columns)
     S = np.zeros(batch + (n, P.shape[-1])) if with_scale_columns else None
+    t_list, gam_list = times.tolist(), gam.tolist()
     for k in range(1, times.size):
-        h = times[k] - times[k - 1]
-        g1, g2 = gam[k - 1]
+        h = t_list[k] - t_list[k - 1]
+        g1, g2 = gam_list[k - 1]
         carry = E - (g2 * h) * A
         rhs = carry @ M
         if k == 1:

@@ -352,3 +352,75 @@ def test_jacobian_only_evaluation_is_eval_dae_bit_for_bit(devices, case):
     assert not dq.flags.writeable
     if case == "shorted":
         assert np.isinf(df[1]).any() and np.isfinite(df[[0, 2]]).all()
+
+
+def _per_slot_bjts(plan, elems):
+    """The BJT compiler with one product and one store per slot, the form
+    the fused fill must reproduce bit for bit: kept here as its reference."""
+    from pssuq.circuit import DEFAULT_TEMPERATURE, _limited_exp
+
+    c_, b_, e_ = plan._nidx(elems, 0), plan._nidx(elems, 1), plan._nidx(elems, 2)
+    av, isv = plan._pval(elems, "ALPHA"), plan._pval(elems, "IS")
+    tv = plan._pval(elems, "TEMP", default=DEFAULT_TEMPERATURE)
+    fc, fb, fe = (plan._slots(plan.nl, elems, lambda k: [(t[k], 1.0)]) for t in (c_, b_, e_))
+    jc, jb, je = (
+        plan._slots(plan.nl, elems, lambda k: [(t[k], b_[k], +1.0), (t[k], e_[k], -1.0)])
+        for t in (c_, b_, e_)
+    )
+
+    def bind(resolve):
+        i_s, alpha, vt = resolve(isv), resolve(av), thermal_voltage(resolve(tv))
+        beta = 1.0 - alpha
+
+        def fill(x, out):
+            ev, dev = _limited_exp((x[b_] - x[e_]) / vt)
+            i_f, gpi = i_s * (ev - 1.0), i_s * dev / vt
+            out[fc], out[fb], out[fe] = alpha * i_f, beta * i_f, -i_f
+            out[jc], out[jb], out[je] = alpha * gpi, beta * gpi, -gpi
+
+        return fill
+
+    plan.devices.append(bind)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, except that a NaN matches a NaN of either sign:
+    negating a NaN flips its sign bit, a product by -1 keeps it, and IEEE
+    754 leaves that sign to the operation; no caller reads it."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and (
+        np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes()
+    )
+
+
+@pytest.mark.parametrize("case", ["all-devices", "colpitts-nodes", "non-finite"])
+def test_fused_device_stores_write_the_per_slot_bits(monkeypatch, case):
+    """A device kind whose slots form one block fills it with one product
+    and one store; the slot values equal those of one store per slot."""
+    from conftest import COLPITTS
+    from pssuq.circuit import _EvalPlan
+    from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
+
+    rng = np.random.default_rng(21)
+    text = ALL_DEVICES if case == "all-devices" else COLPITTS
+    fused = parse_netlist(text)
+    got = fused.plan().nl  # compiled before the reference compiler goes in
+    if case == "all-devices":
+        xi = rng.normal(size=(8, fused.dim)) * 0.5
+    else:
+        basis = build_basis([s for _, s in fused.random_params], 2)
+        xi = select_testing_nodes(basis, tensor_rule(basis, 3)).nodes
+    # wide enough that some junctions pass the exponential's cutoff
+    x = rng.normal(size=(len(xi), fused.n))
+    if case == "non-finite":
+        b, e = fused.node_state("base"), fused.node_state("emit")
+        x[[0, 1, 2, 3], [b, b, e, e]] = np.nan, np.inf, np.inf, -np.inf
+    monkeypatch.setattr(_EvalPlan, "_compile_bjts", _per_slot_bjts)
+    reference = parse_netlist(text)
+    want = reference.plan().nl
+    assert got.names == want.names and np.array_equal(got.flat, want.flat)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v_got = fused.realize(xi)._nonlinear(x)[1]
+        v_want = reference.realize(xi)._nonlinear(x)[1]
+    assert _same_bits(v_got, v_want)
+    assert np.isnan(v_got).any() == (case == "non-finite")

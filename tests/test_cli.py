@@ -386,3 +386,32 @@ def test_st_osc_run_leaves_out_scipy(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _fmt(v):
+    """One CSV value as ``Reporter.write_csv`` printed it value by value:
+    the reference its row formats must reproduce byte for byte."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def test_csv_rows_print_as_the_per_value_format(tmp_path):
+    """Float rows (from ``tolist`` or as numpy scalars) over random bit
+    patterns and the edge cases, and the integer columns of
+    ``mc_periods.csv`` and ``convergence.csv``, print as ``_fmt`` does."""
+    rng = np.random.default_rng(31)
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, np.finfo(float).tiny,
+             np.finfo(float).max, -np.finfo(float).max, 1e16, 1e17, 0.1, -1.0 / 3.0]
+    values = np.concatenate([rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float), edges])
+    wide = values[: values.size // 500 * 500].reshape(-1, 500)
+    files = {
+        "floats.csv": [row.tolist() for row in wide] + [list(values[-len(edges):])],
+        "mc_periods.csv": [[i, p] for i, p in enumerate(values[:2000])],
+        "convergence.csv": [[1, 3, 0.25], [np.int64(2), np.int64(6), np.float64(1e-3)],
+                            (3, 10, 0.0), [True, np.uint64(2**64 - 1), np.float32(0.1)]],
+    }
+    rep = cli.Reporter(tmp_path)
+    for name, rows in files.items():
+        text = rep.write_csv(name, ["a", "b"], iter(rows)).read_text(encoding="utf-8")
+        assert text == "a,b\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)

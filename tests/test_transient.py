@@ -451,13 +451,14 @@ class Quirks(Dae):
         return q, f, self.C.copy(), self.G.copy()
 
 
-def _plain_newton_step(system, w, t_prev, h, scheme, tol):
+def _plain_newton_step(system, w, t_prev, h, scheme, tol, ignore):
     """The step Newton's rules written out: every iterate evaluated afresh,
-    finiteness and norms reduced along the state axis."""
+    the residual cleaned and the converged samples' step zeroed at every
+    iteration, finiteness and norms reduced along the state axis."""
     g1, g2 = scheme.gamma1, scheme.gamma2
     q_prev, f_prev = system.eval(w, t_prev)
     ref = np.max(np.abs(q_prev), axis=-1) + abs(h) * np.max(np.abs(f_prev), axis=-1)
-    converged = np.zeros(w.shape[:-1], dtype=bool)
+    converged = ignore.copy()
     for _ in range(STEP_MAX_ITER):
         q, f, dq, df = system.eval_with_jac(w, t_prev + h)
         r = q - q_prev + h * (g1 * f + g2 * f_prev)
@@ -469,32 +470,46 @@ def _plain_newton_step(system, w, t_prev, h, scheme, tol):
         w = w - np.where(converged[..., None], 0.0, delta)
         small_r = np.max(np.abs(r), axis=-1) <= tol * (1.0 + ref)
         small_u = np.max(np.abs(delta), axis=-1) <= tol * (1.0 + np.max(np.abs(w), axis=-1))
-        converged = (converged | (small_r & small_u)) & ~bad
+        converged = ignore | ((converged | (small_r & small_u)) & ~bad)
         if np.all(converged | bad):
             break
     return w, converged
 
 
-@pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
-def test_step_newton_bookkeeping_of_non_finite_samples(scheme):
+@pytest.mark.parametrize("scheme, at_rest", [
+    pytest.param(BACKWARD_EULER, False, id="scheme0"),
+    pytest.param(TRAPEZOIDAL, False, id="scheme1"),
+    pytest.param(BACKWARD_EULER, True, id="at-rest-and-ignored-scheme0"),
+    pytest.param(TRAPEZOIDAL, True, id="at-rest-and-ignored-scheme1"),
+])
+def test_step_newton_bookkeeping_of_non_finite_samples(scheme, at_rest):
     """A sample with a non-finite residual, one with a partly non-finite
     step and one with a singular step end with the converged mask and the
-    iterates the plain rules give, next to a sample that converges."""
+    iterates the plain rules give, next to a sample that converges: after
+    one Newton move, or (at rest) at its first iterate while a sample
+    flagged in ``ignore`` stays put."""
     system = Quirks()
     w0 = np.array([[1.0, -2.0], [0.5, 0.5], [2.0, 3.0], [1.0, 1.0]])
+    ignore = np.zeros(4, bool)
+    if at_rest:
+        w0[0] = 0.0  # no source: the first iterate already solves the step
+        ignore[2] = True
     opts = NewtonOptions()
     with np.errstate(all="ignore"):
         w, (q, f, lin), converged = _newton_step(
-            system, w0, 0.25, 0.1, scheme, opts, _evaluate(system, w0, 0.25), np.zeros(4, bool)
+            system, w0, 0.25, 0.1, scheme, opts, _evaluate(system, w0, 0.25), ignore
         )
-        w_ref, converged_ref = _plain_newton_step(system, w0, 0.25, 0.1, scheme, opts.tol)
+        w_ref, converged_ref = _plain_newton_step(system, w0, 0.25, 0.1, scheme, opts.tol, ignore)
         q_ref, f_ref = system.eval(w_ref, 0.35)
-    assert converged.tolist() == converged_ref.tolist() == [True, False, False, False]
+    assert converged.tolist() == converged_ref.tolist() == [True, False, bool(ignore[2]), False]
     assert np.array_equal(w, w_ref, equal_nan=True)
     assert np.array_equal(q, q_ref, equal_nan=True) and np.array_equal(f, f_ref, equal_nan=True)
     assert lin[0] is w and lin[1] == 0.25 + 0.1  # the linearization at the new state
     assert np.array_equal(w[3], w0[3])  # a singular step moves nothing
-    assert w[2, 0] == w0[2, 0] and w[2, 1] != w0[2, 1]  # only the finite entry moves
+    if ignore[2]:
+        assert np.array_equal(w[[0, 2]], w0[[0, 2]])  # at rest, and ignored
+    else:
+        assert w[2, 0] == w0[2, 0] and w[2, 1] != w0[2, 1]  # only the finite entry moves
 
 
 @pytest.fixture
