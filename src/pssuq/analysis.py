@@ -4,8 +4,8 @@ The Monte Carlo driver draws standardized coordinates from a counter-based
 stream keyed by (seed, sample index), so results are reproducible bit for
 bit regardless of execution order, and runs the deterministic shooting
 solvers over the whole sample batch in lockstep, warm-started from the
-nominal solution it is given, the same one the chaos solve starts from
-(``shooting.solve_nominal``), so both share its period and phase anchor.
+nominal solution it is given, the one ``compare``'s chaos solve starts
+from (``shooting.solve_nominal``), so both share its period and phase anchor.
 Post-processing turns converged chaos solutions into mean/std waveforms,
 metric distributions (period, harmonic distortion, average power) sampled
 cheaply from the surrogate, and quantitative ST-vs-MC comparisons.
@@ -191,7 +191,7 @@ def sample_periods(solution, xi):
     """Period realizations T0 * a(xi) from an autonomous solution."""
     if solution.kind != "autonomous":
         raise ValueError("period sampling needs an autonomous solution")
-    return solution.nominal_period * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
+    return solution.reference_period * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
 
 
 # ---------------------------------------------------------------------------

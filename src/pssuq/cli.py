@@ -42,7 +42,7 @@ from .analysis import (
 from .circuit import CircuitError
 from .gpc import build_basis, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
-from .shooting import OscillationError, solve_nominal
+from .shooting import OscillationError, nominal_start, solve_nominal
 from .stpss import (
     assemble_autonomous,
     assemble_forced,
@@ -263,18 +263,20 @@ def _basis_and_testing(circuit, order):
     return basis, testing
 
 
-def _solve_nominal(circuit, cfg, kind=None):
-    """The nominal steady state that every command starts from.
-
-    ``kind`` is "forced" or "autonomous"; by default the circuit's own, an
-    oscillator when it has no time-varying source.
-    """
+def _nominal_problem(circuit, cfg, kind=None):
+    """``nominal_start``'s arguments for ``kind``, "forced" or "autonomous";
+    by default the circuit's own, an oscillator when it has no time-varying
+    source."""
     phase_index = None
     if kind == "autonomous" or (kind is None and circuit.is_autonomous):
         phase_index = circuit.state_index(str(_require(cfg, "phase_state", "oscillator analysis")))
-    return solve_nominal(
-        circuit, cfg.get("period"), phase_index, cfg.get("phase_value"), **_solver_options(cfg)
-    )
+    return circuit, cfg.get("period"), phase_index, cfg.get("phase_value")
+
+
+def _solve_nominal(circuit, cfg, kind=None):
+    """The converged nominal steady state, which pss-*, mc, compare and
+    convergence keep; st-forced and st-osc need only its ``nominal_start``."""
+    return solve_nominal(*_nominal_problem(circuit, cfg, kind), **_solver_options(cfg))
 
 
 def _waveform_stats_rows(times, mean, std, names):
@@ -352,42 +354,40 @@ def _write_pss_outputs(rep, circuit, sol):
     _write_trajectory(rep, "trajectory.csv", circuit.state_names, sol.trajectory)
 
 
-def _solve_st(circuit, cfg, nominal):
-    """The chaos solve, started from the nominal solution."""
+def _solve_st(circuit, cfg, start):
+    """The chaos solve from ``start``, anything with ``y``, ``period`` (the
+    forcing period or T0) and ``phase``: a ``nominal_start`` or a nominal PSS."""
     basis, testing = _basis_and_testing(circuit, cfg["gpc_order"])
     opts = dict(mode=cfg["mode"], **_solver_options(cfg))
-    if nominal.phase is None:
-        system = assemble_forced(circuit, basis, testing, period=nominal.period)
-        return system, shoot_forced(system, nominal_guess(system, nominal), **opts)
-    system = assemble_autonomous(circuit, basis, testing, float(nominal.period))
-    scale_guess = np.eye(system.K)[0]  # a(xi) = 1: the nominal period everywhere
+    if start.phase is None:
+        system = assemble_forced(circuit, basis, testing, period=start.period)
+        return system, shoot_forced(system, nominal_guess(system, start), **opts)
+    system = assemble_autonomous(circuit, basis, testing, float(start.period))
+    scale_guess = np.eye(system.K)[0]  # a(xi) = 1: the start's period everywhere
     return system, shoot_autonomous(
-        system, nominal.phase, nominal_guess(system, nominal), scale_guess, **opts
+        system, start.phase, nominal_guess(system, start), scale_guess, **opts
     )
 
 
-def _cmd_st_forced(rep, circuit, cfg):
-    with rep.phase("solve"):
-        system, sol = _solve_st(circuit, cfg, _solve_nominal(circuit, cfg, "forced"))
+def _cmd_st(rep, circuit, cfg, kind):
+    with rep.phase("start"):
+        start = nominal_start(*_nominal_problem(circuit, cfg, kind))
+    with rep.phase("chaos_solve"):
+        system, sol = _solve_st(circuit, cfg, start)
     _write_st_outputs(rep, circuit, cfg, system, sol)
-    rep.say(
-        f"chaos forced PSS: order {cfg['gpc_order']} ({system.K} basis functions), "
-        f"{sol.iterations} iterations, residual {sol.residual_norm:.3e}, mode {sol.mode}"
-    )
-    _st_metrics(rep, circuit, cfg, sol)
-
-
-def _cmd_st_osc(rep, circuit, cfg):
-    with rep.phase("solve"):
-        system, sol = _solve_st(circuit, cfg, _solve_nominal(circuit, cfg, "autonomous"))
-    _write_st_outputs(rep, circuit, cfg, system, sol)
-    mean, std = sol.period_moments()
-    rep.say(
-        f"chaos oscillator PSS: period mean {mean:.6g} s, std {std:.6g} s, "
-        f"{sol.iterations} iterations, mode {sol.mode}"
-    )
-    dist = metric_distribution(sol, "period", cfg["metric_samples"], cfg["seed"] + 1)
-    _write_distribution(rep, "period", dist)
+    if kind == "forced":
+        rep.say(
+            f"chaos forced PSS: order {cfg['gpc_order']} ({system.K} basis functions), "
+            f"{sol.iterations} iterations, residual {sol.residual_norm:.3e}, mode {sol.mode}"
+        )
+    else:
+        mean, std = sol.period_moments()
+        rep.say(
+            f"chaos oscillator PSS: period mean {mean:.6g} s, std {std:.6g} s, "
+            f"{sol.iterations} iterations, mode {sol.mode}"
+        )
+        dist = metric_distribution(sol, "period", cfg["metric_samples"], cfg["seed"] + 1)
+        _write_distribution(rep, "period", dist)
     _st_metrics(rep, circuit, cfg, sol)
 
 
@@ -723,8 +723,8 @@ def _timed_alternately(fns, repeats, probes):
 _RUNNERS = {
     "pss-forced": _cmd_pss_forced,
     "pss-osc": _cmd_pss_osc,
-    "st-forced": _cmd_st_forced,
-    "st-osc": _cmd_st_osc,
+    "st-forced": lambda rep, circuit, cfg: _cmd_st(rep, circuit, cfg, "forced"),
+    "st-osc": lambda rep, circuit, cfg: _cmd_st(rep, circuit, cfg, "autonomous"),
     "mc": _cmd_mc,
     "compare": _cmd_compare,
     "convergence": _cmd_convergence,

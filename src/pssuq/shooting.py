@@ -22,10 +22,10 @@ samples retire: later runs integrate and chain only the pending rows,
 which they write and read in the live trajectory's buffer, and a run that
 changes the grid is repeated for every live sample, so results equal
 those of the lockstep batch.
-``solve_nominal`` solves the nominal circuit, where every analysis starts.
-For an oscillator it starts from ``estimate_period``, a transient kicked
-along the least-damped linearized mode and stopped once its cycle settles
-(Aprille & Trick, IEEE Trans. Circuit Theory, 1972); a converged orbit
+``nominal_start`` is the nominal circuit's DC point or, for an oscillator,
+``estimate_period``: a transient kicked along the least-damped linearized
+mode and stopped once its cycle settles (Aprille & Trick, IEEE Trans.
+Circuit Theory, 1972). ``solve_nominal`` solves from it; a converged orbit
 whose phase state does not swing (the DC point) is rejected.
 """
 
@@ -377,24 +377,31 @@ def solve_autonomous(
     )
 
 
-def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **options):
-    """Periodic steady state of the nominal circuit, where every analysis starts.
-
-    A driven circuit is solved over ``period`` (the excitation's if None).
-    With ``phase_index`` the circuit is an oscillator: ``estimate_period``
-    gives the period guess and start, and the phase condition pins that
-    state at ``phase_value`` (the estimated mid-range level if None); the
-    solution carries it. ``options`` go to the shooting solver.
-    """
+def nominal_start(circuit, period=None, phase_index=None, phase_value=None):
+    """The nominal circuit's DC point over ``period`` (the excitation's if
+    None) or, with ``phase_index``, the oscillator's ``estimate_period``, its
+    phase level replaced by ``phase_value`` if given. A circuit with a
+    time-varying source is no oscillator: it raises before any estimate."""
     nominal = circuit.realize_nominal()
     if phase_index is None:
-        if period is None:
-            period = circuit.fundamental_period()
-        return solve_forced(nominal, period, **options)
-    est = estimate_period(nominal, phase_index)
-    level = est.level if phase_value is None else float(phase_value)
-    phase = PhaseCondition(phase_index, level)
-    return solve_autonomous(nominal, phase, est.period, est.y0, **options)
+        period = circuit.fundamental_period() if period is None else period
+        return NominalStart(dc_operating_point(nominal), period)
+    if not circuit.is_autonomous:
+        raise OscillationError("circuit has a time-varying source; an oscillator has none")
+    start = estimate_period(nominal, phase_index)
+    if phase_value is not None:
+        start.phase = PhaseCondition(phase_index, float(phase_value))
+    return start
+
+
+def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **options):
+    """Periodic steady state of the nominal circuit from its ``nominal_start``
+    (same arguments); ``options`` go to the shooting solver."""
+    start = nominal_start(circuit, period, phase_index, phase_value)
+    nominal = circuit.realize_nominal()
+    if start.phase is None:
+        return solve_forced(nominal, start.period, start.y, **options)
+    return solve_autonomous(nominal, start.phase, start.period, start.y, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +409,15 @@ def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **op
 
 
 @dataclass
-class EstimatedPeriod:
+class NominalStart:
+    """A nominal solve's start: state ``y``, period, and an oscillator's phase
+    condition (``y0`` and ``level`` read an estimate's state and level)."""
+
+    y: np.ndarray
     period: float
-    level: float
-    y0: np.ndarray
+    phase: PhaseCondition | None = None
+    y0 = property(lambda self: self.y)
+    level = property(lambda self: self.phase.value)
 
 
 def _oscillation_frequency(instance, x_dc):
@@ -443,15 +455,17 @@ def _last_cycles(wave, level):
 
 
 def estimate_period(instance, state_index):
-    """Estimate an oscillator's period, phase level, and on-cycle state.
+    """An oscillator's ``NominalStart``: on-cycle state, period estimate, and
+    the phase condition pinning ``state_index`` at its estimated level.
 
     Kicks the DC point along the least-damped oscillatory mode and runs a
     trapezoidal transient, ``STEPS_PER_LINEAR_PERIOD`` steps per linearized
     period, two periods at a time, until its last four cycles, between
     rising crossings of their mid-range level (the returned level), have
-    settled: the last three spacings (the period is their mean) agree within
-    ``SPACING_RTOL``, and the peak-to-peak of the last two cycles is within
-    ``SWING_RTOL`` of the two before. The shooting start is the state at the
+    settled: the last three spacings agree within ``SPACING_RTOL``, and the
+    peak-to-peak of the last two cycles is within ``SWING_RTOL`` of the two
+    before. The period is their mean T less the trapezoidal rule's lag at
+    step h, T / (1 + (2 pi h / T)^2 / 12); the start is the state at the
     last crossing. A transient unsettled after ``MAX_ESTIMATE_PERIODS``
     linearized periods, or swinging below ``MIN_SWING``, raises OscillationError.
     """
@@ -490,5 +504,7 @@ def estimate_period(instance, state_index):
             and abs(np.ptp(wave[k[2] : k[4] + 1]) - before) <= SWING_RTOL * before
         ):
             y0 = states[k[-1]] + frac[-1] * (states[k[-1] + 1] - states[k[-1]])
-            return EstimatedPeriod(float(spacing.mean()), float(level), y0)
+            period, h = spacing.mean(), t_lin / STEPS_PER_LINEAR_PERIOD
+            period /= 1.0 + (2.0 * np.pi * h / period) ** 2 / 12.0
+            return NominalStart(y0, float(period), PhaseCondition(state_index, float(level)))
     raise OscillationError(f"no settled cycle on state {state_index} after {t[-1]:.3g} s")

@@ -6,7 +6,9 @@ by its polynomial-chaos surrogate, gives one coupled DAE of size n*K over
 the chaos coefficients. Its periodic solution yields the coefficients of
 x(0) directly (forced circuits) or of z(0) together with a period-scaling
 expansion a(xi), T(xi) = T0 * a(xi) (oscillators, integrated in scaled
-time so every realization shares the nominal period).
+time over the horizon T0). T0, the reference period, is the period the
+solve starts from, the nominal estimate or a converged nominal period;
+a(xi) absorbs its distance from the nominal period.
 
 The collocation matrix V maps the stacked residual onto K independent
 deterministic shooting problems, one per testing node (Zhang, El-Moselhy,
@@ -67,7 +69,7 @@ class StackedSystem(Dae):
     as the reference coefficient map.
     """
 
-    def __init__(self, circuit, basis, testing, kind, period=None, nominal_period=None):
+    def __init__(self, circuit, basis, testing, kind, period=None, reference_period=None):
         if kind not in ("forced", "autonomous"):
             raise ValueError(f"unknown kind {kind!r}")
         self.circuit = circuit
@@ -75,7 +77,7 @@ class StackedSystem(Dae):
         self.testing = testing
         self.kind = kind
         self.period = period
-        self.nominal_period = nominal_period
+        self.reference_period = reference_period
         self.n = circuit.n_states
         self.K = testing.size
         self.instances = circuit.realize(testing.nodes)
@@ -128,14 +130,15 @@ def assemble_forced(circuit, basis, testing, period=None):
     return StackedSystem(circuit, basis, testing, "forced", period=period)
 
 
-def assemble_autonomous(circuit, basis, testing, nominal_period):
-    """Stacked time-scaled system for an oscillator."""
-    if not nominal_period > 0:
-        raise ValueError("nominal period must be positive")
+def assemble_autonomous(circuit, basis, testing, reference_period):
+    """Stacked time-scaled system for an oscillator over the scaled-time
+    horizon ``reference_period`` (T0), which the period scaling multiplies."""
+    if not reference_period > 0:
+        raise ValueError("reference period must be positive")
     if not circuit.is_autonomous:
         raise ValueError("circuit has a time-varying source")
     return StackedSystem(
-        circuit, basis, testing, "autonomous", nominal_period=nominal_period
+        circuit, basis, testing, "autonomous", reference_period=reference_period
     )
 
 
@@ -144,7 +147,7 @@ def period_map(system, coeffs, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOpt
 
     The surrogate states at the K testing nodes start at V @ coeffs and
     advance as one lockstep batch of the node circuits over the forcing
-    period (forced) or the nominal period in scaled time (oscillators,
+    period (forced) or the reference period in scaled time (oscillators,
     with the scaling set in ``system.scale_coeffs``), first step backward
     Euler. Returns ``(coefficient trajectory, node trajectory)``: the same
     grid, with the node states mapped back by V^{-1} at every point. A
@@ -152,7 +155,7 @@ def period_map(system, coeffs, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOpt
     batch through the shooting engine; ``period_map`` is the coefficient
     map as a function, the reference their Jacobians are checked against.
     """
-    horizon = system.period if system.kind == "forced" else system.nominal_period
+    horizon = system.period if system.kind == "forced" else system.reference_period
     node_traj = integrate(
         system.node_dae(), system.node_states(coeffs), 0.0, horizon, scheme=scheme,
         n_steps=n_steps, newton=newton, stabilized_start=True,
@@ -187,7 +190,7 @@ class StochasticPssSolution:
     kind: str
     coeffs: GpcCoefficients  # (K, n) coefficients of x(0) resp. z(0)
     period: float | None  # excitation period (forced)
-    nominal_period: float | None  # T0 (autonomous)
+    reference_period: float | None  # T0, the scaled-time horizon (autonomous)
     scale_coeffs: GpcCoefficients | None  # (K,) coefficients of a(xi)
     trajectory: Trajectory  # one period of the coefficient stack
     iterations: int
@@ -202,7 +205,7 @@ class StochasticPssSolution:
         if self.kind != "autonomous":
             raise ValueError("period statistics exist only for oscillators")
         m = moments(self.scale_coeffs)
-        return self.nominal_period * m.mean, self.nominal_period * m.std
+        return self.reference_period * m.mean, self.reference_period * m.std
 
     def summary(self):
         out = {
@@ -216,7 +219,7 @@ class StochasticPssSolution:
         }
         if self.kind == "autonomous":
             mean, std = self.period_moments()
-            out["nominal_period"] = float(self.nominal_period)
+            out["reference_period"] = float(self.reference_period)
             out["scale_coefficients"] = self.scale_coeffs.blocks.tolist()
             out["period_mean"] = float(mean)
             out["period_std"] = float(std)
@@ -291,7 +294,7 @@ def _shoot(system, engine, u0, mode, tol):
         system.kind,
         GpcCoefficients(system.basis, u[: n * K].reshape(K, n)),
         system.period,
-        system.nominal_period,
+        system.reference_period,
         scale,
         _coefficient_trajectory(system, node_traj),
         len(history) - 1,
@@ -304,10 +307,10 @@ def _shoot(system, engine, u0, mode, tol):
     )
 
 
-def nominal_guess(system, nominal):
-    """Coefficients of a nominal solution: its state in block 1, zeros above."""
+def nominal_guess(system, start):
+    """Coefficients of a nominal start or solution: its ``y`` in block 1, zeros above."""
     guess = np.zeros((system.K, system.n))
-    guess[0] = nominal.y
+    guess[0] = start.y
     return guess
 
 
@@ -328,7 +331,7 @@ def shoot_forced(
 
     Returns the chaos coefficients of x(0) with the one-period coefficient
     trajectory, starting from ``coeff_guess`` (``nominal_guess`` of the
-    nominal solution, say). ``mode`` picks the Jacobian path: ``coupled``
+    nominal start, say). ``mode`` picks the Jacobian path: ``coupled``
     builds the dense stacked monodromy, ``decoupled`` solves the K per-node
     shooting systems after the V transform; both perform exact Newton on
     the same discrete equations.
@@ -364,7 +367,7 @@ def shoot_autonomous(
     nodes; the coupled mode assembles the dense (nK+K) Jacobian from the
     stacked monodromy and the scaling-sensitivity recursion.
     """
-    engine = Shooting(system.instances, system.nominal_period, phase, scheme, n_steps, newton)
+    engine = Shooting(system.instances, system.reference_period, phase, scheme, n_steps, newton)
     u0 = np.concatenate([
         np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K),
         np.asarray(scale_guess, dtype=float),

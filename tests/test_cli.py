@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pssuq import cli, load_netlist, shooting, stpss
+from pssuq import analysis, cli, load_netlist, parse_netlist, shooting, stpss
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -224,6 +224,101 @@ def test_compare_anchors_both_halves_at_the_phase_value(tmp_path, monkeypatch):
         assert start["mean[v(1)]"] == pytest.approx(1.0, abs=1e-5)
 
 
+def _bundled(name, **overrides):
+    return load_netlist(CIRCUITS_DIR / f"{name}.cir"), load_config(
+        CIRCUITS_DIR / f"{name}.json", overrides
+    )
+
+
+def _seeded_ladder(seed, sections=6):
+    """Sine-driven RC ladder with seeded values and two random resistors."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(500.0, 2000.0, sections + 1)
+    lines = [
+        "* seeded RC ladder",
+        f".param p0 = gauss({r[0]:.6g}, {0.05 * r[0]:.6g})",
+        f".param p1 = uniform({0.9 * r[2]:.6g}, {1.1 * r[2]:.6g})",
+        "V1 n0 0 SIN(0 1 1k)",
+    ]
+    for k in range(sections):
+        value = {0: "{p0}", 2: "{p1}"}.get(k, f"{r[k]:.6g}")
+        lines.append(f"R{k} n{k} n{k + 1} {value}")
+        lines.append(f"C{k} n{k + 1} 0 {rng.uniform(0.2, 1.0):.6g}u")
+    lines.append(f"R{sections} n{sections} 0 {r[sections]:.6g}")
+    return parse_netlist("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("which", ["rc_lowpass", "ladder"])
+def test_st_forced_from_the_dc_point_equals_the_nominal_started_solve(tmp_path, which):
+    # a linear circuit's chaos solve lands on the same coefficients from the
+    # DC point as from the converged nominal (measured: 3.9e-15 of the peak
+    # coefficient on rc_lowpass, 3.2e-16 on the ladder)
+    if which == "rc_lowpass":
+        circuit, cfg = _bundled("rc_lowpass")
+    else:
+        circuit, cfg = _seeded_ladder(7), load_config(_cfg(tmp_path, gpc_order=3, steps_per_period=64))
+    start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "forced"))
+    _, from_start = cli._solve_st(circuit, cfg, start)
+    _, from_nominal = cli._solve_st(circuit, cfg, cli._solve_nominal(circuit, cfg, "forced"))
+    a, b = from_start.trajectory.states, from_nominal.trajectory.states
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize(
+    # measured deltas (relative): Colpitts 1.2e-12 (mean) and 6.8e-11 (std);
+    # van der Pol 2.4e-8 and 1.4e-3, where either run stops within the
+    # shooting tolerance after one iteration (residual 8.2e-6 and 1.9e-6)
+    "name, mean_rtol, std_rtol", [("colpitts", 1e-11, 1e-9), ("vanderpol", 1e-7, 3e-3)]
+)
+def test_st_osc_from_the_estimate_matches_the_nominal_started_solve(name, mean_rtol, std_rtol):
+    circuit, cfg = _bundled(name)
+    start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "autonomous"))
+    _, from_start = cli._solve_st(circuit, cfg, start)
+    nominal = cli._solve_nominal(circuit, cfg, "autonomous")
+    _, from_nominal = cli._solve_st(circuit, cfg, nominal)
+    assert from_start.reference_period == start.period != float(nominal.period)
+    (mean, std), (ref_mean, ref_std) = from_start.period_moments(), from_nominal.period_moments()
+    assert mean == pytest.approx(ref_mean, rel=mean_rtol)
+    assert std == pytest.approx(ref_std, rel=std_rtol)
+
+
+@pytest.mark.parametrize(
+    "command, name, unbatched",
+    [("st-forced", "rc_lowpass", 0), ("st-osc", "vanderpol", 0), ("compare", "rc_lowpass", 1)],
+)
+def test_only_commands_that_keep_the_nominal_solve_it(tmp_path, monkeypatch, command, name, unbatched):
+    # the chaos commands start the node batch from the DC point or the
+    # period estimate; compare solves the nominal once, for both halves
+    sizes = []
+    for solver in ("solve_forced", "solve_autonomous"):
+        def spy(instance, *args, _solve=getattr(shooting, solver), **kwargs):
+            sizes.append(instance.batch_size)
+            return _solve(instance, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, solver, spy)
+        monkeypatch.setattr(analysis, solver, spy)
+    cfg = _cfg(tmp_path, gpc_order=2, steps_per_period=100, mc_samples=20, phase_state="1")
+    out = tmp_path / "out"
+    assert run(command, CIRCUITS_DIR / f"{name}.cir", cfg, out) == EXIT_OK
+    assert sizes.count(1) == unbatched
+    assert len(sizes) == (2 if command == "compare" else 0)  # and the Monte Carlo batch
+    timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+    if command != "compare":
+        assert set(timings) == {"start", "chaos_solve", "total"}
+
+
+@pytest.mark.parametrize("command", ["st-osc", "pss-osc"])
+def test_oscillator_command_on_a_driven_circuit_names_its_source(
+    tmp_path, monkeypatch, capsys, command
+):
+    # the source is named before any estimate runs; the exit code stays
+    # test_solver_failure_exits_3's
+    monkeypatch.setattr(shooting, "estimate_period", None)
+    cfg = _cfg(tmp_path, phase_state="out", steps_per_period=64)
+    assert run(command, CIRCUITS_DIR / "rectifier.cir", cfg, tmp_path / "out") == 3
+    assert "circuit has a time-varying source" in capsys.readouterr().err
+
+
 def test_convergence_sweep_properties(tmp_path, rectifier):
     cfg = load_config(_cfg(tmp_path, steps_per_period=100))
     rows = convergence_sweep(rectifier, cfg, [1, 2, 3, 4])
@@ -316,8 +411,9 @@ def test_st_osc_command(tmp_path):
 @pytest.mark.parametrize("mode", ["coupled", "decoupled"])
 def test_singular_stochastic_jacobian_exits_3(tmp_path, monkeypatch, capsys, mode):
     # identity monodromies make every stochastic shooting Jacobian M - I
-    # zero, at the testing nodes and for the stacked system; the unbatched
-    # nominal solve that starts the run keeps its own
+    # zero, at the testing nodes and for the stacked system; an unbatched
+    # chain would keep its own, but st-forced starts from the DC point and
+    # runs none
     chain = shooting.transition_chain
 
     def identity_chain(system, traj, *args, **kwargs):
