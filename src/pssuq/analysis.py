@@ -2,10 +2,10 @@
 
 The Monte Carlo driver draws standardized coordinates from a counter-based
 stream keyed by (seed, sample index), so results are reproducible bit for
-bit regardless of execution order, and runs the deterministic shooting
-solvers over the whole sample batch in lockstep, warm-started from the
-nominal solution it is given, the one ``compare``'s chaos solve starts
-from (``shooting.solve_nominal``), so both share its period and phase anchor.
+bit regardless of execution order, and solves the whole sample batch in
+lockstep (``shooting.solve_at``), warm-started from the nominal solution it
+is given, the one ``compare``'s chaos solve starts from
+(``shooting.solve_nominal``), so both share its period and phase anchor.
 Post-processing turns converged chaos solutions into mean/std waveforms,
 metric distributions (period, harmonic distortion, average power) sampled
 cheaply from the surrogate, and quantitative ST-vs-MC comparisons.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpc import family_for, lookup_family, surrogate_eval
-from .shooting import solve_autonomous, solve_forced
+from .shooting import solve_at
 from .transient import ConvergenceError, NewtonOptions, TRAPEZOIDAL
 
 
@@ -118,32 +118,23 @@ def monte_carlo(
     """Reference uncertainty propagation by repeated deterministic solves.
 
     ``nominal`` is the nominal circuit's solution (``solve_nominal``). Every
-    sample is warm-started from it and solved the same way: over its period
-    for a driven circuit, or, for an oscillator, with its phase condition
-    over its period as the scaled horizon. Failing samples are recorded,
-    not fatal, unless their fraction exceeds ``MAX_FAILURE_FRACTION``; then
-    the run raises ConvergenceError.
+    sample is warm-started from it and solved the same way (``solve_at``):
+    over its period for a driven circuit, or, for an oscillator, with its
+    phase condition over its period as the scaled horizon. Failing samples
+    are recorded, not fatal, unless their fraction exceeds
+    ``MAX_FAILURE_FRACTION``; then the run raises ConvergenceError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     xi = draw_standardized([family_for(s) for _, s in circuit.random_params], seed, n_samples)
-    batch = circuit.realize(xi)
-    opts = dict(tol=tol, scheme=scheme, n_steps=n_steps, newton=newton)
-    if nominal.phase is None:
-        sol = solve_forced(batch, nominal.period, y0=nominal.y, **opts)
-    else:
-        sol = solve_autonomous(batch, nominal.phase, float(nominal.period), nominal.y, **opts)
-
-    failed = ~np.asarray(sol.converged)
-    if failed.ndim == 0:
-        failed = np.broadcast_to(failed, (n_samples,)).copy()
+    sol = solve_at(circuit, nominal, xi, tol=tol, scheme=scheme, n_steps=n_steps, newton=newton)
     run = McRun(
         seed=seed,
         xi=xi,
         times=sol.trajectory.times.copy(),
         waveforms=np.moveaxis(sol.trajectory.states, 0, 1),
-        y=np.atleast_2d(sol.y).copy(),
-        failed=failed,
+        y=sol.y.copy(),
+        failed=~sol.converged,
         period=sol.period,
         iterations=sol.iterations,
     )

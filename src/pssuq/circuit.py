@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .transient import batched_solve
+
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
 DEFAULT_TEMPERATURE = 300.0
@@ -847,7 +849,7 @@ def dc_operating_point(instance):
     Uses residual-halving damping from x = 0. When the direct solve stalls,
     gmin stepping (a conductance from every node voltage to ground, relaxed
     away) and then source stepping take over. A stage whose residual is not
-    finite where it starts fails at once.
+    finite where it starts, or whose Newton step is not finite, fails.
     """
     shape = (instance.n,) if instance.scalar else (instance.batch_size, instance.n)
     nodes = np.arange(len(instance.circuit.node_names))
@@ -869,9 +871,8 @@ def dc_operating_point(instance):
         for _ in range(DC_MAX_ITER):
             if rn <= DC_TOL:
                 return xv, rn, True
-            try:
-                dx = np.linalg.solve(J, r[..., None])[..., 0]
-            except np.linalg.LinAlgError:
+            dx = batched_solve(J, r[..., None])[..., 0]
+            if not np.all(np.isfinite(dx)):  # singular J, or a step that overflows
                 return xv, rn, False
             alpha = 1.0
             for _ in range(30):

@@ -113,11 +113,12 @@ def load_config(path, overrides=None):
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    for key in ("seed", "mc_samples", "metric_samples"):
+    # a standard deviation needs two Monte Carlo samples
+    for key, least in (("seed", None), ("mc_samples", 2), ("metric_samples", 1)):
         if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer")
-        if key != "seed" and cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
+        if least is not None and cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}")
     for key in ("shooting_tol", "newton_tol"):
         if not (_is_number(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
@@ -322,24 +323,21 @@ def _st_metrics(rep, circuit, cfg, sol):
 # commands
 
 
-def _cmd_pss_forced(rep, circuit, cfg):
+def _cmd_pss(rep, circuit, cfg, kind):
     with rep.phase("solve"):
-        sol = _solve_nominal(circuit, cfg, "forced")
-    _write_pss_outputs(rep, circuit, sol)
-    rep.say(
-        f"forced PSS: period {sol.period:.6g} s, {sol.iterations} iterations, "
-        f"residual {float(sol.residual_norm):.3e}"
-    )
-
-
-def _cmd_pss_osc(rep, circuit, cfg):
-    with rep.phase("solve"):
-        sol = _solve_nominal(circuit, cfg, "autonomous")
-    _write_pss_outputs(rep, circuit, sol)
-    rep.say(
-        f"oscillator PSS: period {float(sol.period):.6g} s "
-        f"(estimate {float(sol.period / sol.period_scale):.6g} s), {sol.iterations} iterations"
-    )
+        sol = _solve_nominal(circuit, cfg, kind)
+    rep.write_json("solution.json", sol.summary())
+    _write_trajectory(rep, "trajectory.csv", circuit.state_names, sol.trajectory)
+    if sol.phase is None:
+        rep.say(
+            f"forced PSS: period {sol.period:.6g} s, {sol.iterations} iterations, "
+            f"residual {float(sol.residual_norm):.3e}"
+        )
+    else:
+        rep.say(
+            f"oscillator PSS: period {float(sol.period):.6g} s "
+            f"(estimate {float(sol.period / sol.period_scale):.6g} s), {sol.iterations} iterations"
+        )
 
 
 def _write_trajectory(rep, name, header, traj):
@@ -347,11 +345,6 @@ def _write_trajectory(rep, name, header, traj):
         name, ["time"] + header,
         ([t, *row.tolist()] for t, row in zip(traj.times.tolist(), traj.states)),
     )
-
-
-def _write_pss_outputs(rep, circuit, sol):
-    rep.write_json("solution.json", sol.summary())
-    _write_trajectory(rep, "trajectory.csv", circuit.state_names, sol.trajectory)
 
 
 def _solve_st(circuit, cfg, start):
@@ -581,10 +574,10 @@ def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3
     once per order (outside the timed region), then times (a) one dense
     solve of the coupled system assembled by the congruence transform and
     (b) the K independent node solves plus the two V transforms, each as
-    the best per-call time of ``repeats`` batches of calls lasting at least
-    50 ms, at the speed of the sweep's first speed probe. Returns ``(rows,
-    blas)``: rows ``[order, K, t_coupled, t_decoupled, ratio]`` and the
-    BLAS record (library, version, thread count).
+    the best per-call time of ``repeats`` alternating batches of calls
+    lasting at least 50 ms. Returns ``(rows, blas)``: rows ``[order, K,
+    t_coupled, t_decoupled, ratio]`` and the BLAS record (library, version,
+    thread count).
 
     The sweep runs in a fresh child interpreter whose environment sets every
     BLAS thread variable to 1 before numpy loads its BLAS, whatever the
@@ -647,7 +640,7 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
     circuit = synthetic_ladder(n_nodes, dim)
     n = circuit.n_states
     rng = np.random.default_rng(seed)
-    rows, probes = [], []
+    rows = []
     for p in orders:
         basis, testing = _basis_and_testing(circuit, p)
         K = basis.size
@@ -677,7 +670,7 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
             return (Vi @ delta).ravel()
 
         calls = [lambda: np.linalg.solve(J_big, g), decoupled]
-        t_c, t_d = _timed_alternately(calls, repeats, probes)
+        t_c, t_d = _timed_alternately(calls, repeats)
         rows.append([p, int(K), t_c, t_d, t_c / t_d])
     return rows
 
@@ -685,34 +678,23 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
 TIMING_BATCH_S = 0.05  # shortest batch of calls `speedup` times
 
 
-def _timed_alternately(fns, repeats, probes):
+def _timed_alternately(fns, repeats):
     """Time per call of each of ``fns``: the best of ``repeats`` batches of
     its calls, the batch size doubled until a batch lasts
     ``TIMING_BATCH_S``. One call of a few milliseconds is at the mercy of
-    the scheduler; a batch is not. The batches alternate, each between two
-    speed probes (thread CPU times of 16 order-100 solves, appended to
-    ``probes``), and count at the speed of the first probe in ``probes``,
-    so the host's speed reaches neither the times nor their ratio."""
-    a = np.random.default_rng(0).standard_normal((16, 100, 100)) + 100 * np.eye(100)
-    probe = timeit.Timer(lambda: np.linalg.solve(a, a[..., :1]), timer=time.thread_time)
+    the scheduler; a batch is not. The batches of the calls alternate, so
+    a slow spell of the host reaches each of them."""
     timers = [timeit.Timer(fn) for fn in fns]
-    probes.append(probe.timeit(1))
-
-    def batch(i, number):  # (seconds, seconds at the first probe's speed)
-        elapsed = timers[i].timeit(number)
-        probes.append(probe.timeit(1))
-        return elapsed, elapsed * probes[0] / (0.5 * (probes[-2] + probes[-1]))
-
     numbers, best = [], []
-    for i in range(len(timers)):
+    for timer in timers:
         number = 1
-        while (run := batch(i, number))[0] < TIMING_BATCH_S:
+        while (elapsed := timer.timeit(number)) < TIMING_BATCH_S:
             number *= 2
         numbers.append(number)
-        best.append(run[1])
+        best.append(elapsed)
     for _ in range(repeats - 1):
-        for i in range(len(timers)):
-            best[i] = min(best[i], batch(i, numbers[i])[1])
+        for i, timer in enumerate(timers):
+            best[i] = min(best[i], timer.timeit(numbers[i]))
     return [b / n for b, n in zip(best, numbers)]
 
 
@@ -721,8 +703,8 @@ def _timed_alternately(fns, repeats, probes):
 
 
 _RUNNERS = {
-    "pss-forced": _cmd_pss_forced,
-    "pss-osc": _cmd_pss_osc,
+    "pss-forced": lambda rep, circuit, cfg: _cmd_pss(rep, circuit, cfg, "forced"),
+    "pss-osc": lambda rep, circuit, cfg: _cmd_pss(rep, circuit, cfg, "autonomous"),
     "st-forced": lambda rep, circuit, cfg: _cmd_st(rep, circuit, cfg, "forced"),
     "st-osc": lambda rep, circuit, cfg: _cmd_st(rep, circuit, cfg, "autonomous"),
     "mc": _cmd_mc,

@@ -22,11 +22,14 @@ samples retire: later runs integrate and chain only the pending rows,
 which they write and read in the live trajectory's buffer, and a run that
 changes the grid is repeated for every live sample, so results equal
 those of the lockstep batch.
-``nominal_start`` is the nominal circuit's DC point or, for an oscillator,
-``estimate_period``: a transient kicked along the least-damped linearized
-mode and stopped once its cycle settles (Aprille & Trick, IEEE Trans.
-Circuit Theory, 1972). ``solve_nominal`` solves from it; a converged orbit
-whose phase state does not swing (the DC point) is rejected.
+``solve_forced`` and ``solve_autonomous`` are one solve, the oscillator's
+adding the phase row and rejecting an orbit whose phase state does not
+swing (the DC point); ``solve_at`` solves the circuit at given xi from a
+start, the one place a start picks between them. ``nominal_start`` is the
+nominal circuit's DC point or, for an oscillator, ``estimate_period``: a
+transient kicked along the least-damped linearized mode and stopped once
+its cycle settles (Aprille & Trick, IEEE Trans. Circuit Theory, 1972).
+``solve_nominal`` is ``solve_at`` from it at xi = 0.
 """
 
 from dataclasses import dataclass
@@ -80,6 +83,19 @@ class PssSolution:
             "residual_norm": np.asarray(self.residual_norm).tolist(),
             "converged": np.asarray(self.converged).tolist(),
         }
+
+
+@dataclass
+class NominalStart:
+    """A shooting solve's start: state ``y``, period (a driven circuit's, or
+    an oscillator's scaled horizon) and an oscillator's phase condition
+    (``y0`` and ``level`` read an estimate's state and level)."""
+
+    y: np.ndarray
+    period: float
+    phase: PhaseCondition | None = None
+    y0 = property(lambda self: self.y)
+    level = property(lambda self: self.phase.value)
 
 
 class CircuitDae(Dae):
@@ -298,6 +314,40 @@ def stationary_orbits(traj, phase):
     return swing < MIN_SWING * (1.0 + abs(phase.value))
 
 
+def _shoot(instance, start, tol, scheme, n_steps, newton):
+    """Shooting Newton from ``start``: ``y`` (the DC point if None), ``period``
+    and ``phase``. Without a phase the circuit is driven and ``period`` is
+    its period; with one it is an oscillator and ``period`` the scaled
+    horizon. An instance realized at (B, d) coordinates gives (B, ...)
+    results, at B = 1 too."""
+    phase = start.phase
+    if not start.period > 0:
+        raise ValueError("period guess must be positive" if phase else "period must be positive")
+    if phase is not None and not instance.circuit.is_autonomous:
+        raise ValueError("circuit has a time-varying source; use solve_forced")
+    n = instance.n
+    y0 = np.asarray(dc_operating_point(instance) if start.y is None else start.y, dtype=float)
+    if not instance.scalar and y0.ndim == 1:
+        y0 = np.broadcast_to(y0, (instance.batch_size, n)).copy()
+    u0 = y0 if phase is None else np.concatenate([y0, np.ones((*y0.shape[:-1], 1))], axis=-1)
+    problem = Shooting(instance, start.period, phase, scheme, n_steps, newton)
+    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
+    converged = gn <= tol
+    if phase is not None:
+        dead = converged & stationary_orbits(traj, phase)
+        if np.all(dead):
+            raise OscillationError(
+                f"shooting converged to a stationary orbit (state {phase.index})"
+            )
+        converged = converged & ~dead
+    if not np.any(converged):
+        kind = "forced" if phase is None else "autonomous"
+        raise ConvergenceError(f"{kind} shooting did not converge (residual {np.min(gn):.3e})")
+    a = None if phase is None else u[..., n]
+    period = start.period if a is None else start.period * a
+    return PssSolution(u[..., :n], period, traj, len(history) - 1, gn, converged, a, phase)
+
+
 def solve_forced(
     instance,
     period,
@@ -307,22 +357,9 @@ def solve_forced(
     n_steps=200,
     newton=NewtonOptions(),
 ):
-    """Shooting Newton for the periodic steady state of a driven circuit."""
-    if not period > 0:
-        raise ValueError("period must be positive")
-    if y0 is None:
-        y0 = dc_operating_point(instance)
-    y0 = np.asarray(y0, dtype=float)
-    if instance.batch_size > 1 and y0.ndim == 1:
-        y0 = np.broadcast_to(y0, (instance.batch_size, y0.size)).copy()
-    problem = Shooting(instance, period, None, scheme, n_steps, newton)
-    y, g, gn, traj, history = damped_newton(y0, problem.run, problem.newton_step, tol)
-    converged = gn <= tol
-    if not np.any(converged):
-        raise ConvergenceError(
-            f"forced shooting did not converge (residual {np.min(gn):.3e})"
-        )
-    return PssSolution(y, period, traj, len(history) - 1, gn, converged)
+    """Shooting Newton for the periodic steady state of a driven circuit,
+    from ``y0`` (the DC point if None)."""
+    return _shoot(instance, NominalStart(y0, period), tol, scheme, n_steps, newton)
 
 
 def solve_autonomous(
@@ -350,31 +387,19 @@ def solve_autonomous(
     Jacobian is singular by construction and any period near the linear
     resonance satisfies the residual test.
     """
-    if not period_guess > 0:
-        raise ValueError("period guess must be positive")
-    if not instance.circuit.is_autonomous:
-        raise ValueError("circuit has a time-varying source; use solve_forced")
-    n = instance.n
-    y0 = np.asarray(y0, dtype=float)
-    batch = (instance.batch_size,) if instance.batch_size > 1 else y0.shape[:-1]
-    if batch and y0.ndim == 1:
-        y0 = np.broadcast_to(y0, batch + (n,)).copy()
-    u0 = np.concatenate([y0, np.ones(batch + (1,))], axis=-1)
-    problem = Shooting(instance, period_guess, phase, scheme, n_steps, newton)
-    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
-    converged = gn <= tol
-    dead = converged & stationary_orbits(traj, phase)
-    if np.all(dead):
-        raise OscillationError(f"shooting converged to a stationary orbit (state {phase.index})")
-    converged = converged & ~dead
-    if not np.any(converged):
-        raise ConvergenceError(
-            f"autonomous shooting did not converge (residual {np.min(gn):.3e})"
-        )
-    y, a = u[..., :n], u[..., n]
-    return PssSolution(
-        y, period_guess * a, traj, len(history) - 1, gn, converged, a, phase
-    )
+    return _shoot(instance, NominalStart(y0, period_guess, phase), tol, scheme, n_steps, newton)
+
+
+def solve_at(circuit, start, xi, **options):
+    """Periodic steady states of ``circuit`` at the standardized coordinates
+    ``xi``, (d,) or (B, d), each solved from ``start`` (a ``NominalStart`` or
+    a nominal ``PssSolution``): over its period if it has no phase
+    condition, else as an oscillator with its phase condition and its
+    period as the scaled horizon. ``options`` go to the shooting solver."""
+    instance = circuit.realize(xi)
+    if start.phase is None:
+        return solve_forced(instance, start.period, start.y, **options)
+    return solve_autonomous(instance, start.phase, float(start.period), start.y, **options)
 
 
 def nominal_start(circuit, period=None, phase_index=None, phase_value=None):
@@ -387,7 +412,7 @@ def nominal_start(circuit, period=None, phase_index=None, phase_value=None):
         period = circuit.fundamental_period() if period is None else period
         return NominalStart(dc_operating_point(nominal), period)
     if not circuit.is_autonomous:
-        raise OscillationError("circuit has a time-varying source; an oscillator has none")
+        raise ValueError("circuit has a time-varying source; an oscillator has none")
     start = estimate_period(nominal, phase_index)
     if phase_value is not None:
         start.phase = PhaseCondition(phase_index, float(phase_value))
@@ -398,26 +423,11 @@ def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **op
     """Periodic steady state of the nominal circuit from its ``nominal_start``
     (same arguments); ``options`` go to the shooting solver."""
     start = nominal_start(circuit, period, phase_index, phase_value)
-    nominal = circuit.realize_nominal()
-    if start.phase is None:
-        return solve_forced(nominal, start.period, start.y, **options)
-    return solve_autonomous(nominal, start.phase, start.period, start.y, **options)
+    return solve_at(circuit, start, np.zeros(circuit.dim), **options)
 
 
 # ---------------------------------------------------------------------------
 # nominal-period estimation
-
-
-@dataclass
-class NominalStart:
-    """A nominal solve's start: state ``y``, period, and an oscillator's phase
-    condition (``y0`` and ``level`` read an estimate's state and level)."""
-
-    y: np.ndarray
-    period: float
-    phase: PhaseCondition | None = None
-    y0 = property(lambda self: self.y)
-    level = property(lambda self: self.phase.value)
 
 
 def _oscillation_frequency(instance, x_dc):

@@ -150,6 +150,17 @@ def test_mc_same_seed_bit_identical(rc_circuit):
     assert np.array_equal(a.xi, b.xi)
 
 
+@pytest.mark.parametrize("name, phase_index", [("rc_circuit", None), ("vdp_random", 0)])
+def test_mc_of_one_sample_keeps_the_batch_axis(request, name, phase_index):
+    """A one-sample run is a batch of one: every per-sample array has N = 1 rows."""
+    c = request.getfixturevalue(name)
+    nominal = solve_nominal(c, phase_index=phase_index, n_steps=64)
+    run = monte_carlo(c, nominal, 1, seed=2, n_steps=64)
+    assert run.waveforms.shape == (1, run.times.size, c.n)
+    assert run.y.shape == (1, c.n) and run.failed.shape == (1,)
+    assert np.shape(run.period) == (() if phase_index is None else (1,))
+
+
 def test_mc_members_above_the_crossover_match_their_solo_solves():
     """A 2,000-sample rectifier batch, whose step, chain and shooting solves
     take the shared row order, gives each member's state and waveform as

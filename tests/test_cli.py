@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pssuq import analysis, cli, load_netlist, parse_netlist, shooting, stpss
+from pssuq import cli, load_netlist, parse_netlist, shooting, stpss
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -73,6 +73,7 @@ def test_config_validation(tmp_path):
         ("pss-forced", "shooting_tol", -1),
         ("pss-forced", "newton_tol", 0),
         ("mc", "mc_samples", 0),
+        ("mc", "mc_samples", 1),
         ("st-forced", "period", 0),
         ("st-forced", "period", -1e-3),
     ],
@@ -296,7 +297,6 @@ def test_only_commands_that_keep_the_nominal_solve_it(tmp_path, monkeypatch, com
             return _solve(instance, *args, **kwargs)
 
         monkeypatch.setattr(shooting, solver, spy)
-        monkeypatch.setattr(analysis, solver, spy)
     cfg = _cfg(tmp_path, gpc_order=2, steps_per_period=100, mc_samples=20, phase_state="1")
     out = tmp_path / "out"
     assert run(command, CIRCUITS_DIR / f"{name}.cir", cfg, out) == EXIT_OK
@@ -311,11 +311,10 @@ def test_only_commands_that_keep_the_nominal_solve_it(tmp_path, monkeypatch, com
 def test_oscillator_command_on_a_driven_circuit_names_its_source(
     tmp_path, monkeypatch, capsys, command
 ):
-    # the source is named before any estimate runs; the exit code stays
-    # test_solver_failure_exits_3's
+    # the source is named before any estimate runs: a fault of the input
     monkeypatch.setattr(shooting, "estimate_period", None)
     cfg = _cfg(tmp_path, phase_state="out", steps_per_period=64)
-    assert run(command, CIRCUITS_DIR / "rectifier.cir", cfg, tmp_path / "out") == 3
+    assert run(command, CIRCUITS_DIR / "rectifier.cir", cfg, tmp_path / "out") == EXIT_CONFIG
     assert "circuit has a time-varying source" in capsys.readouterr().err
 
 
@@ -450,11 +449,14 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_solver_failure_exits_3(tmp_path, capsys):
     # an RC low-pass cannot oscillate: the estimate raises, mapped to exit 3
-    cfg = _cfg(tmp_path, phase_state="out")
+    netlist = tmp_path / "rc.cir"
+    netlist.write_text("* autonomous RC\nV1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 1u\n")
+    cfg = _cfg(tmp_path, phase_state="2")
     out = tmp_path / "out"
-    code = run("pss-osc", CIRCUITS_DIR / "rc_lowpass.cir", cfg, out)
+    code = run("pss-osc", netlist, cfg, out)
     assert code == 3
     assert "FAILED" in (out / "summary.txt").read_text()
+    assert "no oscillatory mode" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy():

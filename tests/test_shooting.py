@@ -13,6 +13,8 @@ from pssuq.shooting import (
     PhaseCondition,
     estimate_period,
     floor_failure,
+    nominal_start,
+    solve_at,
     solve_autonomous,
     solve_forced,
     solve_nominal,
@@ -560,3 +562,26 @@ def test_oscillator_batch_retires_converged_samples(circuit, state, spread, requ
     assert len(set(iterations)) >= 2 and batch.iterations == max(iterations)
     assert runs[0] == [0, 1, 2, 3] and len(runs[-1]) < 4
     assert [len(rows) for rows in runs] == sorted((len(rows) for rows in runs), reverse=True)
+
+
+@pytest.mark.parametrize("name, phase_index", [("rectifier", None), ("vdp_random", 0)])
+def test_solve_at_the_origin_is_the_nominal_solve(request, name, phase_index):
+    c = request.getfixturevalue(name)
+    nominal = solve_nominal(c, phase_index=phase_index, n_steps=100)
+    start = nominal_start(c, phase_index=phase_index)
+    at = solve_at(c, start, np.zeros(c.dim), n_steps=100)
+    assert np.array_equal(at.y, nominal.y) and np.array_equal(at.period, nominal.period)
+    assert np.array_equal(at.trajectory.states, nominal.trajectory.states)
+    assert at.iterations == nominal.iterations
+
+
+def test_solve_at_a_batch_is_the_oscillator_solve_of_its_realization(vdp_random):
+    nominal = solve_nominal(vdp_random, phase_index=0, n_steps=100)
+    xi = np.linspace(-1.0, 1.0, 3)[:, None]
+    at = solve_at(vdp_random, nominal, xi, n_steps=100)
+    direct = solve_autonomous(
+        vdp_random.realize(xi), nominal.phase, float(nominal.period), nominal.y, n_steps=100
+    )
+    assert at.y.shape == (3, vdp_random.n)
+    assert np.array_equal(at.y, direct.y) and np.array_equal(at.period, direct.period)
+    assert np.array_equal(at.trajectory.states, direct.trajectory.states)
