@@ -42,7 +42,7 @@ from .analysis import (
 from .circuit import CircuitError
 from .gpc import build_basis, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
-from .shooting import OscillationError, nominal_start, solve_nominal
+from .shooting import OscillationError, linearized_period_scales, nominal_start, solve_nominal
 from .stpss import (
     assemble_autonomous,
     assemble_forced,
@@ -356,7 +356,8 @@ def _solve_st(circuit, cfg, start):
         system = assemble_forced(circuit, basis, testing, period=start.period)
         return system, shoot_forced(system, nominal_guess(system, start), **opts)
     system = assemble_autonomous(circuit, basis, testing, float(start.period))
-    scale_guess = np.eye(system.K)[0]  # a(xi) = 1: the start's period everywhere
+    # each node from its linearized period: a(xi) = omega(0) / omega(xi)
+    scale_guess = system.testing.v_inv @ linearized_period_scales(circuit, system.testing.nodes)
     return system, shoot_autonomous(
         system, start.phase, nominal_guess(system, start), scale_guess, **opts
     )

@@ -29,14 +29,17 @@ start, the one place a start picks between them. ``nominal_start`` is the
 nominal circuit's DC point or, for an oscillator, ``estimate_period``: a
 transient kicked along the least-damped linearized mode and stopped once
 its cycle settles (Aprille & Trick, IEEE Trans. Circuit Theory, 1972).
-``solve_nominal`` is ``solve_at`` from it at xi = 0.
+``solve_nominal`` is ``solve_at`` from it at xi = 0. The same linearized
+frequency at the DC points of a batch [0; xi] gives
+``linearized_period_scales``, omega(0) / omega(xi), from which an
+oscillator's chaos solve starts each testing node's period scale.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import dc_operating_point
+from .circuit import CircuitError, dc_operating_point
 from .transient import (
     BACKWARD_EULER,
     ConvergenceError,
@@ -175,12 +178,13 @@ def damped_newton(u0, run, newton_step, tol):
     into its rows of the live trajectory (``into``, ``integrate``'s), so
     the batch holds one copy of it, and its flags are recorded there
     (``Trajectory.put``) unless it changes the grid or flags a sample:
-    then every sample not stalled runs again in a buffer of its own
-    (``into`` None). Each sample halves its own step and takes the first
-    trial whose norm is finite and lower. A sample whose residual or step
-    is not finite, or that has not improved after ``MAX_HALVINGS``
-    halvings, stalls; its trajectory row is meaningless. At most
-    ``MAX_ITER`` iterations are taken.
+    then every sample not stalled runs again in a buffer of the whole
+    batch (``into`` a blank one if some sample is stalled, else None).
+    Each sample halves its own step and takes the first trial whose norm
+    is finite and lower. A sample whose residual or step is not finite,
+    or that has not improved after ``MAX_HALVINGS`` halvings, stalls; its
+    trajectory row is meaningless. At most ``MAX_ITER`` iterations are
+    taken.
 
     Returns ``(u, g, norm, traj, history)``. ``history`` holds one
     ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
@@ -212,11 +216,13 @@ def damped_newton(u0, run, newton_step, tol):
             if rows is Ellipsis:
                 traj_t = part
             elif np.any(part.failed) or not traj_t.put(rows, part):  # a flag may move the grid
-                del part  # the run off the grid goes before its rerun
+                del part, traj_t  # the run off the grid, and an earlier rerun, go first
                 rows = _rows(~stalled)
-                g_r, gn_r, part = run(u_t[rows], rows, None)
+                # beside a stalled sample: straight into a blank buffer of the batch
+                blank = None if rows is Ellipsis else Trajectory(
+                    None, np.full_like(traj.states, np.nan), None, rows=rows)
+                g_r, gn_r, part = run(u_t[rows], rows, blank)
                 traj_t = part if rows is Ellipsis else part.spread(rows, gn.size)
-            del part  # else a rerun's own buffer, once spread, lives through the next step
             g_t[rows], gn_t[rows] = g_r, gn_r
             better = pending & (gn_t < gn)  # false for a non-finite norm
             u_next = np.where(better[..., None], u_t, u_next)
@@ -431,25 +437,48 @@ def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **op
 
 
 def _oscillation_frequency(instance, x_dc):
-    """Angular frequency and shape of the least-damped oscillatory mode at DC.
+    """Angular frequency and shape of the least-damped oscillatory mode at
+    the DC point ``x_dc`` of one circuit, or of each of a batch: one
+    batched solve and one batched ``eig``. The frequency is NaN where no
+    mode oscillates.
 
     Eigenpairs of the linearized pencil -G v = lambda C v, from mu =
     1 / lambda, the eigenvalues of (-G)^{-1} C, which has the same
-    eigenvectors (G is nonsingular at a DC point). The algebraic states,
-    where C is singular, give mu = 0 up to rounding (infinite lambda); they
-    are discarded. The mode is the eigenvector rotated so its largest entry
-    is real, whose real part is scaled to a largest entry of 1.
+    eigenvectors (G is nonsingular at a DC point; a sample where it is
+    singular has no mode). The algebraic states, where C is singular, give
+    mu = 0 up to rounding (infinite lambda); they are discarded. The mode
+    is the eigenvector rotated so its largest entry is real, whose real
+    part is scaled to a largest entry of 1.
     """
     ev = instance.eval_dae(x_dc, 0.0)
-    mu, vecs = np.linalg.eig(np.linalg.solve(-ev.df_dx, ev.dq_dx))
-    keep = np.abs(mu) > 1e-12 * np.max(np.abs(mu), initial=0.0)
-    lam, vecs = 1.0 / mu[keep], vecs[:, keep]
-    osc = np.nonzero(np.abs(lam.imag) > 1e-9 * (1.0 + np.abs(lam.real)))[0]
-    if osc.size == 0:
-        raise OscillationError("no oscillatory mode at the DC operating point")
-    k = osc[np.argmax(lam[osc].real / np.maximum(np.abs(lam[osc]), 1e-300))]
-    v = (vecs[:, k] * np.exp(-1j * np.angle(vecs[np.argmax(np.abs(vecs[:, k])), k]))).real
-    return float(abs(lam[k].imag)), v / np.max(np.abs(v))
+    pencil = batched_solve(-ev.df_dx, ev.dq_dx)  # NaN where G is singular
+    mu, vecs = np.linalg.eig(np.where(np.isfinite(pencil).all((-2, -1), keepdims=True), pencil, 0))
+    keep = np.abs(mu) > 1e-12 * np.max(np.abs(mu), axis=-1, keepdims=True, initial=0.0)
+    lam = 1.0 / np.where(keep, mu, 1.0)
+    osc = keep & (np.abs(lam.imag) > 1e-9 * (1.0 + np.abs(lam.real)))
+    growth = np.where(osc, lam.real / np.maximum(np.abs(lam), 1e-300), -np.inf)
+    k = np.argmax(growth, axis=-1)[..., None]
+    omega = np.where(osc.any(axis=-1), np.abs(np.take_along_axis(lam, k, -1)[..., 0].imag), np.nan)
+    vec = np.take_along_axis(vecs, k[..., None], -1)[..., 0]
+    top = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=-1)[..., None], -1)
+    v = (vec * np.exp(-1j * np.angle(top))).real
+    return omega, v / np.max(np.abs(v), axis=-1, keepdims=True)
+
+
+def linearized_period_scales(circuit, xi):
+    """Period scales omega(0) / omega(xi) of the linearized oscillation at
+    the DC points of ``circuit`` at the (K, d) coordinates ``xi``, from one
+    batched DC solve of [0; xi]: an oscillator's period scale a(xi) as its
+    linearization predicts it, exactly 1 at xi = 0. A point with no
+    oscillatory mode gets 1, and so does every point if the batch has no
+    DC point."""
+    instance = circuit.realize(np.concatenate([np.zeros((1, circuit.dim)), xi]))
+    try:
+        omega = _oscillation_frequency(instance, dc_operating_point(instance))[0]
+    except CircuitError:
+        return np.ones(len(xi))
+    a = omega[0] / omega[1:]
+    return np.where(np.isfinite(a), a, 1.0)
 
 
 KICK = 0.01  # start-up perturbation, relative to 1 + the largest DC state
@@ -481,7 +510,9 @@ def estimate_period(instance, state_index):
     """
     x_dc = dc_operating_point(instance)
     omega, mode = _oscillation_frequency(instance, x_dc)
-    t_lin = 2.0 * np.pi / omega
+    if not np.isfinite(omega):
+        raise OscillationError("no oscillatory mode at the DC operating point")
+    t_lin = 2.0 * np.pi / float(omega)
     sys = CircuitDae(instance)
     # a few backward-Euler steps damp the leftover constraint mismatch
     # before the (non L-stable) trapezoidal rule takes over

@@ -6,9 +6,13 @@ by its polynomial-chaos surrogate, gives one coupled DAE of size n*K over
 the chaos coefficients. Its periodic solution yields the coefficients of
 x(0) directly (forced circuits) or of z(0) together with a period-scaling
 expansion a(xi), T(xi) = T0 * a(xi) (oscillators, integrated in scaled
-time over the horizon T0). T0, the reference period, is the period the
-solve starts from, the nominal estimate or a converged nominal period;
-a(xi) absorbs its distance from the nominal period.
+time over the horizon T0). T0, the reference period, is the nominal
+estimate or a converged nominal period, and a(xi) each realization's
+period relative to it. The solve starts from the caller's a(xi). From
+a = 1 the nodes' whole period spread is in the first residual; from the
+ratio of linearized frequencies at the nodes' DC points
+(``shooting.linearized_period_scales``), where the CLI starts, only its
+nonlinear part is.
 
 The collocation matrix V maps the stacked residual onto K independent
 deterministic shooting problems, one per testing node (Zhang, El-Moselhy,

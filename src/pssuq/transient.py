@@ -136,12 +136,12 @@ class Trajectory:
         return True
 
     def spread(self, rows, batch):
-        """This run of batch rows ``rows`` as one of ``batch`` rows, the others NaN and failed."""
-        P, n = self.n_points, self.states.shape[-1]
-        full = Trajectory(self.times, np.full((P, batch, n), np.nan), self.gammas,
-                          np.ones(batch, dtype=bool), np.full(batch, self.times[0]))
-        full.put(rows, self)
-        return full
+        """This run of batch rows ``rows``, written into a blank buffer of
+        ``batch`` rows (``integrate``'s ``into``), as a run of all of them:
+        the others NaN and failed from its start. Nothing is copied."""
+        failed, fail_times = np.ones(batch, dtype=bool), np.full(batch, self.times[0])
+        failed[rows], fail_times[rows] = self.failed, self.fail_times
+        return Trajectory(self.times, self.states, self.gammas, failed, fail_times)
 
 
 # Crossover of ``batched_solve`` against one LAPACK call per matrix, on one
@@ -345,7 +345,9 @@ def integrate(
     states overwrite its rows instead and the returned trajectory shares
     its buffer, until the first point off ``into``'s grid (a bisection
     either run took): there the run copies the states it wrote so far to
-    a buffer of its own and goes on in it.
+    a buffer of its own and goes on in it. An ``into`` without times, the
+    rows of a blank (NaN) buffer of a wider batch, is the run's own buffer:
+    it is grown and trimmed as one, its other rows kept NaN.
 
     ``stabilized_start`` takes the first step with backward Euler
     regardless of ``scheme``. This damps inconsistent algebraic components
@@ -366,8 +368,10 @@ def integrate(
     gammas = []
     # the accepted states, written into ``into``'s rows or a buffer of the run's
     # own, grown by a bisection and trimmed at the end: one copy of the trajectory
-    states, rows = (np.empty((n_steps + 1,) + w0.shape), ...) if into is None else (
-        into.states, into.rows)
+    if into is None:
+        states, rows = np.empty((n_steps + 1,) + w0.shape), ...
+    else:  # a blank buffer (no times) is the run's own, with no grid to follow
+        states, rows, into = into.states, into.rows, None if into.times is None else into
     states[0, rows] = w0
     w, ev = w0, _evaluate(system, w0, t0)
     for k in range(n_steps):
@@ -387,7 +391,8 @@ def integrate(
                 if i == len(states):
                     # room for the grid points still to come and an eighth more
                     size = i + n_steps - k + len(states) // 8
-                    states.resize((size,) + w0.shape, refcheck=False)  # no views exist
+                    states.resize((size,) + states.shape[1:], refcheck=False)  # no views exist
+                    states[i:] = np.nan  # a blank buffer's other rows stay NaN
                 states[i, rows] = w_new
                 times.append(t + h)
                 gammas.append((sch.gamma1, sch.gamma2))
@@ -404,7 +409,7 @@ def integrate(
                 pending += [(t + 0.5 * h, 0.5 * h, depth + 1), (t, 0.5 * h, depth + 1)]
 
     if into is None and len(times) < len(states):
-        states.resize((len(times),) + w0.shape, refcheck=False)
+        states.resize((len(times),) + states.shape[1:], refcheck=False)
     return Trajectory(np.asarray(times), states, np.asarray(gammas), failed, fail_times, rows)
 
 

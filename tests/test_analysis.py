@@ -226,21 +226,23 @@ def test_a_wide_monte_carlo_run_holds_one_copy_of_its_trajectory():
     assert all(a is b for a, b in zip(stats, run.waveform_mean_std()))
 
 
-def test_a_wide_monte_carlo_rerun_holds_two_copies_at_most(monkeypatch):
-    """When the first line-search run of the 2,000-sample rectifier batch
-    bisects its mid-period step, every sample runs again beside the live
-    trajectory, but not beside the bisected run: the peak stays within two
-    trajectories and 10 MB (32.9 MB measured; 43.5 MB with it held)."""
+def _rerun_of_a_wide_monte_carlo(monkeypatch, stall):
+    """The 2,000-sample rectifier Monte Carlo with its first line-search run
+    refused at the mid-period step, so it bisects (and, with ``stall``,
+    sample 0's first Newton step NaN): the buffer each run was given
+    (``own``: none, ``live``: the live trajectory's rows, ``blank``: a blank
+    batch buffer's), the result and its traced peak above the start."""
     circuit = load_netlist(CIRCUITS_DIR / "rectifier.cir")
     nominal = solve_nominal(circuit)
     monte_carlo(circuit, nominal, 50, seed=1)  # first-call allocations
     gc.collect()
     runs, integrate, step = [], shooting.integrate, transient._newton_step
+    newton_step = shooting.Shooting.newton_step
     mid = np.linspace(0.0, float(nominal.period), 201)[100:102]
 
-    def counted(*args, **kwargs):
-        runs.append(kwargs.get("into") is not None)
-        return integrate(*args, **kwargs)
+    def counted(*args, into=None, **kwargs):
+        runs.append("own" if into is None else "live" if into.times is not None else "blank")
+        return integrate(*args, into=into, **kwargs)
 
     def refusing(system, w, t, h, *args, **kwargs):
         w_new, ev, conv = step(system, w, t, h, *args, **kwargs)
@@ -248,8 +250,15 @@ def test_a_wide_monte_carlo_rerun_holds_two_copies_at_most(monkeypatch):
             conv = np.zeros_like(conv)
         return w_new, ev, conv
 
+    def stalling(self, u, g, traj, rows):
+        delta = newton_step(self, u, g, traj, rows)
+        if stall and len(runs) == 1:
+            delta[0] = np.nan
+        return delta
+
     monkeypatch.setattr(shooting, "integrate", counted)
     monkeypatch.setattr(transient, "_newton_step", refusing)
+    monkeypatch.setattr(shooting.Shooting, "newton_step", stalling)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -257,8 +266,29 @@ def test_a_wide_monte_carlo_rerun_holds_two_copies_at_most(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert runs[:3] == [False, True, False] and not run.failed.any()
-    assert peak - start <= 2 * run.waveforms.nbytes + 10e6
+    return runs, run, peak - start
+
+
+def test_a_wide_monte_carlo_rerun_holds_two_copies_at_most(monkeypatch):
+    """When the first line-search run of the 2,000-sample rectifier batch
+    bisects its mid-period step, every sample runs again beside the live
+    trajectory, but not beside the bisected run: the peak stays within two
+    trajectories and 10 MB (32.9 MB measured; 43.5 MB with it held)."""
+    runs, run, peak = _rerun_of_a_wide_monte_carlo(monkeypatch, stall=False)
+    assert runs[:3] == ["own", "live", "own"] and not run.failed.any()
+    assert peak <= 2 * run.waveforms.nbytes + 10e6
+
+
+def test_a_wide_monte_carlo_rerun_beside_a_stalled_sample_holds_two_copies_at_most(monkeypatch):
+    """With sample 0 stalled by a NaN Newton step as well, the other samples
+    run again straight into a blank buffer of the batch: the peak stays
+    within two trajectories and 10 MB (32.7 MB measured; 40.2 MB when the
+    rerun's own buffer was spread to the batch by a copy)."""
+    runs, run, peak = _rerun_of_a_wide_monte_carlo(monkeypatch, stall=True)
+    assert runs[:3] == ["own", "live", "blank"]
+    assert run.failed.tolist() == [True] + [False] * 1999
+    assert np.isnan(run.waveforms[0]).all()
+    assert peak <= 2 * run.waveforms.nbytes + 10e6
 
 
 @pytest.mark.parametrize("N, P, n, block", [(2000, 201, 4, None), (5, 37, 3, 4), (3, 9, 2, 1)])

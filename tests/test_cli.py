@@ -266,9 +266,10 @@ def test_st_forced_from_the_dc_point_equals_the_nominal_started_solve(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    # measured deltas (relative): Colpitts 1.2e-12 (mean) and 6.8e-11 (std);
-    # van der Pol 2.4e-8 and 1.4e-3, where either run stops within the
-    # shooting tolerance after one iteration (residual 8.2e-6 and 1.9e-6)
+    # measured deltas (relative): Colpitts 7.3e-10 (mean) and 2.6e-7 (std),
+    # within approx's default absolute tolerance of 1e-12 s; van der Pol
+    # 3.4e-8 and 1.7e-3, where either run stops within the shooting
+    # tolerance after one iteration (residual 8.3e-6 and 2.0e-6)
     "name, mean_rtol, std_rtol", [("colpitts", 1e-11, 1e-9), ("vanderpol", 1e-7, 3e-3)]
 )
 def test_st_osc_from_the_estimate_matches_the_nominal_started_solve(name, mean_rtol, std_rtol):
@@ -281,6 +282,26 @@ def test_st_osc_from_the_estimate_matches_the_nominal_started_solve(name, mean_r
     (mean, std), (ref_mean, ref_std) = from_start.period_moments(), from_nominal.period_moments()
     assert mean == pytest.approx(ref_mean, rel=mean_rtol)
     assert std == pytest.approx(ref_std, rel=std_rtol)
+
+
+def test_st_osc_starts_each_colpitts_node_from_its_linearized_period(tmp_path):
+    """The bundled Colpitts chaos solve starts node k at omega(0) / omega(xi_k),
+    within 1 % of the converged node scales (0.39 % measured), and takes 2
+    shooting iterations (3 from a = 1); the coupled solve's iterates equal
+    the decoupled ones within criterion 4's 1e-8 (1.2e-11 measured)."""
+    out = tmp_path / "out"
+    assert run("st-osc", CIRCUITS_DIR / "colpitts.cir", CIRCUITS_DIR / "colpitts.json", out) == EXIT_OK
+    assert json.loads((out / "solution.json").read_text())["iterations"] == 2
+    circuit, cfg = _bundled("colpitts")
+    start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "autonomous"))
+    system, decoupled = cli._solve_st(circuit, cfg, start)
+    guess = shooting.linearized_period_scales(circuit, system.testing.nodes)
+    assert np.max(np.abs(guess / system.node_scales() - 1.0)) < 0.01
+    _, coupled = cli._solve_st(circuit, dict(cfg, mode="coupled"), start)
+    assert coupled.iterations == decoupled.iterations == 2
+    scale = np.abs(decoupled.iterates[-1]).max()
+    for a, b in zip(decoupled.iterates, coupled.iterates):
+        assert np.abs(a - b).max() / scale < 1e-8
 
 
 @pytest.mark.parametrize(

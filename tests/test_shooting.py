@@ -6,13 +6,14 @@ import pytest
 import pssuq.shooting as shooting
 import pssuq.transient as transient
 from pssuq import parse_netlist
-from pssuq.circuit import CircuitInstance, dc_operating_point
+from pssuq.circuit import CircuitError, CircuitInstance, dc_operating_point
 from pssuq.shooting import (
     CircuitDae,
     OscillationError,
     PhaseCondition,
     estimate_period,
     floor_failure,
+    linearized_period_scales,
     nominal_start,
     solve_at,
     solve_autonomous,
@@ -396,6 +397,29 @@ def test_oscillation_frequency_matches_the_scipy_pencil(circuit, request):
     assert v.dtype == float and np.max(np.abs(v)) == 1.0
     assert v[np.argmax(np.abs(w))] == 1.0
     assert np.abs(v - w.real).max() <= 1e-9
+
+
+def test_linearized_period_scales_are_exactly_one_at_the_nominal_point(colpitts):
+    xi = np.array([[0.5, -1.0], [0.0, 0.0], [-1.7, 0.8]])
+    a = linearized_period_scales(colpitts, xi)
+    assert a[1] == 1.0 and np.all(a[[0, 2]] != 1.0) and np.all(np.abs(a - 1.0) < 0.1)
+
+
+def test_linearized_period_scales_give_one_where_no_mode_oscillates(monkeypatch):
+    """A parallel RLC tank whose resistor goes from underdamped (52.5 ohm at
+    xi = 0, 100 ohm at xi = 1) to overdamped (5 ohm at xi = -1): the scale
+    is the ratio of the damped resonances where both ring, 1 where the
+    tank does not, and 1 everywhere if the batch has no DC point."""
+    c = parse_netlist(".param r = uniform(5, 100)\nR1 1 0 {r}\nL1 1 0 1m\nC1 1 0 1u\n")
+    omega = [np.sqrt(1e9 - (1.0 / (2.0 * r * 1e-6)) ** 2) for r in (52.5, 100.0)]
+    a = linearized_period_scales(c, np.array([[1.0], [-1.0]]))
+    assert a[0] == pytest.approx(omega[0] / omega[1], rel=1e-9) and a[1] == 1.0
+
+    def failing(instance):
+        raise CircuitError("DC operating point did not converge")
+
+    monkeypatch.setattr(shooting, "dc_operating_point", failing)
+    assert linearized_period_scales(c, np.array([[1.0], [0.5]])).tolist() == [1.0, 1.0]
 
 
 def test_estimate_period_rejects_rc():

@@ -21,6 +21,7 @@ from pssuq.transient import (
     Dae,
     NewtonOptions,
     TRAPEZOIDAL,
+    Trajectory,
     _evaluate,
     _newton_step,
     batched_solve,
@@ -380,8 +381,9 @@ def test_a_run_holds_one_copy_of_its_trajectory():
 def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
     """A run of some batch rows on the batch's grid is written into those
     rows in place and equals them bit for bit; a run on another grid is
-    refused; spread to the batch, a run leaves the other rows NaN and
-    failed from its start."""
+    refused; written into a blank buffer of the batch (grown here past its
+    three points) and spread to it, a run leaves the other rows NaN and
+    failed from its start, on that buffer."""
     xi = np.array([[-0.7], [0.2], [1.0]])
     w0 = np.full((3, rc_circuit.n), 0.1)
     whole = integrate(CircuitDae(rc_circuit.realize(xi)), w0, 0.0, 1e-3, n_steps=16)
@@ -396,7 +398,10 @@ def test_a_run_of_some_rows_is_written_into_the_batch_run(rc_circuit):
     finer = integrate(CircuitDae(rc_circuit.realize(xi[rows])), w0[rows], 0.0, 1e-3, n_steps=17)
     assert not whole.put(rows, finer)
     assert np.array_equal(whole.states[:, rows], part.states)
-    spread = part.spread(rows, 3)
+    blank = Trajectory(None, np.full((3, 3, rc_circuit.n), np.nan), None, rows=rows)
+    dae = CircuitDae(rc_circuit.realize(xi[rows]))
+    spread = integrate(dae, w0[rows], 0.0, 1e-3, n_steps=16, into=blank).spread(rows, 3)
+    assert spread.states is blank.states and spread.states.shape == (17, 3, rc_circuit.n)
     assert np.array_equal(spread.times, part.times)
     assert np.array_equal(spread.states[:, rows], part.states)
     assert np.isnan(spread.states[:, 1]).all()
