@@ -18,7 +18,7 @@ import numpy as np
 
 from .gpc import family_for, lookup_family, surrogate_eval
 from .shooting import solve_at
-from .transient import ConvergenceError, NewtonOptions, TRAPEZOIDAL
+from .transient import ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -105,29 +105,21 @@ class McRun:
         return float(v.mean()), float(v.std(ddof=1))
 
 
-def monte_carlo(
-    circuit,
-    nominal,
-    n_samples,
-    seed,
-    tol=1e-5,
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
+def monte_carlo(circuit, nominal, n_samples, seed, **options):
     """Reference uncertainty propagation by repeated deterministic solves.
 
     ``nominal`` is the nominal circuit's solution (``solve_nominal``). Every
-    sample is warm-started from it and solved the same way (``solve_at``):
-    over its period for a driven circuit, or, for an oscillator, with its
-    phase condition over its period as the scaled horizon. Failing samples
+    sample is warm-started from it and solved the same way (``solve_at``,
+    which takes ``options``): over its period for a driven circuit, or, for
+    an oscillator, with its phase condition over its period as the scaled
+    horizon. Failing samples
     are recorded, not fatal, unless their fraction exceeds
     ``MAX_FAILURE_FRACTION``; then the run raises ConvergenceError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     xi = draw_standardized([family_for(s) for _, s in circuit.random_params], seed, n_samples)
-    sol = solve_at(circuit, nominal, xi, tol=tol, scheme=scheme, n_steps=n_steps, newton=newton)
+    sol = solve_at(circuit, nominal, xi, **options)
     run = McRun(
         seed=seed,
         xi=xi,
@@ -242,6 +234,8 @@ def ks_statistic(a, b):
 # ---------------------------------------------------------------------------
 # metric distributions
 
+MIN_METRIC_SAMPLES = 1000  # fewest surrogate samples a metric distribution takes
+
 
 @dataclass
 class MetricDistribution:
@@ -343,8 +337,8 @@ def metric_distribution(
     Sampling costs no circuit solves; parameters are drawn with the same
     counter-based stream as the Monte Carlo driver.
     """
-    if n_samples < 1000:
-        raise ValueError("metric distributions need at least 1000 samples")
+    if n_samples < MIN_METRIC_SAMPLES:
+        raise ValueError(f"metric distributions need at least {MIN_METRIC_SAMPLES} samples")
     xi = draw_standardized(solution.coeffs.basis.families, seed, n_samples)
     if metric == "period":
         vals = sample_periods(solution, xi)

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_METRIC_SAMPLES,
     build_uq_report,
     draw_standardized,
     metric_distribution,
@@ -40,16 +41,9 @@ from .analysis import (
     waveform_stats,
 )
 from .circuit import CircuitError
-from .gpc import build_basis, select_testing_nodes, tensor_rule
 from .netlist import NetlistError, parse_netlist
-from .shooting import OscillationError, linearized_period_scales, nominal_start, solve_nominal
-from .stpss import (
-    assemble_autonomous,
-    assemble_forced,
-    nominal_guess,
-    shoot_autonomous,
-    shoot_forced,
-)
+from .shooting import OscillationError, nominal_start, solve_nominal
+from .stpss import assemble_forced, chaos_basis, solve_st
 from .transient import (
     ConvergenceError,
     NewtonOptions,
@@ -114,7 +108,8 @@ def load_config(path, overrides=None):
     cfg.update(raw)
     cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
     # a standard deviation needs two Monte Carlo samples
-    for key, least in (("seed", None), ("mc_samples", 2), ("metric_samples", 1)):
+    bounds = (("seed", None), ("mc_samples", 2), ("metric_samples", MIN_METRIC_SAMPLES))
+    for key, least in bounds:
         if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer")
         if least is not None and cfg[key] < least:
@@ -255,15 +250,6 @@ def _solver_options(cfg):
     }
 
 
-def _basis_and_testing(circuit, order):
-    dists = [s for _, s in circuit.random_params]
-    if not dists:
-        raise ConfigError("circuit declares no random parameters")
-    basis = build_basis(dists, order)
-    testing = select_testing_nodes(basis, tensor_rule(basis, order + 1))
-    return basis, testing
-
-
 def _nominal_problem(circuit, cfg, kind=None):
     """``nominal_start``'s arguments for ``kind``, "forced" or "autonomous";
     by default the circuit's own, an oscillator when it has no time-varying
@@ -348,19 +334,9 @@ def _write_trajectory(rep, name, header, traj):
 
 
 def _solve_st(circuit, cfg, start):
-    """The chaos solve from ``start``, anything with ``y``, ``period`` (the
-    forcing period or T0) and ``phase``: a ``nominal_start`` or a nominal PSS."""
-    basis, testing = _basis_and_testing(circuit, cfg["gpc_order"])
-    opts = dict(mode=cfg["mode"], **_solver_options(cfg))
-    if start.phase is None:
-        system = assemble_forced(circuit, basis, testing, period=start.period)
-        return system, shoot_forced(system, nominal_guess(system, start), **opts)
-    system = assemble_autonomous(circuit, basis, testing, float(start.period))
-    # each node from its linearized period: a(xi) = omega(0) / omega(xi)
-    scale_guess = system.testing.v_inv @ linearized_period_scales(circuit, system.testing.nodes)
-    return system, shoot_autonomous(
-        system, start.phase, nominal_guess(system, start), scale_guess, **opts
-    )
+    """``solve_st`` from ``start`` (a ``nominal_start`` or a nominal PSS)
+    with the config's order, mode and shooting options."""
+    return solve_st(circuit, start, cfg["gpc_order"], cfg["mode"], **_solver_options(cfg))
 
 
 def _cmd_st(rep, circuit, cfg, kind):
@@ -643,7 +619,7 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for p in orders:
-        basis, testing = _basis_and_testing(circuit, p)
+        basis, testing = chaos_basis(circuit, p)
         K = basis.size
         system = assemble_forced(circuit, basis, testing, period=1e-3)
         # the network is linear, so the node systems integrate independently

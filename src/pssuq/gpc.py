@@ -326,8 +326,3 @@ def moments(coeffs):
     var = np.sum(blocks[1:] ** 2, axis=0)
     return Moments(mean, np.sqrt(var))
 
-
-def gram_matrix(basis, rule):
-    """Quadrature approximation of the basis Gram matrix (identity, ideally)."""
-    H = basis.eval(rule.nodes)  # (M, K)
-    return H.T @ (H * rule.weights[:, None])

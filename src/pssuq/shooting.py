@@ -11,11 +11,13 @@ along the integration grid, hence exact for the discretized map.
 
 This module is the only definition of both shooting problems: ``Shooting``
 gives the residual run and Newton step (``shooting_jacobian``) that
-``damped_newton`` consumes, for one circuit or a batch. A (B, d) parameter
-batch advances in lockstep through the same grids, which is how the Monte
-Carlo driver amortizes its sampling loop and how the stochastic solver
-(``stpss``) runs its K testing-node circuits. A step one sample cannot
-take is bisected for the whole batch; ``floor_failure`` names the first
+``damped_newton`` consumes, for one circuit or a batch, and declares the
+shooting options every solver forwards as ``**options``: ``tol`` and
+``n_steps`` here, ``scheme`` and ``newton`` in ``integrate``. A (B, d)
+parameter batch advances in lockstep through the same grids, which is how
+the Monte Carlo driver amortizes its sampling loop and how the stochastic
+solver (``stpss``) runs its K testing-node circuits. A step one sample
+cannot take is bisected for the whole batch; ``floor_failure`` names the first
 sample the integrator flags at the bisection floor: one circuit's solve
 raises with it, a flagged batch sample is unusable. Converged and stalled
 samples retire: later runs integrate and chain only the pending rows,
@@ -32,7 +34,8 @@ its cycle settles (Aprille & Trick, IEEE Trans. Circuit Theory, 1972).
 ``solve_nominal`` is ``solve_at`` from it at xi = 0. The same linearized
 frequency at the DC points of a batch [0; xi] gives
 ``linearized_period_scales``, omega(0) / omega(xi), from which an
-oscillator's chaos solve starts each testing node's period scale.
+oscillator's chaos solve (``stpss.solve_st``, ``solve_at``'s counterpart)
+starts each testing node's period scale.
 """
 
 from dataclasses import dataclass
@@ -44,8 +47,6 @@ from .transient import (
     BACKWARD_EULER,
     ConvergenceError,
     Dae,
-    NewtonOptions,
-    TRAPEZOIDAL,
     Trajectory,
     batched_solve,
     integrate,
@@ -264,23 +265,25 @@ class Shooting:
     """One shooting problem: the ``run`` and ``newton_step`` damped_newton consumes.
 
     Integrates ``instance`` (one circuit or a batch) over ``horizon`` from
-    the state part of the unknown, first step backward Euler. A forced
-    problem (``phase`` None) has unknown y and residual phi(y) - y. An
-    oscillator has unknown (y, a): the right-hand side is scaled by a, the
-    residual gains the phase row y_j - value, and the Jacobian is bordered.
-    A residual is unusable (norm inf) where a is not above ``SCALE_FLOOR``
+    the state part of the unknown on ``n_steps`` steps, first step backward
+    Euler; ``integration`` (``scheme``, ``newton``) goes to ``integrate``.
+    A forced problem (``phase`` None) has unknown y and residual
+    phi(y) - y. An oscillator has unknown (y, a): the right-hand side is
+    scaled by a, the residual gains the phase row y_j - value, and the
+    Jacobian is bordered. Newton stops at residual norm ``tol``. A
+    residual is unusable (norm inf) where a is not above ``SCALE_FLOOR``
     or where the run flagged a batch sample; one circuit's flagged run raises.
+    These are the shooting options of every solver: each passes its
+    ``**options`` on to here.
     """
 
-    def __init__(
-        self, instance, horizon, phase=None, scheme=TRAPEZOIDAL, n_steps=200,
-        newton=NewtonOptions(),
-    ):
+    def __init__(self, instance, horizon, phase=None, tol=1e-5, n_steps=200, **integration):
         self.instance = instance
         self.horizon = horizon
         self.phase = phase
+        self.tol = tol
         self.pinned = None if phase is None else [phase.index]
-        self.options = dict(scheme=scheme, n_steps=n_steps, newton=newton, stabilized_start=True)
+        self.options = dict(n_steps=n_steps, stabilized_start=True, **integration)
 
     def system(self, u, rows):
         """The circuit of batch rows ``rows``, scaled by the period scales in ``u``."""
@@ -320,12 +323,12 @@ def stationary_orbits(traj, phase):
     return swing < MIN_SWING * (1.0 + abs(phase.value))
 
 
-def _shoot(instance, start, tol, scheme, n_steps, newton):
+def _shoot(instance, start, options):
     """Shooting Newton from ``start``: ``y`` (the DC point if None), ``period``
-    and ``phase``. Without a phase the circuit is driven and ``period`` is
-    its period; with one it is an oscillator and ``period`` the scaled
-    horizon. An instance realized at (B, d) coordinates gives (B, ...)
-    results, at B = 1 too."""
+    and ``phase``, with the ``Shooting`` options ``options``. Without a
+    phase the circuit is driven and ``period`` is its period; with one it
+    is an oscillator and ``period`` the scaled horizon. An instance
+    realized at (B, d) coordinates gives (B, ...) results, at B = 1 too."""
     phase = start.phase
     if not start.period > 0:
         raise ValueError("period guess must be positive" if phase else "period must be positive")
@@ -336,9 +339,9 @@ def _shoot(instance, start, tol, scheme, n_steps, newton):
     if not instance.scalar and y0.ndim == 1:
         y0 = np.broadcast_to(y0, (instance.batch_size, n)).copy()
     u0 = y0 if phase is None else np.concatenate([y0, np.ones((*y0.shape[:-1], 1))], axis=-1)
-    problem = Shooting(instance, start.period, phase, scheme, n_steps, newton)
-    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, tol)
-    converged = gn <= tol
+    problem = Shooting(instance, start.period, phase, **options)
+    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, problem.tol)
+    converged = gn <= problem.tol
     if phase is not None:
         dead = converged & stationary_orbits(traj, phase)
         if np.all(dead):
@@ -354,31 +357,15 @@ def _shoot(instance, start, tol, scheme, n_steps, newton):
     return PssSolution(u[..., :n], period, traj, len(history) - 1, gn, converged, a, phase)
 
 
-def solve_forced(
-    instance,
-    period,
-    y0=None,
-    tol=1e-5,
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
+def solve_forced(instance, period, y0=None, **options):
     """Shooting Newton for the periodic steady state of a driven circuit,
-    from ``y0`` (the DC point if None)."""
-    return _shoot(instance, NominalStart(y0, period), tol, scheme, n_steps, newton)
+    from ``y0`` (the DC point if None); ``options`` are ``Shooting``'s."""
+    return _shoot(instance, NominalStart(y0, period), options)
 
 
-def solve_autonomous(
-    instance,
-    phase,
-    period_guess,
-    y0,
-    tol=1e-5,
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
-    """Shooting Newton for an oscillator: unknowns are (y, period scale).
+def solve_autonomous(instance, phase, period_guess, y0, **options):
+    """Shooting Newton for an oscillator: unknowns are (y, period scale);
+    ``options`` are ``Shooting``'s.
 
     ``phase`` pins one state at t = 0; ``period_guess`` sets the scaled
     integration horizon, and the converged period is period_guess * a.
@@ -393,7 +380,7 @@ def solve_autonomous(
     Jacobian is singular by construction and any period near the linear
     resonance satisfies the residual test.
     """
-    return _shoot(instance, NominalStart(y0, period_guess, phase), tol, scheme, n_steps, newton)
+    return _shoot(instance, NominalStart(y0, period_guess, phase), options)
 
 
 def solve_at(circuit, start, xi, **options):
@@ -401,7 +388,7 @@ def solve_at(circuit, start, xi, **options):
     ``xi``, (d,) or (B, d), each solved from ``start`` (a ``NominalStart`` or
     a nominal ``PssSolution``): over its period if it has no phase
     condition, else as an oscillator with its phase condition and its
-    period as the scaled horizon. ``options`` go to the shooting solver."""
+    period as the scaled horizon. ``options`` are ``Shooting``'s."""
     instance = circuit.realize(xi)
     if start.phase is None:
         return solve_forced(instance, start.period, start.y, **options)
@@ -427,7 +414,7 @@ def nominal_start(circuit, period=None, phase_index=None, phase_value=None):
 
 def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **options):
     """Periodic steady state of the nominal circuit from its ``nominal_start``
-    (same arguments); ``options`` go to the shooting solver."""
+    (same arguments); ``options`` are ``Shooting``'s."""
     start = nominal_start(circuit, period, phase_index, phase_value)
     return solve_at(circuit, start, np.zeros(circuit.dim), **options)
 

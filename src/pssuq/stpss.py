@@ -11,8 +11,14 @@ estimate or a converged nominal period, and a(xi) each realization's
 period relative to it. The solve starts from the caller's a(xi). From
 a = 1 the nodes' whole period spread is in the first residual; from the
 ratio of linearized frequencies at the nodes' DC points
-(``shooting.linearized_period_scales``), where the CLI starts, only its
-nonlinear part is.
+(``shooting.linearized_period_scales``) only its nonlinear part is.
+
+``solve_st`` is the chaos solve from a start, the counterpart of
+``shooting.solve_at`` and the one place a start picks between forced and
+oscillator: it builds the basis and testing nodes (``chaos_basis``),
+assembles the stacked system, starts the coefficients at the start's
+state (``nominal_guess``) and an oscillator's period scales at their
+linearized values, and shoots.
 
 The collocation matrix V maps the stacked residual onto K independent
 deterministic shooting problems, one per testing node (Zhang, El-Moselhy,
@@ -39,19 +45,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpc import GpcCoefficients, moments
+from .gpc import GpcCoefficients, build_basis, moments, select_testing_nodes, tensor_rule
 from .shooting import (
-    CircuitDae, OscillationError, Shooting, damped_newton, floor_failure, shooting_jacobian,
-    stationary_orbits,
+    CircuitDae, OscillationError, Shooting, damped_newton, floor_failure,
+    linearized_period_scales, shooting_jacobian, stationary_orbits,
 )
 from .transient import (
     ConvergenceError,
     Dae,
-    NewtonOptions,
-    TRAPEZOIDAL,
     Trajectory,
     batched_solve,
-    integrate,
+    integrate,  # not called here: perfbench/test_harness.py checks the tracer rebinds it
 )
 
 
@@ -69,8 +73,7 @@ class StackedSystem(Dae):
     (set by the coupled step). A grid point is one evaluation of the node
     batch at V @ w, lifted by V. The solvers integrate the node circuits
     (``instances``); the stacked Jacobians serve the coupled shooting
-    update, and ``period_map`` integrates the per-node view (``node_dae``)
-    as the reference coefficient map.
+    update.
     """
 
     def __init__(self, circuit, basis, testing, kind, period=None, reference_period=None):
@@ -146,28 +149,6 @@ def assemble_autonomous(circuit, basis, testing, reference_period):
     )
 
 
-def period_map(system, coeffs, scheme=TRAPEZOIDAL, n_steps=200, newton=NewtonOptions()):
-    """One period of the coefficient stack, integrated at the testing nodes.
-
-    The surrogate states at the K testing nodes start at V @ coeffs and
-    advance as one lockstep batch of the node circuits over the forcing
-    period (forced) or the reference period in scaled time (oscillators,
-    with the scaling set in ``system.scale_coeffs``), first step backward
-    Euler. Returns ``(coefficient trajectory, node trajectory)``: the same
-    grid, with the node states mapped back by V^{-1} at every point. A
-    failing testing node raises as in the solvers. The solvers run this
-    batch through the shooting engine; ``period_map`` is the coefficient
-    map as a function, the reference their Jacobians are checked against.
-    """
-    horizon = system.period if system.kind == "forced" else system.reference_period
-    node_traj = integrate(
-        system.node_dae(), system.node_states(coeffs), 0.0, horizon, scheme=scheme,
-        n_steps=n_steps, newton=newton, stabilized_start=True,
-    )
-    _raise_on_failed_node(system, node_traj)
-    return _coefficient_trajectory(system, node_traj), node_traj
-
-
 def _coefficient_trajectory(system, node_traj):
     states = (system.testing.v_inv @ node_traj.states).reshape(node_traj.n_points, -1)
     return Trajectory(node_traj.times, states, node_traj.gammas)
@@ -240,7 +221,7 @@ def _iteration_log(history):
     return log
 
 
-def _shoot(system, engine, u0, mode, tol):
+def _shoot(system, engine, u0, mode):
     """Damped Newton on the coefficient unknowns through the node engine.
 
     The unknown is the n*K state coefficients followed, for oscillators,
@@ -282,8 +263,8 @@ def _shoot(system, engine, u0, mode, tol):
             raise ConvergenceError("singular shooting Jacobian")
         return delta
 
-    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, tol)
-    if not gn <= tol:
+    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, engine.tol)
+    if not gn <= engine.tol:
         raise ConvergenceError(f"stochastic {system.kind} shooting stalled at residual {gn:.3e}")
     scale = None
     if pinned is not None:
@@ -322,15 +303,7 @@ def nominal_guess(system, start):
 # forced circuits
 
 
-def shoot_forced(
-    system,
-    coeff_guess,
-    tol=1e-5,
-    mode="decoupled",
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
+def shoot_forced(system, coeff_guess, mode="decoupled", **options):
     """Solve the stochastic shooting problem of a driven circuit.
 
     Returns the chaos coefficients of x(0) with the one-period coefficient
@@ -338,28 +311,18 @@ def shoot_forced(
     nominal start, say). ``mode`` picks the Jacobian path: ``coupled``
     builds the dense stacked monodromy, ``decoupled`` solves the K per-node
     shooting systems after the V transform; both perform exact Newton on
-    the same discrete equations.
+    the same discrete equations. ``options`` are ``Shooting``'s.
     """
-    engine = Shooting(system.instances, system.period, None, scheme, n_steps, newton)
+    engine = Shooting(system.instances, system.period, **options)
     u0 = np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K)
-    return _shoot(system, engine, u0, mode, tol)
+    return _shoot(system, engine, u0, mode)
 
 
 # ---------------------------------------------------------------------------
 # autonomous circuits
 
 
-def shoot_autonomous(
-    system,
-    phase,
-    coeff_guess,
-    scale_guess,
-    tol=1e-5,
-    mode="decoupled",
-    scheme=TRAPEZOIDAL,
-    n_steps=200,
-    newton=NewtonOptions(),
-):
+def shoot_autonomous(system, phase, coeff_guess, scale_guess, mode="decoupled", **options):
     """Solve the stochastic shooting problem of an oscillator.
 
     Unknowns are the coefficients of z(0) plus the period-scaling
@@ -369,11 +332,46 @@ def shoot_autonomous(
     state ``phase.index`` starts at ``phase.value``, as H_1 = 1). The
     decoupled mode solves K independent bordered (n+1) systems at the
     nodes; the coupled mode assembles the dense (nK+K) Jacobian from the
-    stacked monodromy and the scaling-sensitivity recursion.
+    stacked monodromy and the scaling-sensitivity recursion. ``options``
+    are ``Shooting``'s.
     """
-    engine = Shooting(system.instances, system.reference_period, phase, scheme, n_steps, newton)
+    engine = Shooting(system.instances, system.reference_period, phase, **options)
     u0 = np.concatenate([
         np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K),
         np.asarray(scale_guess, dtype=float),
     ])
-    return _shoot(system, engine, u0, mode, tol)
+    return _shoot(system, engine, u0, mode)
+
+
+# ---------------------------------------------------------------------------
+# the chaos solve from a start
+
+
+def chaos_basis(circuit, order):
+    """The total-order ``order`` chaos basis of ``circuit``'s random
+    parameters and its testing nodes, picked from the (order + 1)-point
+    tensor Gauss rule: ``(basis, testing)``."""
+    dists = [s for _, s in circuit.random_params]
+    if not dists:
+        raise ValueError("circuit declares no random parameters")
+    basis = build_basis(dists, order)
+    return basis, select_testing_nodes(basis, tensor_rule(basis, order + 1))
+
+
+def solve_st(circuit, start, order, mode="decoupled", **options):
+    """The order-``order`` chaos solve of ``circuit`` from ``start`` (a
+    ``shooting.NominalStart`` or a nominal ``PssSolution``): over its period
+    if it has no phase condition, else as an oscillator with its phase
+    condition and its period as the horizon T0, each testing node's period
+    scale starting at omega(0) / omega(xi) (``linearized_period_scales``).
+    The coefficients start at the start's state (``nominal_guess``).
+    ``options`` are ``Shooting``'s. Returns ``(system, solution)``."""
+    basis, testing = chaos_basis(circuit, order)
+    if start.phase is None:
+        system = assemble_forced(circuit, basis, testing, period=start.period)
+        return system, shoot_forced(system, nominal_guess(system, start), mode, **options)
+    system = assemble_autonomous(circuit, basis, testing, float(start.period))
+    scale_guess = testing.v_inv @ linearized_period_scales(circuit, testing.nodes)
+    return system, shoot_autonomous(
+        system, start.phase, nominal_guess(system, start), scale_guess, mode, **options
+    )

@@ -71,7 +71,9 @@ class NewtonOptions:
 class Dae:
     """Base of the integrable systems: one-shot evaluations from a subclass's
     ``linearize``, ``terms`` and (if scaled) ``scale_columns``; one that can
-    stamp dQ/dw and dF/dw without Q and F overrides ``jacobians``."""
+    stamp dQ/dw and dF/dw without Q and F overrides ``jacobians``. The
+    solvers call ``eval_with_jac`` only; ``eval`` and ``dF_dscale`` stay
+    because perfbench/tracer.py wraps them by name."""
 
     def eval(self, w, t):
         return self.terms(self.linearize(w, t))[:2]

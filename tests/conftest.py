@@ -9,7 +9,13 @@ import pssuq.analysis as analysis
 from pssuq import load_netlist, parse_netlist
 from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous, solve_nominal
-from pssuq.stpss import assemble_forced, nominal_guess
+from pssuq.stpss import (
+    _coefficient_trajectory,
+    _raise_on_failed_node,
+    assemble_forced,
+    nominal_guess,
+)
+from pssuq.transient import integrate
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "src" / "pssuq" / "circuits"
 
@@ -122,6 +128,36 @@ def nominal_start(system, tol=1e-5, n_steps=200):
     over the system's period with the same tolerance and grid, in block 1."""
     nominal = solve_nominal(system.circuit, system.period, tol=tol, n_steps=n_steps)
     return nominal_guess(system, nominal)
+
+
+def gram_matrix(basis, rule):
+    """Quadrature approximation of the basis Gram matrix (identity, ideally)."""
+    H = basis.eval(rule.nodes)  # (M, K)
+    return H.T @ (H * rule.weights[:, None])
+
+
+def period_map(system, coeffs, **options):
+    """One period of the coefficient stack, integrated at the testing nodes.
+
+    The surrogate states at the K testing nodes start at V @ coeffs and
+    advance as one lockstep batch of the node circuits over the forcing
+    period (forced) or the reference period in scaled time (oscillators,
+    with the scaling set in ``system.scale_coeffs``), first step backward
+    Euler; ``options`` (``n_steps``, ``scheme``, ``newton``) go to
+    ``integrate``. Returns ``(coefficient trajectory, node trajectory)``:
+    the same grid, with the node states mapped back by V^{-1} at every
+    point. A failing testing node raises as in the solvers. The solvers
+    run this batch through the shooting engine; ``period_map`` is the
+    coefficient map as a function, the reference their Jacobians are
+    checked against.
+    """
+    horizon = system.period if system.kind == "forced" else system.reference_period
+    node_traj = integrate(
+        system.node_dae(), system.node_states(coeffs), 0.0, horizon, stabilized_start=True,
+        **options,
+    )
+    _raise_on_failed_node(system, node_traj)
+    return _coefficient_trajectory(system, node_traj), node_traj
 
 
 def draws_with_short(monkeypatch, rows, drop=False):

@@ -27,7 +27,6 @@ from pssuq.gpc import (
     basis_size,
     build_basis,
     gauss_rule,
-    gram_matrix,
     select_testing_nodes,
     tensor_rule,
 )
@@ -35,13 +34,12 @@ from pssuq.shooting import CircuitDae, solve_autonomous, solve_forced, solve_nom
 from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
-    period_map,
     shoot_autonomous,
     shoot_forced,
 )
 from pssuq.transient import integrate, transition_chain
 
-from conftest import CIRCUITS_DIR, nominal_start
+from conftest import CIRCUITS_DIR, gram_matrix, nominal_start, period_map
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)

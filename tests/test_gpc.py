@@ -20,12 +20,13 @@ from pssuq.gpc import (
     build_basis,
     eval_univariate,
     gauss_rule,
-    gram_matrix,
     moments,
     select_testing_nodes,
     surrogate_eval,
     tensor_rule,
 )
+
+from conftest import gram_matrix
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)

@@ -11,6 +11,8 @@ from pssuq.shooting import (
     CircuitDae,
     OscillationError,
     PhaseCondition,
+    linearized_period_scales,
+    nominal_start as start_of,
     solve_autonomous,
     solve_forced,
     solve_nominal,
@@ -19,9 +21,9 @@ from pssuq.stpss import (
     assemble_autonomous,
     assemble_forced,
     nominal_guess,
-    period_map,
     shoot_autonomous,
     shoot_forced,
+    solve_st,
 )
 from pssuq.transient import (
     BACKWARD_EULER,
@@ -33,7 +35,7 @@ from pssuq.transient import (
     transition_chain,
 )
 
-from conftest import SHORTED_AT_A_NODE, nominal_start
+from conftest import SHORTED_AT_A_NODE, nominal_start, period_map
 
 
 def _setup(circuit, order):
@@ -568,3 +570,45 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
     surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
     det = solve_forced(circuit.realize(xi), 1e-3, tol=tol, n_steps=40)
     assert np.abs(surro - det.y).max() < tol
+
+
+# -- the chaos solve from a start ---------------------------------------------------
+
+
+def _assert_same_solve(system, sol, ref_system, ref):
+    assert (system.kind, system.ndim) == (ref_system.kind, ref_system.ndim)
+    assert np.array_equal(system.testing.nodes, ref_system.testing.nodes)
+    assert (sol.mode, sol.iterations) == (ref.mode, ref.iterations)
+    assert sol.residual_norm == ref.residual_norm
+    assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.iterates, ref.iterates, strict=True))
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "coupled"])
+def test_solve_st_is_the_forced_recipe_bit_for_bit(rectifier, mode):
+    start = start_of(rectifier)
+    basis, testing = _setup(rectifier, 2)
+    ref_system = assemble_forced(rectifier, basis, testing, period=start.period)
+    ref = shoot_forced(ref_system, nominal_guess(ref_system, start), mode=mode, n_steps=100)
+    system, sol = solve_st(rectifier, start, 2, mode, n_steps=100)
+    _assert_same_solve(system, sol, ref_system, ref)
+
+
+def test_solve_st_is_the_oscillator_recipe_bit_for_bit(colpitts):
+    """The oscillator's scale guess is each node's linearized period scale."""
+    start = start_of(colpitts, phase_index=colpitts.node_state("coll"))
+    basis, testing = _setup(colpitts, 2)
+    ref_system = assemble_autonomous(colpitts, basis, testing, start.period)
+    scale = testing.v_inv @ linearized_period_scales(colpitts, testing.nodes)
+    guess = nominal_guess(ref_system, start)
+    ref = shoot_autonomous(ref_system, start.phase, guess, scale, n_steps=300)
+    system, sol = solve_st(colpitts, start, 2, n_steps=300)
+    _assert_same_solve(system, sol, ref_system, ref)
+    assert np.array_equal(sol.scale_coeffs.blocks, ref.scale_coeffs.blocks)
+    assert sol.reference_period == ref.reference_period == start.period
+
+
+def test_solve_st_needs_a_random_parameter():
+    circuit = parse_netlist("V1 in 0 SIN(0 1 1k)\nR1 in out 1k\nC1 out 0 1u\n")
+    with pytest.raises(ValueError, match="no random parameters"):
+        solve_st(circuit, start_of(circuit), 1)
