@@ -8,7 +8,9 @@ is given, the one ``compare``'s chaos solve starts from
 (``shooting.solve_nominal``), so both share its period and phase anchor.
 Post-processing turns converged chaos solutions into mean/std waveforms,
 metric distributions (period, harmonic distortion, average power) sampled
-cheaply from the surrogate, and quantitative ST-vs-MC comparisons.
+cheaply from the surrogate, and the chaos-vs-Monte-Carlo comparison record
+that ``compare`` writes as ``compare.json`` (``build_uq_report``). A
+solution is an oscillator's when it has period-scaling coefficients.
 """
 
 import math
@@ -25,14 +27,13 @@ from .transient import ConvergenceError
 # reproducible sampling
 
 
-def draw_standardized(families, seed, count, offset=0):
+def draw_standardized(families, seed, count):
     """Standardized coordinate draws for each sample index.
 
     Sample i consumes its own fixed block of a counter-based (Philox)
     uniform stream keyed by the seed, so the draw depends only on
-    (seed, offset + i): splitting a run into batches, reordering samples,
-    or parallel scheduling cannot change any sample's coordinates
-    (draw(seed, n, offset=k) equals rows k:k+n of draw(seed, k+n)).
+    (seed, i): draw(seed, n) is the first n rows of draw(seed, n + m), so
+    a larger run keeps every sample of a smaller one.
     Coordinate j maps the next uniforms of the block through the sampler
     of chaos family ``families[j]``.
     """
@@ -41,8 +42,6 @@ def draw_standardized(families, seed, count, offset=0):
     # one counter block yields four doubles; pad so blocks stay aligned
     block = -(-need // 4) * 4
     bitgen = np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF)
-    if offset:
-        bitgen.advance(offset * (block // 4))
     u = np.random.Generator(bitgen).random((count, block))
     out = np.empty((count, len(samplers)))
     c = 0
@@ -172,9 +171,9 @@ def surrogate_waveforms(solution, xi, state):
 
 def sample_periods(solution, xi):
     """Period realizations T0 * a(xi) from an autonomous solution."""
-    if solution.kind != "autonomous":
+    if solution.scale_coeffs is None:
         raise ValueError("period sampling needs an autonomous solution")
-    return solution.reference_period * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
+    return solution.horizon * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -362,41 +361,6 @@ def metric_distribution(
 # chaos vs Monte Carlo comparison
 
 
-@dataclass
-class UqReport:
-    """Side-by-side statistics of a chaos solution and its MC baseline.
-
-    Waveform deltas are infinity norms over the shared grid, normalized by
-    each state's peak mean magnitude. ``period`` carries the oscillator
-    period statistics and their relative deltas (None for forced runs).
-    """
-
-    kind: str
-    times: np.ndarray
-    chaos_mean: np.ndarray
-    chaos_std: np.ndarray
-    mc_mean: np.ndarray
-    mc_std: np.ndarray
-    max_rel_mean_delta: float
-    max_rel_std_delta: float
-    mc_samples: int
-    period: dict | None = None
-
-    normalization = "per-state peak of the Monte Carlo mean waveform"
-
-    def summary(self):
-        out = {
-            "kind": self.kind,
-            "max_rel_mean_delta": self.max_rel_mean_delta,
-            "max_rel_std_delta": self.max_rel_std_delta,
-            "normalization": self.normalization,
-            "mc_samples": self.mc_samples,
-        }
-        if self.period is not None:
-            out.update({f"period_{k}": v for k, v in self.period.items()})
-        return out
-
-
 def _shared_time_points(ta, tb):
     """Indices (ia, ib) of the points two time grids share, to rounding.
 
@@ -413,13 +377,17 @@ def _shared_time_points(ta, tb):
 
 
 def build_uq_report(solution, mc_run, surrogate_periods=None):
-    """Compare a converged chaos solution against a Monte Carlo run.
+    """Compare a converged chaos solution against a Monte Carlo run: the
+    ``compare.json`` record.
 
     Both must come from the same circuit over the same interval. The
     waveforms are compared at the time points both grids hold: a step one
-    of the runs bisected adds points only that run has. For oscillator
-    runs, pass an independent surrogate period sample of the same size as
-    the MC run to get the distribution (KS) comparison.
+    of the runs bisected adds points only that run has. The waveform
+    deltas are infinity norms over those points, normalized by each
+    state's peak Monte Carlo mean magnitude. An oscillator's record adds
+    the period statistics and their relative deltas (``period_*``); pass
+    an independent surrogate period sample of the same size as the MC run
+    to add the distribution (KS) comparison.
     """
     ws = waveform_stats(solution)
     mc_mean, mc_std = mc_run.waveform_mean_std()
@@ -427,35 +395,29 @@ def build_uq_report(solution, mc_run, surrogate_periods=None):
     if shared is None or ws.mean.shape[1:] != mc_mean.shape[1:]:
         raise ValueError("chaos and Monte Carlo runs use different grids")
     ia, ib = shared
-    ws = WaveformStats(ws.times[ia], ws.mean[ia], ws.std[ia])
     mc_mean, mc_std = mc_mean[ib], mc_std[ib]
     peak = np.max(np.abs(mc_mean), axis=0)
     peak = np.where(peak > 0, peak, 1.0)
-    period = None
-    if solution.kind == "autonomous":
+    out = {
+        "kind": "forced" if solution.scale_coeffs is None else "autonomous",
+        "max_rel_mean_delta": float(np.max(np.abs(ws.mean[ia] - mc_mean) / peak)),
+        "max_rel_std_delta": float(np.max(np.abs(ws.std[ia] - mc_std) / peak)),
+        "normalization": "per-state peak of the Monte Carlo mean waveform",
+        "mc_samples": mc_run.n_samples,
+    }
+    if solution.scale_coeffs is not None:
         pm, ps = mc_run.scalar_stats(mc_run.period)
         sm, ss = solution.period_moments()
-        period = {
-            "mean_chaos": float(sm),
-            "mean_mc": pm,
-            "std_chaos": float(ss),
-            "std_mc": ps,
-            "mean_rel_delta": abs(sm - pm) / pm,
-            "std_rel_delta": abs(ss - ps) / ps,
-        }
+        out.update({
+            "period_mean_chaos": float(sm),
+            "period_mean_mc": pm,
+            "period_std_chaos": float(ss),
+            "period_std_mc": ps,
+            "period_mean_rel_delta": abs(sm - pm) / pm,
+            "period_std_rel_delta": abs(ss - ps) / ps,
+        })
         if surrogate_periods is not None:
-            period["ks_statistic"] = ks_statistic(
+            out["period_ks_statistic"] = ks_statistic(
                 surrogate_periods, np.asarray(mc_run.period)[mc_run.ok()]
             )
-    return UqReport(
-        kind=solution.kind,
-        times=ws.times,
-        chaos_mean=ws.mean,
-        chaos_std=ws.std,
-        mc_mean=mc_mean,
-        mc_std=mc_std,
-        max_rel_mean_delta=float(np.max(np.abs(ws.mean - mc_mean) / peak)),
-        max_rel_std_delta=float(np.max(np.abs(ws.std - mc_std) / peak)),
-        mc_samples=mc_run.n_samples,
-        period=period,
-    )
+    return out

@@ -40,28 +40,10 @@ from .analysis import (
     sample_periods,
     waveform_stats,
 )
-from .circuit import CircuitError
-from .netlist import NetlistError, parse_netlist
-from .shooting import OscillationError, nominal_start, solve_nominal
+from .netlist import parse_netlist
+from .shooting import OscillationError, nominal_start, shooting_jacobian, solve_nominal
 from .stpss import assemble_forced, chaos_basis, solve_st
-from .transient import (
-    ConvergenceError,
-    NewtonOptions,
-    integrate,
-    scheme_by_name,
-    transition_chain,
-)
-
-COMMANDS = (
-    "pss-forced",
-    "pss-osc",
-    "st-forced",
-    "st-osc",
-    "mc",
-    "compare",
-    "convergence",
-    "speedup",
-)
+from .transient import ConvergenceError, NewtonOptions, integrate, scheme_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,6 +67,9 @@ _DEFAULTS = {
     "metric_samples": 100_000,
     "metrics": [],
 }
+
+# the state fields each metric distribution reads; ``period`` reads none
+_METRIC_STATES = {"period": (), "thd": ("output_state",), "power": ("v_state", "i_state")}
 
 
 def _is_int(v):
@@ -124,6 +109,13 @@ def load_config(path, overrides=None):
         raise ConfigError("period must be positive")
     if not (isinstance(cfg["metrics"], list) and all(isinstance(m, str) for m in cfg["metrics"])):
         raise ConfigError("metrics must be a list of strings")
+    for metric in cfg["metrics"]:
+        if metric not in _METRIC_STATES:
+            raise ConfigError(
+                f"metrics: unknown metric {metric!r} (known: {', '.join(_METRIC_STATES)})"
+            )
+        for key in _METRIC_STATES[metric]:
+            _require(cfg, key, f"{metric} metric")
     if not (_is_int(cfg["gpc_order"]) and cfg["gpc_order"] >= 0):
         raise ConfigError("gpc_order must be an integer >= 0")
     if not (_is_int(cfg["steps_per_period"]) and cfg["steps_per_period"] >= 16):
@@ -290,19 +282,24 @@ def _write_distribution(rep, name, dist):
     rep.say(f"metric {name}: mean {dist.mean:.6g}, std {dist.std:.6g}")
 
 
-def _st_metrics(rep, circuit, cfg, sol):
-    for metric in cfg["metrics"]:
+def _st_metrics(circuit, cfg, kind):
+    """The metric distributions an ``st-*`` run writes, each with its
+    ``metric_distribution`` keywords, the state labels resolved: an
+    oscillator's period first, then the config's ``metrics``, each once."""
+    names = (["period"] if kind == "autonomous" else []) + cfg["metrics"]
+    metrics = {}
+    for metric in dict.fromkeys(names):
+        if metric == "period" and kind != "autonomous":
+            raise ConfigError("the period metric needs an oscillator (st-osc)")
         kw = {}
         if metric == "thd":
-            kw["state"] = circuit.state_index(str(_require(cfg, "output_state", "thd metric")))
+            kw["state"] = circuit.state_index(str(cfg["output_state"]))
         elif metric == "power":
-            kw["v_state"] = circuit.state_index(str(_require(cfg, "v_state", "power metric")))
-            kw["i_state"] = circuit.state_index(str(_require(cfg, "i_state", "power metric")))
+            kw["v_state"] = circuit.state_index(str(cfg["v_state"]))
+            kw["i_state"] = circuit.state_index(str(cfg["i_state"]))
             kw["power_sign"] = float(cfg.get("power_sign", 1.0))
-        dist = metric_distribution(
-            sol, metric, cfg["metric_samples"], cfg["seed"] + 1, **kw
-        )
-        _write_distribution(rep, metric, dist)
+        metrics[metric] = kw
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +337,15 @@ def _solve_st(circuit, cfg, start):
 
 
 def _cmd_st(rep, circuit, cfg, kind):
+    metrics = _st_metrics(circuit, cfg, kind)
     with rep.phase("start"):
         start = nominal_start(*_nominal_problem(circuit, cfg, kind))
     with rep.phase("chaos_solve"):
-        system, sol = _solve_st(circuit, cfg, start)
-    _write_st_outputs(rep, circuit, cfg, system, sol)
+        sol = _solve_st(circuit, cfg, start)
+    _write_st_outputs(rep, circuit, sol)
     if kind == "forced":
         rep.say(
-            f"chaos forced PSS: order {cfg['gpc_order']} ({system.K} basis functions), "
+            f"chaos forced PSS: order {cfg['gpc_order']} ({sol.testing.size} basis functions), "
             f"{sol.iterations} iterations, residual {sol.residual_norm:.3e}, mode {sol.mode}"
         )
     else:
@@ -356,17 +354,17 @@ def _cmd_st(rep, circuit, cfg, kind):
             f"chaos oscillator PSS: period mean {mean:.6g} s, std {std:.6g} s, "
             f"{sol.iterations} iterations, mode {sol.mode}"
         )
-        dist = metric_distribution(sol, "period", cfg["metric_samples"], cfg["seed"] + 1)
-        _write_distribution(rep, "period", dist)
-    _st_metrics(rep, circuit, cfg, sol)
+    for metric, kw in metrics.items():
+        dist = metric_distribution(sol, metric, cfg["metric_samples"], cfg["seed"] + 1, **kw)
+        _write_distribution(rep, metric, dist)
 
 
-def _write_st_outputs(rep, circuit, cfg, system, sol):
+def _write_st_outputs(rep, circuit, sol):
     rep.write_json("solution.json", sol.summary())
-    rep.write_text("testing_nodes.json", system.testing.to_json() + "\n")
+    rep.write_text("testing_nodes.json", sol.testing.to_json() + "\n")
     # column c<k>[<state>]: the k-th chaos coefficient (1-based, index-set
     # order) of that state, block-major like the coefficient stack
-    header = [f"c{k + 1}[{nm}]" for k in range(system.K) for nm in circuit.state_names]
+    header = [f"c{k + 1}[{nm}]" for k in range(sol.testing.size) for nm in circuit.state_names]
     _write_trajectory(rep, "coefficients.csv", header, sol.trajectory)
     ws = waveform_stats(sol)
     header, rows = _waveform_stats_rows(ws.times, ws.mean, ws.std, circuit.state_names)
@@ -414,8 +412,8 @@ def _cmd_compare(rep, circuit, cfg):
     with rep.phase("nominal_solve"):
         nominal = _solve_nominal(circuit, cfg)
     with rep.phase("chaos_solve"):
-        system, sol = _solve_st(circuit, cfg, nominal)
-    _write_st_outputs(rep, circuit, cfg, system, sol)
+        sol = _solve_st(circuit, cfg, nominal)
+    _write_st_outputs(rep, circuit, sol)
     run = _run_mc(rep, circuit, cfg, nominal)
 
     surrogate = None
@@ -426,16 +424,16 @@ def _cmd_compare(rep, circuit, cfg):
     report = build_uq_report(sol, run, surrogate_periods=surrogate)
     rep.say(
         f"chaos vs Monte Carlo: max relative mean delta "
-        f"{report.max_rel_mean_delta:.3e}, std delta {report.max_rel_std_delta:.3e}"
+        f"{report['max_rel_mean_delta']:.3e}, std delta {report['max_rel_std_delta']:.3e}"
     )
-    if report.period is not None:
-        p = report.period
+    if surrogate is not None:
         rep.say(
-            f"period: chaos {p['mean_chaos']:.6g} +- {p['std_chaos']:.3g} s, "
-            f"MC {p['mean_mc']:.6g} +- {p['std_mc']:.3g} s, "
-            f"KS {p.get('ks_statistic', float('nan')):.4f}"
+            f"period: chaos {report['period_mean_chaos']:.6g} +- "
+            f"{report['period_std_chaos']:.3g} s, "
+            f"MC {report['period_mean_mc']:.6g} +- {report['period_std_mc']:.3g} s, "
+            f"KS {report['period_ks_statistic']:.4f}"
         )
-    rep.write_json("compare.json", report.summary())
+    rep.write_json("compare.json", report)
 
 
 def _cmd_convergence(rep, circuit, cfg):
@@ -459,8 +457,7 @@ def convergence_sweep(circuit, cfg, orders):
     nominal = _solve_nominal(circuit, cfg, "forced")
     solutions = {}
     for p in sorted(set(orders)):
-        _, sol = _solve_st(circuit, dict(cfg, gpc_order=p), nominal)
-        solutions[p] = sol.coeffs.blocks
+        solutions[p] = _solve_st(circuit, dict(cfg, gpc_order=p), nominal).coeffs.blocks
     p_ref = max(solutions)
     ref = solutions[p_ref]
     scale = np.max(np.abs(ref))
@@ -627,8 +624,7 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
         traj = integrate(
             node_sys, np.zeros((K, n)), 0.0, 1e-3, n_steps=n_steps, stabilized_start=True
         )
-        M_nodes, _ = transition_chain(node_sys, traj)
-        J_nodes = M_nodes - np.eye(n)
+        J_nodes = shooting_jacobian(node_sys, traj)
         g = rng.standard_normal(n * K)
 
         # coupled Jacobian via the congruence transform (not timed); filled
@@ -690,6 +686,8 @@ _RUNNERS = {
     "speedup": _cmd_speedup,
 }
 
+COMMANDS = tuple(_RUNNERS)
+
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -718,7 +716,7 @@ def run(command, netlist_path, config_path, out_dir, seed=None, order=None, mode
             if not netlist_path:
                 raise ConfigError(f"{command} needs --netlist")
             circuit = _load_circuit(netlist_path)
-    except (ConfigError, NetlistError, CircuitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -730,7 +728,7 @@ def run(command, netlist_path, config_path, out_dir, seed=None, order=None, mode
         rep.say(f"FAILED: {exc}")
         rep.finish(command, netlist_path, cfg)
         return EXIT_SOLVER
-    except (ConfigError, NetlistError, CircuitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

@@ -18,7 +18,10 @@ ratio of linearized frequencies at the nodes' DC points
 oscillator: it builds the basis and testing nodes (``chaos_basis``),
 assembles the stacked system, starts the coefficients at the start's
 state (``nominal_guess``) and an oscillator's period scales at their
-linearized values, and shoots.
+linearized values, and shoots. It returns the ``StochasticPssSolution``
+alone, which carries its testing nodes. The system and the solution keep
+one ``horizon``, the excitation period or T0; an oscillator is the one
+with period-scaling coefficients (``scale_coeffs`` not None).
 
 The collocation matrix V maps the stacked residual onto K independent
 deterministic shooting problems, one per testing node (Zhang, El-Moselhy,
@@ -45,7 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpc import GpcCoefficients, build_basis, moments, select_testing_nodes, tensor_rule
+from .gpc import (
+    GpcCoefficients, TestingSet, build_basis, moments, select_testing_nodes, tensor_rule,
+)
 from .shooting import (
     CircuitDae, OscillationError, Shooting, damped_newton, floor_failure,
     linearized_period_scales, shooting_jacobian, stationary_orbits,
@@ -68,28 +73,25 @@ class StackedSystem(Dae):
 
     Residual block k is the deterministic residual at testing node k with
     the state surrogate evaluated there; the unknown vector is the
-    coefficient stack. For oscillators the resistive part of each block is
-    multiplied by that node's period scaling, read from ``scale_coeffs``
-    (set by the coupled step). A grid point is one evaluation of the node
-    batch at V @ w, lifted by V. The solvers integrate the node circuits
-    (``instances``); the stacked Jacobians serve the coupled shooting
-    update.
+    coefficient stack, integrated over ``horizon``. An ``oscillator`` has
+    period-scaling coefficients ``scale_coeffs`` (None for a forced
+    circuit), set by the coupled step: the resistive part of each block is
+    multiplied by that node's scaling. A grid point is one evaluation of
+    the node batch at V @ w, lifted by V. The solvers integrate the node
+    circuits (``instances``); the stacked Jacobians serve the coupled
+    shooting update.
     """
 
-    def __init__(self, circuit, basis, testing, kind, period=None, reference_period=None):
-        if kind not in ("forced", "autonomous"):
-            raise ValueError(f"unknown kind {kind!r}")
+    def __init__(self, circuit, basis, testing, horizon, oscillator=False):
         self.circuit = circuit
         self.basis = basis
         self.testing = testing
-        self.kind = kind
-        self.period = period
-        self.reference_period = reference_period
+        self.horizon = horizon
         self.n = circuit.n_states
         self.K = testing.size
         self.instances = circuit.realize(testing.nodes)
         self.scale_coeffs = None
-        if kind == "autonomous":
+        if oscillator:
             self.scale_coeffs = np.zeros(self.K)
             self.scale_coeffs[0] = 1.0
 
@@ -106,7 +108,7 @@ class StackedSystem(Dae):
 
     def node_dae(self):
         """Per-node deterministic view (batched over the testing nodes)."""
-        scale = self.node_scales() if self.kind == "autonomous" else None
+        scale = None if self.scale_coeffs is None else self.node_scales()
         return CircuitDae(self.instances, scale=scale)
 
     def linearize(self, w, t):
@@ -125,7 +127,7 @@ class StackedSystem(Dae):
 
     def scale_columns(self, lin):
         """Derivative of the stacked F w.r.t. the scaling coefficients."""
-        if self.kind != "autonomous":
+        if self.scale_coeffs is None:
             raise ValueError("scaling sensitivity only exists for oscillators")
         return self._lift(self.node_dae().scale_columns(lin))
 
@@ -134,7 +136,7 @@ def assemble_forced(circuit, basis, testing, period=None):
     """Stacked system for a periodically driven circuit."""
     if period is None:
         period = circuit.fundamental_period()
-    return StackedSystem(circuit, basis, testing, "forced", period=period)
+    return StackedSystem(circuit, basis, testing, period)
 
 
 def assemble_autonomous(circuit, basis, testing, reference_period):
@@ -144,9 +146,7 @@ def assemble_autonomous(circuit, basis, testing, reference_period):
         raise ValueError("reference period must be positive")
     if not circuit.is_autonomous:
         raise ValueError("circuit has a time-varying source")
-    return StackedSystem(
-        circuit, basis, testing, "autonomous", reference_period=reference_period
-    )
+    return StackedSystem(circuit, basis, testing, reference_period, oscillator=True)
 
 
 def _coefficient_trajectory(system, node_traj):
@@ -170,48 +170,46 @@ def _raise_on_failed_node(system, node_traj):
 
 @dataclass
 class StochasticPssSolution:
-    """Chaos coefficients of the periodic solution (and period scaling)."""
+    """Chaos coefficients of the periodic solution, converged (a solve that
+    does not converge raises), and of an oscillator's period scaling."""
 
-    kind: str
     coeffs: GpcCoefficients  # (K, n) coefficients of x(0) resp. z(0)
-    period: float | None  # excitation period (forced)
-    reference_period: float | None  # T0, the scaled-time horizon (autonomous)
-    scale_coeffs: GpcCoefficients | None  # (K,) coefficients of a(xi)
+    testing: TestingSet  # the K nodes the solve collocated at
+    horizon: float  # the excitation period, or T0 (oscillators)
+    scale_coeffs: GpcCoefficients | None  # (K,) coefficients of a(xi); None if forced
     trajectory: Trajectory  # one period of the coefficient stack
     iterations: int
     residual_norm: float
     per_node_residuals: np.ndarray
-    converged: bool
     iterates: list = field(default_factory=list)
     iteration_log: list = field(default_factory=list)
     mode: str = "decoupled"
 
     def period_moments(self):
-        if self.kind != "autonomous":
+        if self.scale_coeffs is None:
             raise ValueError("period statistics exist only for oscillators")
         m = moments(self.scale_coeffs)
-        return self.reference_period * m.mean, self.reference_period * m.std
+        return self.horizon * m.mean, self.horizon * m.std
 
     def summary(self):
         out = {
-            "kind": self.kind,
+            "kind": "forced" if self.scale_coeffs is None else "autonomous",
             "mode": self.mode,
             "iterations": int(self.iterations),
             "residual_norm": float(self.residual_norm),
             "per_node_residuals": self.per_node_residuals.tolist(),
-            "converged": bool(self.converged),
+            "converged": True,
             "iteration_log": self.iteration_log,
         }
-        if self.kind == "autonomous":
+        if self.scale_coeffs is None:
+            out["period"] = float(self.horizon)
+        else:
             mean, std = self.period_moments()
-            out["reference_period"] = float(self.reference_period)
+            out["reference_period"] = float(self.horizon)
             out["scale_coefficients"] = self.scale_coeffs.blocks.tolist()
             out["period_mean"] = float(mean)
             out["period_std"] = float(std)
-        else:
-            out["period"] = float(self.period)
         return out
-
 
 
 def _iteration_log(history):
@@ -265,7 +263,8 @@ def _shoot(system, engine, u0, mode):
 
     u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, engine.tol)
     if not gn <= engine.tol:
-        raise ConvergenceError(f"stochastic {system.kind} shooting stalled at residual {gn:.3e}")
+        kind = "forced" if pinned is None else "autonomous"
+        raise ConvergenceError(f"stochastic {kind} shooting stalled at residual {gn:.3e}")
     scale = None
     if pinned is not None:
         dead = stationary_orbits(node_traj, engine.phase)
@@ -276,16 +275,14 @@ def _shoot(system, engine, u0, mode):
         system.scale_coeffs = u[n * K :]
         scale = GpcCoefficients(system.basis, system.scale_coeffs)
     return StochasticPssSolution(
-        system.kind,
         GpcCoefficients(system.basis, u[: n * K].reshape(K, n)),
-        system.period,
-        system.reference_period,
+        system.testing,
+        system.horizon,
         scale,
         _coefficient_trajectory(system, node_traj),
         len(history) - 1,
         float(gn),
         np.max(np.abs(V @ blocks(g)[:, :n]), axis=1),
-        True,
         [h[0] for h in history],
         _iteration_log(history),
         mode,
@@ -313,7 +310,7 @@ def shoot_forced(system, coeff_guess, mode="decoupled", **options):
     shooting systems after the V transform; both perform exact Newton on
     the same discrete equations. ``options`` are ``Shooting``'s.
     """
-    engine = Shooting(system.instances, system.period, **options)
+    engine = Shooting(system.instances, system.horizon, **options)
     u0 = np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K)
     return _shoot(system, engine, u0, mode)
 
@@ -335,7 +332,7 @@ def shoot_autonomous(system, phase, coeff_guess, scale_guess, mode="decoupled", 
     stacked monodromy and the scaling-sensitivity recursion. ``options``
     are ``Shooting``'s.
     """
-    engine = Shooting(system.instances, system.reference_period, phase, **options)
+    engine = Shooting(system.instances, system.horizon, phase, **options)
     u0 = np.concatenate([
         np.asarray(coeff_guess, dtype=float).reshape(system.n * system.K),
         np.asarray(scale_guess, dtype=float),
@@ -365,13 +362,13 @@ def solve_st(circuit, start, order, mode="decoupled", **options):
     condition and its period as the horizon T0, each testing node's period
     scale starting at omega(0) / omega(xi) (``linearized_period_scales``).
     The coefficients start at the start's state (``nominal_guess``).
-    ``options`` are ``Shooting``'s. Returns ``(system, solution)``."""
+    ``options`` are ``Shooting``'s. Returns the ``StochasticPssSolution``."""
     basis, testing = chaos_basis(circuit, order)
     if start.phase is None:
         system = assemble_forced(circuit, basis, testing, period=start.period)
-        return system, shoot_forced(system, nominal_guess(system, start), mode, **options)
+        return shoot_forced(system, nominal_guess(system, start), mode, **options)
     system = assemble_autonomous(circuit, basis, testing, float(start.period))
     scale_guess = testing.v_inv @ linearized_period_scales(circuit, testing.nodes)
-    return system, shoot_autonomous(
+    return shoot_autonomous(
         system, start.phase, nominal_guess(system, start), scale_guess, mode, **options
     )

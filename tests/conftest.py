@@ -126,7 +126,7 @@ def lna_perturbed():
 def nominal_start(system, tol=1e-5, n_steps=200):
     """``shoot_forced``'s coefficient guess: the nominal solution, solved
     over the system's period with the same tolerance and grid, in block 1."""
-    nominal = solve_nominal(system.circuit, system.period, tol=tol, n_steps=n_steps)
+    nominal = solve_nominal(system.circuit, system.horizon, tol=tol, n_steps=n_steps)
     return nominal_guess(system, nominal)
 
 
@@ -151,9 +151,8 @@ def period_map(system, coeffs, **options):
     coefficient map as a function, the reference their Jacobians are
     checked against.
     """
-    horizon = system.period if system.kind == "forced" else system.reference_period
     node_traj = integrate(
-        system.node_dae(), system.node_states(coeffs), 0.0, horizon, stabilized_start=True,
+        system.node_dae(), system.node_states(coeffs), 0.0, system.horizon, stabilized_start=True,
         **options,
     )
     _raise_on_failed_node(system, node_traj)
@@ -167,8 +166,8 @@ def draws_with_short(monkeypatch, rows, drop=False):
     that shooting fails on its own."""
     draw = analysis.draw_standardized
 
-    def patched(families, seed, count, offset=0):
-        xi = np.maximum(draw(families, seed, count + (len(rows) if drop else 0), offset), -0.5)
+    def patched(families, seed, count):
+        xi = np.maximum(draw(families, seed, count + (len(rows) if drop else 0)), -0.5)
         if drop:
             return np.delete(xi, rows, axis=0)
         xi[rows] = -1.0

@@ -88,6 +88,72 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):
     assert not list((tmp_path / "out").glob("*"))  # rejected before any solve writes
 
 
+@pytest.mark.parametrize(
+    "command, name, fields, error, config_only",
+    [
+        # config faults: rejected by load_config, before the output directory
+        ("st-forced", "rc_lowpass", {"metrics": ["foo"]}, "metrics: unknown metric 'foo'", True),
+        ("st-forced", "rc_lowpass", {"metrics": ["power"]}, "'v_state'", True),
+        # faults only the circuit or the command shows: before the start
+        ("st-forced", "rc_lowpass", {"metrics": ["thd"], "output_state": "nope"}, "'nope'", False),
+        ("st-forced", "rc_lowpass", {"metrics": ["period"]}, "period metric", False),
+        # an oscillator's period distribution is written once
+        ("st-osc", "vanderpol", {"metrics": ["period"], "phase_state": "1"}, None, False),
+    ],
+    ids=["unknown-name", "power-without-v_state", "unknown-label", "forced-period", "osc-period"],
+)
+def test_metric_faults_exit_2_before_the_solve(
+    tmp_path, monkeypatch, capsys, command, name, fields, error, config_only
+):
+    starts = []
+
+    def spy(*args, _start=cli.nominal_start):
+        starts.append(args)
+        return _start(*args)
+
+    monkeypatch.setattr(cli, "nominal_start", spy)
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=100, metric_samples=1000, **fields)
+    out = tmp_path / "out"
+    code = run(command, CIRCUITS_DIR / f"{name}.cir", cfg, out)
+    if error is None:
+        assert code == EXIT_OK
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert sum(line.startswith("metric period") for line in lines) == 1
+        return
+    assert code == EXIT_CONFIG and not starts
+    assert error in capsys.readouterr().err
+    assert not (out.exists() if config_only else list(out.glob("*")))
+
+
+def test_solution_and_compare_records_keep_their_keys(tmp_path):
+    """The fields the chaos solution and the comparison derive when they are
+    written, for a forced circuit and an oscillator (0.7 s on a 2-core
+    machine)."""
+    solution = {"kind", "mode", "iterations", "residual_norm", "per_node_residuals",
+                "converged", "iteration_log"}
+    compare = {"kind", "max_rel_mean_delta", "max_rel_std_delta", "normalization",
+               "mc_samples"}
+    oscillator_compare = {f"period_{k}" for k in (
+        "mean_chaos", "mean_mc", "std_chaos", "std_mc", "mean_rel_delta", "std_rel_delta",
+        "ks_statistic")}
+    cases = [
+        ("st-forced", "rc_lowpass", "solution.json", solution | {"period"}, "forced"),
+        ("st-osc", "vanderpol", "solution.json",
+         solution | {"reference_period", "scale_coefficients", "period_mean", "period_std"},
+         "autonomous"),
+        ("compare", "rc_lowpass", "compare.json", compare, "forced"),
+        ("compare", "vanderpol", "compare.json", compare | oscillator_compare, "autonomous"),
+    ]
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=100, mc_samples=30,
+               metric_samples=1000, phase_state="1")
+    for i, (command, name, record, keys, kind) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert run(command, CIRCUITS_DIR / f"{name}.cir", cfg, out) == EXIT_OK
+        got = json.loads((out / record).read_text())
+        assert set(got) == keys and got["kind"] == kind
+        assert got.get("converged", True) is True
+
+
 def test_netlist_required_except_speedup(tmp_path, capsys):
     cfg = _cfg(tmp_path, gpc_order=1)
     assert run("st-forced", None, cfg, tmp_path / "out") == EXIT_CONFIG
@@ -262,8 +328,8 @@ def test_st_forced_from_the_dc_point_equals_the_nominal_started_solve(tmp_path, 
     else:
         circuit, cfg = _seeded_ladder(7), load_config(_cfg(tmp_path, gpc_order=3, steps_per_period=64))
     start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "forced"))
-    _, from_start = cli._solve_st(circuit, cfg, start)
-    _, from_nominal = cli._solve_st(circuit, cfg, cli._solve_nominal(circuit, cfg, "forced"))
+    from_start = cli._solve_st(circuit, cfg, start)
+    from_nominal = cli._solve_st(circuit, cfg, cli._solve_nominal(circuit, cfg, "forced"))
     a, b = from_start.trajectory.states, from_nominal.trajectory.states
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -278,10 +344,10 @@ def test_st_forced_from_the_dc_point_equals_the_nominal_started_solve(tmp_path, 
 def test_st_osc_from_the_estimate_matches_the_nominal_started_solve(name, mean_rtol, std_rtol):
     circuit, cfg = _bundled(name)
     start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "autonomous"))
-    _, from_start = cli._solve_st(circuit, cfg, start)
+    from_start = cli._solve_st(circuit, cfg, start)
     nominal = cli._solve_nominal(circuit, cfg, "autonomous")
-    _, from_nominal = cli._solve_st(circuit, cfg, nominal)
-    assert from_start.reference_period == start.period != float(nominal.period)
+    from_nominal = cli._solve_st(circuit, cfg, nominal)
+    assert from_start.horizon == start.period != float(nominal.period)
     (mean, std), (ref_mean, ref_std) = from_start.period_moments(), from_nominal.period_moments()
     assert mean == pytest.approx(ref_mean, rel=mean_rtol, abs=0)
     assert std == pytest.approx(ref_std, rel=std_rtol, abs=0)
@@ -297,10 +363,12 @@ def test_st_osc_starts_each_colpitts_node_from_its_linearized_period(tmp_path):
     assert json.loads((out / "solution.json").read_text())["iterations"] == 2
     circuit, cfg = _bundled("colpitts")
     start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "autonomous"))
-    system, decoupled = cli._solve_st(circuit, cfg, start)
-    guess = shooting.linearized_period_scales(circuit, system.testing.nodes)
-    assert np.max(np.abs(guess / system.node_scales() - 1.0)) < 0.01
-    _, coupled = cli._solve_st(circuit, dict(cfg, mode="coupled"), start)
+    decoupled = cli._solve_st(circuit, cfg, start)
+    testing = decoupled.testing
+    guess = shooting.linearized_period_scales(circuit, testing.nodes)
+    node_scales = testing.vandermonde @ decoupled.scale_coeffs.blocks
+    assert np.max(np.abs(guess / node_scales - 1.0)) < 0.01
+    coupled = cli._solve_st(circuit, dict(cfg, mode="coupled"), start)
     assert coupled.iterations == decoupled.iterations == 2
     scale = np.abs(decoupled.iterates[-1]).max()
     for a, b in zip(decoupled.iterates, coupled.iterates):

@@ -296,13 +296,13 @@ def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturb
     the result is bit for bit that of running every sample in every run."""
     system, w0 = lna_perturbed
     starts = system.node_states(w0)
-    first = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    first = solve_forced(system.instances, system.horizon, y0=starts, n_steps=200)
     starts[0] = first.y[0]
     runs = _recording_integrate(monkeypatch, system.instances.theta)
-    retired = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    retired = solve_forced(system.instances, system.horizon, y0=starts, n_steps=200)
     assert runs == [list(range(6)), [1, 2, 3, 4, 5], list(range(6))]
     monkeypatch.setattr(shooting, "_rows", lambda mask: Ellipsis)  # every run takes every row
-    lockstep = solve_forced(system.instances, system.period, y0=starts, n_steps=200)
+    lockstep = solve_forced(system.instances, system.horizon, y0=starts, n_steps=200)
     assert np.all(retired.converged) and retired.iterations == lockstep.iterations
     assert np.array_equal(retired.y, lockstep.y)
     assert np.array_equal(retired.residual_norm, lockstep.residual_norm)

@@ -57,7 +57,7 @@ def test_decoupled_forced_solve_is_the_batch_at_the_testing_nodes(rectifier):
     guess = nominal_guess(sys, solve_nominal(rectifier, tol=tol))
     sol = shoot_forced(sys, guess, tol=tol)
     batch = solve_forced(
-        rectifier.realize(testing.nodes), sys.period, y0=testing.vandermonde @ guess, tol=tol
+        rectifier.realize(testing.nodes), sys.horizon, y0=testing.vandermonde @ guess, tol=tol
     )
     blocks = sol.coeffs.blocks
     assert np.abs(testing.v_inv @ batch.y - blocks).max() <= 1e-12 * np.abs(blocks).max()
@@ -465,7 +465,7 @@ def test_node_batch_recovers_like_the_stacked_run(lna_perturbed):
     takes, and the end states agree."""
     system, w0 = lna_perturbed
     coeff_traj, node_traj = period_map(system, w0, n_steps=200)
-    stacked = integrate(system, w0, 0.0, system.period, n_steps=200, stabilized_start=True)
+    stacked = integrate(system, w0, 0.0, system.horizon, n_steps=200, stabilized_start=True)
     assert stacked.n_points > 201  # the stacked run bisected too
     assert not node_traj.failed.any()
     assert np.array_equal(node_traj.times, stacked.times)
@@ -565,7 +565,7 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
     assert (circuit.n, basis.size) == (100, 35)
     sys = assemble_forced(circuit, basis, testing, period=1e-3)
     sol = shoot_forced(sys, nominal_start(sys, tol=tol, n_steps=40), tol=tol, n_steps=40)
-    assert sol.converged and sol.residual_norm <= tol
+    assert sol.residual_norm <= tol
     xi = testing.nodes[-1]
     surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
     det = solve_forced(circuit.realize(xi), 1e-3, tol=tol, n_steps=40)
@@ -575,9 +575,10 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
 # -- the chaos solve from a start ---------------------------------------------------
 
 
-def _assert_same_solve(system, sol, ref_system, ref):
-    assert (system.kind, system.ndim) == (ref_system.kind, ref_system.ndim)
-    assert np.array_equal(system.testing.nodes, ref_system.testing.nodes)
+def _assert_same_solve(sol, ref):
+    shape = (sol.scale_coeffs is None, sol.coeffs.blocks.shape)
+    assert shape == (ref.scale_coeffs is None, ref.coeffs.blocks.shape)
+    assert np.array_equal(sol.testing.nodes, ref.testing.nodes)
     assert (sol.mode, sol.iterations) == (ref.mode, ref.iterations)
     assert sol.residual_norm == ref.residual_norm
     assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
@@ -590,8 +591,8 @@ def test_solve_st_is_the_forced_recipe_bit_for_bit(rectifier, mode):
     basis, testing = _setup(rectifier, 2)
     ref_system = assemble_forced(rectifier, basis, testing, period=start.period)
     ref = shoot_forced(ref_system, nominal_guess(ref_system, start), mode=mode, n_steps=100)
-    system, sol = solve_st(rectifier, start, 2, mode, n_steps=100)
-    _assert_same_solve(system, sol, ref_system, ref)
+    sol = solve_st(rectifier, start, 2, mode, n_steps=100)
+    _assert_same_solve(sol, ref)
 
 
 def test_solve_st_is_the_oscillator_recipe_bit_for_bit(colpitts):
@@ -602,10 +603,10 @@ def test_solve_st_is_the_oscillator_recipe_bit_for_bit(colpitts):
     scale = testing.v_inv @ linearized_period_scales(colpitts, testing.nodes)
     guess = nominal_guess(ref_system, start)
     ref = shoot_autonomous(ref_system, start.phase, guess, scale, n_steps=300)
-    system, sol = solve_st(colpitts, start, 2, n_steps=300)
-    _assert_same_solve(system, sol, ref_system, ref)
+    sol = solve_st(colpitts, start, 2, n_steps=300)
+    _assert_same_solve(sol, ref)
     assert np.array_equal(sol.scale_coeffs.blocks, ref.scale_coeffs.blocks)
-    assert sol.reference_period == ref.reference_period == start.period
+    assert sol.horizon == ref.horizon == start.period
 
 
 def test_solve_st_needs_a_random_parameter():

@@ -202,12 +202,12 @@ def _chain_case(case, request):
         system, y, horizon, scaled = CircuitDae(inst, sol.period_scale), sol.y, est.period, True
     elif case == "lna-nodes":
         stacked, guess = request.getfixturevalue("lna_perturbed")
-        system, y, horizon, scaled = stacked.node_dae(), stacked.node_states(guess), stacked.period, False
+        system, y, horizon, scaled = stacked.node_dae(), stacked.node_states(guess), stacked.horizon, False
     else:
         rect = request.getfixturevalue("rectifier")
         basis = build_basis([s for _, s in rect.random_params], 2)
         system = assemble_forced(rect, basis, select_testing_nodes(basis, tensor_rule(basis, 3)))
-        y, horizon, scaled = nominal_start(system).ravel(), system.period, False
+        y, horizon, scaled = nominal_start(system).ravel(), system.horizon, False
     traj = integrate(system, y, 0.0, horizon, n_steps=200, stabilized_start=True)
     _, _, E0, _ = system.eval_with_jac(traj.states[0], traj.times[0])
     charge = np.any(E0 != 0, axis=tuple(range(E0.ndim - 1)))
@@ -252,7 +252,7 @@ def test_an_unscaled_chain_evaluates_jacobians_only_with_the_same_bits(case, req
     evaluates every point in full; both agree with the dense chain."""
     if case == "lna-nodes":
         stacked, guess = request.getfixturevalue("lna_perturbed")
-        system, y, horizon = stacked.node_dae(), stacked.node_states(guess), stacked.period
+        system, y, horizon = stacked.node_dae(), stacked.node_states(guess), stacked.horizon
     else:
         rect = request.getfixturevalue("rectifier")
         nominal = solve_nominal(rect, n_steps=200)
@@ -321,7 +321,7 @@ def test_batch_member_matches_solo_run_through_bisection(lna_perturbed):
     system, w0 = lna_perturbed
     starts = system.node_states(w0)
     batch = integrate(
-        system.node_dae(), starts, 0.0, system.period, n_steps=200, stabilized_start=True
+        system.node_dae(), starts, 0.0, system.horizon, n_steps=200, stabilized_start=True
     )
     assert batch.n_points > 201  # the batch bisected
     assert not batch.failed.any()
@@ -329,7 +329,7 @@ def test_batch_member_matches_solo_run_through_bisection(lna_perturbed):
     for k in range(system.K):
         solo = integrate(
             CircuitDae(system.circuit.realize(system.testing.nodes[k])),
-            starts[k], 0.0, system.period, n_steps=200, stabilized_start=True,
+            starts[k], 0.0, system.horizon, n_steps=200, stabilized_start=True,
         )
         assert np.abs(batch.end[k] - solo.end).max() < 1e-6
         if np.array_equal(solo.times, batch.times):
