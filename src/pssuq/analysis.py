@@ -11,6 +11,9 @@ metric distributions (period, harmonic distortion, average power) sampled
 cheaply from the surrogate, and the chaos-vs-Monte-Carlo comparison record
 that ``compare`` writes as ``compare.json`` (``build_uq_report``). A
 solution is an oscillator's when it has period-scaling coefficients.
+Every chaos expansion is a plain array, chaos index first, over the basis
+its testing set carries: the mean and std are ``gpc.moments`` of the
+blocks, and the value at xi is ``basis.eval(xi) @ blocks``.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpc import family_for, lookup_family, surrogate_eval
+from .gpc import family_for, lookup_family, moments
 from .shooting import solve_at
 from .transient import ConvergenceError
 
@@ -147,13 +150,15 @@ class WaveformStats:
     std: np.ndarray  # (P, n)
 
 
+def _trajectory_blocks(solution):
+    """The coefficient trajectory as (K, P, n) blocks, chaos index first (a view)."""
+    P = solution.trajectory.times.size
+    return solution.trajectory.states.reshape(P, solution.testing.size, -1).swapaxes(0, 1)
+
+
 def waveform_stats(solution):
     """Mean/std waveforms of a converged stochastic PSS solution."""
-    K = solution.coeffs.basis.size
-    P = solution.trajectory.times.size
-    coeff = solution.trajectory.states.reshape(P, K, -1)
-    mean = coeff[:, 0, :].copy()
-    std = np.sqrt(np.sum(coeff[:, 1:, :] ** 2, axis=1))
+    mean, std = moments(_trajectory_blocks(solution))
     return WaveformStats(solution.trajectory.times.copy(), mean, std)
 
 
@@ -162,18 +167,16 @@ def surrogate_waveforms(solution, xi, state):
 
     Returns (S, P): one row per row of ``xi``; no circuit solves involved.
     """
-    K = solution.coeffs.basis.size
-    P = solution.trajectory.times.size
-    coeff = solution.trajectory.states.reshape(P, K, -1)[:, :, state]
-    H = solution.coeffs.basis.eval(np.atleast_2d(xi))  # (S, K)
-    return H @ coeff.T
+    H = solution.testing.basis.eval(np.atleast_2d(xi))  # (S, K)
+    return H @ _trajectory_blocks(solution)[:, :, state]
 
 
 def sample_periods(solution, xi):
     """Period realizations T0 * a(xi) from an autonomous solution."""
     if solution.scale_coeffs is None:
         raise ValueError("period sampling needs an autonomous solution")
-    return solution.horizon * surrogate_eval(solution.scale_coeffs, np.atleast_2d(xi))
+    H = solution.testing.basis.eval(np.atleast_2d(xi))  # (S, K)
+    return solution.horizon * (H @ solution.scale_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ def metric_distribution(
     """
     if n_samples < MIN_METRIC_SAMPLES:
         raise ValueError(f"metric distributions need at least {MIN_METRIC_SAMPLES} samples")
-    xi = draw_standardized(solution.coeffs.basis.families, seed, n_samples)
+    xi = draw_standardized(solution.testing.basis.families, seed, n_samples)
     if metric == "period":
         vals = sample_periods(solution, xi)
         return distribution_from_samples("period", vals)

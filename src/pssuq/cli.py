@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .netlist import parse_netlist
 from .shooting import OscillationError, nominal_start, shooting_jacobian, solve_nominal
-from .stpss import assemble_forced, chaos_basis, solve_st
+from .stpss import assemble_forced, solve_st, testing_set
 from .transient import ConvergenceError, NewtonOptions, integrate, scheme_by_name
 
 EXIT_OK = 0
@@ -141,11 +141,11 @@ def _require(cfg, key, command):
 
 
 class Reporter:
-    """Collects output files, hashes, phase timings, and summary lines."""
+    """Collects output files, hashes, phase timings, and summary lines; makes
+    the output directory at the first file, so a rejected run leaves none."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.files = {}
         self.timings = {}
         self.lines = []
@@ -167,6 +167,7 @@ class Reporter:
         return _Timer()
 
     def write_text(self, name, text):
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         path.write_text(text, encoding="utf-8")
         self.files[name] = _file_hash(path)
@@ -179,6 +180,7 @@ class Reporter:
         # row by row: a coefficient file (n*K columns) is never held as text.
         # One printf format per layout of value types: "%d" for an integer
         # (str(int(v))), "%.17g" for anything else (17 digits: the float back)
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         formats = {}
         with open(path, "w", encoding="utf-8") as fh:
@@ -419,7 +421,8 @@ def _cmd_compare(rep, circuit, cfg):
     surrogate = None
     if nominal.phase is not None:
         # independent equal-size surrogate sample for the CDF comparison
-        xi_s = draw_standardized(sol.coeffs.basis.families, cfg["seed"] + 2, int(np.sum(run.ok())))
+        n_ok = int(np.sum(run.ok()))
+        xi_s = draw_standardized(sol.testing.basis.families, cfg["seed"] + 2, n_ok)
         surrogate = sample_periods(sol, xi_s)
     report = build_uq_report(sol, run, surrogate_periods=surrogate)
     rep.say(
@@ -457,7 +460,7 @@ def convergence_sweep(circuit, cfg, orders):
     nominal = _solve_nominal(circuit, cfg, "forced")
     solutions = {}
     for p in sorted(set(orders)):
-        solutions[p] = _solve_st(circuit, dict(cfg, gpc_order=p), nominal).coeffs.blocks
+        solutions[p] = _solve_st(circuit, dict(cfg, gpc_order=p), nominal).coeffs
     p_ref = max(solutions)
     ref = solutions[p_ref]
     scale = np.max(np.abs(ref))
@@ -616,9 +619,9 @@ def _sweep_rows(n_nodes, orders, dim, n_steps, repeats, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for p in orders:
-        basis, testing = chaos_basis(circuit, p)
-        K = basis.size
-        system = assemble_forced(circuit, basis, testing, period=1e-3)
+        testing = testing_set(circuit, p)
+        K = testing.size
+        system = assemble_forced(circuit, testing, period=1e-3)
         # the network is linear, so the node systems integrate independently
         node_sys = system.node_dae()
         traj = integrate(

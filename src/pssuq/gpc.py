@@ -18,6 +18,11 @@ rows as it reaches them, and accepts a candidate greedily when its row
 stays numerically independent of the rows already taken. The rule's
 exactness on the Gram matrix leaves some candidate at least 1/sqrt(K) of
 its row outside any smaller span, so the first pivot threshold fills K.
+The ``TestingSet`` is the one carrier of its basis.
+
+An expansion is a plain array of coefficient blocks, chaos index first;
+its value at xi is ``basis.eval(xi) @ blocks`` and ``moments`` gives its
+mean and standard deviation.
 """
 
 import json
@@ -208,7 +213,7 @@ def tensor_rule(basis, points_per_dim):
 
 @dataclass(frozen=True)
 class TestingSet:
-    """K testing nodes with the collocation matrix V and its inverse."""
+    """K testing nodes of a basis with the collocation matrix V and its inverse."""
 
     basis: GpcBasis
     nodes: np.ndarray  # (K, d)
@@ -289,40 +294,11 @@ def select_testing_nodes(basis, candidates):
 
 
 # ---------------------------------------------------------------------------
-# coefficient vectors
+# expansion statistics
 
 
-@dataclass
-class GpcCoefficients:
-    """K coefficient blocks of an expansion, ordered like the index set."""
-
-    basis: GpcBasis
-    blocks: np.ndarray  # (K,) scalars or (K, m) block vectors
-
-    def __post_init__(self):
-        self.blocks = np.asarray(self.blocks, dtype=float)
-        if self.blocks.shape[0] != self.basis.size:
-            raise GpcError(
-                f"expected {self.basis.size} blocks, got {self.blocks.shape[0]}"
-            )
-
-
-@dataclass
-class Moments:
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def surrogate_eval(coeffs, xi):
-    """Evaluate the expansion at xi: sum_k blocks[k] * H_k(xi)."""
-    H = coeffs.basis.eval(xi)
-    return H @ coeffs.blocks
-
-
-def moments(coeffs):
-    """Mean and standard deviation from orthonormal coefficients."""
-    blocks = coeffs.blocks
-    mean = blocks[0].copy() if blocks.ndim > 1 else float(blocks[0])
-    var = np.sum(blocks[1:] ** 2, axis=0)
-    return Moments(mean, np.sqrt(var))
-
+def moments(blocks):
+    """Mean and standard deviation of an orthonormal expansion whose
+    coefficients run along the leading axis: block 0, and the root sum of
+    squares of the others."""
+    return blocks[0].copy(), np.sqrt(np.sum(blocks[1:] ** 2, axis=0))

@@ -15,13 +15,14 @@ ratio of linearized frequencies at the nodes' DC points
 
 ``solve_st`` is the chaos solve from a start, the counterpart of
 ``shooting.solve_at`` and the one place a start picks between forced and
-oscillator: it builds the basis and testing nodes (``chaos_basis``),
-assembles the stacked system, starts the coefficients at the start's
-state (``nominal_guess``) and an oscillator's period scales at their
-linearized values, and shoots. It returns the ``StochasticPssSolution``
-alone, which carries its testing nodes. The system and the solution keep
-one ``horizon``, the excitation period or T0; an oscillator is the one
-with period-scaling coefficients (``scale_coeffs`` not None).
+oscillator: it builds the testing nodes (``testing_set``), assembles the
+stacked system, starts the coefficients at the start's state
+(``nominal_guess``) and an oscillator's period scales at their linearized
+values, and shoots. It returns the ``StochasticPssSolution`` alone. The
+system and the solution hold the ``TestingSet``, the one carrier of the
+basis, and keep one ``horizon``, the excitation period or T0. The
+coefficients are plain arrays, chaos index first; an oscillator is the
+one with period-scaling coefficients (``scale_coeffs`` not None).
 
 The collocation matrix V maps the stacked residual onto K independent
 deterministic shooting problems, one per testing node (Zhang, El-Moselhy,
@@ -48,9 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpc import (
-    GpcCoefficients, TestingSet, build_basis, moments, select_testing_nodes, tensor_rule,
-)
+from .gpc import TestingSet, build_basis, moments, select_testing_nodes, tensor_rule
 from .shooting import (
     CircuitDae, OscillationError, Shooting, damped_newton, floor_failure,
     linearized_period_scales, shooting_jacobian, stationary_orbits,
@@ -82,9 +81,8 @@ class StackedSystem(Dae):
     shooting update.
     """
 
-    def __init__(self, circuit, basis, testing, horizon, oscillator=False):
+    def __init__(self, circuit, testing, horizon, oscillator=False):
         self.circuit = circuit
-        self.basis = basis
         self.testing = testing
         self.horizon = horizon
         self.n = circuit.n_states
@@ -132,21 +130,21 @@ class StackedSystem(Dae):
         return self._lift(self.node_dae().scale_columns(lin))
 
 
-def assemble_forced(circuit, basis, testing, period=None):
+def assemble_forced(circuit, testing, period=None):
     """Stacked system for a periodically driven circuit."""
     if period is None:
         period = circuit.fundamental_period()
-    return StackedSystem(circuit, basis, testing, period)
+    return StackedSystem(circuit, testing, period)
 
 
-def assemble_autonomous(circuit, basis, testing, reference_period):
+def assemble_autonomous(circuit, testing, reference_period):
     """Stacked time-scaled system for an oscillator over the scaled-time
     horizon ``reference_period`` (T0), which the period scaling multiplies."""
     if not reference_period > 0:
         raise ValueError("reference period must be positive")
     if not circuit.is_autonomous:
         raise ValueError("circuit has a time-varying source")
-    return StackedSystem(circuit, basis, testing, reference_period, oscillator=True)
+    return StackedSystem(circuit, testing, reference_period, oscillator=True)
 
 
 def _coefficient_trajectory(system, node_traj):
@@ -171,25 +169,25 @@ def _raise_on_failed_node(system, node_traj):
 @dataclass
 class StochasticPssSolution:
     """Chaos coefficients of the periodic solution, converged (a solve that
-    does not converge raises), and of an oscillator's period scaling."""
+    does not converge raises), and of an oscillator's period scaling, chaos
+    index first, over the basis of ``testing``."""
 
-    coeffs: GpcCoefficients  # (K, n) coefficients of x(0) resp. z(0)
-    testing: TestingSet  # the K nodes the solve collocated at
+    coeffs: np.ndarray  # (K, n) coefficients of x(0) resp. z(0)
+    testing: TestingSet  # the K nodes the solve collocated at, and their basis
     horizon: float  # the excitation period, or T0 (oscillators)
-    scale_coeffs: GpcCoefficients | None  # (K,) coefficients of a(xi); None if forced
+    scale_coeffs: np.ndarray | None  # (K,) coefficients of a(xi); None if forced
     trajectory: Trajectory  # one period of the coefficient stack
     iterations: int
     residual_norm: float
     per_node_residuals: np.ndarray
-    iterates: list = field(default_factory=list)
     iteration_log: list = field(default_factory=list)
     mode: str = "decoupled"
 
     def period_moments(self):
         if self.scale_coeffs is None:
             raise ValueError("period statistics exist only for oscillators")
-        m = moments(self.scale_coeffs)
-        return self.horizon * m.mean, self.horizon * m.std
+        mean, std = moments(self.scale_coeffs)
+        return self.horizon * mean, self.horizon * std
 
     def summary(self):
         out = {
@@ -206,7 +204,7 @@ class StochasticPssSolution:
         else:
             mean, std = self.period_moments()
             out["reference_period"] = float(self.horizon)
-            out["scale_coefficients"] = self.scale_coeffs.blocks.tolist()
+            out["scale_coefficients"] = self.scale_coeffs.tolist()
             out["period_mean"] = float(mean)
             out["period_std"] = float(std)
         return out
@@ -272,10 +270,9 @@ def _shoot(system, engine, u0, mode):
             k = int(np.argmax(dead))
             xi = np.array2string(system.testing.nodes[k], precision=6)
             raise OscillationError(f"testing node {k} (xi = {xi}): stationary orbit")
-        system.scale_coeffs = u[n * K :]
-        scale = GpcCoefficients(system.basis, system.scale_coeffs)
+        system.scale_coeffs = scale = u[n * K :]
     return StochasticPssSolution(
-        GpcCoefficients(system.basis, u[: n * K].reshape(K, n)),
+        u[: n * K].reshape(K, n),
         system.testing,
         system.horizon,
         scale,
@@ -283,7 +280,6 @@ def _shoot(system, engine, u0, mode):
         len(history) - 1,
         float(gn),
         np.max(np.abs(V @ blocks(g)[:, :n]), axis=1),
-        [h[0] for h in history],
         _iteration_log(history),
         mode,
     )
@@ -344,15 +340,15 @@ def shoot_autonomous(system, phase, coeff_guess, scale_guess, mode="decoupled", 
 # the chaos solve from a start
 
 
-def chaos_basis(circuit, order):
-    """The total-order ``order`` chaos basis of ``circuit``'s random
-    parameters and its testing nodes, picked from the (order + 1)-point
-    tensor Gauss rule: ``(basis, testing)``."""
+def testing_set(circuit, order):
+    """The testing nodes of the total-order ``order`` chaos basis of
+    ``circuit``'s random parameters, picked from the (order + 1)-point
+    tensor Gauss rule; the ``TestingSet`` carries the basis."""
     dists = [s for _, s in circuit.random_params]
     if not dists:
         raise ValueError("circuit declares no random parameters")
     basis = build_basis(dists, order)
-    return basis, select_testing_nodes(basis, tensor_rule(basis, order + 1))
+    return select_testing_nodes(basis, tensor_rule(basis, order + 1))
 
 
 def solve_st(circuit, start, order, mode="decoupled", **options):
@@ -363,11 +359,11 @@ def solve_st(circuit, start, order, mode="decoupled", **options):
     scale starting at omega(0) / omega(xi) (``linearized_period_scales``).
     The coefficients start at the start's state (``nominal_guess``).
     ``options`` are ``Shooting``'s. Returns the ``StochasticPssSolution``."""
-    basis, testing = chaos_basis(circuit, order)
+    testing = testing_set(circuit, order)
     if start.phase is None:
-        system = assemble_forced(circuit, basis, testing, period=start.period)
+        system = assemble_forced(circuit, testing, period=start.period)
         return shoot_forced(system, nominal_guess(system, start), mode, **options)
-    system = assemble_autonomous(circuit, basis, testing, float(start.period))
+    system = assemble_autonomous(circuit, testing, float(start.period))
     scale_guess = testing.v_inv @ linearized_period_scales(circuit, testing.nodes)
     return shoot_autonomous(
         system, start.phase, nominal_guess(system, start), scale_guess, mode, **options

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pssuq.analysis as analysis
+import pssuq.stpss as stpss
 from pssuq import load_netlist, parse_netlist
 from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous, solve_nominal
@@ -118,7 +119,7 @@ def lna_perturbed():
     circuit = load_netlist(CIRCUITS_DIR / "lna.cir")
     basis = build_basis([s for _, s in circuit.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    system = assemble_forced(circuit, basis, testing)
+    system = assemble_forced(circuit, testing)
     guess = nominal_guess(system, solve_nominal(circuit, n_steps=200)).ravel()
     return system, guess + 1e-3 * np.random.default_rng(0).normal(size=guess.size)
 
@@ -128,6 +129,23 @@ def nominal_start(system, tol=1e-5, n_steps=200):
     over the system's period with the same tolerance and grid, in block 1."""
     nominal = solve_nominal(system.circuit, system.horizon, tol=tol, n_steps=n_steps)
     return nominal_guess(system, nominal)
+
+
+def newton_iterates(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` and the iterates of the one chaos Newton
+    it runs, read from the history ``stpss.damped_newton`` returns."""
+    histories = []
+
+    def spy(*a, _newton=stpss.damped_newton, **kw):
+        out = _newton(*a, **kw)
+        histories.append(out[-1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stpss, "damped_newton", spy)
+        sol = solve(*args, **kwargs)
+    (history,) = histories
+    return sol, [u for u, _, _ in history]
 
 
 def gram_matrix(basis, rule):

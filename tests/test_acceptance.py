@@ -39,7 +39,7 @@ from pssuq.stpss import (
 )
 from pssuq.transient import integrate, transition_chain
 
-from conftest import CIRCUITS_DIR, gram_matrix, nominal_start, period_map
+from conftest import CIRCUITS_DIR, gram_matrix, newton_iterates, nominal_start, period_map
 
 G = DistributionSpec.gaussian(0.0, 1.0)
 U = DistributionSpec.uniform(-1.0, 1.0)
@@ -119,9 +119,9 @@ def test_criterion_3_jacobian_fidelity(rectifier, colpitts, colpitts_nominal):
         # forced: stacked rectifier, d=2, p=2
         basis = build_basis([s for _, s in rectifier.random_params], 2)
         testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-        fsys = assemble_forced(rectifier, basis, testing)
+        fsys = assemble_forced(rectifier, testing)
         fsol = shoot_forced(fsys, nominal_start(fsys, n_steps=100), n_steps=100)
-        y = fsol.iterates[-1]
+        y = fsol.coeffs.ravel()
 
         def forced_end(w):
             return period_map(fsys, w, n_steps=100)[0].end
@@ -135,7 +135,7 @@ def test_criterion_3_jacobian_fidelity(rectifier, colpitts, colpitts_nominal):
         basis_a = build_basis([s for _, s in colpitts.random_params], 2)
         testing_a = select_testing_nodes(basis_a, tensor_rule(basis_a, 3))
         T0 = float(det.period)
-        asys = assemble_autonomous(colpitts, basis_a, testing_a, T0)
+        asys = assemble_autonomous(colpitts, testing_a, T0)
         K, n = basis_a.size, colpitts.n
         z0 = np.zeros((K, n))
         z0[0] = det.y
@@ -166,30 +166,38 @@ def test_criterion_4_coupled_equals_decoupled(rectifier, colpitts, colpitts_nomi
         basis = build_basis([s for _, s in rectifier.random_params], 3)
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
         assert basis.size == 10
-        sys_f = assemble_forced(rectifier, basis, testing)
+        sys_f = assemble_forced(rectifier, testing)
         guess_f = nominal_start(sys_f)
-        sol_d = shoot_forced(sys_f, guess_f, mode="decoupled", n_steps=200)
-        sol_c = shoot_forced(sys_f, guess_f, mode="coupled", n_steps=200)
+        sol_d, iterates_d = newton_iterates(
+            shoot_forced, sys_f, guess_f, mode="decoupled", n_steps=200
+        )
+        sol_c, iterates_c = newton_iterates(
+            shoot_forced, sys_f, guess_f, mode="coupled", n_steps=200
+        )
         assert sol_d.iterations == sol_c.iterations
-        scale = np.abs(sol_d.iterates[-1]).max()
-        for a, b in zip(sol_d.iterates, sol_c.iterates):
+        scale = np.abs(iterates_d[-1]).max()
+        for a, b in zip(iterates_d, iterates_c):
             assert np.abs(a - b).max() / scale < 1e-8
 
         est, phase, det = colpitts_nominal
         basis_a = build_basis([s for _, s in colpitts.random_params], 2)
         testing_a = select_testing_nodes(basis_a, tensor_rule(basis_a, 3))
         assert basis_a.size == 6
-        sys_a = assemble_autonomous(colpitts, basis_a, testing_a, float(det.period))
+        sys_a = assemble_autonomous(colpitts, testing_a, float(det.period))
         guess = np.zeros((6, colpitts.n))
         guess[0] = det.y
         scale0 = np.zeros(6)
         scale0[0] = 1.0
         kw = dict(n_steps=300)
-        sol_ad = shoot_autonomous(sys_a, phase, guess, scale0, mode="decoupled", **kw)
-        sol_ac = shoot_autonomous(sys_a, phase, guess, scale0, mode="coupled", **kw)
+        sol_ad, iterates_ad = newton_iterates(
+            shoot_autonomous, sys_a, phase, guess, scale0, mode="decoupled", **kw
+        )
+        sol_ac, iterates_ac = newton_iterates(
+            shoot_autonomous, sys_a, phase, guess, scale0, mode="coupled", **kw
+        )
         assert sol_ad.iterations == sol_ac.iterations
-        scale_a = np.abs(sol_ad.iterates[-1]).max()
-        for a, b in zip(sol_ad.iterates, sol_ac.iterates):
+        scale_a = np.abs(iterates_ad[-1]).max()
+        for a, b in zip(iterates_ad, iterates_ac):
             assert np.abs(a - b).max() / scale_a < 1e-8
 
 
@@ -197,7 +205,7 @@ def test_criterion_5_st_vs_mc_forced(rectifier):
     with _Budget("criterion 5: chaos vs Monte Carlo, driven circuit", 600.0):
         basis = build_basis([s for _, s in rectifier.random_params], 3)
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
-        sys_f = assemble_forced(rectifier, basis, testing)
+        sys_f = assemble_forced(rectifier, testing)
         sol = shoot_forced(sys_f, nominal_start(sys_f), n_steps=200)
         ws = waveform_stats(sol)
         nominal = solve_nominal(rectifier, n_steps=200)
@@ -220,7 +228,7 @@ def test_criterion_6_st_vs_mc_autonomous(vdp_random, vdp_nominal):
         basis = build_basis([s for _, s in vdp_random.random_params], 3)
         testing = select_testing_nodes(basis, tensor_rule(basis, 4))
         T0 = float(det.period)
-        sys_a = assemble_autonomous(vdp_random, basis, testing, T0)
+        sys_a = assemble_autonomous(vdp_random, testing, T0)
         guess = np.zeros((basis.size, 2))
         guess[0] = det.y
         scale0 = np.zeros(basis.size)
@@ -245,7 +253,7 @@ def test_criterion_6_st_vs_mc_autonomous(vdp_random, vdp_nominal):
         assert abs(std - std_q) / std_q < 0.02
 
         n_ok = int(np.sum(run_.ok()))
-        xi_s = draw_standardized(sol.coeffs.basis.families, 44, n_ok)
+        xi_s = draw_standardized(sol.testing.basis.families, 44, n_ok)
         surrogate = sample_periods(sol, xi_s)
         ks = ks_statistic(surrogate, np.asarray(run_.period)[run_.ok()])
         assert ks < 0.05

@@ -27,10 +27,10 @@ from pssuq.circuit import DistributionSpec
 from pssuq.gpc import (
     HERMITE,
     LEGENDRE,
-    GpcCoefficients,
     GpcError,
     build_basis,
     family_for,
+    moments,
     select_testing_nodes,
     tensor_rule,
 )
@@ -353,17 +353,18 @@ def test_mc_autonomous_periods(vdp_random):
 
 
 def _toy_solution(blocks_t0, basis, times=None, kind="forced"):
-    """Wrap constant-in-time coefficient blocks as a solution object."""
+    """Wrap constant-in-time coefficient blocks as a solution object, at
+    the testing nodes of ``basis``."""
     K, n = blocks_t0.shape
     P = 5 if times is None else times.size
     times = np.linspace(0.0, 1.0, P) if times is None else times
     states = np.tile(blocks_t0.reshape(-1), (P, 1))
     traj = Trajectory(times, states, None)
     return StochasticPssSolution(
-        GpcCoefficients(basis, blocks_t0),
-        None,
+        blocks_t0,
+        select_testing_nodes(basis, tensor_rule(basis, basis.order + 1)),
         1.0,
-        GpcCoefficients(basis, blocks_t0[:, 0]) if kind == "autonomous" else None,
+        blocks_t0[:, 0] if kind == "autonomous" else None,
         traj,
         1,
         0.0,
@@ -383,7 +384,7 @@ def test_waveform_stats_single_block_is_deterministic():
 def test_waveform_stats_match_mc_on_rectifier(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 3)
     testing = select_testing_nodes(basis, tensor_rule(basis, 4))
-    system = assemble_forced(rectifier, basis, testing)
+    system = assemble_forced(rectifier, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     ws = waveform_stats(sol)
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 4000, seed=11, n_steps=100)
@@ -393,12 +394,26 @@ def test_waveform_stats_match_mc_on_rectifier(rectifier):
     assert np.max(np.abs(ws.std - mc_std) / peak) < 0.01
 
 
+def test_waveform_stats_are_the_moments_of_the_coefficient_blocks(rectifier):
+    """The one mean/std formula: ``gpc.moments`` of the (K, P, n) blocks of a
+    solved chaos trajectory is the ``waveform_stats`` mean and std, bit for bit."""
+    basis = build_basis([s for _, s in rectifier.random_params], 2)
+    testing = select_testing_nodes(basis, tensor_rule(basis, 3))
+    system = assemble_forced(rectifier, testing)
+    sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
+    n, states = rectifier.n, sol.trajectory.states
+    blocks = np.stack([states[:, k * n : (k + 1) * n] for k in range(testing.size)])
+    mean, std = moments(blocks)
+    ws = waveform_stats(sol)
+    assert np.array_equal(ws.mean, mean) and np.array_equal(ws.std, std)
+
+
 def test_period_point_mass():
     basis = build_basis([G], 2)
     blocks = np.zeros((3, 1))
     blocks[0] = 2.0
     sol = _toy_solution(blocks, basis, kind="autonomous")
-    sol.scale_coeffs = GpcCoefficients(basis, np.array([1.0, 0.0, 0.0]))
+    sol.scale_coeffs = np.array([1.0, 0.0, 0.0])
     dist = metric_distribution(sol, "period", 2000, seed=0)
     assert dist.std == 0.0
     assert dist.samples.min() == dist.samples.max() == pytest.approx(1.0)
@@ -411,16 +426,14 @@ def test_period_linear_gaussian_map():
     blocks = np.zeros((2, 1))
     blocks[0] = 1.0
     sol = _toy_solution(blocks, basis, kind="autonomous")
-    sol.scale_coeffs = GpcCoefficients(basis, np.array([1.0, 0.1]))
+    sol.scale_coeffs = np.array([1.0, 0.1])
     dist = metric_distribution(sol, "period", 1_000_000, seed=4)
     assert dist.mean == pytest.approx(1.0, rel=1e-3)
     assert dist.std == pytest.approx(0.1, rel=0.01)
     # surrogate sampling converges to the coefficient-derived moments
-    from pssuq.gpc import moments
-
-    m = moments(sol.scale_coeffs)
-    assert abs(dist.mean - m.mean) / m.mean < 0.005
-    assert abs(dist.std - m.std) / m.std < 0.005
+    mean, std = moments(sol.scale_coeffs)
+    assert abs(dist.mean - mean) / mean < 0.005
+    assert abs(dist.std - std) / std < 0.005
     assert np.sum(dist.density * np.diff(dist.bin_edges)) == pytest.approx(1.0, abs=1e-6)
     kde_mass = np.trapezoid(dist.kde_density, dist.kde_grid)
     assert kde_mass == pytest.approx(1.0, abs=1e-6)
@@ -429,7 +442,7 @@ def test_period_linear_gaussian_map():
 def test_metric_distribution_needs_enough_samples():
     basis = build_basis([G], 1)
     sol = _toy_solution(np.ones((2, 1)), basis, kind="autonomous")
-    sol.scale_coeffs = GpcCoefficients(basis, np.array([1.0, 0.1]))
+    sol.scale_coeffs = np.array([1.0, 0.1])
     with pytest.raises(ValueError):
         metric_distribution(sol, "period", 10, seed=0)
 
@@ -437,7 +450,7 @@ def test_metric_distribution_needs_enough_samples():
 def test_surrogate_waveforms_shape(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    system = assemble_forced(rectifier, basis, testing)
+    system = assemble_forced(rectifier, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
     xi = draw_standardized(basis.families, 0, 7)
     waves = surrogate_waveforms(sol, xi, rectifier.node_state("out"))
@@ -506,7 +519,7 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
 
     basis = build_basis([s for _, s in rc_circuit.random_params], 0)
     testing = select_testing_nodes(basis, tensor_rule(basis, 1))
-    system = assemble_forced(rc_circuit, basis, testing)
+    system = assemble_forced(rc_circuit, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     ws = waveform_stats(sol)
     det = _solve(rc_circuit.realize_nominal(), 1e-3, n_steps=100)
@@ -517,7 +530,7 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
 def test_uq_report_forced(rectifier):
     basis = build_basis([s for _, s in rectifier.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    system = assemble_forced(rectifier, basis, testing)
+    system = assemble_forced(rectifier, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 1000, seed=21, n_steps=100)
     report = build_uq_report(sol, run)
@@ -544,7 +557,7 @@ def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     basis = build_basis([s for _, s in c.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    system = assemble_forced(c, basis, testing)
+    system = assemble_forced(c, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=64), n_steps=64)
     report = build_uq_report(sol, run)
     assert _shared_time_points(sol.trajectory.times, run.times)[0].size == 65
@@ -556,7 +569,7 @@ def test_uq_report_compares_on_shared_time_points(rc_circuit):
     """Points a bisected step added to one grid are left out of the deltas."""
     basis = build_basis([s for _, s in rc_circuit.random_params], 1)
     testing = select_testing_nodes(basis, tensor_rule(basis, 2))
-    system = assemble_forced(rc_circuit, basis, testing)
+    system = assemble_forced(rc_circuit, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=50), n_steps=50)
     run = monte_carlo(rc_circuit, solve_nominal(rc_circuit, n_steps=50), 20, seed=4, n_steps=50)
     base = build_uq_report(sol, run)
@@ -583,7 +596,7 @@ def test_uq_report_autonomous(vdp_random):
     det = solve_nominal(vdp_random, phase_index=0, n_steps=300)
     basis = build_basis([s for _, s in vdp_random.random_params], 2)
     testing = select_testing_nodes(basis, tensor_rule(basis, 3))
-    sys_a = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    sys_a = assemble_autonomous(vdp_random, testing, float(det.period))
     guess = np.zeros((basis.size, 2))
     guess[0] = det.y
     scale = np.zeros(basis.size)

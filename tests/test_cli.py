@@ -23,7 +23,7 @@ from pssuq.cli import (
 )
 from pssuq.shooting import solve_nominal
 
-from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short
+from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, newton_iterates
 
 
 def _cfg(tmp_path, **kw):
@@ -85,25 +85,30 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):
     code = run(command, CIRCUITS_DIR / "rectifier.cir", cfg, tmp_path / "out")
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*"))  # rejected before any solve writes
+    assert not (tmp_path / "out").exists()  # rejected before any output
 
 
 @pytest.mark.parametrize(
-    "command, name, fields, error, config_only",
+    "command, name, fields, error",
     [
-        # config faults: rejected by load_config, before the output directory
-        ("st-forced", "rc_lowpass", {"metrics": ["foo"]}, "metrics: unknown metric 'foo'", True),
-        ("st-forced", "rc_lowpass", {"metrics": ["power"]}, "'v_state'", True),
+        # config faults: rejected by load_config
+        ("st-forced", "rc_lowpass", {"metrics": ["foo"]}, "metrics: unknown metric 'foo'"),
+        ("st-forced", "rc_lowpass", {"metrics": ["power"]}, "'v_state'"),
         # faults only the circuit or the command shows: before the start
-        ("st-forced", "rc_lowpass", {"metrics": ["thd"], "output_state": "nope"}, "'nope'", False),
-        ("st-forced", "rc_lowpass", {"metrics": ["period"]}, "period metric", False),
+        ("st-forced", "rc_lowpass", {"metrics": ["thd"], "output_state": "nope"}, "'nope'"),
+        ("st-forced", "rc_lowpass", {"metrics": ["period"]}, "period metric"),
+        ("st-osc", "colpitts", {"phase_state": "nope"}, "'nope'"),
+        # an oscillator command on a driven circuit
+        ("pss-osc", "rc_lowpass", {}, "'phase_state'"),
+        ("pss-osc", "rc_lowpass", {"phase_state": "out"}, "time-varying source"),
         # an oscillator's period distribution is written once
-        ("st-osc", "vanderpol", {"metrics": ["period"], "phase_state": "1"}, None, False),
+        ("st-osc", "vanderpol", {"metrics": ["period"], "phase_state": "1"}, None),
     ],
-    ids=["unknown-name", "power-without-v_state", "unknown-label", "forced-period", "osc-period"],
+    ids=["unknown-name", "power-without-v_state", "unknown-label", "forced-period",
+         "unknown-phase-label", "osc-on-driven", "osc-on-driven-with-phase-state", "osc-period"],
 )
 def test_metric_faults_exit_2_before_the_solve(
-    tmp_path, monkeypatch, capsys, command, name, fields, error, config_only
+    tmp_path, monkeypatch, capsys, command, name, fields, error
 ):
     starts = []
 
@@ -122,7 +127,7 @@ def test_metric_faults_exit_2_before_the_solve(
         return
     assert code == EXIT_CONFIG and not starts
     assert error in capsys.readouterr().err
-    assert not (out.exists() if config_only else list(out.glob("*")))
+    assert not out.exists()  # no output directory either
 
 
 def test_solution_and_compare_records_keep_their_keys(tmp_path):
@@ -363,15 +368,15 @@ def test_st_osc_starts_each_colpitts_node_from_its_linearized_period(tmp_path):
     assert json.loads((out / "solution.json").read_text())["iterations"] == 2
     circuit, cfg = _bundled("colpitts")
     start = shooting.nominal_start(*cli._nominal_problem(circuit, cfg, "autonomous"))
-    decoupled = cli._solve_st(circuit, cfg, start)
+    decoupled, iterates_d = newton_iterates(cli._solve_st, circuit, cfg, start)
     testing = decoupled.testing
     guess = shooting.linearized_period_scales(circuit, testing.nodes)
-    node_scales = testing.vandermonde @ decoupled.scale_coeffs.blocks
+    node_scales = testing.vandermonde @ decoupled.scale_coeffs
     assert np.max(np.abs(guess / node_scales - 1.0)) < 0.01
-    coupled = cli._solve_st(circuit, dict(cfg, mode="coupled"), start)
+    coupled, iterates_c = newton_iterates(cli._solve_st, circuit, dict(cfg, mode="coupled"), start)
     assert coupled.iterations == decoupled.iterations == 2
-    scale = np.abs(decoupled.iterates[-1]).max()
-    for a, b in zip(decoupled.iterates, coupled.iterates):
+    scale = np.abs(iterates_d[-1]).max()
+    for a, b in zip(iterates_d, iterates_c):
         assert np.abs(a - b).max() / scale < 1e-8
 
 
@@ -573,6 +578,7 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     code = run("pss-osc", netlist, cfg, out)
     assert code == 3
     assert "FAILED" in (out / "summary.txt").read_text()
+    assert "summary.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
     assert "no oscillatory mode" in capsys.readouterr().err
 
 

@@ -11,7 +11,6 @@ from pssuq.circuit import DistributionSpec
 from pssuq.gpc import (
     COND_BOUND,
     PIVOT_THRESHOLD,
-    GpcCoefficients,
     GpcError,
     HERMITE,
     LEGENDRE,
@@ -22,7 +21,6 @@ from pssuq.gpc import (
     gauss_rule,
     moments,
     select_testing_nodes,
-    surrogate_eval,
     tensor_rule,
 )
 
@@ -358,47 +356,44 @@ def test_selection_matches_the_full_evaluation_bit_for_bit(pattern):
                 assert np.array_equal(a, r), (d, p, name)
 
 
-# -- coefficients -------------------------------------------------------------
+# -- expansions ----------------------------------------------------------------
 
 
 def test_surrogate_eval_constant_and_linear():
     b = build_basis([G], 2)
-    co = GpcCoefficients(b, np.array([[3.0, -1.0], [0.0, 0.0], [0.0, 0.0]]))
+    blocks = np.array([[3.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
     for xi in (-1.3, 0.0, 2.1):
-        assert np.allclose(surrogate_eval(co, np.array([xi])), [3.0, -1.0])
-    lin = GpcCoefficients(b, np.array([[0.0], [1.0], [0.0]]))
-    assert surrogate_eval(lin, np.array([0.7]))[0] == pytest.approx(0.7)
+        assert np.allclose(b.eval(np.array([xi])) @ blocks, [3.0, -1.0])
+    lin = np.array([[0.0], [1.0], [0.0]])
+    assert (b.eval(np.array([0.7])) @ lin)[0] == pytest.approx(0.7)
 
 
 def test_surrogate_at_testing_nodes_is_v_product():
     b = build_basis([G, U], 2)
     ts = select_testing_nodes(b, tensor_rule(b, 3))
     rng = np.random.default_rng(1)
-    co = GpcCoefficients(b, rng.normal(size=(b.size, 4)))
-    stacked = surrogate_eval(co, ts.nodes)
-    assert np.allclose(stacked, ts.vandermonde @ co.blocks)
+    blocks = rng.normal(size=(b.size, 4))
+    stacked = ts.basis.eval(ts.nodes) @ blocks
+    assert np.allclose(stacked, ts.vandermonde @ blocks)
 
 
 def test_moments_trivial():
-    b = build_basis([G], 2)
-    single = GpcCoefficients(b, np.array([2.5, 0.0, 0.0]))
-    m = moments(single)
-    assert m.mean == pytest.approx(2.5) and m.std == pytest.approx(0.0)
-    ramp = GpcCoefficients(b, np.array([0.0, 1.0, 0.0]))
-    m = moments(ramp)
-    assert m.mean == pytest.approx(0.0) and m.std == pytest.approx(1.0)
+    mean, std = moments(np.array([2.5, 0.0, 0.0]))
+    assert mean == pytest.approx(2.5) and std == pytest.approx(0.0)
+    mean, std = moments(np.array([0.0, 1.0, 0.0]))
+    assert mean == pytest.approx(0.0) and std == pytest.approx(1.0)
 
 
 def test_moments_match_quasi_random_sampling():
     b = build_basis([G, U], 3)
     rng = np.random.default_rng(2)
-    co = GpcCoefficients(b, rng.normal(size=(b.size, 2)))
-    m = moments(co)
+    blocks = rng.normal(size=(b.size, 2))
+    mean, std = moments(blocks)
     sob = scipy.stats.qmc.Sobol(d=2, seed=0).random(2**20)
     xi = np.column_stack([scipy.stats.norm.ppf(sob[:, 0]), 2.0 * sob[:, 1] - 1.0])
-    vals = surrogate_eval(co, xi)
-    assert np.abs(vals.mean(axis=0) - m.mean).max() < 2e-3 * np.abs(m.mean).max()
-    assert np.abs(vals.std(axis=0) - m.std).max() < 2e-3 * np.abs(m.std).max()
+    vals = b.eval(xi) @ blocks
+    assert np.abs(vals.mean(axis=0) - mean).max() < 2e-3 * np.abs(mean).max()
+    assert np.abs(vals.std(axis=0) - std).max() < 2e-3 * np.abs(std).max()
 
 
 def test_blockwise_solve_round_trip():

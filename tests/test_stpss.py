@@ -35,7 +35,7 @@ from pssuq.transient import (
     transition_chain,
 )
 
-from conftest import SHORTED_AT_A_NODE, nominal_start, period_map
+from conftest import SHORTED_AT_A_NODE, newton_iterates, nominal_start, period_map
 
 
 def _setup(circuit, order):
@@ -53,14 +53,13 @@ def test_decoupled_forced_solve_is_the_batch_at_the_testing_nodes(rectifier):
     V^{-1}, is the decoupled solve."""
     tol = 1e-10
     basis, testing = _setup(rectifier, 3)
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     guess = nominal_guess(sys, solve_nominal(rectifier, tol=tol))
     sol = shoot_forced(sys, guess, tol=tol)
     batch = solve_forced(
         rectifier.realize(testing.nodes), sys.horizon, y0=testing.vandermonde @ guess, tol=tol
     )
-    blocks = sol.coeffs.blocks
-    assert np.abs(testing.v_inv @ batch.y - blocks).max() <= 1e-12 * np.abs(blocks).max()
+    assert np.abs(testing.v_inv @ batch.y - sol.coeffs).max() <= 1e-12 * np.abs(sol.coeffs).max()
     assert batch.iterations == sol.iterations
 
 
@@ -69,17 +68,16 @@ def test_decoupled_autonomous_solve_is_the_batch_at_the_testing_nodes(vdp_random
     _, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 2)
     T0 = float(det.period)
-    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    sys = assemble_autonomous(vdp_random, testing, T0)
     guess = nominal_guess(sys, det)
     sol = shoot_autonomous(sys, phase, guess, np.eye(basis.size)[0], tol=tol, n_steps=300)
     batch = solve_autonomous(
         vdp_random.realize(testing.nodes), phase, T0, testing.vandermonde @ guess,
         tol=tol, n_steps=300,
     )
-    blocks = sol.coeffs.blocks
-    assert np.abs(testing.v_inv @ batch.y - blocks).max() <= 1e-12 * np.abs(blocks).max()
+    assert np.abs(testing.v_inv @ batch.y - sol.coeffs).max() <= 1e-12 * np.abs(sol.coeffs).max()
     scale = testing.v_inv @ batch.period_scale
-    assert np.abs(scale - sol.scale_coeffs.blocks).max() <= 1e-12
+    assert np.abs(scale - sol.scale_coeffs).max() <= 1e-12
     assert batch.iterations == sol.iterations
 
 
@@ -88,7 +86,7 @@ def test_decoupled_autonomous_solve_is_the_batch_at_the_testing_nodes(vdp_random
 
 def test_stacked_equals_deterministic_for_k1(rc_circuit):
     basis, testing = _setup(rc_circuit, 0)
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     inst = rc_circuit.realize(testing.nodes[0])
     rng = np.random.default_rng(2)
     w = rng.normal(size=rc_circuit.n)
@@ -101,7 +99,7 @@ def test_stacked_residual_is_per_node_residual(rc_circuit):
     """Block k of the stacked DAE residual is the deterministic residual at
     node k with the surrogate state, for random coefficient vectors."""
     basis, testing = _setup(rc_circuit, 1)
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     rng = np.random.default_rng(3)
     n, K = rc_circuit.n, basis.size
     for _ in range(100):
@@ -119,7 +117,7 @@ def test_hand_stacked_rc_d1_p1(rc_circuit):
     """d=1, p=1: V is the 2x2 matrix [[1,-1],[1,1]]; check the assembly."""
     basis, testing = _setup(rc_circuit, 1)
     assert np.allclose(testing.vandermonde, [[1, -1], [1, 1]])
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     rng = np.random.default_rng(4)
     w = rng.normal(size=2 * rc_circuit.n)
     c1, c2 = w[: rc_circuit.n], w[rc_circuit.n :]
@@ -133,7 +131,7 @@ def test_hand_stacked_rc_d1_p1(rc_circuit):
 
 def test_stacked_jacobian_matches_finite_differences(rectifier):
     basis, testing = _setup(rectifier, 2)
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     rng = np.random.default_rng(5)
     w = rng.normal(size=sys.ndim) * 0.3
     t = 1e-4
@@ -151,7 +149,7 @@ def test_stacked_jacobian_matches_finite_differences(rectifier):
 
 def test_autonomous_scale_sensitivity_matches_fd(vdp_random):
     basis, testing = _setup(vdp_random, 2)
-    sys = assemble_autonomous(vdp_random, basis, testing, 6.28)
+    sys = assemble_autonomous(vdp_random, testing, 6.28)
     rng = np.random.default_rng(6)
     a_hat = np.array([1.0, 0.05, -0.02])
     sys.scale_coeffs = a_hat
@@ -175,7 +173,7 @@ def test_autonomous_scale_sensitivity_matches_fd(vdp_random):
 def test_nominal_scaling_gives_independent_systems(vdp_random):
     """With the scaling expansion at [1, 0, ...] every node runs at scale 1."""
     basis, testing = _setup(vdp_random, 2)
-    sys = assemble_autonomous(vdp_random, basis, testing, 6.28)
+    sys = assemble_autonomous(vdp_random, testing, 6.28)
     assert np.allclose(sys.node_scales(), 1.0)
 
 
@@ -185,7 +183,7 @@ def test_nominal_scaling_gives_independent_systems(vdp_random):
 def test_j12_zero_when_rhs_vanishes(vdp_random):
     """A trajectory resting at the origin has f = 0, so the sensitivity is 0."""
     basis, testing = _setup(vdp_random, 1)
-    sys = assemble_autonomous(vdp_random, basis, testing, 1.0)
+    sys = assemble_autonomous(vdp_random, testing, 1.0)
     traj, _ = period_map(sys, np.zeros(sys.ndim), n_steps=20)
     _, S = transition_chain(sys, traj, with_scale_columns=True)
     assert np.abs(S).max() < 1e-12
@@ -223,7 +221,7 @@ def test_j12_matches_finite_differences_vdp(vdp_random, vdp_nominal):
     est, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 1)
     T0 = float(det.period)
-    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    sys = assemble_autonomous(vdp_random, testing, T0)
     a_hat = np.array([1.0, 0.02])
     z0 = np.concatenate([det.y, 0.1 * det.y])
 
@@ -249,7 +247,7 @@ def test_stacked_chain_evaluates_each_grid_point_once(vdp_random, vdp_nominal, m
     point come from one node-batch evaluation."""
     _, _, det = vdp_nominal
     basis, testing = _setup(vdp_random, 1)
-    sys = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    sys = assemble_autonomous(vdp_random, testing, float(det.period))
     sys.scale_coeffs = np.array([1.0, 0.02])
     traj = period_map(sys, np.concatenate([det.y, 0.1 * det.y]), n_steps=100)[0]
     calls = []
@@ -270,17 +268,17 @@ def test_stacked_chain_evaluates_each_grid_point_once(vdp_random, vdp_nominal, m
 
 def test_shoot_forced_p0_equals_deterministic(rc_circuit):
     basis, testing = _setup(rc_circuit, 0)
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     sol = shoot_forced(sys, nominal_start(sys), n_steps=200)
     det = solve_forced(rc_circuit.realize(testing.nodes[0]), 1e-3, n_steps=200)
-    assert np.abs(sol.coeffs.blocks[0] - det.y).max() < 1e-12
+    assert np.abs(sol.coeffs[0] - det.y).max() < 1e-12
 
 
 def test_shoot_forced_rc_matches_phasor_quadrature(rc_circuit):
     basis, testing = _setup(rc_circuit, 3)
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     sol = shoot_forced(sys, nominal_start(sys, n_steps=4000), n_steps=4000)
-    m = moments(sol.coeffs)
+    mean, std = moments(sol.coeffs)
     # quadrature of the closed-form phasor solution over the resistance
     nodes, wts = gauss_rule("legendre", 10)
     w = 2 * np.pi * 1e3
@@ -292,26 +290,26 @@ def test_shoot_forced_rc_matches_phasor_quadrature(rc_circuit):
     vals = np.array(vals)
     mean_o = wts @ vals
     std_o = np.sqrt(wts @ (vals - mean_o) ** 2)
-    assert np.abs(m.mean - mean_o).max() < 1e-6
-    assert np.abs(m.std - std_o).max() < 1e-6
+    assert np.abs(mean - mean_o).max() < 1e-6
+    assert np.abs(std - std_o).max() < 1e-6
 
 
 def test_coupled_equals_decoupled_rectifier(rectifier):
     basis, testing = _setup(rectifier, 3)
     assert basis.size == 10
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     guess = nominal_start(sys)
-    sol_d = shoot_forced(sys, guess, mode="decoupled", n_steps=200)
-    sol_c = shoot_forced(sys, guess, mode="coupled", n_steps=200)
+    sol_d, iterates_d = newton_iterates(shoot_forced, sys, guess, mode="decoupled", n_steps=200)
+    sol_c, iterates_c = newton_iterates(shoot_forced, sys, guess, mode="coupled", n_steps=200)
     assert sol_d.iterations == sol_c.iterations
-    scale = np.abs(sol_d.iterates[-1]).max()
-    for a, b in zip(sol_d.iterates, sol_c.iterates):
+    scale = np.abs(iterates_d[-1]).max()
+    for a, b in zip(iterates_d, iterates_c):
         assert np.abs(a - b).max() / scale < 1e-8
 
 
 def test_per_node_residuals_reported(rectifier):
     basis, testing = _setup(rectifier, 2)
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     sol = shoot_forced(sys, nominal_start(sys), n_steps=200)
     assert sol.per_node_residuals.shape == (basis.size,)
     assert np.all(sol.per_node_residuals < 1e-4)
@@ -321,11 +319,11 @@ def test_surrogate_reproduces_deterministic_pss(rectifier):
     """At any testing node the surrogate equals the per-node PSS (10x tol)."""
     tol = 1e-5
     basis, testing = _setup(rectifier, 2)
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     sol = shoot_forced(sys, nominal_start(sys, tol=tol), tol=tol, n_steps=200)
     for k in (0, basis.size - 1):
         xi = testing.nodes[k]
-        surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
+        surro = sol.testing.basis.eval(xi) @ sol.coeffs
         det = solve_forced(rectifier.realize(xi), 1e-3, tol=tol, n_steps=200)
         assert np.abs(surro - det.y).max() < 10 * tol
 
@@ -337,7 +335,7 @@ def test_shoot_autonomous_p0_equals_deterministic(vdp_random, vdp_nominal):
     est, phase, det_nom = vdp_nominal
     basis, testing = _setup(vdp_random, 0)
     T0 = float(det_nom.period)
-    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    sys = assemble_autonomous(vdp_random, testing, T0)
     det = solve_autonomous(
         vdp_random.realize(testing.nodes[0]), phase, T0, det_nom.y, n_steps=400
     )
@@ -345,8 +343,8 @@ def test_shoot_autonomous_p0_equals_deterministic(vdp_random, vdp_nominal):
     sol = shoot_autonomous(
         sys, phase, guess, np.array([1.0]), n_steps=400, mode="decoupled"
     )
-    assert np.abs(sol.coeffs.blocks[0] - det.y).max() < 1e-10
-    assert float(sol.scale_coeffs.blocks[0]) == pytest.approx(
+    assert np.abs(sol.coeffs[0] - det.y).max() < 1e-10
+    assert float(sol.scale_coeffs[0]) == pytest.approx(
         float(det.period_scale), abs=1e-10
     )
 
@@ -355,16 +353,20 @@ def test_coupled_equals_decoupled_autonomous(vdp_random, vdp_nominal):
     est, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 2)
     T0 = float(det.period)
-    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    sys = assemble_autonomous(vdp_random, testing, T0)
     guess = np.zeros((basis.size, 2))
     guess[0] = det.y
     scale = np.zeros(basis.size)
     scale[0] = 1.0
-    sol_d = shoot_autonomous(sys, phase, guess, scale, mode="decoupled", n_steps=300)
-    sol_c = shoot_autonomous(sys, phase, guess, scale, mode="coupled", n_steps=300)
+    sol_d, iterates_d = newton_iterates(
+        shoot_autonomous, sys, phase, guess, scale, mode="decoupled", n_steps=300
+    )
+    sol_c, iterates_c = newton_iterates(
+        shoot_autonomous, sys, phase, guess, scale, mode="coupled", n_steps=300
+    )
     assert sol_d.iterations == sol_c.iterations
-    scale_ref = np.abs(sol_d.iterates[-1]).max()
-    for a, b in zip(sol_d.iterates, sol_c.iterates):
+    scale_ref = np.abs(iterates_d[-1]).max()
+    for a, b in zip(iterates_d, iterates_c):
         assert np.abs(a - b).max() / scale_ref < 1e-8
 
 
@@ -372,25 +374,25 @@ def test_autonomous_phase_structure(vdp_random, vdp_nominal):
     """Mean coefficient of the pinned state equals the anchor; others vanish."""
     est, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 3)
-    sys = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    sys = assemble_autonomous(vdp_random, testing, float(det.period))
     guess = np.zeros((basis.size, 2))
     guess[0] = det.y
     scale = np.zeros(basis.size)
     scale[0] = 1.0
     sol = shoot_autonomous(sys, phase, guess, scale, n_steps=400)
     tol = 1e-5
-    blocks = sol.coeffs.blocks
+    blocks = sol.coeffs
     assert abs(blocks[0, phase.index] - phase.value) <= tol
     assert np.abs(blocks[1:, phase.index]).max() <= tol
     # the scaling stays positive at every testing node
-    assert np.all(testing.vandermonde @ sol.scale_coeffs.blocks > 0)
+    assert np.all(testing.vandermonde @ sol.scale_coeffs > 0)
 
 
 def test_autonomous_period_matches_quadrature_oracle(vdp_random, vdp_nominal):
     est, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 3)
     T0 = float(det.period)
-    sys = assemble_autonomous(vdp_random, basis, testing, T0)
+    sys = assemble_autonomous(vdp_random, testing, T0)
     guess = np.zeros((basis.size, 2))
     guess[0] = det.y
     scale = np.zeros(basis.size)
@@ -408,6 +410,17 @@ def test_autonomous_period_matches_quadrature_oracle(vdp_random, vdp_nominal):
     assert abs(std - std_o) / std_o < 0.01
 
 
+def test_period_moments_are_the_horizon_times_the_scale_moments(vdp_random, vdp_nominal):
+    _, phase, det = vdp_nominal
+    basis, testing = _setup(vdp_random, 2)
+    sys = assemble_autonomous(vdp_random, testing, float(det.period))
+    guess = nominal_guess(sys, det)
+    sol = shoot_autonomous(sys, phase, guess, np.eye(basis.size)[0], n_steps=300)
+    mean, std = moments(sol.scale_coeffs)
+    assert sol.period_moments() == (sol.horizon * mean, sol.horizon * std)
+    assert std > 0
+
+
 def test_stacked_scaling_matches_time_change_per_node():
     """Fixed scaling expansion, linear circuit: the coefficient map over the
     nominal horizon equals per-node unscaled runs over scaled horizons."""
@@ -416,7 +429,7 @@ def test_stacked_scaling_matches_time_change_per_node():
     )
     basis, testing = _setup(c, 1)
     T0 = 1e-3
-    sys = assemble_autonomous(c, basis, testing, T0)
+    sys = assemble_autonomous(c, testing, T0)
     a_hat = np.array([1.2, 0.0])  # constant scaling a(xi) = 1.2
     sys.scale_coeffs = a_hat
     w0 = np.array([0.5, 0.25])  # coefficients: mean 0.5, spread 0.25
@@ -435,7 +448,7 @@ def test_stacked_grid_shared_with_deterministic_runs(rc_circuit):
     """Extracting node k from the coefficient map of a linear circuit
     reproduces a deterministic integration at that node on the same grid."""
     basis, testing = _setup(rc_circuit, 2)
-    sys = assemble_forced(rc_circuit, basis, testing)
+    sys = assemble_forced(rc_circuit, testing)
     K, n = basis.size, rc_circuit.n
     rng = np.random.default_rng(8)
     w0 = rng.normal(size=K * n) * 0.1
@@ -479,7 +492,7 @@ def test_failing_testing_node_names_its_cause(mode):
     c = parse_netlist(SHORTED_AT_A_NODE)
     basis, testing = _setup(c, 1)
     assert testing.nodes[0, 0] == -1.0
-    sys = assemble_forced(c, basis, testing)
+    sys = assemble_forced(c, testing)
     expect = (
         r"testing node 0 \(xi = \[-1\.\]\): implicit step at t=0 did not converge "
         r"at the bisection floor \(non-finite contribution from element R1\)"
@@ -496,7 +509,7 @@ def test_stationary_testing_node_is_rejected(colpitts, mode):
     basis, testing = _setup(colpitts, 1)
     idx = colpitts.node_state("coll")
     x_dc = dc_operating_point(colpitts.realize_nominal())
-    sys = assemble_autonomous(colpitts, basis, testing, 1.6e-8)
+    sys = assemble_autonomous(colpitts, testing, 1.6e-8)
     guess = np.zeros((basis.size, colpitts.n))
     guess[0] = x_dc
     scale = np.eye(basis.size)[0]
@@ -522,7 +535,7 @@ def test_forced_solve_sizes(rectifier, monkeypatch, mode):
     """Decoupled: no solve beyond the circuit size n. Coupled: the forward
     runs stay node-sized and each Newton iteration solves one n*K system."""
     basis, testing = _setup(rectifier, 2)
-    sys = assemble_forced(rectifier, basis, testing)
+    sys = assemble_forced(rectifier, testing)
     guess = nominal_guess(sys, solve_nominal(rectifier, n_steps=100))
     calls = _record_solve_orders(monkeypatch)
     sol = shoot_forced(sys, guess, mode=mode, n_steps=100)
@@ -541,7 +554,7 @@ def test_autonomous_solve_sizes(vdp_random, vdp_nominal, monkeypatch, mode):
     iteration solves one n*K + K system."""
     est, phase, det = vdp_nominal
     basis, testing = _setup(vdp_random, 2)
-    sys = assemble_autonomous(vdp_random, basis, testing, float(det.period))
+    sys = assemble_autonomous(vdp_random, testing, float(det.period))
     guess = np.zeros((basis.size, 2))
     guess[0] = det.y
     scale = np.zeros(basis.size)
@@ -563,11 +576,11 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
     circuit = synthetic_ladder(100, 4)
     basis, testing = _setup(circuit, 3)
     assert (circuit.n, basis.size) == (100, 35)
-    sys = assemble_forced(circuit, basis, testing, period=1e-3)
+    sys = assemble_forced(circuit, testing, period=1e-3)
     sol = shoot_forced(sys, nominal_start(sys, tol=tol, n_steps=40), tol=tol, n_steps=40)
     assert sol.residual_norm <= tol
     xi = testing.nodes[-1]
-    surro = sol.coeffs.basis.eval(xi) @ sol.coeffs.blocks
+    surro = sol.testing.basis.eval(xi) @ sol.coeffs
     det = solve_forced(circuit.realize(xi), 1e-3, tol=tol, n_steps=40)
     assert np.abs(surro - det.y).max() < tol
 
@@ -575,37 +588,42 @@ def test_decoupled_solve_scales_to_a_100_state_ladder():
 # -- the chaos solve from a start ---------------------------------------------------
 
 
-def _assert_same_solve(sol, ref):
-    shape = (sol.scale_coeffs is None, sol.coeffs.blocks.shape)
-    assert shape == (ref.scale_coeffs is None, ref.coeffs.blocks.shape)
+def _assert_same_solve(solve, ref_solve):
+    """Two ``newton_iterates`` results: the solutions and their iterates."""
+    (sol, iterates), (ref, ref_iterates) = solve, ref_solve
+    shape = (sol.scale_coeffs is None, sol.coeffs.shape)
+    assert shape == (ref.scale_coeffs is None, ref.coeffs.shape)
     assert np.array_equal(sol.testing.nodes, ref.testing.nodes)
     assert (sol.mode, sol.iterations) == (ref.mode, ref.iterations)
     assert sol.residual_norm == ref.residual_norm
     assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
-    assert all(np.array_equal(a, b) for a, b in zip(sol.iterates, ref.iterates, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(iterates, ref_iterates, strict=True))
+    return sol, ref
 
 
 @pytest.mark.parametrize("mode", ["decoupled", "coupled"])
 def test_solve_st_is_the_forced_recipe_bit_for_bit(rectifier, mode):
     start = start_of(rectifier)
     basis, testing = _setup(rectifier, 2)
-    ref_system = assemble_forced(rectifier, basis, testing, period=start.period)
-    ref = shoot_forced(ref_system, nominal_guess(ref_system, start), mode=mode, n_steps=100)
-    sol = solve_st(rectifier, start, 2, mode, n_steps=100)
-    _assert_same_solve(sol, ref)
+    ref_system = assemble_forced(rectifier, testing, period=start.period)
+    ref = newton_iterates(
+        shoot_forced, ref_system, nominal_guess(ref_system, start), mode=mode, n_steps=100
+    )
+    _assert_same_solve(newton_iterates(solve_st, rectifier, start, 2, mode, n_steps=100), ref)
 
 
 def test_solve_st_is_the_oscillator_recipe_bit_for_bit(colpitts):
     """The oscillator's scale guess is each node's linearized period scale."""
     start = start_of(colpitts, phase_index=colpitts.node_state("coll"))
     basis, testing = _setup(colpitts, 2)
-    ref_system = assemble_autonomous(colpitts, basis, testing, start.period)
+    ref_system = assemble_autonomous(colpitts, testing, start.period)
     scale = testing.v_inv @ linearized_period_scales(colpitts, testing.nodes)
     guess = nominal_guess(ref_system, start)
-    ref = shoot_autonomous(ref_system, start.phase, guess, scale, n_steps=300)
-    sol = solve_st(colpitts, start, 2, n_steps=300)
-    _assert_same_solve(sol, ref)
-    assert np.array_equal(sol.scale_coeffs.blocks, ref.scale_coeffs.blocks)
+    sol, ref = _assert_same_solve(
+        newton_iterates(solve_st, colpitts, start, 2, n_steps=300),
+        newton_iterates(shoot_autonomous, ref_system, start.phase, guess, scale, n_steps=300),
+    )
+    assert np.array_equal(sol.scale_coeffs, ref.scale_coeffs)
     assert sol.horizon == ref.horizon == start.period
 
 

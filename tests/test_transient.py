@@ -206,7 +206,7 @@ def _chain_case(case, request):
     else:
         rect = request.getfixturevalue("rectifier")
         basis = build_basis([s for _, s in rect.random_params], 2)
-        system = assemble_forced(rect, basis, select_testing_nodes(basis, tensor_rule(basis, 3)))
+        system = assemble_forced(rect, select_testing_nodes(basis, tensor_rule(basis, 3)))
         y, horizon, scaled = nominal_start(system).ravel(), system.horizon, False
     traj = integrate(system, y, 0.0, horizon, n_steps=200, stabilized_start=True)
     _, _, E0, _ = system.eval_with_jac(traj.states[0], traj.times[0])
