@@ -3,9 +3,10 @@
 The Monte Carlo driver draws standardized coordinates from a counter-based
 stream keyed by (seed, sample index), so results are reproducible bit for
 bit regardless of execution order, and solves the whole sample batch in
-lockstep (``shooting.solve_at``), warm-started from the nominal solution it
-is given, the one ``compare``'s chaos solve starts from
-(``shooting.solve_nominal``), so both share its period and phase anchor.
+lockstep (``shooting.solve_at``) from the first-order parameter
+sensitivity of the nominal solution it is given (``shooting.linear_start``),
+the one ``compare``'s chaos solve starts from (``shooting.solve_nominal``),
+so both share its period and phase anchor.
 Post-processing turns converged chaos solutions into mean/std waveforms,
 metric distributions (period, harmonic distortion, average power) sampled
 cheaply from the surrogate, and the chaos-vs-Monte-Carlo comparison record
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpc import family_for, lookup_family, moments
-from .shooting import solve_at
+from .shooting import linear_start, solve_at
 from .transient import ConvergenceError
 
 
@@ -111,17 +112,17 @@ def monte_carlo(circuit, nominal, n_samples, seed, **options):
     """Reference uncertainty propagation by repeated deterministic solves.
 
     ``nominal`` is the nominal circuit's solution (``solve_nominal``). Every
-    sample is warm-started from it and solved the same way (``solve_at``,
-    which takes ``options``): over its period for a driven circuit, or, for
-    an oscillator, with its phase condition over its period as the scaled
-    horizon. Failing samples
-    are recorded, not fatal, unless their fraction exceeds
-    ``MAX_FAILURE_FRACTION``; then the run raises ConvergenceError.
+    sample starts from its ``linear_start`` and is solved the same way
+    (``solve_at``; both take ``options``): over the nominal period for a
+    driven circuit, or, for an oscillator, with its phase condition over
+    that period as the scaled horizon. Failing samples are recorded, not
+    fatal, unless their fraction exceeds ``MAX_FAILURE_FRACTION``; then the
+    run raises ConvergenceError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     xi = draw_standardized([family_for(s) for _, s in circuit.random_params], seed, n_samples)
-    sol = solve_at(circuit, nominal, xi, **options)
+    sol = solve_at(circuit, linear_start(circuit, nominal, xi, **options), xi, **options)
     run = McRun(
         seed=seed,
         xi=xi,

@@ -344,6 +344,9 @@ def _cmd_st(rep, circuit, cfg, kind):
         start = nominal_start(*_nominal_problem(circuit, cfg, kind))
     with rep.phase("chaos_solve"):
         sol = _solve_st(circuit, cfg, start)
+    # sampled before any file is written: a metric fault leaves no output
+    dists = [metric_distribution(sol, metric, cfg["metric_samples"], cfg["seed"] + 1, **kw)
+             for metric, kw in metrics.items()]
     _write_st_outputs(rep, circuit, sol)
     if kind == "forced":
         rep.say(
@@ -356,8 +359,7 @@ def _cmd_st(rep, circuit, cfg, kind):
             f"chaos oscillator PSS: period mean {mean:.6g} s, std {std:.6g} s, "
             f"{sol.iterations} iterations, mode {sol.mode}"
         )
-    for metric, kw in metrics.items():
-        dist = metric_distribution(sol, metric, cfg["metric_samples"], cfg["seed"] + 1, **kw)
+    for metric, dist in zip(metrics, dists):
         _write_distribution(rep, metric, dist)
 
 
@@ -394,6 +396,7 @@ def _run_mc(rep, circuit, cfg, nominal):
         "seed": run.seed,
         "failures": int(np.sum(run.failed)),
         "kind": kind,
+        "iterations": run.iterations,
     }
     if kind == "autonomous":
         pm, ps = run.scalar_stats(run.period)
@@ -403,9 +406,10 @@ def _run_mc(rep, circuit, cfg, nominal):
             "mc_periods.csv", ["sample", "period"],
             [[i, p] for i, p in enumerate(np.asarray(run.period))],
         )
-        rep.say(f"Monte Carlo ({kind}): period mean {pm:.6g} s, std {ps:.6g} s")
+        text = f"period mean {pm:.6g} s, std {ps:.6g} s"
     else:
-        rep.say(f"Monte Carlo ({kind}): {run.n_samples} samples, {info['failures']} failures")
+        text = f"{run.n_samples} samples, {info['failures']} failures"
+    rep.say(f"Monte Carlo ({kind}): {text}, {run.iterations} iterations")
     rep.write_json("mc.json", info)
     return run
 

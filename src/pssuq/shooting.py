@@ -31,7 +31,9 @@ start, the one place a start picks between them. ``nominal_start`` is the
 nominal circuit's DC point or, for an oscillator, ``estimate_period``: a
 transient kicked along the least-damped linearized mode and stopped once
 its cycle settles (Aprille & Trick, IEEE Trans. Circuit Theory, 1972).
-``solve_nominal`` is ``solve_at`` from it at xi = 0. The same linearized
+``solve_nominal`` is ``solve_at`` from it at xi = 0, and ``linear_start``
+starts a batch at xi from that solution's first-order parameter
+sensitivity (the Monte Carlo's start). The same linearized
 frequency at the DC points of a batch [0; xi] gives
 ``linearized_period_scales``, omega(0) / omega(xi), from which an
 oscillator's chaos solve (``stpss.solve_st``, ``solve_at``'s counterpart)
@@ -79,6 +81,7 @@ class PssSolution:
     converged: np.ndarray | bool
     period_scale: np.ndarray | float | None = None  # autonomous solves only
     phase: PhaseCondition | None = None  # autonomous solves only
+    scale = None  # as a start: every sample at scale 1 over ``period``
 
     def summary(self):
         return {
@@ -92,12 +95,14 @@ class PssSolution:
 @dataclass
 class NominalStart:
     """A shooting solve's start: state ``y``, period (a driven circuit's, or
-    an oscillator's scaled horizon) and an oscillator's phase condition
-    (``y0`` and ``level`` read an estimate's state and level)."""
+    an oscillator's scaled horizon), an oscillator's phase condition and
+    its period scale per sample (1 if None) (``y0`` and ``level`` read an
+    estimate's state and level)."""
 
     y: np.ndarray
     period: float
     phase: PhaseCondition | None = None
+    scale: np.ndarray | None = None
     y0 = property(lambda self: self.y)
     level = property(lambda self: self.phase.value)
 
@@ -339,6 +344,8 @@ def _shoot(instance, start, options):
     if not instance.scalar and y0.ndim == 1:
         y0 = np.broadcast_to(y0, (instance.batch_size, n)).copy()
     u0 = y0 if phase is None else np.concatenate([y0, np.ones((*y0.shape[:-1], 1))], axis=-1)
+    if start.scale is not None:
+        u0[..., n] = start.scale
     problem = Shooting(instance, start.period, phase, **options)
     u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, problem.tol)
     converged = gn <= problem.tol
@@ -363,12 +370,13 @@ def solve_forced(instance, period, y0=None, **options):
     return _shoot(instance, NominalStart(y0, period), options)
 
 
-def solve_autonomous(instance, phase, period_guess, y0, **options):
+def solve_autonomous(instance, phase, period_guess, y0, scale=None, **options):
     """Shooting Newton for an oscillator: unknowns are (y, period scale);
     ``options`` are ``Shooting``'s.
 
     ``phase`` pins one state at t = 0; ``period_guess`` sets the scaled
-    integration horizon, and the converged period is period_guess * a.
+    integration horizon, and the converged period is period_guess * a,
+    a starting at ``scale`` (1 if None).
 
     A converged orbit along which the phase state does not swing
     (``stationary_orbits``) is the DC equilibrium, not an oscillation: a
@@ -380,19 +388,21 @@ def solve_autonomous(instance, phase, period_guess, y0, **options):
     Jacobian is singular by construction and any period near the linear
     resonance satisfies the residual test.
     """
-    return _shoot(instance, NominalStart(y0, period_guess, phase), options)
+    return _shoot(instance, NominalStart(y0, period_guess, phase, scale), options)
 
 
 def solve_at(circuit, start, xi, **options):
     """Periodic steady states of ``circuit`` at the standardized coordinates
     ``xi``, (d,) or (B, d), each solved from ``start`` (a ``NominalStart`` or
     a nominal ``PssSolution``): over its period if it has no phase
-    condition, else as an oscillator with its phase condition and its
-    period as the scaled horizon. ``options`` are ``Shooting``'s."""
+    condition, else as an oscillator with its phase condition, its period
+    as the scaled horizon and its scale. ``options`` are ``Shooting``'s."""
     instance = circuit.realize(xi)
     if start.phase is None:
         return solve_forced(instance, start.period, start.y, **options)
-    return solve_autonomous(instance, start.phase, float(start.period), start.y, **options)
+    return solve_autonomous(
+        instance, start.phase, float(start.period), start.y, start.scale, **options
+    )
 
 
 def nominal_start(circuit, period=None, phase_index=None, phase_value=None):
@@ -417,6 +427,33 @@ def solve_nominal(circuit, period=None, phase_index=None, phase_value=None, **op
     (same arguments); ``options`` are ``Shooting``'s."""
     start = nominal_start(circuit, period, phase_index, phase_value)
     return solve_at(circuit, start, np.zeros(circuit.dim), **options)
+
+
+def linear_start(circuit, nominal, xi, **options):
+    """``solve_at``'s start at the (B, d) coordinates ``xi``, to first order
+    in xi about the nominal solution ``nominal``: u0 - J^-1 G xi, u0 its
+    unknown (y, and scale 1 for an oscillator). One lockstep ``Shooting``
+    run of the 2d + 1 circuits at 0 and +-e_j from u0 gives column j of G,
+    (g(+e_j) - g(-e_j)) / 2, and the Newton matrix J of row 0. It never
+    raises: a parameter with an unusable +-e_j residual gets slope 0, and
+    a singular J, d = 0, a start not finite or a scale not above
+    ``SCALE_FLOOR`` start at u0. ``options`` are ``Shooting``'s."""
+    d, phase, n = circuit.dim, nominal.phase, np.size(nominal.y)
+    u0 = np.append(nominal.y, [] if phase is None else [1.0])
+    slope = np.zeros((u0.size, d))
+    if d:
+        xi_probe = np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+        problem = Shooting(circuit.realize(xi_probe), float(nominal.period), phase, **options)
+        u = np.tile(u0, (2 * d + 1, 1))
+        with np.errstate(all="ignore"):  # an unusable neighbour is handled, not reported
+            g, gn, traj = problem.run(u, ..., None)
+            J = shooting_jacobian(problem.system(u[:1], [0]), traj.take([0]), problem.pinned)
+            usable = np.isfinite(gn[1 : d + 1]) & np.isfinite(gn[d + 1 :])
+            G = np.where(usable[:, None], 0.5 * (g[1 : d + 1] - g[d + 1 :]), 0.0)
+            slope = batched_solve(J, G.T[None])[0]  # NaN if J is singular
+    u = u0 - xi @ slope.T
+    u[~(np.all(np.isfinite(u), axis=-1) & (phase is None or u[:, n] > SCALE_FLOOR))] = u0
+    return NominalStart(u[:, :n], float(nominal.period), phase, None if phase is None else u[:, n])
 
 
 # ---------------------------------------------------------------------------

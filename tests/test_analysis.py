@@ -35,7 +35,7 @@ from pssuq.gpc import (
     tensor_rule,
 )
 from pssuq.stpss import StochasticPssSolution, assemble_forced, shoot_forced
-from pssuq.shooting import solve_forced, solve_nominal
+from pssuq.shooting import SCALE_FLOOR, linear_start, solve_forced, solve_nominal
 from pssuq.transient import SHARED_ORDER_MIN_BATCH, Trajectory
 
 from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, nominal_start
@@ -161,13 +161,14 @@ def test_mc_of_one_sample_keeps_the_batch_axis(request, name, phase_index):
 def test_mc_members_above_the_crossover_match_their_solo_solves():
     """A 2,000-sample rectifier batch, whose step, chain and shooting solves
     take the shared row order, gives each member's state and waveform as
-    that member solved alone from the nominal start, within 1e-12."""
+    that member solved alone from its row of the linear start, within 1e-12."""
     circuit = load_netlist(CIRCUITS_DIR / "rectifier.cir")
     nominal = solve_nominal(circuit)
     run = monte_carlo(circuit, nominal, 2000, seed=3)
     assert run.n_samples >= SHARED_ORDER_MIN_BATCH and not run.failed.any()
+    start = linear_start(circuit, nominal, run.xi)
     for i in (0, 777, 1999):
-        solo = solve_forced(circuit.realize(run.xi[i]), nominal.period, y0=nominal.y)
+        solo = solve_forced(circuit.realize(run.xi[i]), nominal.period, y0=start.y[i])
         assert np.array_equal(solo.trajectory.times, run.times)
         wave = solo.trajectory.states
         assert np.abs(solo.y - run.y[i]).max() <= 1e-12 * np.abs(solo.y).max()
@@ -226,9 +227,10 @@ def test_a_wide_monte_carlo_run_holds_one_copy_of_its_trajectory():
 def _rerun_of_a_wide_monte_carlo(monkeypatch, stall):
     """The 2,000-sample rectifier Monte Carlo with its first line-search run
     refused at the mid-period step, so it bisects (and, with ``stall``,
-    sample 0's first Newton step NaN): the buffer each run was given
-    (``own``: none, ``live``: the live trajectory's rows, ``blank``: a blank
-    batch buffer's), the result and its traced peak above the start."""
+    sample 0's first Newton step NaN): the buffer each run of the batch was
+    given (``own``: none, ``live``: the live trajectory's rows, ``blank``: a
+    blank batch buffer's; the linear start's run is not counted), the result
+    and its traced peak above the start."""
     circuit = load_netlist(CIRCUITS_DIR / "rectifier.cir")
     nominal = solve_nominal(circuit)
     monte_carlo(circuit, nominal, 50, seed=1)  # first-call allocations
@@ -237,9 +239,10 @@ def _rerun_of_a_wide_monte_carlo(monkeypatch, stall):
     newton_step = shooting.Shooting.newton_step
     mid = np.linspace(0.0, float(nominal.period), 201)[100:102]
 
-    def counted(*args, into=None, **kwargs):
-        runs.append("own" if into is None else "live" if into.times is not None else "blank")
-        return integrate(*args, into=into, **kwargs)
+    def counted(system, w0, *args, into=None, **kwargs):
+        if len(w0) == 2000 or into is not None:  # a run of the batch or of its rows
+            runs.append("own" if into is None else "live" if into.times is not None else "blank")
+        return integrate(system, w0, *args, into=into, **kwargs)
 
     def refusing(system, w, t, h, *args, **kwargs):
         w_new, ev, conv = step(system, w, t, h, *args, **kwargs)
@@ -563,6 +566,38 @@ def test_monte_carlo_and_compare_leave_out_a_shorted_sample(monkeypatch):
     assert _shared_time_points(sol.trajectory.times, run.times)[0].size == 65
     assert report["mc_samples"] == 100
     assert report["max_rel_mean_delta"] == build_uq_report(sol, sound)["max_rel_mean_delta"]
+
+
+def test_the_linear_start_gives_a_shorted_neighbour_no_slope(monkeypatch):
+    """On the shorted-resistor netlist the linear start's -e_0 neighbour is
+    the short: its run is flagged, so the parameter gets slope 0 and every
+    sample starts at the nominal state, and each sample but the shorted
+    one equals its solve alone from there."""
+    c = parse_netlist(SHORTED_AT_A_NODE)
+    nominal = solve_nominal(c, n_steps=64)
+    draws_with_short(monkeypatch, [7])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        run = monte_carlo(c, nominal, 100, seed=3, n_steps=64)
+        start = linear_start(c, nominal, run.xi, n_steps=64)
+    assert np.nonzero(run.failed)[0].tolist() == [7]
+    assert np.array_equal(start.y, np.tile(nominal.y, (100, 1))) and start.scale is None
+    for i in range(0, 100, 9):
+        solo = solve_forced(c.realize(run.xi[i]), nominal.period, y0=start.y[i], n_steps=64)
+        assert np.abs(solo.y - run.y[i]).max() <= 1e-12 * np.abs(solo.y).max()
+    sound = linear_start(parse_netlist(SHORTED_AT_A_NODE.replace("1k, 1k", "1k, 100")),
+                         nominal, run.xi, n_steps=64)
+    assert not np.array_equal(sound.y, start.y)  # no short, a slope
+
+
+def test_an_oscillator_linear_start_keeps_its_scales_above_the_floor(vdp_random):
+    """A sample whose first-order period scale would fall to ``SCALE_FLOOR``
+    or below starts at the nominal orbit and scale 1; the others move."""
+    nominal = solve_nominal(vdp_random, phase_index=0, n_steps=100)
+    start = linear_start(vdp_random, nominal, np.array([[0.5], [1e4], [-1e4]]), n_steps=100)
+    assert np.all(start.scale > SCALE_FLOOR) and start.scale[0] != 1.0
+    (reset,) = np.flatnonzero(start.scale == 1.0)
+    assert reset in (1, 2) and np.array_equal(start.y[reset], nominal.y)
+    assert start.scale[3 - reset] > 1.0
 
 
 def test_uq_report_compares_on_shared_time_points(rc_circuit):

@@ -130,6 +130,18 @@ def test_metric_faults_exit_2_before_the_solve(
     assert not out.exists()  # no output directory either
 
 
+def test_a_metric_fault_after_the_chaos_solve_leaves_no_output(tmp_path, capsys):
+    """The THD of a DC node faults only once the chaos solve has converged:
+    the run exits 2 before it writes any file, so it leaves no directory."""
+    netlist = tmp_path / "dc.cir"
+    netlist.write_text((CIRCUITS_DIR / "rc_lowpass.cir").read_text() + "V2 dc 0 DC 1\nR2 dc 0 1k\n")
+    cfg = _cfg(tmp_path, gpc_order=1, steps_per_period=64, metrics=["thd"], output_state="dc")
+    out = tmp_path / "out"
+    assert run("st-forced", netlist, cfg, out) == EXIT_CONFIG
+    assert "fundamental amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solution_and_compare_records_keep_their_keys(tmp_path):
     """The fields the chaos solution and the comparison derive when they are
     written, for a forced circuit and an oscillator (0.7 s on a 2-core
@@ -249,6 +261,18 @@ def test_mc_command(tmp_path, rc_circuit):
     assert code == EXIT_OK
     info = json.loads((out / "mc.json").read_text())
     assert info["samples"] == 64 and info["failures"] == 0
+
+
+@pytest.mark.parametrize("name, iterations", [("rectifier", 1), ("colpitts", 2)])
+def test_bundled_monte_carlo_iterations_from_the_linear_start(tmp_path, name, iterations):
+    """From the linear start the bundled 2,000-sample rectifier and 500-sample
+    Colpitts Monte Carlo runs take 1 and 2 shooting iterations (2 and 3 from
+    the nominal orbit); ``mc.json`` and the summary line report them."""
+    out = tmp_path / "out"
+    assert run("mc", CIRCUITS_DIR / f"{name}.cir", CIRCUITS_DIR / f"{name}.json", out) == EXIT_OK
+    info = json.loads((out / "mc.json").read_text())
+    assert info["iterations"] == iterations and info["failures"] == 0
+    assert f", {iterations} iterations" in (out / "summary.txt").read_text()
 
 
 def test_mc_past_its_failure_limit_exits_3(tmp_path, monkeypatch, capsys):
