@@ -7,11 +7,14 @@ lockstep (``shooting.solve_at``) from the first-order parameter
 sensitivity of the nominal solution it is given (``shooting.linear_start``),
 the one ``compare``'s chaos solve starts from (``shooting.solve_nominal``),
 so both share its period and phase anchor.
-Post-processing turns converged chaos solutions into mean/std waveforms,
-metric distributions (period, harmonic distortion, average power) sampled
-cheaply from the surrogate, and the chaos-vs-Monte-Carlo comparison record
-that ``compare`` writes as ``compare.json`` (``build_uq_report``). A
-solution is an oscillator's when it has period-scaling coefficients.
+Post-processing turns converged chaos solutions into mean/std waveforms
+(``waveform_stats`` returns ``(mean, std)``, as ``McRun.waveform_mean_std``
+does), metric distributions sampled cheaply from the surrogate, and the
+chaos-vs-Monte-Carlo comparison record that ``compare`` writes as
+``compare.json`` (``build_uq_report``). ``METRICS`` is the one table of the
+metrics (period, harmonic distortion, average power): each name's sampler
+and the config fields naming the states it reads. A solution is an
+oscillator's when it has period-scaling coefficients.
 Every chaos expansion is a plain array, chaos index first, over the basis
 its testing set carries: the mean and std are ``gpc.moments`` of the
 blocks, and the value at xi is ``basis.eval(xi) @ blocks``.
@@ -71,7 +74,6 @@ class McRun:
     xi: np.ndarray  # (N, d)
     times: np.ndarray  # (P,)
     waveforms: np.ndarray  # (N, P, n) view of a (P, N, n) buffer
-    y: np.ndarray  # (N, n)
     failed: np.ndarray  # (N,)
     period: np.ndarray | float  # (N,) for oscillators, scalar otherwise
     iterations: int
@@ -128,7 +130,6 @@ def monte_carlo(circuit, nominal, n_samples, seed, **options):
         xi=xi,
         times=sol.trajectory.times.copy(),
         waveforms=np.moveaxis(sol.trajectory.states, 0, 1),
-        y=sol.y.copy(),
         failed=~sol.converged,
         period=sol.period,
         iterations=sol.iterations,
@@ -144,13 +145,6 @@ def monte_carlo(circuit, nominal, n_samples, seed, **options):
 # chaos-solution statistics
 
 
-@dataclass
-class WaveformStats:
-    times: np.ndarray
-    mean: np.ndarray  # (P, n)
-    std: np.ndarray  # (P, n)
-
-
 def _trajectory_blocks(solution):
     """The coefficient trajectory as (K, P, n) blocks, chaos index first (a view)."""
     P = solution.trajectory.times.size
@@ -158,9 +152,8 @@ def _trajectory_blocks(solution):
 
 
 def waveform_stats(solution):
-    """Mean/std waveforms of a converged stochastic PSS solution."""
-    mean, std = moments(_trajectory_blocks(solution))
-    return WaveformStats(solution.trajectory.times.copy(), mean, std)
+    """Mean/std waveforms, each (P, n), of a converged stochastic PSS solution."""
+    return moments(_trajectory_blocks(solution))
 
 
 def surrogate_waveforms(solution, xi, state):
@@ -242,7 +235,6 @@ MIN_METRIC_SAMPLES = 1000  # fewest surrogate samples a metric distribution take
 
 @dataclass
 class MetricDistribution:
-    name: str
     samples: np.ndarray
     bin_edges: np.ndarray
     density: np.ndarray
@@ -299,7 +291,7 @@ def _gaussian_kde(samples, grid, bw):
     return total / (samples.size * math.sqrt(2.0 * math.pi) * bw)
 
 
-def distribution_from_samples(name, samples):
+def distribution_from_samples(samples):
     """Freedman-Diaconis histogram plus Gaussian-kernel density estimate.
 
     The kernel bandwidth is Scott's rule, n**(-1/5) times the sample
@@ -311,16 +303,33 @@ def distribution_from_samples(name, samples):
     std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
     if samples.max() - samples.min() <= 0:
         edges = np.array([samples[0] - 0.5, samples[0] + 0.5])
-        return MetricDistribution(
-            name, samples, edges, np.array([1.0]), None, None, mean, 0.0
-        )
+        return MetricDistribution(samples, edges, np.array([1.0]), None, None, mean, 0.0)
     edges = _freedman_diaconis_edges(samples)
     density, _ = np.histogram(samples, bins=edges, density=True)
     bw = samples.size ** -0.2 * samples.std(ddof=1)
     grid = np.linspace(samples.min() - 6 * bw, samples.max() + 6 * bw, 512)
     return MetricDistribution(
-        name, samples, edges, density, grid, _gaussian_kde(samples, grid, bw), mean, std
+        samples, edges, density, grid, _gaussian_kde(samples, grid, bw), mean, std
     )
+
+
+def _power_samples(solution, xi, v_state, i_state, power_sign, **_):
+    v = surrogate_waveforms(solution, xi, v_state)
+    i = surrogate_waveforms(solution, xi, i_state)
+    return power_sign * avg_power(v, i, solution.trajectory.times)
+
+
+# metric name -> (sampler, {config field: sampler keyword}). A sampler gives
+# the metric's values at the draws xi from the chaos surrogate; it takes all
+# of ``metric_distribution``'s keywords and reads the ones it needs. The
+# config fields name the states it reads. The period sampler looks
+# ``sample_periods`` up at each call, so a rebinding of that name reaches it.
+METRICS = {
+    "period": (lambda solution, xi, **_: sample_periods(solution, xi), {}),
+    "thd": (lambda solution, xi, state, **_: thd(surrogate_waveforms(solution, xi, state)),
+            {"output_state": "state"}),
+    "power": (_power_samples, {"v_state": "v_state", "i_state": "i_state"}),
+}
 
 
 def metric_distribution(
@@ -335,30 +344,22 @@ def metric_distribution(
 ):
     """Distribution of a scalar metric sampled from the chaos surrogate.
 
-    ``metric`` is "period", "thd" (of ``state``) or "power" (mean of
-    ``power_sign`` times the product of ``v_state`` and ``i_state``).
-    Sampling costs no circuit solves; parameters are drawn with the same
-    counter-based stream as the Monte Carlo driver.
+    ``metric`` names a ``METRICS`` entry: "period", "thd" (of ``state``)
+    or "power" (mean of ``power_sign`` times the product of ``v_state``
+    and ``i_state``). Sampling costs no circuit solves; parameters are
+    drawn with the same counter-based stream as the Monte Carlo driver.
     """
     if n_samples < MIN_METRIC_SAMPLES:
         raise ValueError(f"metric distributions need at least {MIN_METRIC_SAMPLES} samples")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    sampler, fields = METRICS[metric]
+    kw = {"state": state, "v_state": v_state, "i_state": i_state}
+    missing = [key for key in fields.values() if kw[key] is None]
+    if missing:
+        raise ValueError(f"{metric} metric needs {' and '.join(missing)}")
     xi = draw_standardized(solution.testing.basis.families, seed, n_samples)
-    if metric == "period":
-        vals = sample_periods(solution, xi)
-        return distribution_from_samples("period", vals)
-    if metric == "thd":
-        if state is None:
-            raise ValueError("thd metric needs a state index")
-        waves = surrogate_waveforms(solution, xi, state)
-        return distribution_from_samples("thd", thd(waves))
-    if metric == "power":
-        if v_state is None or i_state is None:
-            raise ValueError("power metric needs v_state and i_state")
-        v = surrogate_waveforms(solution, xi, v_state)
-        i = surrogate_waveforms(solution, xi, i_state)
-        vals = power_sign * avg_power(v, i, solution.trajectory.times)
-        return distribution_from_samples("power", vals)
-    raise ValueError(f"unknown metric {metric!r}")
+    return distribution_from_samples(sampler(solution, xi, power_sign=power_sign, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +394,10 @@ def build_uq_report(solution, mc_run, surrogate_periods=None):
     an independent surrogate period sample of the same size as the MC run
     to add the distribution (KS) comparison.
     """
-    ws = waveform_stats(solution)
+    mean, std = waveform_stats(solution)
     mc_mean, mc_std = mc_run.waveform_mean_std()
-    shared = _shared_time_points(ws.times, mc_run.times)
-    if shared is None or ws.mean.shape[1:] != mc_mean.shape[1:]:
+    shared = _shared_time_points(solution.trajectory.times, mc_run.times)
+    if shared is None or mean.shape[1:] != mc_mean.shape[1:]:
         raise ValueError("chaos and Monte Carlo runs use different grids")
     ia, ib = shared
     mc_mean, mc_std = mc_mean[ib], mc_std[ib]
@@ -404,8 +405,8 @@ def build_uq_report(solution, mc_run, surrogate_periods=None):
     peak = np.where(peak > 0, peak, 1.0)
     out = {
         "kind": "forced" if solution.scale_coeffs is None else "autonomous",
-        "max_rel_mean_delta": float(np.max(np.abs(ws.mean[ia] - mc_mean) / peak)),
-        "max_rel_std_delta": float(np.max(np.abs(ws.std[ia] - mc_std) / peak)),
+        "max_rel_mean_delta": float(np.max(np.abs(mean[ia] - mc_mean) / peak)),
+        "max_rel_std_delta": float(np.max(np.abs(std[ia] - mc_std) / peak)),
         "normalization": "per-state peak of the Monte Carlo mean waveform",
         "mc_samples": mc_run.n_samples,
     }

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    METRICS,
     MIN_METRIC_SAMPLES,
     build_uq_report,
     draw_standardized,
@@ -41,9 +42,16 @@ from .analysis import (
     waveform_stats,
 )
 from .netlist import parse_netlist
-from .shooting import OscillationError, nominal_start, shooting_jacobian, solve_nominal
+from .shooting import (
+    SHOOTING_TOL,
+    STEPS_PER_PERIOD,
+    OscillationError,
+    nominal_start,
+    shooting_jacobian,
+    solve_nominal,
+)
 from .stpss import assemble_forced, solve_st, testing_set
-from .transient import ConvergenceError, NewtonOptions, integrate, scheme_by_name
+from .transient import TRAPEZOIDAL, ConvergenceError, NewtonOptions, integrate, scheme_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,12 +63,13 @@ class ConfigError(ValueError):
     pass
 
 
+# the shooting options default to the library's own defaults
 _DEFAULTS = {
     "gpc_order": 3,
-    "scheme": "trapezoidal",
-    "steps_per_period": 200,
-    "shooting_tol": 1e-5,
-    "newton_tol": 1e-9,
+    "scheme": TRAPEZOIDAL.kind,
+    "steps_per_period": STEPS_PER_PERIOD,
+    "shooting_tol": SHOOTING_TOL,
+    "newton_tol": NewtonOptions.tol,
     "mode": "decoupled",
     "seed": 0,
     "mc_samples": 1000,
@@ -68,8 +77,7 @@ _DEFAULTS = {
     "metrics": [],
 }
 
-# the state fields each metric distribution reads; ``period`` reads none
-_METRIC_STATES = {"period": (), "thd": ("output_state",), "power": ("v_state", "i_state")}
+MAX_CONVERGENCE_ORDER = 6  # highest chaos order a convergence sweep solves
 
 
 def _is_int(v):
@@ -102,19 +110,21 @@ def load_config(path, overrides=None):
     for key in ("shooting_tol", "newton_tol"):
         if not (_is_number(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
-    for key in ("period", "phase_value", "power_sign"):
+    for key in ("period", "phase_value"):
         if cfg.get(key) is not None and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
+    if cfg.get("power_sign") is not None and not (
+        _is_number(cfg["power_sign"]) and abs(cfg["power_sign"]) == 1
+    ):
+        raise ConfigError("power_sign must be 1 or -1")
     if cfg.get("period") is not None and cfg["period"] <= 0:
         raise ConfigError("period must be positive")
     if not (isinstance(cfg["metrics"], list) and all(isinstance(m, str) for m in cfg["metrics"])):
         raise ConfigError("metrics must be a list of strings")
     for metric in cfg["metrics"]:
-        if metric not in _METRIC_STATES:
-            raise ConfigError(
-                f"metrics: unknown metric {metric!r} (known: {', '.join(_METRIC_STATES)})"
-            )
-        for key in _METRIC_STATES[metric]:
+        if metric not in METRICS:
+            raise ConfigError(f"metrics: unknown metric {metric!r} (known: {', '.join(METRICS)})")
+        for key in METRICS[metric][1]:
             _require(cfg, key, f"{metric} metric")
     if not (_is_int(cfg["gpc_order"]) and cfg["gpc_order"] >= 0):
         raise ConfigError("gpc_order must be an integer >= 0")
@@ -122,9 +132,13 @@ def load_config(path, overrides=None):
         raise ConfigError("steps_per_period must be an integer >= 16")
     orders = cfg.get("orders")
     if orders is not None and not (
-        isinstance(orders, list) and all(_is_int(p) and p >= 0 for p in orders)
+        isinstance(orders, list)
+        and orders
+        and all(_is_int(p) and 0 <= p <= MAX_CONVERGENCE_ORDER for p in orders)
     ):
-        raise ConfigError("orders must be a list of integers >= 0")
+        raise ConfigError(
+            f"orders must be a non-empty list of integers from 0 to {MAX_CONVERGENCE_ORDER}"
+        )
     if cfg["mode"] not in ("coupled", "decoupled"):
         raise ConfigError("mode must be 'coupled' or 'decoupled'")
     try:
@@ -285,23 +299,17 @@ def _write_distribution(rep, name, dist):
 
 
 def _st_metrics(circuit, cfg, kind):
-    """The metric distributions an ``st-*`` run writes, each with its
-    ``metric_distribution`` keywords, the state labels resolved: an
-    oscillator's period first, then the config's ``metrics``, each once."""
+    """The metric distributions an ``st-*`` run writes, each with the
+    ``metric_distribution`` keywords of the states it reads, the labels
+    resolved: an oscillator's period first, then the config's ``metrics``,
+    each once."""
+    if kind != "autonomous" and "period" in cfg["metrics"]:
+        raise ConfigError("the period metric needs an oscillator (st-osc)")
     names = (["period"] if kind == "autonomous" else []) + cfg["metrics"]
-    metrics = {}
-    for metric in dict.fromkeys(names):
-        if metric == "period" and kind != "autonomous":
-            raise ConfigError("the period metric needs an oscillator (st-osc)")
-        kw = {}
-        if metric == "thd":
-            kw["state"] = circuit.state_index(str(cfg["output_state"]))
-        elif metric == "power":
-            kw["v_state"] = circuit.state_index(str(cfg["v_state"]))
-            kw["i_state"] = circuit.state_index(str(cfg["i_state"]))
-            kw["power_sign"] = float(cfg.get("power_sign", 1.0))
-        metrics[metric] = kw
-    return metrics
+    return {
+        metric: {kw: circuit.state_index(str(cfg[f])) for f, kw in METRICS[metric][1].items()}
+        for metric in dict.fromkeys(names)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,9 @@ def _cmd_st(rep, circuit, cfg, kind):
     with rep.phase("chaos_solve"):
         sol = _solve_st(circuit, cfg, start)
     # sampled before any file is written: a metric fault leaves no output
-    dists = [metric_distribution(sol, metric, cfg["metric_samples"], cfg["seed"] + 1, **kw)
+    power_sign = float(cfg.get("power_sign", 1.0))
+    dists = [metric_distribution(sol, metric, cfg["metric_samples"], cfg["seed"] + 1,
+                                 power_sign=power_sign, **kw)
              for metric, kw in metrics.items()]
     _write_st_outputs(rep, circuit, sol)
     if kind == "forced":
@@ -370,8 +380,8 @@ def _write_st_outputs(rep, circuit, sol):
     # order) of that state, block-major like the coefficient stack
     header = [f"c{k + 1}[{nm}]" for k in range(sol.testing.size) for nm in circuit.state_names]
     _write_trajectory(rep, "coefficients.csv", header, sol.trajectory)
-    ws = waveform_stats(sol)
-    header, rows = _waveform_stats_rows(ws.times, ws.mean, ws.std, circuit.state_names)
+    mean, std = waveform_stats(sol)
+    header, rows = _waveform_stats_rows(sol.trajectory.times, mean, std, circuit.state_names)
     rep.write_csv("waveform_stats.csv", header, rows)
 
 
@@ -444,9 +454,7 @@ def _cmd_compare(rep, circuit, cfg):
 
 
 def _cmd_convergence(rep, circuit, cfg):
-    orders = cfg.get("orders") or list(range(1, 7))
-    if max(orders) > 6:
-        raise ConfigError("convergence sweep caps at order 6")
+    orders = cfg.get("orders") or list(range(1, MAX_CONVERGENCE_ORDER + 1))
     with rep.phase("sweep"):
         rows = convergence_sweep(circuit, cfg, orders)
     rep.write_csv("convergence.csv", ["order", "n_basis", "rel_error"], rows)

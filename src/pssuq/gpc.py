@@ -6,10 +6,10 @@ orthonormal polynomials, and its standardized sampler. Gaussian parameters
 use probabilists' Hermite polynomials (beta_k = k), uniform ones Legendre
 polynomials on [-1, 1] with density 1/2 (beta_k = k^2 / (4k^2 - 1)). The
 same beta_k give the basis values and, through the Jacobi matrix, the Gauss
-rules. Multivariate basis functions are products of univariate factors
-over a total-degree index set in graded lexicographic order with the
-constant function first, so the first coefficient block of any expansion
-is its mean.
+rules, each a plain ``(nodes, weights)`` pair. Multivariate basis
+functions are products of univariate factors over a total-degree index set
+in graded lexicographic order with the constant function first, so the
+first coefficient block of any expansion is its mean.
 
 The testing-node set is a size-K subset of a tensor Gauss rule chosen so
 that the collocation matrix V[i, j] = H_j(node_i) is well conditioned:
@@ -167,16 +167,6 @@ def build_basis(dists, order):
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: np.ndarray  # (M, d)
-    weights: np.ndarray  # (M,), sums to 1
-
-    @property
-    def count(self):
-        return self.nodes.shape[0]
-
-
 def gauss_rule(family, m):
     """1-D Gauss rule with m points for the family's weight function.
 
@@ -197,14 +187,15 @@ def gauss_rule(family, m):
 
 
 def tensor_rule(basis, points_per_dim):
-    """Tensor-product Gauss rule across the basis dimensions: the full grid."""
+    """Tensor-product Gauss rule across the basis dimensions, the full grid:
+    ``(nodes, weights)``, (M, d) and (M,), the weights summing to one."""
     rules = [gauss_rule(fam, points_per_dim) for fam in basis.families]
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij", copy=False)
     nodes = np.stack(grids, axis=-1).reshape(-1, basis.dim)
     weights = rules[0][1]
     for r in rules[1:]:
         weights = np.multiply.outer(weights, r[1]).ravel()
-    return QuadratureRule(nodes, weights)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +235,9 @@ PIVOT_THRESHOLD = 1e-3  # relative pivot a candidate row must exceed
 def select_testing_nodes(basis, candidates):
     """Pick K candidate nodes whose collocation matrix is well conditioned.
 
-    One pass visits the candidates in order of decreasing quadrature weight
-    (ties broken by coordinates, so the choice is deterministic), evaluating
+    ``candidates`` is a quadrature rule, ``(nodes, weights)``. One pass
+    visits the candidates in order of decreasing quadrature weight (ties
+    broken by coordinates, so the choice is deterministic), evaluating
     their basis rows K at a time as the scan reaches them, and accepts a
     candidate when the orthogonalized remainder of its row exceeds
     ``PIVOT_THRESHOLD`` relative to the row norm. For a rule that integrates
@@ -257,14 +249,15 @@ def select_testing_nodes(basis, candidates):
     ``COND_BOUND``, raises GpcError.
     """
     K = basis.size
-    if candidates.count < K:
-        raise GpcError(f"need at least {K} candidates, got {candidates.count}")
-    keys = tuple(candidates.nodes[:, j] for j in range(basis.dim - 1, -1, -1))
-    order = np.lexsort(keys + (-candidates.weights,))
+    nodes, weights = candidates
+    if nodes.shape[0] < K:
+        raise GpcError(f"need at least {K} candidates, got {nodes.shape[0]}")
+    keys = tuple(nodes[:, j] for j in range(basis.dim - 1, -1, -1))
+    order = np.lexsort(keys + (-weights,))
     rows = (
         row
         for start in range(0, order.size, K)
-        for row in basis.eval(candidates.nodes[order[start:start + K]])
+        for row in basis.eval(nodes[order[start:start + K]])
     )
 
     picked = []
@@ -286,11 +279,10 @@ def select_testing_nodes(basis, candidates):
     else:
         raise GpcError("candidate set does not span the basis (rank deficient)")
 
-    nodes = candidates.nodes[picked]
     cond = float(np.linalg.cond(V))
     if not np.isfinite(cond) or cond > COND_BOUND:
         raise GpcError(f"collocation matrix too ill-conditioned: cond = {cond:.3e}")
-    return TestingSet(basis, nodes, V, np.linalg.inv(V), cond)
+    return TestingSet(basis, nodes[picked], V, np.linalg.inv(V), cond)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,8 @@ MAX_HALVINGS = 8  # step halvings a Newton sample may try before it stalls
 MAX_ITER = 50  # shooting Newton iterations before a solve gives up
 SCALE_FLOOR = 1e-6  # an oscillator's period scaling must stay above this
 MIN_SWING = 1e-9  # smallest swing, relative to 1 + |level|, taken as oscillation
+SHOOTING_TOL = 1e-5  # residual norm at which shooting Newton stops, by default
+STEPS_PER_PERIOD = 200  # integration steps over the period or scaled horizon, by default
 
 
 def _rows(mask):
@@ -282,7 +284,8 @@ class Shooting:
     ``**options`` on to here.
     """
 
-    def __init__(self, instance, horizon, phase=None, tol=1e-5, n_steps=200, **integration):
+    def __init__(self, instance, horizon, phase=None, tol=SHOOTING_TOL, n_steps=STEPS_PER_PERIOD,
+                 **integration):
         self.instance = instance
         self.horizon = horizon
         self.phase = phase

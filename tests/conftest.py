@@ -150,8 +150,9 @@ def newton_iterates(solve, *args, **kwargs):
 
 def gram_matrix(basis, rule):
     """Quadrature approximation of the basis Gram matrix (identity, ideally)."""
-    H = basis.eval(rule.nodes)  # (M, K)
-    return H.T @ (H * rule.weights[:, None])
+    nodes, weights = rule
+    H = basis.eval(nodes)  # (M, K)
+    return H.T @ (H * weights[:, None])
 
 
 def period_map(system, coeffs, **options):

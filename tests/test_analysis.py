@@ -154,7 +154,7 @@ def test_mc_of_one_sample_keeps_the_batch_axis(request, name, phase_index):
     nominal = solve_nominal(c, phase_index=phase_index, n_steps=64)
     run = monte_carlo(c, nominal, 1, seed=2, n_steps=64)
     assert run.waveforms.shape == (1, run.times.size, c.n)
-    assert run.y.shape == (1, c.n) and run.failed.shape == (1,)
+    assert run.waveforms[:, 0].shape == (1, c.n) and run.failed.shape == (1,)
     assert np.shape(run.period) == (() if phase_index is None else (1,))
 
 
@@ -171,7 +171,7 @@ def test_mc_members_above_the_crossover_match_their_solo_solves():
         solo = solve_forced(circuit.realize(run.xi[i]), nominal.period, y0=start.y[i])
         assert np.array_equal(solo.trajectory.times, run.times)
         wave = solo.trajectory.states
-        assert np.abs(solo.y - run.y[i]).max() <= 1e-12 * np.abs(solo.y).max()
+        assert np.abs(solo.y - run.waveforms[i, 0]).max() <= 1e-12 * np.abs(solo.y).max()
         assert np.abs(wave - run.waveforms[i]).max() <= 1e-12 * np.abs(wave).max()
 
 
@@ -191,7 +191,7 @@ def test_a_wide_monte_carlo_run_keeps_its_memory_bounded():
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (run.xi, run.times, run.waveforms, run.y, run.failed))
+    kept = sum(a.nbytes for a in (run.xi, run.times, run.waveforms, run.failed))
     assert peak - start < 34e6
     assert end - start <= kept + 2**18
 
@@ -303,7 +303,7 @@ def test_blocked_waveform_statistics_are_numpy_one_shot_bits(N, P, n, block, mon
     failed = rng.random(N) < 0.1
     failed[:3] = True, False, False
     run = analysis.McRun(0, np.zeros((N, 1)), np.arange(P), np.moveaxis(states, 0, 1),
-                         states[-1], failed, 1.0, 1)
+                         failed, 1.0, 1)
     copy, ok = np.moveaxis(states, 0, 1).copy(), ~failed[:, None, None]
     mean, std = run.waveform_mean_std()
     assert np.array_equal(mean, copy.mean(axis=0, where=ok), equal_nan=True)
@@ -327,13 +327,13 @@ def test_mc_mean_matches_quadrature_within_clt_band(rc_circuit, rc_big_mc):
     ref_mean = wts @ det.y
     ref_std = np.sqrt(wts @ (det.y - ref_mean) ** 2)
     se = ref_std / np.sqrt(run.n_samples)
-    assert np.all(np.abs(run.y.mean(axis=0) - ref_mean) <= 3 * se + 1e-15)
+    assert np.all(np.abs(run.waveforms[:, 0].mean(axis=0) - ref_mean) <= 3 * se + 1e-15)
 
 
 def test_mc_error_shrinks_like_sqrt_n(rc_circuit, rc_big_mc):
     """Group-mean spread over one pooled run scales as N^(-1/2)."""
     run = rc_big_mc
-    v0 = run.y[:, rc_circuit.node_state("out")]
+    v0 = run.waveforms[:, 0, rc_circuit.node_state("out")]
     ses = []
     sizes = [100, 1_000, 10_000]
     for n in sizes:
@@ -379,9 +379,9 @@ def test_waveform_stats_single_block_is_deterministic():
     basis = build_basis([G], 2)
     blocks = np.zeros((3, 2))
     blocks[0] = [1.5, -0.5]
-    ws = waveform_stats(_toy_solution(blocks, basis))
-    assert np.allclose(ws.mean, [1.5, -0.5])
-    assert np.abs(ws.std).max() == 0.0
+    mean, std = waveform_stats(_toy_solution(blocks, basis))
+    assert np.allclose(mean, [1.5, -0.5])
+    assert np.abs(std).max() == 0.0
 
 
 def test_waveform_stats_match_mc_on_rectifier(rectifier):
@@ -389,12 +389,12 @@ def test_waveform_stats_match_mc_on_rectifier(rectifier):
     testing = select_testing_nodes(basis, tensor_rule(basis, 4))
     system = assemble_forced(rectifier, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
-    ws = waveform_stats(sol)
+    mean, std = waveform_stats(sol)
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 4000, seed=11, n_steps=100)
     mc_mean, mc_std = run.waveform_mean_std()
     peak = np.max(np.abs(mc_mean), axis=0)
-    assert np.max(np.abs(ws.mean - mc_mean) / peak) < 0.01
-    assert np.max(np.abs(ws.std - mc_std) / peak) < 0.01
+    assert np.max(np.abs(mean - mc_mean) / peak) < 0.01
+    assert np.max(np.abs(std - mc_std) / peak) < 0.01
 
 
 def test_waveform_stats_are_the_moments_of_the_coefficient_blocks(rectifier):
@@ -407,8 +407,8 @@ def test_waveform_stats_are_the_moments_of_the_coefficient_blocks(rectifier):
     n, states = rectifier.n, sol.trajectory.states
     blocks = np.stack([states[:, k * n : (k + 1) * n] for k in range(testing.size)])
     mean, std = moments(blocks)
-    ws = waveform_stats(sol)
-    assert np.array_equal(ws.mean, mean) and np.array_equal(ws.std, std)
+    got_mean, got_std = waveform_stats(sol)
+    assert np.array_equal(got_mean, mean) and np.array_equal(got_std, std)
 
 
 def test_period_point_mass():
@@ -471,7 +471,7 @@ def test_ks_statistic_sanity():
 
 def test_distribution_from_samples_histogram_mass():
     rng = np.random.default_rng(1)
-    dist = distribution_from_samples("x", rng.normal(size=20_000))
+    dist = distribution_from_samples(rng.normal(size=20_000))
     assert np.sum(dist.density * np.diff(dist.bin_edges)) == pytest.approx(1.0, abs=1e-9)
     assert np.trapezoid(dist.kde_density, dist.kde_grid) == pytest.approx(1.0, abs=1e-6)
 
@@ -496,7 +496,7 @@ def test_kde_matches_scipy(n):
 
     rng = np.random.default_rng(n)
     samples = 1.6e-8 + 3e-10 * rng.standard_t(5, size=n)
-    dist = distribution_from_samples("x", samples)
+    dist = distribution_from_samples(samples)
     kde = scipy.stats.gaussian_kde(samples)
     bw = kde.covariance_factor() * samples.std(ddof=1)
     grid = np.linspace(samples.min() - 6 * bw, samples.max() + 6 * bw, 512)
@@ -509,7 +509,7 @@ def test_kde_reaches_across_a_gap_of_negligible_density():
     there the nearest kernels are what a fixed cut-off would drop."""
     rng = np.random.default_rng(7)
     samples = np.concatenate([rng.normal(size=2000), 28.0 + rng.normal(size=40)])
-    dist = distribution_from_samples("x", samples)
+    dist = distribution_from_samples(samples)
     bw = samples.size ** -0.2 * samples.std(ddof=1)
     z = (dist.kde_grid[:, None] - samples) / bw
     full = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * np.sqrt(2.0 * np.pi) * bw)
@@ -524,10 +524,10 @@ def test_p0_mean_waveform_is_nominal_waveform(rc_circuit):
     testing = select_testing_nodes(basis, tensor_rule(basis, 1))
     system = assemble_forced(rc_circuit, testing)
     sol = shoot_forced(system, nominal_start(system, n_steps=100), n_steps=100)
-    ws = waveform_stats(sol)
+    mean, std = waveform_stats(sol)
     det = _solve(rc_circuit.realize_nominal(), 1e-3, n_steps=100)
-    assert np.abs(ws.mean - det.trajectory.states).max() < 1e-10
-    assert np.abs(ws.std).max() == 0.0
+    assert np.abs(mean - det.trajectory.states).max() < 1e-10
+    assert np.abs(std).max() == 0.0
 
 
 def test_uq_report_forced(rectifier):
@@ -538,7 +538,7 @@ def test_uq_report_forced(rectifier):
     run = monte_carlo(rectifier, solve_nominal(rectifier, n_steps=100), 1000, seed=21, n_steps=100)
     report = build_uq_report(sol, run)
     assert report["max_rel_mean_delta"] < 0.05
-    assert np.all(waveform_stats(sol).std >= 0) and np.all(run.waveform_mean_std()[1] >= 0)
+    assert np.all(waveform_stats(sol)[1] >= 0) and np.all(run.waveform_mean_std()[1] >= 0)
     assert report["kind"] == "forced" and not any(k.startswith("period") for k in report)
     assert report["mc_samples"] == 1000
 
@@ -583,7 +583,7 @@ def test_the_linear_start_gives_a_shorted_neighbour_no_slope(monkeypatch):
     assert np.array_equal(start.y, np.tile(nominal.y, (100, 1))) and start.scale is None
     for i in range(0, 100, 9):
         solo = solve_forced(c.realize(run.xi[i]), nominal.period, y0=start.y[i], n_steps=64)
-        assert np.abs(solo.y - run.y[i]).max() <= 1e-12 * np.abs(solo.y).max()
+        assert np.abs(solo.y - run.waveforms[i, 0]).max() <= 1e-12 * np.abs(solo.y).max()
     sound = linear_start(parse_netlist(SHORTED_AT_A_NODE.replace("1k, 1k", "1k, 100")),
                          nominal, run.xi, n_steps=64)
     assert not np.array_equal(sound.y, start.y)  # no short, a slope

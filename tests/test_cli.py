@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, outputs, manifests, reproducibility."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from pssuq import cli, load_netlist, parse_netlist, shooting, stpss
+from pssuq.analysis import METRICS
 from pssuq.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -22,6 +24,7 @@ from pssuq.cli import (
     synthetic_ladder,
 )
 from pssuq.shooting import solve_nominal
+from pssuq.transient import NewtonOptions, integrate, scheme_by_name
 
 from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, newton_iterates
 
@@ -44,6 +47,17 @@ def test_bad_config_exits_2(tmp_path):
     bad.write_text("{not json")
     code = run("pss-forced", CIRCUITS_DIR / "rc_lowpass.cir", bad, tmp_path / "out")
     assert code == EXIT_CONFIG
+
+
+def test_config_defaults_are_the_library_defaults(tmp_path):
+    """A config without shooting options solves with the library's own."""
+    cfg = load_config(_cfg(tmp_path))
+    shooting_defaults = inspect.signature(shooting.Shooting).parameters
+    assert cfg["shooting_tol"] == shooting_defaults["tol"].default
+    assert cfg["steps_per_period"] == shooting_defaults["n_steps"].default
+    assert cfg["newton_tol"] == NewtonOptions().tol
+    scheme = inspect.signature(integrate).parameters["scheme"].default
+    assert scheme_by_name(cfg["scheme"]) is scheme
 
 
 def test_config_validation(tmp_path):
@@ -76,6 +90,10 @@ def test_config_validation(tmp_path):
         ("mc", "mc_samples", 1),
         ("st-forced", "period", 0),
         ("st-forced", "period", -1e-3),
+        ("convergence", "orders", []),
+        ("convergence", "orders", [1, 7]),
+        ("st-forced", "power_sign", 37.5),
+        ("st-forced", "power_sign", 0),
         # below the fewest samples a metric distribution takes
         ("st-osc", "metric_samples", 500),
     ],
@@ -128,6 +146,24 @@ def test_metric_faults_exit_2_before_the_solve(
     assert code == EXIT_CONFIG and not starts
     assert error in capsys.readouterr().err
     assert not out.exists()  # no output directory either
+
+
+@pytest.mark.parametrize("command, name", [("st-forced", "rc_lowpass"), ("st-osc", "vanderpol")])
+@pytest.mark.parametrize(
+    "metric, field", [(metric, field) for metric, (_, fields) in METRICS.items() for field in fields]
+)
+def test_every_state_field_a_metric_lists_is_required(
+    tmp_path, capsys, command, name, metric, field
+):
+    """``analysis.METRICS`` drives the config check: a config naming a
+    metric without one of the state fields the metric lists exits 2 naming
+    that field, before it makes the output directory."""
+    others = {f: "out" for f in METRICS[metric][1] if f != field}
+    cfg = _cfg(tmp_path, phase_state="1", metrics=[metric], **others)
+    out = tmp_path / "out"
+    assert run(command, CIRCUITS_DIR / f"{name}.cir", cfg, out) == EXIT_CONFIG
+    assert repr(field) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_metric_fault_after_the_chaos_solve_leaves_no_output(tmp_path, capsys):

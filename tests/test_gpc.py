@@ -14,7 +14,6 @@ from pssuq.gpc import (
     GpcError,
     HERMITE,
     LEGENDRE,
-    QuadratureRule,
     basis_size,
     build_basis,
     eval_univariate,
@@ -203,19 +202,19 @@ def test_rules_match_numpy_reference():
 
 def test_tensor_rule_weights_sum_to_one():
     b = build_basis([G, U, G], 2)
-    r = tensor_rule(b, 4)
-    assert r.count == 64
-    assert r.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    nodes, weights = tensor_rule(b, 4)
+    assert nodes.shape == (64, 3) and weights.shape == (64,)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_exactness():
     """m points per dimension integrate per-dim degree <= 2m-1 exactly."""
     b = build_basis([G, U], 0)
     for m in (2, 3, 4):
-        r = tensor_rule(b, m)
+        nodes, weights = tensor_rule(b, m)
         for kg in range(2 * m):
             for ku in range(2 * m):
-                got = np.sum(r.weights * r.nodes[:, 0] ** kg * r.nodes[:, 1] ** ku)
+                got = np.sum(weights * nodes[:, 0] ** kg * nodes[:, 1] ** ku)
                 mg = 0.0 if kg % 2 else scipy.stats.norm.moment(kg)
                 mu_ = 0.0 if ku % 2 else 1.0 / (ku + 1)
                 assert got == pytest.approx(mg * mu_, abs=1e-12, rel=1e-12)
@@ -250,11 +249,11 @@ def test_selection_p0_single_node():
 
 def test_selection_conditioning_close_to_best_subset():
     b = build_basis([G, G], 2)
-    r = tensor_rule(b, 3)
-    ts = select_testing_nodes(b, r)
+    nodes, weights = tensor_rule(b, 3)
+    ts = select_testing_nodes(b, (nodes, weights))
     best = np.inf
-    for sub in itertools.combinations(range(r.count), b.size):
-        V = b.eval(r.nodes[list(sub)])
+    for sub in itertools.combinations(range(nodes.shape[0]), b.size):
+        V = b.eval(nodes[list(sub)])
         best = min(best, np.linalg.cond(V))
     assert ts.cond_estimate <= 10.0 * best
 
@@ -283,7 +282,7 @@ def test_selection_needs_enough_candidates():
 
 def test_selection_raises_when_candidates_do_not_span():
     b = build_basis([G], 2)
-    repeated = QuadratureRule(np.array([[-1.0], [1.0], [-1.0], [1.0]]), np.full(4, 0.25))
+    repeated = (np.array([[-1.0], [1.0], [-1.0], [1.0]]), np.full(4, 0.25))
     with pytest.raises(GpcError, match="does not span"):
         select_testing_nodes(b, repeated)
 
@@ -306,16 +305,17 @@ def _parent_tensor_rule(basis, points_per_dim):
     weights = np.ones(nodes.shape[0])
     for w in wgrids:
         weights = weights * w.ravel()
-    return QuadratureRule(nodes, weights)
+    return nodes, weights
 
 
 def _parent_selection(basis, candidates):
     """The earlier selection: every candidate row evaluated up front, and
     the scan restarted at a tenth of the threshold until K rows are found."""
     K = basis.size
-    keys = tuple(candidates.nodes[:, j] for j in range(basis.dim - 1, -1, -1))
-    order = np.lexsort(keys + (-candidates.weights,))
-    rows_all = basis.eval(candidates.nodes[order])
+    nodes, weights = candidates
+    keys = tuple(nodes[:, j] for j in range(basis.dim - 1, -1, -1))
+    order = np.lexsort(keys + (-weights,))
+    rows_all = basis.eval(nodes[order])
     threshold = PIVOT_THRESHOLD
     while True:
         picked = []
@@ -335,7 +335,7 @@ def _parent_selection(basis, candidates):
         threshold *= 0.1
         assert threshold >= 1e-13
     V = rows_all[picked]
-    return candidates.nodes[order[picked]], V, np.linalg.inv(V), float(np.linalg.cond(V))
+    return nodes[order[picked]], V, np.linalg.inv(V), float(np.linalg.cond(V))
 
 
 @pytest.mark.parametrize("pattern", ["alternating", "hermite", "legendre"])
@@ -348,8 +348,7 @@ def test_selection_matches_the_full_evaluation_bit_for_bit(pattern):
             b = build_basis((fams * d)[:d], p)
             rule = tensor_rule(b, p + 1)
             ref_rule = _parent_tensor_rule(b, p + 1)
-            assert np.array_equal(rule.nodes, ref_rule.nodes)
-            assert np.array_equal(rule.weights, ref_rule.weights)
+            assert all(map(np.array_equal, rule, ref_rule))
             ts = select_testing_nodes(b, rule)
             got = (ts.nodes, ts.vandermonde, ts.v_inv, ts.cond_estimate)
             for name, a, r in zip(("nodes", "V", "V^-1", "cond"), got, _parent_selection(b, ref_rule)):

@@ -13,5 +13,5 @@ def test_library_example_runs(monkeypatch):
     monkeypatch.chdir(ROOT)  # the example opens a bundled netlist by relative path
     scope = {}
     exec(compile(code, "README.md", "exec"), scope)
-    stats, n = scope["stats"], scope["circuit"].n
-    assert stats.mean.shape == stats.std.shape == (stats.times.size, n)
+    times, n = scope["solution"].trajectory.times, scope["circuit"].n
+    assert scope["mean"].shape == scope["std"].shape == (times.size, n)
