@@ -21,7 +21,8 @@ so a call computes q = C x and f = G x plus the nonlinear currents; only
 diodes, MOSFETs, BJTs and van der Pol conductors run per-call device
 code. All device equations are smooth except the junction
 exponential, which continues as its tangent line above a fixed cutoff so
-Newton residuals stay finite.
+Newton residuals stay finite. ``dc_operating_point`` solves f(x) = B u(0)
+per sample by ``transient.damped_newton``, with gmin and source stepping.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transient import batched_solve
+from .transient import Trajectory, _rows, batched_solve, damped_newton, norm_inf
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -841,71 +842,58 @@ class _EvalPlan:
 
 DC_TOL = 1e-10  # residual norm of a converged DC operating point
 DC_MAX_ITER = 200  # Newton iterations per DC solve
+DC_MAX_HALVINGS = 30  # step halvings a DC sample may try before it stalls
+# ladders of (source scale, gmin) rungs: the direct solve, gmin stepping, source stepping
+DC_STAGES = ([(1.0, 0.0)], [(1.0, g) for g in [*10.0 ** np.arange(-2, -13, -1), 0.0]],
+             [(s, 0.0) for s in np.linspace(0.1, 1.0, 10)])
+
+
+def _dc_newton(instance, x0, scale, gmin, nodes):
+    """(x, residual norm) of ``damped_newton`` on f(x) + gmin*v = scale*B u(0) from x0 (B, n)."""
+
+    def run(x, rows, into):
+        ev = instance.take(rows).eval_dae(x, 0.0)
+        r = ev.f - scale * ev.bu
+        if gmin:
+            r[:, nodes] += gmin * x[:, nodes]
+        return r, norm_inf(r), Trajectory.point(0.0, x)
+
+    def newton_step(x, r, traj, rows):
+        J = instance.take(rows).jacobians(x)[1].copy()
+        J[:, nodes, nodes] += gmin
+        return batched_solve(J, r[..., None])[..., 0]
+
+    x, _, rn, _, _ = damped_newton(x0, run, newton_step, DC_TOL, DC_MAX_ITER, DC_MAX_HALVINGS)
+    return x, rn
 
 
 def dc_operating_point(instance):
     """Newton solve of f(x) = B*u(0) (capacitors open, inductors short).
 
-    Uses residual-halving damping from x = 0. When the direct solve stalls,
-    gmin stepping (a conductance from every node voltage to ground, relaxed
-    away) and then source stepping take over. A stage whose residual is not
-    finite where it starts, or whose Newton step is not finite, fails.
-    """
-    shape = (instance.n,) if instance.scalar else (instance.batch_size, instance.n)
+    Each sample runs the ``DC_STAGES`` from x = 0 until one solves it: the
+    direct solve, gmin stepping (a conductance from every node voltage v to
+    ground, relaxed away), then source stepping (Nagel, UCB/ERL M520, 1975).
+    A rung is one ``_dc_newton`` of the samples still on its ladder, which
+    each leave at the first rung they fail: a batch sample takes its solo path."""
+    B, n = instance.batch_size, instance.n
     nodes = np.arange(len(instance.circuit.node_names))
-
-    def residual(xv, scale, gmin):
-        ev = instance.eval_dae(xv, 0.0)
-        r = ev.f - scale * ev.bu
-        J = ev.df_dx.copy()
-        if gmin:
-            r[..., nodes] += gmin * xv[..., nodes]
-            J[..., nodes, nodes] += gmin
-        return r, J
-
-    def newton(xv, scale=1.0, gmin=0.0):
-        r, J = residual(xv, scale, gmin)
-        rn = np.max(np.abs(r))
-        if not np.isfinite(rn):  # no step can decrease a NaN or inf residual
-            return xv, rn, False
-        for _ in range(DC_MAX_ITER):
-            if rn <= DC_TOL:
-                return xv, rn, True
-            dx = batched_solve(J, r[..., None])[..., 0]
-            if not np.all(np.isfinite(dx)):  # singular J, or a step that overflows
-                return xv, rn, False
-            alpha = 1.0
-            for _ in range(30):
-                xt = xv - alpha * dx
-                rt, Jt = residual(xt, scale, gmin)
-                rtn = np.max(np.abs(rt))
-                if np.isfinite(rtn) and rtn < rn * (1.0 - 1e-4 * alpha) + DC_TOL:
-                    break
-                alpha *= 0.5
-            xv, r, J, rn = xt, rt, Jt, rtn
-        return xv, rn, rn <= DC_TOL
-
-    x, rn, ok = newton(np.zeros(shape))
-    if not ok:
-        # gmin stepping: solve with a conductance to ground on every node,
-        # then relax it away (handles cutoff devices leaving nodes floating)
-        x = np.zeros(shape)
-        for gmin in 10.0 ** np.arange(-2, -13, -1):
-            x, rn, ok = newton(x, gmin=gmin)
-            if not ok:
+    x, rn, unsolved = np.zeros((B, n)), np.full(B, np.inf), np.ones(B, dtype=bool)
+    for ladder in DC_STAGES:
+        on = unsolved.copy()
+        x[on] = 0.0
+        for scale, gmin in ladder:
+            if not on.any():
                 break
-        if ok:
-            x, rn, ok = newton(x)
-    if not ok:
-        # source stepping: ramp the excitation
-        x = np.zeros(shape)
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, rn, ok = newton(x, scale)
-            if not ok:
-                break
-    if not ok:
+            rows = _rows(on)
+            x[rows], rn[rows] = _dc_newton(instance.take(rows), x[rows], scale, gmin, nodes)
+            on &= rn <= DC_TOL
+        unsolved &= ~on
+    if unsolved.any():
         # every stage starts from x = 0, so an element non-finite there fails them all
-        element = None if np.isfinite(rn) else instance.find_nonfinite_element(np.zeros(shape), 0.0)
+        k = int(np.argmax(unsolved))
+        sample = instance.take([k])
+        element = None if np.isfinite(rn[k]) else sample.find_nonfinite_element(np.zeros(n), 0.0)
+        at = "" if instance.scalar else f" at sample {k}"
         extra = f" (non-finite contribution from element {element})" if element else ""
-        raise CircuitError(f"DC operating point did not converge (residual {rn:.3e}){extra}")
-    return x
+        raise CircuitError(f"DC operating point did not converge{at} (residual {rn[k]:.3e}){extra}")
+    return x[0] if instance.scalar else x

@@ -11,19 +11,15 @@ along the integration grid, hence exact for the discretized map.
 
 This module is the only definition of both shooting problems: ``Shooting``
 gives the residual run and Newton step (``shooting_jacobian``) that
-``damped_newton`` consumes, for one circuit or a batch, and declares the
-shooting options every solver forwards as ``**options``: ``tol`` and
-``n_steps`` here, ``scheme`` and ``newton`` in ``integrate``. A (B, d)
-parameter batch advances in lockstep through the same grids, which is how
-the Monte Carlo driver amortizes its sampling loop and how the stochastic
-solver (``stpss``) runs its K testing-node circuits. A step one sample
-cannot take is bisected for the whole batch; ``floor_failure`` names the first
-sample the integrator flags at the bisection floor: one circuit's solve
-raises with it, a flagged batch sample is unusable. Converged and stalled
-samples retire: later runs integrate and chain only the pending rows,
-which they write and read in the live trajectory's buffer, and a run that
-changes the grid is repeated for every live sample, so results equal
-those of the lockstep batch.
+``transient.damped_newton`` consumes, for one circuit or a batch, and
+declares the shooting options every solver forwards as ``**options``:
+``tol`` and ``n_steps`` here, ``scheme`` and ``newton`` in ``integrate``.
+A (B, d) parameter batch advances in lockstep through the same grids,
+which is how the Monte Carlo driver amortizes its sampling loop and how
+the stochastic solver (``stpss``) runs its K testing-node circuits. A step
+one sample cannot take is bisected for the whole batch; ``floor_failure``
+names the first sample the integrator flags at the bisection floor: one
+circuit's solve raises with it, a flagged batch sample is unusable.
 ``solve_forced`` and ``solve_autonomous`` are one solve, the oscillator's
 adding the phase row and rejecting an orbit whose phase state does not
 swing (the DC point); ``solve_at`` solves the circuit at given xi from a
@@ -51,6 +47,7 @@ from .transient import (
     Dae,
     Trajectory,
     batched_solve,
+    damped_newton,
     integrate,
     norm_inf,
     transition_chain,
@@ -169,85 +166,6 @@ SHOOTING_TOL = 1e-5  # residual norm at which shooting Newton stops, by default
 STEPS_PER_PERIOD = 200  # integration steps over the period or scaled horizon, by default
 
 
-def _rows(mask):
-    """Indices of the rows ``mask`` marks; ``...`` (views, no copies) for all."""
-    return Ellipsis if np.all(mask) else np.flatnonzero(mask)
-
-
-def damped_newton(u0, run, newton_step, tol):
-    """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
-
-    ``run(u, rows, into)`` returns ``(g, norm, traj)`` for the unknowns
-    ``u`` of batch rows ``rows`` (``...``: all): the residual, its infinity
-    norm per sample (inf where the residual is unusable) and the trajectory
-    from which ``newton_step(u, g, traj, rows)`` returns their Newton step.
-    Only pending samples are run and stepped; the others keep their
-    iterate, residual and trajectory rows. A pending run writes its states
-    into its rows of the live trajectory (``into``, ``integrate``'s), so
-    the batch holds one copy of it, and its flags are recorded there
-    (``Trajectory.put``) unless it changes the grid or flags a sample:
-    then every sample not stalled runs again in a buffer of the whole
-    batch (``into`` a blank one if some sample is stalled, else None).
-    Each sample halves its own step and takes the first trial whose norm
-    is finite and lower. A sample whose residual or step is not finite,
-    or that has not improved after ``MAX_HALVINGS`` halvings, stalls; its
-    trajectory row is meaningless. At most ``MAX_ITER`` iterations are
-    taken.
-
-    Returns ``(u, g, norm, traj, history)``. ``history`` holds one
-    ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
-    step scale, so ``len(history) - 1`` Newton iterations were taken.
-    """
-    u = np.array(u0, dtype=float, copy=True)
-    g, gn, traj = run(u, ..., None)
-    gn = np.asarray(gn)
-    stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
-    history = [(u.copy(), gn.copy(), None)]
-    while len(history) <= MAX_ITER:
-        pending = ~(gn <= tol) & ~stalled
-        if not np.any(pending):
-            break
-        rows = _rows(pending)
-        delta = np.zeros_like(u)
-        delta[rows] = newton_step(u[rows], g[rows], traj, rows)
-        stalled |= pending & ~np.all(np.isfinite(delta), axis=-1)
-        pending &= ~stalled
-        alpha = np.ones(gn.shape)
-        moved = np.zeros(gn.shape, dtype=bool)
-        u_next, g_t, gn_t, traj_t = u, g.copy(), gn.copy(), traj
-        for _ in range(MAX_HALVINGS + 1):
-            if not np.any(pending):
-                break
-            u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
-            rows = _rows(pending)
-            g_r, gn_r, part = run(u_t[rows], rows, traj_t.take(rows))
-            if rows is Ellipsis:
-                traj_t = part
-            elif np.any(part.failed) or not traj_t.put(rows, part):  # a flag may move the grid
-                del part, traj_t  # the run off the grid, and an earlier rerun, go first
-                rows = _rows(~stalled)
-                # beside a stalled sample: straight into a blank buffer of the batch
-                blank = None if rows is Ellipsis else Trajectory(
-                    None, np.full_like(traj.states, np.nan), None, rows=rows)
-                g_r, gn_r, part = run(u_t[rows], rows, blank)
-                traj_t = part if rows is Ellipsis else part.spread(rows, gn.size)
-            g_t[rows], gn_t[rows] = g_r, gn_r
-            better = pending & (gn_t < gn)  # false for a non-finite norm
-            u_next = np.where(better[..., None], u_t, u_next)
-            moved |= better
-            pending &= ~better
-            alpha = np.where(pending, 0.5 * alpha, alpha)
-        stalled |= pending
-        if not np.any(moved):
-            break
-        u = u_next
-        g = np.where(stalled[..., None], g, g_t)
-        gn = np.where(stalled, gn, gn_t)
-        traj = traj_t
-        history.append((u.copy(), gn.copy(), np.where(moved, alpha, 0.0)))
-    return u, g, gn, traj, history
-
-
 def shooting_jacobian(sys, traj, pinned=None):
     """Newton matrix of the one-period residual along ``traj``.
 
@@ -336,7 +254,8 @@ def _shoot(instance, start, options):
     and ``phase``, with the ``Shooting`` options ``options``. Without a
     phase the circuit is driven and ``period`` is its period; with one it
     is an oscillator and ``period`` the scaled horizon. An instance
-    realized at (B, d) coordinates gives (B, ...) results, at B = 1 too."""
+    realized at (B, d) coordinates gives (B, ...) results, at B = 1 too
+    and at B = 0, where nothing is solved (no iteration, a one-point run)."""
     phase = start.phase
     if not start.period > 0:
         raise ValueError("period guess must be positive" if phase else "period must be positive")
@@ -350,16 +269,18 @@ def _shoot(instance, start, options):
     if start.scale is not None:
         u0[..., n] = start.scale
     problem = Shooting(instance, start.period, phase, **options)
-    u, g, gn, traj, history = damped_newton(u0, problem.run, problem.newton_step, problem.tol)
+    u, g, gn, traj, history = damped_newton(
+        u0, problem.run, problem.newton_step, problem.tol, MAX_ITER, MAX_HALVINGS
+    ) if instance.batch_size else (u0, None, np.zeros(0), Trajectory.point(0.0, y0), [u0])
     converged = gn <= problem.tol
     if phase is not None:
         dead = converged & stationary_orbits(traj, phase)
-        if np.all(dead):
+        if np.all(dead) and dead.size:
             raise OscillationError(
                 f"shooting converged to a stationary orbit (state {phase.index})"
             )
         converged = converged & ~dead
-    if not np.any(converged):
+    if not np.any(converged) and converged.size:
         kind = "forced" if phase is None else "autonomous"
         raise ConvergenceError(f"{kind} shooting did not converge (residual {np.min(gn):.3e})")
     a = None if phase is None else u[..., n]

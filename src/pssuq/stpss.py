@@ -51,7 +51,7 @@ import numpy as np
 
 from .gpc import TestingSet, build_basis, moments, select_testing_nodes, tensor_rule
 from .shooting import (
-    CircuitDae, OscillationError, Shooting, damped_newton, floor_failure,
+    MAX_HALVINGS, MAX_ITER, CircuitDae, OscillationError, Shooting, floor_failure,
     linearized_period_scales, shooting_jacobian, stationary_orbits,
 )
 from .transient import (
@@ -59,6 +59,7 @@ from .transient import (
     Dae,
     Trajectory,
     batched_solve,
+    damped_newton,
     integrate,  # not called here: perfbench/test_harness.py checks the tracer rebinds it
 )
 
@@ -259,7 +260,8 @@ def _shoot(system, engine, u0, mode):
             raise ConvergenceError("singular shooting Jacobian")
         return delta
 
-    u, g, gn, node_traj, history = damped_newton(u0, run, newton_step, engine.tol)
+    u, g, gn, node_traj, history = damped_newton(
+        u0, run, newton_step, engine.tol, MAX_ITER, MAX_HALVINGS)
     if not gn <= engine.tol:
         kind = "forced" if pinned is None else "autonomous"
         raise ConvergenceError(f"stochastic {kind} shooting stalled at residual {gn:.3e}")

@@ -23,15 +23,17 @@ integrator never raises on a step, the solver decides. The recorded
 trajectory reflects the steps actually taken, so the one-period chain,
 which re-evaluates Jacobians only (with scaling columns: all), is exact.
 
-Every linear solve of the step Newton, the chain and the shooting Newton
-is one ``batched_solve``. A large batch of small systems (a Monte Carlo
-batch: at least ``SHARED_ORDER_MIN_BATCH`` matrices of order at most
-``SHARED_ORDER_MAX_ORDER``) is eliminated across the batch, in blocks of
-at most ``SHARED_ORDER_BLOCK`` samples, each in one row order: partial
-pivoting's on its first finite sample. A sample whose multipliers exceed
-``MAX_MULTIPLIER`` under that order, or whose solution is not finite, is
-solved again by LAPACK with the other rejected ones. Every other batch
-takes one LAPACK call per matrix.
+``damped_newton`` is the one damped Newton, of the shooting solves and of
+the DC operating point: each sample halves its own step and retires once
+converged or stalled. Every linear solve of the step Newton, the chain and
+``damped_newton`` is one ``batched_solve``. A large batch of small systems
+(a Monte Carlo batch: at least ``SHARED_ORDER_MIN_BATCH`` matrices of
+order at most ``SHARED_ORDER_MAX_ORDER``) is eliminated across the batch,
+in blocks of at most ``SHARED_ORDER_BLOCK`` samples, each in one row
+order: partial pivoting's on its first finite sample. A sample whose
+multipliers exceed ``MAX_MULTIPLIER`` under that order, or whose solution
+is not finite, is solved again by LAPACK with the other rejected ones.
+Every other batch takes one LAPACK call per matrix.
 """
 
 from dataclasses import dataclass
@@ -114,6 +116,13 @@ class Trajectory:
     failed: np.ndarray | None = None  # per-sample floor-failure mask; 0-d for one circuit
     fail_times: np.ndarray | None = None  # start of the step a flagged sample froze at
     rows: object = ...  # the batch rows of ``states`` that are this run's
+
+    @classmethod
+    def point(cls, t, w):
+        """The run that stays at ``w`` at time ``t``: a copy of it, no step, no flag."""
+        batch = np.shape(w)[:-1]
+        return cls(np.array([t]), np.array(w, dtype=float)[None], np.zeros((0, 2)),
+                   np.zeros(batch, dtype=bool), np.full(batch, np.nan))
 
     @property
     def end(self):
@@ -360,10 +369,10 @@ def integrate(
     w0 = np.asarray(w0, dtype=float)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    if t1 == t0:
+        return Trajectory.point(t0, w0)
     failed = np.zeros(w0.shape[:-1], dtype=bool)
     fail_times = np.full(w0.shape[:-1], np.nan)
-    if t1 == t0:
-        return Trajectory(np.array([t0]), w0[None], np.zeros((0, 2)), failed, fail_times)
 
     grid = np.linspace(t0, t1, n_steps + 1)
     times = [float(t0)]
@@ -465,3 +474,82 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     full = np.zeros(batch + (n, n))
     full[..., cols] = M
     return full, S
+
+
+def _rows(mask):
+    """Indices of the rows ``mask`` marks; ``...`` (views, no copies) for all."""
+    return Ellipsis if np.all(mask) else np.flatnonzero(mask)
+
+
+def damped_newton(u0, run, newton_step, tol, max_iter, max_halvings):
+    """Damped Newton on one unknown vector (m,) or a batch of them (B, m).
+
+    ``run(u, rows, into)`` returns ``(g, norm, traj)`` for the unknowns
+    ``u`` of batch rows ``rows`` (``...``: all): the residual, its infinity
+    norm per sample (inf where the residual is unusable) and the trajectory
+    from which ``newton_step(u, g, traj, rows)`` returns their Newton step.
+    Only pending samples are run and stepped; the others keep their
+    iterate, residual and trajectory rows. A pending run writes its states
+    into its rows of the live trajectory (``into``, ``integrate``'s), so
+    the batch holds one copy of it, and its flags are recorded there
+    (``Trajectory.put``) unless it changes the grid or flags a sample:
+    then every sample not stalled runs again in a buffer of the whole
+    batch (``into`` a blank one if some sample is stalled, else None).
+    Each sample halves its own step and takes the first trial whose norm
+    is finite and lower. A sample whose residual or step is not finite, or
+    that has not improved after ``max_halvings`` halvings, stalls; its
+    trajectory row is meaningless. At most ``max_iter`` iterations are
+    taken.
+
+    Returns ``(u, g, norm, traj, history)``. ``history`` holds one
+    ``(u, norm, step_scale)`` per iterate, the first being ``u0`` with no
+    step scale, so ``len(history) - 1`` Newton iterations were taken.
+    """
+    u = np.array(u0, dtype=float, copy=True)
+    g, gn, traj = run(u, ..., None)
+    gn = np.asarray(gn)
+    stalled = ~np.isfinite(gn)  # no usable residual, hence no Newton step
+    history = [(u.copy(), gn.copy(), None)]
+    while len(history) <= max_iter:
+        pending = ~(gn <= tol) & ~stalled
+        if not np.any(pending):
+            break
+        rows = _rows(pending)
+        delta = np.zeros_like(u)
+        delta[rows] = newton_step(u[rows], g[rows], traj, rows)
+        stalled |= pending & ~np.all(np.isfinite(delta), axis=-1)
+        pending &= ~stalled
+        alpha = np.ones(gn.shape)
+        moved = np.zeros(gn.shape, dtype=bool)
+        u_next, g_t, gn_t, traj_t = u, g.copy(), gn.copy(), traj
+        for _ in range(max_halvings + 1):
+            if not np.any(pending):
+                break
+            u_t = np.where(pending[..., None], u - alpha[..., None] * delta, u_next)
+            rows = _rows(pending)
+            g_r, gn_r, part = run(u_t[rows], rows, traj_t.take(rows))
+            if rows is Ellipsis:
+                traj_t = part
+            elif np.any(part.failed) or not traj_t.put(rows, part):  # a flag may move the grid
+                del part, traj_t  # the run off the grid, and an earlier rerun, go first
+                rows = _rows(~stalled)
+                # beside a stalled sample: straight into a blank buffer of the batch
+                blank = None if rows is Ellipsis else Trajectory(
+                    None, np.full_like(traj.states, np.nan), None, rows=rows)
+                g_r, gn_r, part = run(u_t[rows], rows, blank)
+                traj_t = part if rows is Ellipsis else part.spread(rows, gn.size)
+            g_t[rows], gn_t[rows] = g_r, gn_r
+            better = pending & (gn_t < gn)  # false for a non-finite norm
+            u_next = np.where(better[..., None], u_t, u_next)
+            moved |= better
+            pending &= ~better
+            alpha = np.where(pending, 0.5 * alpha, alpha)
+        stalled |= pending
+        if not np.any(moved):
+            break
+        u = u_next
+        g = np.where(stalled[..., None], g, g_t)
+        gn = np.where(stalled, gn, gn_t)
+        traj = traj_t
+        history.append((u.copy(), gn.copy(), np.where(moved, alpha, 0.0)))
+    return u, g, gn, traj, history

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from pssuq import parse_netlist
+import pssuq.circuit as circuit
+import pssuq.transient as transient
+from pssuq import load_netlist, parse_netlist
 from pssuq.circuit import DC_TOL, CircuitError, DistributionSpec, dc_operating_point, thermal_voltage
 
 # one of everything, with both distribution kinds in play
@@ -238,6 +240,48 @@ def test_dc_stages_end_at_once_on_a_non_finite_start():
         with pytest.raises(CircuitError, match=expect):
             dc_operating_point(inst)
     assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("volts", [3, 8, 12, None], ids=["3V", "8V", "12V", "lna"])
+def test_batched_dc_points_are_the_solo_ones_bit_for_bit(volts):
+    """A source through a random resistor into a cubic conductor, at nine
+    points, and the bundled LNA at eight: each sample of a batch damps its
+    own Newton step and runs the stages alone, so its DC point has the bits
+    of its solo solve."""
+    from conftest import CIRCUITS_DIR
+
+    if volts is None:
+        c, xi = load_netlist(CIRCUITS_DIR / "lna.cir"), np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    else:
+        netlist = f".param r = uniform(0.01, 100)\nV1 a 0 DC {volts}\nR1 a b {{r}}\nN1 b 0 MU=5\n"
+        c, xi = parse_netlist(netlist + "R2 b 0 1\n"), np.linspace(-1.0, 1.0, 9)[:, None]
+    batch = dc_operating_point(c.realize(xi))
+    solo = np.array([dc_operating_point(c.realize(row)) for row in xi])
+    assert np.array_equal(batch, solo)
+
+
+def test_dc_rungs_are_damped_newton_calls(monkeypatch):
+    """At 12 V across the cubic conductor the direct solve fails, the gmin
+    ladder stops at its first rung, and source stepping takes ten rungs:
+    twelve ``transient.damped_newton`` calls, the point the last one's."""
+    assert circuit.damped_newton is transient.damped_newton
+    calls = []
+
+    def recording(*args):
+        calls.append(transient.damped_newton(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(circuit, "damped_newton", recording)
+    x = dc_operating_point(parse_netlist("V1 1 0 DC 12\nN1 1 0 MU=5\n").realize_nominal())
+    assert len(calls) == 12
+    assert np.array_equal(calls[-1][0][0], x)
+
+
+def test_a_failed_batched_dc_solve_names_the_sample():
+    c = parse_netlist(".param v = uniform(2, 42)\nV1 1 0 DC {v}\nN1 1 0 MU=5\n")
+    expect = r"^DC operating point did not converge at sample 1 \(residual 2\.443e\+00\)$"
+    with pytest.raises(CircuitError, match=expect):
+        dc_operating_point(c.realize(np.array([[-1.0], [1.0]])))
 
 
 def test_pmos_conducts_with_negative_vgs():

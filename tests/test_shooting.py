@@ -301,7 +301,7 @@ def test_retired_batch_equals_the_lockstep_batch_through_a_bisection(lna_perturb
     runs = _recording_integrate(monkeypatch, system.instances.theta)
     retired = solve_forced(system.instances, system.horizon, y0=starts, n_steps=200)
     assert runs == [list(range(6)), [1, 2, 3, 4, 5], list(range(6))]
-    monkeypatch.setattr(shooting, "_rows", lambda mask: Ellipsis)  # every run takes every row
+    monkeypatch.setattr(transient, "_rows", lambda mask: Ellipsis)  # every run takes every row
     lockstep = solve_forced(system.instances, system.horizon, y0=starts, n_steps=200)
     assert np.all(retired.converged) and retired.iterations == lockstep.iterations
     assert np.array_equal(retired.y, lockstep.y)
@@ -343,7 +343,7 @@ def test_a_line_search_run_that_bisects_equals_the_lockstep_batch(rectifier, mon
     monkeypatch.setattr(shooting, "integrate", recording)
     retired = solve_forced(inst, 1e-3, y0=y0, n_steps=100)
     assert runs[:3] == [(4, False, False, 101), (3, True, False, 102), (4, False, False, 102)]
-    monkeypatch.setattr(shooting, "_rows", lambda mask: Ellipsis)  # every run takes every row
+    monkeypatch.setattr(transient, "_rows", lambda mask: Ellipsis)  # every run takes every row
     lockstep = solve_forced(inst, 1e-3, y0=y0, n_steps=100)
     assert np.all(retired.converged) and retired.iterations == lockstep.iterations
     assert np.array_equal(retired.y, lockstep.y)
@@ -597,6 +597,23 @@ def test_solve_at_the_origin_is_the_nominal_solve(request, name, phase_index):
     assert np.array_equal(at.y, nominal.y) and np.array_equal(at.period, nominal.period)
     assert np.array_equal(at.trajectory.states, nominal.trajectory.states)
     assert at.iterations == nominal.iterations
+
+
+@pytest.mark.parametrize("name", ["colpitts", "rectifier"])
+def test_an_empty_batch_solves_nothing(request, monkeypatch, name, colpitts_nominal):
+    """A (0, d) batch has an empty DC point and an empty solve, in no iteration."""
+    c = request.getfixturevalue(name)
+    start = colpitts_nominal[0] if name == "colpitts" else nominal_start(c)
+    xi = np.zeros((0, c.dim))
+    assert dc_operating_point(c.realize(xi)).shape == (0, c.n)
+
+    def unused(*args):
+        raise AssertionError("an empty batch ran Newton")
+
+    monkeypatch.setattr(shooting, "damped_newton", unused)
+    sol = solve_at(c, start, xi, n_steps=100)
+    assert sol.y.shape == (0, c.n) and sol.iterations == 0
+    assert sol.converged.shape == sol.residual_norm.shape == (0,)
 
 
 def test_solve_at_a_batch_is_the_oscillator_solve_of_its_realization(vdp_random):
