@@ -10,23 +10,28 @@ Commands: ``pss-forced``, ``pss-osc`` (deterministic solves), ``st-forced``,
 ``compare`` (chaos vs Monte Carlo deltas), ``convergence`` (error vs chaos
 order), ``speedup`` (coupled vs decoupled linear-solve timing). The config
 file is JSON; see the README for the schema. Every run writes
-``manifest.json`` (inputs, versions, seeds, wall-clock per phase, output
-hashes) and ``summary.txt`` next to the analysis-specific CSV/JSON files.
+``manifest.json`` (inputs, versions, seeds, the BLAS record, wall-clock per
+phase, peak memory and page faults, output hashes) and ``summary.txt`` next
+to the analysis-specific CSV/JSON files.
 
 Exit codes: 0 success, 2 config/netlist problems, 3 solver
 non-convergence, 4 internal errors.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
+import math
 import os
-import subprocess
 import sys
 import time
-import timeit
-import traceback
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 import numpy as np
 
@@ -85,7 +90,10 @@ def _is_int(v):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: Python's json also parses Infinity and NaN."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and (
+        isinstance(v, int) or math.isfinite(v)
+    )
 
 
 def load_config(path, overrides=None):
@@ -109,10 +117,10 @@ def load_config(path, overrides=None):
             raise ConfigError(f"{key} must be at least {least}")
     for key in ("shooting_tol", "newton_tol"):
         if not (_is_number(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"{key} must be a positive number")
+            raise ConfigError(f"{key} must be a finite positive number")
     for key in ("period", "phase_value"):
         if cfg.get(key) is not None and not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be a number")
+            raise ConfigError(f"{key} must be a finite number")
     if cfg.get("power_sign") is not None and not (
         _is_number(cfg["power_sign"]) and abs(cfg["power_sign"]) == 1
     ):
@@ -213,6 +221,12 @@ class Reporter:
     def finish(self, command, netlist_path, config):
         summary = "\n".join(self.lines) + "\n"
         self.write_text("summary.txt", summary)
+        if resource is not None:
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+            per_mb = 2**20 if sys.platform == "darwin" else 2**10
+            self.timings["peak_rss_mb"] = usage.ru_maxrss / per_mb
+            self.timings["minor_faults"] = usage.ru_minflt
         manifest = {
             "command": command,
             "netlist": str(netlist_path) if netlist_path else None,
@@ -226,6 +240,7 @@ class Reporter:
             "seed": config.get("seed"),
             "timings_s": self.timings,
             "outputs": self.files,
+            "blas": blas_record(),
             **self.manifest_extra,
         }
         (self.out / "manifest.json").write_text(
@@ -236,6 +251,25 @@ class Reporter:
 
 def _file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def blas_record():
+    """The BLAS numpy was built with, the thread count the loaded OpenBLAS
+    reports (None for another BLAS) and the number of CPUs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # a handle on numpy's core module also finds the symbols of the BLAS it links
+    core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    names = (f"{prefix}openblas_get_num_threads{suffix}"
+             for prefix in ("scipy_", "") for suffix in ("64_", "_64", ""))
+    getter = next((getattr(core, name) for name in names if hasattr(core, name)), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = (), ctypes.c_int
+    return {
+        "library": blas.get("name"),
+        "version": blas.get("version"),
+        "threads": getter() if getter is not None else None,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +611,7 @@ def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3
     code, with the child's traceback as its cause; a child that dies
     without a reply raises RuntimeError carrying its stderr.
     """
+    import subprocess
     options = {"n_nodes": n_nodes, "orders": list(orders), "dim": dim,
                "n_steps": n_steps, "repeats": repeats, "seed": seed}
     env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
@@ -603,6 +638,7 @@ def speedup_sweep(n_nodes=100, orders=(1, 2, 3, 4), dim=4, n_steps=40, repeats=3
 
 def _sweep_child():
     """Child side of `speedup_sweep`: JSON options on stdin, JSON reply on stdout."""
+    import traceback
     try:
         rows = _sweep_rows(**json.load(sys.stdin))
     except Exception as exc:  # reported to the parent, which raises it again
@@ -612,16 +648,7 @@ def _sweep_child():
             "message": str(exc),
         }
     else:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        settings = {os.environ.get(var) for var in _BLAS_THREAD_VARS}
-        reply = {
-            "rows": rows,
-            "blas": {
-                "library": blas.get("name"),
-                "version": blas.get("version"),
-                "threads": int(settings.pop()) if len(settings) == 1 else None,
-            },
-        }
+        reply = {"rows": rows, "blas": blas_record()}
     json.dump(reply, sys.stdout)
 
 
@@ -672,6 +699,7 @@ def _timed_alternately(fns, repeats):
     ``TIMING_BATCH_S``. One call of a few milliseconds is at the mercy of
     the scheduler; a batch is not. The batches of the calls alternate, so
     a slow spell of the host reaches each of them."""
+    import timeit
     timers = [timeit.Timer(fn) for fn in fns]
     numbers, best = [], []
     for timer in timers:
@@ -756,7 +784,29 @@ def run(command, netlist_path, config_path, out_dir, seed=None, order=None, mode
     return EXIT_OK
 
 
+# A lockstep batch frees its 64-320 KB step arrays and allocates them again
+# at every Newton iteration; glibc by default hands that memory back to the
+# kernel and faults it in again each time (`compare rectifier`: about 30,000
+# minor page faults, 6,800 with 16 MB kept, 7,100 with 4 MB and 22,000 with
+# 1 MB). The README's "Memory" note has more.
+M_TOP_PAD = -2  # mallopt parameter (malloc.h): free memory kept atop the heap
+HEAP_TOP_PAD = 16 << 20
+
+
+def keep_freed_heap_mapped():
+    """Have glibc keep ``HEAP_TOP_PAD`` bytes of freed heap mapped; a no-op
+    where the C library has no ``mallopt`` (macOS, Windows) or ignores it
+    (musl)."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def main(argv=None):
+    keep_freed_heap_mapped()
     args = build_parser().parse_args(argv)
     return run(
         args.command,

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,11 @@ def test_config_validation(tmp_path):
         ("st-forced", "power_sign", 0),
         # below the fewest samples a metric distribution takes
         ("st-osc", "metric_samples", 500),
+        # Python's json reads Infinity and NaN as numbers
+        ("pss-forced", "shooting_tol", float("inf")),
+        ("pss-forced", "newton_tol", float("inf")),
+        ("st-forced", "period", float("inf")),
+        ("st-osc", "phase_value", float("nan")),
     ],
 )
 def test_mistyped_config_values_exit_2(tmp_path, capsys, command, field, value):
@@ -245,6 +251,10 @@ def test_manifest_lists_all_outputs_with_hashes(tmp_path):
     assert set(manifest["outputs"]) == produced
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"]["library"] == blas["name"]
+    assert manifest["blas"]["version"] == blas["version"]
+    assert manifest["blas"]["cpu_count"] == os.cpu_count()
 
 
 def test_cli_main_argv(tmp_path):
@@ -461,7 +471,7 @@ def test_only_commands_that_keep_the_nominal_solve_it(tmp_path, monkeypatch, com
     assert len(sizes) == (2 if command == "compare" else 0)  # and the Monte Carlo batch
     timings = json.loads((out / "manifest.json").read_text())["timings_s"]
     if command != "compare":
-        assert set(timings) == {"start", "chaos_solve", "total"}
+        assert set(timings) == {"start", "chaos_solve", "total", "peak_rss_mb", "minor_faults"}
 
 
 @pytest.mark.parametrize(
@@ -627,6 +637,45 @@ def test_cli_import_leaves_out_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_speedup_modules():
+    # subprocess, timeit and traceback serve only the speedup sweep and its child
+    code = "import sys, pssuq.cli; print([m for m in ('subprocess', 'timeit', 'traceback') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_heap_policy_leaves_the_outputs_unchanged(tmp_path):
+    """A compare run from ``main``, which sets the heap policy, writes the
+    same files as one with the policy a no-op, and its manifest reports
+    the process's peak memory and page faults: with glibc, fewer of them."""
+    cfg = _cfg(tmp_path, gpc_order=2, steps_per_period=100, mc_samples=1000, seed=3)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    manifests = []
+    for tag, patch in (("policy", ""), ("no_policy", "cli.keep_freed_heap_mapped = lambda: None; ")):
+        out = tmp_path / tag
+        code = (
+            f"import sys; from pssuq import cli; {patch}"
+            "sys.exit(cli.main(['compare', '--netlist', sys.argv[1], '--config', sys.argv[2], "
+            "'--out', sys.argv[3]]))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(CIRCUITS_DIR / "rectifier.cir"), str(cfg), str(out)],
+            capture_output=True, env=env, check=True,
+        )
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert "summary.txt" in manifests[0]["outputs"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    for manifest in manifests:
+        timings = manifest["timings_s"]
+        assert timings["peak_rss_mb"] > 0 and isinstance(timings["peak_rss_mb"], float)
+        assert timings["minor_faults"] > 0 and isinstance(timings["minor_faults"], int)
+    if platform.libc_ver()[0] == "glibc":  # 6,700 against 11,000 when measured
+        assert manifests[0]["timings_s"]["minor_faults"] < manifests[1]["timings_s"]["minor_faults"]
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
