@@ -19,7 +19,11 @@ inductors, source incidence, diode and MOSFET capacitances) are stamped
 once per instance into constant charge and conductance matrices C and G,
 so a call computes q = C x and f = G x plus the nonlinear currents; only
 diodes, MOSFETs, BJTs and van der Pol conductors run per-call device
-code. All device equations are smooth except the junction
+code. A batch that ``transient.batched_solve`` eliminates in a shared row
+order (``transient.shares_order``: a Monte Carlo batch) is stamped
+state-major, C, G and the device Jacobians in (n, n, B) buffers, the
+layout that elimination reads; its Jacobians are (B, n, n) views of them,
+with the same bits. All device equations are smooth except the junction
 exponential, which continues as its tangent line above a fixed cutoff so
 Newton residuals stay finite. ``dc_operating_point`` solves f(x) = B u(0)
 per sample by ``transient.damped_newton``, with gmin and source stepping.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transient import Trajectory, _rows, batched_solve, damped_newton, norm_inf
+from .transient import Trajectory, _rows, batched_solve, damped_newton, norm_inf, shares_order
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -328,11 +332,23 @@ class CircuitInstance:
     sources into constant levels plus sine terms. A call computes q = C x,
     f = G x + f_nl, B u(t) from one sine of the resolved amplitudes and
     phases, dq/dx = C and df/dx = G + J_nl; only the nonlinear devices'
-    fills run. Evaluation is pure and returns new arrays: repeated calls
-    with the same arguments return the same values, and distinct instances
-    may be evaluated concurrently. ``theta`` is (d,) for a scalar instance
-    or (B, d) for a batch; batched instances evaluate states of shape
-    (B, n).
+    fills run. A sine whose amplitude and phase are literals is evaluated
+    once per call and broadcast over the batch. Evaluation is pure and
+    returns new arrays: repeated calls with the same arguments return the
+    same values, and distinct instances may be evaluated concurrently.
+    ``theta`` is (d,) for a scalar instance or (B, d) for a batch; batched
+    instances evaluate states of shape (B, n).
+
+    A batch of B parameter sets that ``batched_solve`` eliminates in a
+    shared row order holds C and G, and scatters the device Jacobians,
+    state-major: dq/dx and df/dx are (B, n, n) views of (n, n, B) arrays,
+    so the step matrices built from them and the solver's copy of those
+    run over contiguous B-wide rows. Every other batch, and one parameter
+    set evaluating a batch of states, is stamped batch-major, whose matrix
+    products numpy hands to BLAS (its own loop, which a state-major
+    operand takes, rounds otherwise). q and f are one product of the
+    batch-major [C; G] either way; the results are new arrays in either
+    layout.
     """
 
     def __init__(self, circuit, theta, scalar=True):
@@ -361,10 +377,17 @@ class CircuitInstance:
         C, G = plan.cq.scatter(self._vq), plan.cg.scatter(self._vg)
         self._CG = np.concatenate([C.reshape(B, n, n), G.reshape(B, n, n)], axis=1)
         self._C, self._G = self._CG[:, :n], self._CG[:, n:]
+        # a batch that batched_solve eliminates state-major keeps C and G so
+        self._state_major = shares_order(B, n)
+        if self._state_major:
+            self._C, self._G = (np.ascontiguousarray(M.transpose(1, 2, 0)).transpose(2, 0, 1)
+                                for M in (self._C, self._G))
         self._levels = resolve(plan.levels)
         self._bu0 = plan.sdc.scatter(self._levels)
         self._amp = resolve(plan.amps)
         self._phase = resolve(plan.phases) * math.pi / 180.0
+        if not any(v.param for v in plan.amps + plan.phases):  # the same sines for every row
+            self._amp, self._phase = self._amp[:, :1], self._phase[:, :1]
         self._omega = 2.0 * math.pi * np.array(plan.freqs, dtype=float)[:, None]
         self._fills = [bind(resolve) for bind in plan.devices]
 
@@ -400,7 +423,11 @@ class CircuitInstance:
     def _stamp_nonlinear(self, x):
         """The devices' currents and df/dx = G + J_nl at states x (B, n)."""
         B, n = x.shape
-        nl = self._plan.nl.scatter(self._nonlinear(x)[1])
+        v = self._nonlinear(x)[1]
+        if self._state_major:
+            nl = self._plan.nl.scatter(v, state_major=True)
+            return nl[:n].T, self._G + nl[n:].reshape(n, n, B).transpose(2, 0, 1)
+        nl = self._plan.nl.scatter(v)
         return nl[:, :n], self._G + nl[:, n:].reshape(B, n, n)
 
     def eval_dae(self, x, t):
@@ -454,8 +481,8 @@ class CircuitInstance:
 
 
 def _fresh(a, B):
-    """A new (B, ...) array holding ``a``, whose leading axis is B or 1."""
-    return a.copy() if a.shape[0] == B else np.repeat(a, B, axis=0)
+    """A new (B, ...) array holding ``a`` in its layout, whose leading axis is B or 1."""
+    return a.copy(order="K") if a.shape[0] == B else np.repeat(a, B, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +569,20 @@ class _SlotSpace:
         self.flat = np.array(flat, dtype=int)
         self.col = np.array(col, dtype=int)
         self.sign = np.array(sign, dtype=float)[:, None]
-        self._index = self.flat  # scatter's target indices, here for batch size 1
+        self._index = self._sm_index = self.flat  # scatter's target indices, here for batch size 1
 
-    def scatter(self, vals):
-        """Sum the slot values (S, B) into their positions: (B, size)."""
+    def scatter(self, vals, state_major=False):
+        """Sum the slot values (S, B) into their positions: (B, size), or
+        (size, B) if ``state_major``."""
         B = vals.shape[1]
+        w = vals[self.slot] * self.sign
+        if state_major:
+            if (index := self._sm_index).size != self.flat.size * B:
+                index = self._sm_index = (self.flat[:, None] * B + np.arange(B)).ravel()
+            return np.bincount(index, w.ravel(), B * self.size).reshape(self.size, B)
         if (index := self._index).size != self.flat.size * B:
             index = (self.flat[:, None] + self.size * np.arange(B)).ravel()
             self._index = index if self._per_eval else self._index
-        w = vals[self.slot] * self.sign
         return np.bincount(index, w.ravel(), B * self.size).reshape(B, self.size)
 
     def first_nonfinite(self, vals, x_pad=None):

@@ -33,7 +33,9 @@ in blocks of at most ``SHARED_ORDER_BLOCK`` samples, each in one row
 order: partial pivoting's on its first finite sample. A sample whose
 multipliers exceed ``MAX_MULTIPLIER`` under that order, or whose solution
 is not finite, is solved again by LAPACK with the other rejected ones.
-Every other batch takes one LAPACK call per matrix.
+Every other batch takes one LAPACK call per matrix. A circuit batch that
+``shares_order`` admits is stamped state-major (``circuit``), so its step
+and chain matrices reach the elimination in the layout it works in.
 """
 
 from dataclasses import dataclass
@@ -170,6 +172,11 @@ SHARED_ORDER_BLOCK = 2048
 MAX_MULTIPLIER = 10.0  # threshold pivoting: |pivot| >= 0.1 x the largest entry below it
 
 
+def shares_order(batch, m):
+    """Whether ``batched_solve`` eliminates ``batch`` matrices of order m in a shared row order."""
+    return batch >= SHARED_ORDER_MIN_BATCH and m <= SHARED_ORDER_MAX_ORDER
+
+
 def batched_solve(J, R):
     """Solve J X = R, J (..., m, m) and R (..., m, k); NaN for singular J.
 
@@ -180,7 +187,7 @@ def batched_solve(J, R):
     elimination rejects, takes one LAPACK call per matrix.
     """
     B, m = J.shape[0], J.shape[-1]
-    if J.ndim != 3 or B < SHARED_ORDER_MIN_BATCH or m > SHARED_ORDER_MAX_ORDER:
+    if J.ndim != 3 or not shares_order(B, m):
         return _lapack_solve(J, R)
     out = np.empty(R.shape)
     blocks = -(-B // SHARED_ORDER_BLOCK)
@@ -231,10 +238,12 @@ def _shared_order_solve(J, R, out):
     is finite, as in the static pivot order of KLU's refactorization
     (Davis & Palamadai Natarajan, ACM TOMS 2010). J and R are copied
     state-major, (m, m, B) and (m, k, B), so each step works on
-    contiguous B-wide rows. A sample is accepted when every multiplier is
-    at most ``MAX_MULTIPLIER`` in magnitude and its solution is finite;
-    the rejected samples (another order's pivots, singular or non-finite
-    matrices) are solved again together by ``_lapack_solve``.
+    contiguous B-wide rows; a stamped circuit batch's J arrives
+    state-major, so its copy is contiguous. A sample is accepted when
+    every multiplier is at most ``MAX_MULTIPLIER`` in magnitude and its
+    solution is finite; the rejected samples (another order's pivots,
+    singular or non-finite matrices) are solved again together by
+    ``_lapack_solve``.
     """
     first = 0
     if not np.isfinite(J[0]).all():
@@ -457,7 +466,9 @@ def transition_chain(system, trajectory, with_scale_columns=False):
     for k in range(1, times.size):
         h = t_list[k] - t_list[k - 1]
         g1, g2 = gam_list[k - 1]
-        carry = E - (g2 * h) * A
+        # contiguous, so the products below are BLAS's whatever the layout
+        # of E and A (numpy's own loop, for a state-major batch, rounds otherwise)
+        carry = np.ascontiguousarray(E - (g2 * h) * A)
         rhs = carry @ M
         if k == 1:
             cols = np.flatnonzero(np.any(rhs != 0, axis=tuple(range(rhs.ndim - 1))))

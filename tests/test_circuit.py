@@ -162,16 +162,110 @@ def test_realize_at_zero_is_nominal(devices):
     assert np.allclose(a.dq_dx, b.dq_dx) and np.allclose(a.df_dx, b.df_dx)
 
 
+def _state_major_batch(c=None, seed=22):
+    """(circuit, xi, x): a batch of ``SHARED_ORDER_MIN_BATCH`` rows of the
+    bundled rectifier (or of circuit ``c``), which is stamped state-major."""
+    from conftest import CIRCUITS_DIR
+
+    c = c or load_netlist(CIRCUITS_DIR / "rectifier.cir")
+    rng = np.random.default_rng(seed)
+    rows = transient.SHARED_ORDER_MIN_BATCH
+    return c, rng.normal(size=(rows, c.dim)) * 0.5, rng.normal(size=(rows, c.n)) * 0.3
+
+
+def _batch_major(monkeypatch):
+    """Stamp every batch batch-major; the solver's own gate stays as it is."""
+    monkeypatch.setattr(circuit, "shares_order", lambda batch, m: False)
+
+
 def test_batched_evaluation_matches_loop(devices):
+    """A batch gives each row its solo bits, also a batch stamped state-major."""
     rng = np.random.default_rng(9)
     xi = rng.normal(size=(8, devices.dim)) * 0.5
     x = rng.normal(size=(8, devices.n)) * 0.3
-    batch = devices.realize(xi).eval_dae(x, 1e-4)
-    for b in range(8):
-        one = devices.realize(xi[b]).eval_dae(x[b], 1e-4)
-        assert np.allclose(batch.q[b], one.q)
-        assert np.allclose(batch.f[b], one.f)
-        assert np.allclose(batch.df_dx[b], one.df_dx)
+    for c, xi, x in ((devices, xi, x), _state_major_batch(seed=9)):
+        batch = c.realize(xi).eval_dae(x, 1e-4)
+        for b in range(len(xi)):
+            one = c.realize(xi[b]).eval_dae(x[b], 1e-4)
+            assert np.array_equal(batch.q[b], one.q)
+            assert np.array_equal(batch.f[b], one.f)
+            assert np.array_equal(batch.df_dx[b], one.df_dx)
+
+
+def test_a_batch_the_solver_eliminates_state_major_is_stamped_state_major():
+    """dq/dx and df/dx of a batch ``batched_solve`` eliminates in a shared
+    row order are (B, n, n) views of (n, n, B) buffers; a smaller batch's
+    are batch-major."""
+    c, xi, x = _state_major_batch()
+    for rows, state_major in ((..., True), (slice(1, None), False)):
+        inst = c.realize(xi[rows])
+        ev = inst.eval_dae(x[rows], 2e-4)
+        for a in (ev.dq_dx, ev.df_dx, *inst.jacobians(x[rows])):
+            assert a.shape == (len(xi[rows]), c.n, c.n)
+            assert a.transpose(1, 2, 0).flags.c_contiguous == state_major
+
+
+def test_a_state_major_batch_evaluates_with_the_batch_major_bits(monkeypatch):
+    """Every ``eval_dae`` field and both ``jacobians`` arrays of a batch
+    stamped state-major equal, bit for bit, those of the batch-major stamp
+    and of each row's solo evaluation."""
+    c, xi, x = _state_major_batch()
+    names = ("q", "f", "bu", "dq_dx", "df_dx")
+
+    def evaluate():
+        inst = c.realize(xi)
+        ev = inst.eval_dae(x, 2e-4)
+        return [np.ascontiguousarray(a) for a in (*(getattr(ev, k) for k in names), *inst.jacobians(x))]
+
+    state_major = evaluate()
+    _batch_major(monkeypatch)
+    for got, want in zip(state_major, evaluate()):
+        assert got.tobytes() == want.tobytes()
+    for k in range(len(xi)):
+        one = c.realize(xi[k]).eval_dae(x[k], 2e-4)
+        for got, name in zip(state_major, names):
+            assert got[k].tobytes() == getattr(one, name).tobytes()
+
+
+def test_a_state_major_batch_integrates_and_chains_with_the_same_bits(monkeypatch):
+    """One ``integrate`` and the ``transition_chain`` over it, plain and
+    with a period scale's columns, give the same bits with the batch
+    stamped state-major or batch-major."""
+    from pssuq.shooting import CircuitDae
+
+    c, xi, x = _state_major_batch()
+    T = c.fundamental_period()
+
+    def run():
+        inst = c.realize(xi)
+        traj = transient.integrate(CircuitDae(inst), x, 0.0, T / 4, n_steps=20)
+        M, _ = transient.transition_chain(CircuitDae(inst), traj)
+        scaled = CircuitDae(inst, np.linspace(0.9, 1.1, len(xi)))
+        Ms, S = transient.transition_chain(scaled, traj, with_scale_columns=True)
+        return traj.states, M, Ms, S
+
+    state_major = run()
+    _batch_major(monkeypatch)
+    for got, want in zip(state_major, run()):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("amplitude", ["1", "{amp}"], ids=["literal", "random"])
+def test_batched_sources_are_the_solo_bits(amplitude):
+    """A batch's B u(t), from ``source`` and from ``eval_dae``, gives each
+    row its solo bits: with a literal sine, evaluated once and broadcast,
+    and with a random amplitude."""
+    from conftest import RECTIFIER
+
+    text = RECTIFIER.replace("SIN(0 1 1k)", f"SIN(0 {amplitude} 1k)")
+    c, xi, x = _state_major_batch(parse_netlist(".param amp = uniform(0.9, 1.1)\n" + text))
+    batch = c.realize(xi)
+    for t in (0.0, 1.3e-4, 7.7e-4):
+        bu, ev = batch.source(t), batch.eval_dae(x, t)
+        for k in range(len(xi)):
+            one = c.realize(xi[k])
+            assert bu[k].tobytes() == one.source(t)[0].tobytes()
+            assert ev.bu[k].tobytes() == one.eval_dae(x[k], t).bu.tobytes()
 
 
 def test_dc_operating_point_resistive():
@@ -327,12 +421,17 @@ def test_one_parameter_set_evaluates_a_state_batch(devices):
             np.testing.assert_array_equal(getattr(batch, name)[k], getattr(one, name))
 
 
-@pytest.mark.parametrize("linear", [True, False], ids=["rc_lowpass", "all_devices"])
-def test_results_are_fresh_arrays(devices, linear):
-    """Writing into a result leaves the instance's stamped matrices alone."""
-    c = _linear_circuits()[0] if linear else devices
-    inst = c.realize(np.zeros(c.dim))
-    x = np.random.default_rng(14).normal(size=c.n) * 0.3
+@pytest.mark.parametrize("case", ["rc_lowpass", "all_devices", "state_major", "state_major_rc_lowpass"])
+def test_results_are_fresh_arrays(devices, case):
+    """Writing into a result leaves the instance's stamped matrices alone,
+    also those of a batch stamped state-major."""
+    if case.startswith("state_major"):
+        c, xi, x = _state_major_batch(_linear_circuits()[0] if case.endswith("rc_lowpass") else None)
+        inst = c.realize(xi)
+    else:
+        c = _linear_circuits()[0] if case == "rc_lowpass" else devices
+        inst = c.realize(np.zeros(c.dim))
+        x = np.random.default_rng(14).normal(size=c.n) * 0.3
     first = inst.eval_dae(x, 1e-4)
     keep = {name: getattr(first, name).copy() for name in ("q", "f", "bu", "dq_dx", "df_dx")}
     for name in keep:

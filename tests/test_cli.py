@@ -25,7 +25,7 @@ from pssuq.cli import (
     synthetic_ladder,
 )
 from pssuq.shooting import solve_nominal
-from pssuq.transient import NewtonOptions, integrate, scheme_by_name
+from pssuq.transient import SHARED_ORDER_MIN_BATCH, NewtonOptions, integrate, scheme_by_name, shares_order
 
 from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, newton_iterates
 
@@ -676,6 +676,30 @@ def test_heap_policy_leaves_the_outputs_unchanged(tmp_path):
         assert timings["minor_faults"] > 0 and isinstance(timings["minor_faults"], int)
     if platform.libc_ver()[0] == "glibc":  # 6,700 against 11,000 when measured
         assert manifests[0]["timings_s"]["minor_faults"] < manifests[1]["timings_s"]["minor_faults"]
+
+
+def test_state_major_stamps_leave_the_mc_outputs_unchanged(tmp_path, monkeypatch):
+    """An ``mc`` run whose batch is stamped state-major, the layout the
+    solver eliminates it in, writes the same files as one with every batch
+    stamped batch-major."""
+    settings = json.loads((CIRCUITS_DIR / "rectifier.json").read_text())
+    cfg = _cfg(tmp_path, **dict(settings, mc_samples=SHARED_ORDER_MIN_BATCH, steps_per_period=50))
+    stamped = []
+
+    def gate(batch, m):
+        stamped.append(shares_order(batch, m))
+        return stamped[-1]
+
+    monkeypatch.setattr("pssuq.circuit.shares_order", gate)
+    runs = []
+    for tag in ("state_major", "batch_major"):
+        out = tmp_path / tag
+        argv = ["mc", "--netlist", str(CIRCUITS_DIR / "rectifier.cir"), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        runs.append((json.loads((out / "manifest.json").read_text())["outputs"], (out / "summary.txt").read_text()))
+        monkeypatch.setattr("pssuq.circuit.shares_order", lambda batch, m: False)
+    assert any(stamped)
+    assert runs[0] == runs[1]
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
