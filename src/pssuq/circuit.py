@@ -19,11 +19,10 @@ inductors, source incidence, diode and MOSFET capacitances) are stamped
 once per instance into constant charge and conductance matrices C and G,
 so a call computes q = C x and f = G x plus the nonlinear currents; only
 diodes, MOSFETs, BJTs and van der Pol conductors run per-call device
-code. A batch that ``transient.batched_solve`` eliminates in a shared row
-order (``transient.shares_order``: a Monte Carlo batch) is stamped
-state-major, C, G and the device Jacobians in (n, n, B) buffers, the
-layout that elimination reads; its Jacobians are (B, n, n) views of them,
-with the same bits. All device equations are smooth except the junction
+code. Every batch is stamped state-major: C, G and the device Jacobians
+are (n, n, B) buffers, the layout that the shared-order elimination of
+``transient.batched_solve`` reads, and the Jacobians are (B, n, n) views
+of them. All device equations are smooth except the junction
 exponential, which continues as its tangent line above a fixed cutoff so
 Newton residuals stay finite. ``dc_operating_point`` solves f(x) = B u(0)
 per sample by ``transient.damped_newton``, with gmin and source stepping.
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transient import Trajectory, _rows, batched_solve, damped_newton, norm_inf, shares_order
+from .transient import Trajectory, _rows, batched_solve, damped_newton, norm_inf
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -333,22 +332,21 @@ class CircuitInstance:
     f = G x + f_nl, B u(t) from one sine of the resolved amplitudes and
     phases, dq/dx = C and df/dx = G + J_nl; only the nonlinear devices'
     fills run. A sine whose amplitude and phase are literals is evaluated
-    once per call and broadcast over the batch. Evaluation is pure and
-    returns new arrays: repeated calls with the same arguments return the
-    same values, and distinct instances may be evaluated concurrently.
-    ``theta`` is (d,) for a scalar instance or (B, d) for a batch; batched
-    instances evaluate states of shape (B, n).
+    once per call and broadcast over the batch. ``theta`` is (d,) for a
+    scalar instance or (B, d) for a batch; batched instances evaluate
+    states of shape (B, n).
 
-    A batch of B parameter sets that ``batched_solve`` eliminates in a
-    shared row order holds C and G, and scatters the device Jacobians,
-    state-major: dq/dx and df/dx are (B, n, n) views of (n, n, B) arrays,
-    so the step matrices built from them and the solver's copy of those
-    run over contiguous B-wide rows. Every other batch, and one parameter
-    set evaluating a batch of states, is stamped batch-major, whose matrix
-    products numpy hands to BLAS (its own loop, which a state-major
-    operand takes, rounds otherwise). q and f are one product of the
-    batch-major [C; G] either way; the results are new arrays in either
-    layout.
+    C, G and the device Jacobians are stamped state-major: dq/dx and df/dx
+    are (B, n, n) views of (n, n, B) arrays, so the step matrices built
+    from them, and the solver's copy of those, run over contiguous B-wide
+    rows. q and f are one BLAS product of a batch-major copy of [C; G].
+
+    Evaluation is pure: repeated calls with the same arguments return the
+    same values, and distinct instances may be evaluated concurrently. C,
+    G without devices and a constant B u are the instance's own arrays,
+    read-only; q, f, a device df/dx and a time-varying B u are new arrays.
+    When one parameter set evaluates a batch of states, C, G without
+    devices and B u are broadcast from their one row, read-only.
     """
 
     def __init__(self, circuit, theta, scalar=True):
@@ -373,17 +371,16 @@ class CircuitInstance:
             with np.errstate(divide="ignore"):
                 lin[space][slots] = v if transform is None else transform(v)
         self._vq, self._vg = lin[plan.cq], lin[plan.cg]
-        # [C; G] stacked, so one product gives q and the linear part of f
-        C, G = plan.cq.scatter(self._vq), plan.cg.scatter(self._vg)
-        self._CG = np.concatenate([C.reshape(B, n, n), G.reshape(B, n, n)], axis=1)
-        self._C, self._G = self._CG[:, :n], self._CG[:, n:]
-        # a batch that batched_solve eliminates state-major keeps C and G so
-        self._state_major = shares_order(B, n)
-        if self._state_major:
-            self._C, self._G = (np.ascontiguousarray(M.transpose(1, 2, 0)).transpose(2, 0, 1)
-                                for M in (self._C, self._G))
+        self._C, self._G = (space.scatter(lin[space]).reshape(n, n, B).transpose(2, 0, 1)
+                            for space in (plan.cq, plan.cg))
+        # [C; G] stacked, so one product gives q and the linear part of f; copied
+        # C-contiguous, since concatenate keeps the state-major order and numpy
+        # hands only a batch-major product to BLAS (its own loop rounds otherwise)
+        self._CG = np.ascontiguousarray(np.concatenate([self._C, self._G], axis=1))
         self._levels = resolve(plan.levels)
-        self._bu0 = plan.sdc.scatter(self._levels)
+        self._bu0 = plan.sdc.scatter(self._levels).T
+        for shared in (self._C, self._G, self._bu0):
+            shared.flags.writeable = False
         self._amp = resolve(plan.amps)
         self._phase = resolve(plan.phases) * math.pi / 180.0
         if not any(v.param for v in plan.amps + plan.phases):  # the same sines for every row
@@ -420,42 +417,37 @@ class CircuitInstance:
             fill(x_pad, v)
         return x_pad, v
 
-    def _stamp_nonlinear(self, x):
-        """The devices' currents and df/dx = G + J_nl at states x (B, n)."""
+    def _stamp(self, x):
+        """The devices' currents (None without devices), dq/dx = C and
+        df/dx = G + J_nl at states x (B, n); C, and G without devices, shared."""
         B, n = x.shape
-        v = self._nonlinear(x)[1]
-        if self._state_major:
-            nl = self._plan.nl.scatter(v, state_major=True)
-            return nl[:n].T, self._G + nl[n:].reshape(n, n, B).transpose(2, 0, 1)
-        nl = self._plan.nl.scatter(v)
-        return nl[:, :n], self._G + nl[:, n:].reshape(B, n, n)
+        dq = _per_state(self._C, B)
+        if not self._fills:
+            return None, dq, _per_state(self._G, B)
+        nl = self._plan.nl.scatter(self._nonlinear(x)[1])
+        return nl[:n].T, dq, self._G + nl[n:].reshape(n, n, B).transpose(2, 0, 1)
 
     def eval_dae(self, x, t):
         """Evaluate q, f, B*u and the exact Jacobians dq/dx, df/dx."""
         squeeze = self.scalar and np.ndim(x) == 1
         x = self._states(x)
-        B, n = x.shape
+        n = self.n
         qf = (self._CG @ x[..., None])[..., 0]
-        q, f = qf[:, :n], qf[:, n:]
-        f_nl, df = self._stamp_nonlinear(x) if self._fills else (None, _fresh(self._G, B))
-        f = f if f_nl is None else f + f_nl
-        bu = self.source(t)  # a new array if time-varying
-        bu = _fresh(bu, B) if bu is self._bu0 or len(bu) != B else bu
-        out = q, f, bu, _fresh(self._C, B), df
+        f_nl, dq, df = self._stamp(x)
+        f = qf[:, n:] if f_nl is None else qf[:, n:] + f_nl
+        out = qf[:, :n], f, _per_state(self.source(t), len(x)), dq, df
         return DaeEval(*(a[0] for a in out)) if squeeze else DaeEval(*out)
 
     def jacobians(self, x):
-        """``eval_dae``'s dq/dx and df/dx alone; C (and G without devices) shared read-only."""
+        """``eval_dae``'s dq/dx and df/dx alone."""
         squeeze = self.scalar and np.ndim(x) == 1
-        x = self._states(x)
-        dq = np.broadcast_to(self._C, x.shape + x.shape[1:])
-        df = self._stamp_nonlinear(x)[1] if self._fills else np.broadcast_to(self._G, dq.shape)
+        dq, df = self._stamp(self._states(x))[1:]
         return (dq[0], df[0]) if squeeze else (dq, df)
 
     def source(self, t):
-        """B u(t), one row per parameter set (the instance's own array if constant)."""
+        """B u(t), one row per parameter set (the instance's own array, read-only, if constant)."""
         ssin = self._plan.ssin
-        return self._bu0 + ssin.scatter(self._sines(float(t))) if ssin.count else self._bu0
+        return self._bu0 + ssin.scatter(self._sines(float(t))).T if ssin.count else self._bu0
 
     def take(self, rows):
         """The instance of batch rows ``rows`` (itself for ``...`` or one parameter set)."""
@@ -480,9 +472,9 @@ class CircuitInstance:
         return None
 
 
-def _fresh(a, B):
-    """A new (B, ...) array holding ``a`` in its layout, whose leading axis is B or 1."""
-    return a.copy(order="K") if a.shape[0] == B else np.repeat(a, B, axis=0)
+def _per_state(a, B):
+    """``a``, one row per parameter set, for B states: itself, or broadcast from one row."""
+    return a if len(a) == B else np.broadcast_to(a, (B,) + a.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +561,16 @@ class _SlotSpace:
         self.flat = np.array(flat, dtype=int)
         self.col = np.array(col, dtype=int)
         self.sign = np.array(sign, dtype=float)[:, None]
-        self._index = self._sm_index = self.flat  # scatter's target indices, here for batch size 1
+        self._index = self.flat  # scatter's target indices, here for batch size 1
 
-    def scatter(self, vals, state_major=False):
-        """Sum the slot values (S, B) into their positions: (B, size), or
-        (size, B) if ``state_major``."""
+    def scatter(self, vals):
+        """Sum the slot values (S, B) into their positions, state-major: (size, B)."""
         B = vals.shape[1]
         w = vals[self.slot] * self.sign
-        if state_major:
-            if (index := self._sm_index).size != self.flat.size * B:
-                index = self._sm_index = (self.flat[:, None] * B + np.arange(B)).ravel()
-            return np.bincount(index, w.ravel(), B * self.size).reshape(self.size, B)
         if (index := self._index).size != self.flat.size * B:
-            index = (self.flat[:, None] + self.size * np.arange(B)).ravel()
+            index = (self.flat[:, None] * B + np.arange(B)).ravel()
             self._index = index if self._per_eval else self._index
-        return np.bincount(index, w.ravel(), B * self.size).reshape(B, self.size)
+        return np.bincount(index, w.ravel(), B * self.size).reshape(self.size, B)
 
     def first_nonfinite(self, vals, x_pad=None):
         """Name of the first slot with a non-finite contribution, or None.
@@ -881,17 +868,20 @@ DC_STAGES = ([(1.0, 0.0)], [(1.0, g) for g in [*10.0 ** np.arange(-2, -13, -1), 
 
 
 def _dc_newton(instance, x0, scale, gmin, nodes):
-    """(x, residual norm) of ``damped_newton`` on f(x) + gmin*v = scale*B u(0) from x0 (B, n)."""
+    """(x, residual norm) of ``damped_newton`` on f(x) + gmin*v = scale*B u(0) from x0 (B, n).
+    A sample's last run is at its iterate, so its Newton step takes df/dx from there."""
+    df = np.empty(x0.shape + x0.shape[-1:])
 
     def run(x, rows, into):
         ev = instance.take(rows).eval_dae(x, 0.0)
+        df[rows] = ev.df_dx
         r = ev.f - scale * ev.bu
         if gmin:
             r[:, nodes] += gmin * x[:, nodes]
         return r, norm_inf(r), Trajectory.point(0.0, x)
 
     def newton_step(x, r, traj, rows):
-        J = instance.take(rows).jacobians(x)[1].copy()
+        J = df[rows].copy()
         J[:, nodes, nodes] += gmin
         return batched_solve(J, r[..., None])[..., 0]
 

@@ -33,9 +33,7 @@ in blocks of at most ``SHARED_ORDER_BLOCK`` samples, each in one row
 order: partial pivoting's on its first finite sample. A sample whose
 multipliers exceed ``MAX_MULTIPLIER`` under that order, or whose solution
 is not finite, is solved again by LAPACK with the other rejected ones.
-Every other batch takes one LAPACK call per matrix. A circuit batch that
-``shares_order`` admits is stamped state-major (``circuit``), so its step
-and chain matrices reach the elimination in the layout it works in.
+Every other batch takes one LAPACK call per matrix.
 """
 
 from dataclasses import dataclass
@@ -76,8 +74,8 @@ class Dae:
     """Base of the integrable systems: one-shot evaluations from a subclass's
     ``linearize``, ``terms`` and (if scaled) ``scale_columns``; one that can
     stamp dQ/dw and dF/dw without Q and F overrides ``jacobians``. The
-    solvers call ``eval_with_jac`` only; ``eval`` and ``dF_dscale`` stay
-    because perfbench/tracer.py wraps them by name."""
+    solvers call those four and ``eval_with_jac``; ``eval`` and
+    ``dF_dscale`` stay because perfbench/tracer.py wraps them by name."""
 
     def eval(self, w, t):
         return self.terms(self.linearize(w, t))[:2]
@@ -172,11 +170,6 @@ SHARED_ORDER_BLOCK = 2048
 MAX_MULTIPLIER = 10.0  # threshold pivoting: |pivot| >= 0.1 x the largest entry below it
 
 
-def shares_order(batch, m):
-    """Whether ``batched_solve`` eliminates ``batch`` matrices of order m in a shared row order."""
-    return batch >= SHARED_ORDER_MIN_BATCH and m <= SHARED_ORDER_MAX_ORDER
-
-
 def batched_solve(J, R):
     """Solve J X = R, J (..., m, m) and R (..., m, k); NaN for singular J.
 
@@ -187,7 +180,7 @@ def batched_solve(J, R):
     elimination rejects, takes one LAPACK call per matrix.
     """
     B, m = J.shape[0], J.shape[-1]
-    if J.ndim != 3 or not shares_order(B, m):
+    if J.ndim != 3 or B < SHARED_ORDER_MIN_BATCH or m > SHARED_ORDER_MAX_ORDER:
         return _lapack_solve(J, R)
     out = np.empty(R.shape)
     blocks = -(-B // SHARED_ORDER_BLOCK)

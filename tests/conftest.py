@@ -1,5 +1,6 @@
 """Shared circuit fixtures for the test suite."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import pssuq.analysis as analysis
 import pssuq.stpss as stpss
 from pssuq import load_netlist, parse_netlist
+from pssuq.circuit import CircuitInstance
 from pssuq.gpc import build_basis, select_testing_nodes, tensor_rule
 from pssuq.shooting import PhaseCondition, estimate_period, solve_autonomous, solve_nominal
 from pssuq.stpss import (
@@ -193,6 +195,23 @@ def draws_with_short(monkeypatch, rows, drop=False):
         return xi
 
     monkeypatch.setattr(analysis, "draw_standardized", patched)
+
+
+def contiguous_jacobians(monkeypatch):
+    """Make circuit instances hand their Jacobians out C-contiguous, from
+    ``eval_dae`` and ``jacobians``: the batch-major layout, which every
+    numpy matrix product hands to BLAS as it is."""
+    eval_dae, jacobians = CircuitInstance.eval_dae, CircuitInstance.jacobians
+
+    def eval_contiguous(self, x, t):
+        ev = eval_dae(self, x, t)
+        return replace(ev, dq_dx=np.ascontiguousarray(ev.dq_dx), df_dx=np.ascontiguousarray(ev.df_dx))
+
+    def jacobians_contiguous(self, x):
+        return tuple(np.ascontiguousarray(a) for a in jacobians(self, x))
+
+    monkeypatch.setattr(CircuitInstance, "eval_dae", eval_contiguous)
+    monkeypatch.setattr(CircuitInstance, "jacobians", jacobians_contiguous)
 
 
 # acceptance-criterion results, emitted after the run regardless of capture

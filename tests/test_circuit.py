@@ -162,9 +162,10 @@ def test_realize_at_zero_is_nominal(devices):
     assert np.allclose(a.dq_dx, b.dq_dx) and np.allclose(a.df_dx, b.df_dx)
 
 
-def _state_major_batch(c=None, seed=22):
+def _shared_order_batch(c=None, seed=22):
     """(circuit, xi, x): a batch of ``SHARED_ORDER_MIN_BATCH`` rows of the
-    bundled rectifier (or of circuit ``c``), which is stamped state-major."""
+    bundled rectifier (or of circuit ``c``), which ``batched_solve``
+    eliminates in a shared row order."""
     from conftest import CIRCUITS_DIR
 
     c = c or load_netlist(CIRCUITS_DIR / "rectifier.cir")
@@ -173,67 +174,48 @@ def _state_major_batch(c=None, seed=22):
     return c, rng.normal(size=(rows, c.dim)) * 0.5, rng.normal(size=(rows, c.n)) * 0.3
 
 
-def _batch_major(monkeypatch):
-    """Stamp every batch batch-major; the solver's own gate stays as it is."""
-    monkeypatch.setattr(circuit, "shares_order", lambda batch, m: False)
-
-
 def test_batched_evaluation_matches_loop(devices):
-    """A batch gives each row its solo bits, also a batch stamped state-major."""
+    """A batch gives each row its solo bits, also a batch the solver
+    eliminates in a shared row order."""
     rng = np.random.default_rng(9)
     xi = rng.normal(size=(8, devices.dim)) * 0.5
     x = rng.normal(size=(8, devices.n)) * 0.3
-    for c, xi, x in ((devices, xi, x), _state_major_batch(seed=9)):
+    for c, xi, x in ((devices, xi, x), _shared_order_batch(seed=9)):
         batch = c.realize(xi).eval_dae(x, 1e-4)
         for b in range(len(xi)):
             one = c.realize(xi[b]).eval_dae(x[b], 1e-4)
-            assert np.array_equal(batch.q[b], one.q)
-            assert np.array_equal(batch.f[b], one.f)
-            assert np.array_equal(batch.df_dx[b], one.df_dx)
+            for name in ("q", "f", "bu", "dq_dx", "df_dx"):
+                assert np.array_equal(getattr(batch, name)[b], getattr(one, name))
 
 
-def test_a_batch_the_solver_eliminates_state_major_is_stamped_state_major():
-    """dq/dx and df/dx of a batch ``batched_solve`` eliminates in a shared
-    row order are (B, n, n) views of (n, n, B) buffers; a smaller batch's
-    are batch-major."""
-    c, xi, x = _state_major_batch()
-    for rows, state_major in ((..., True), (slice(1, None), False)):
-        inst = c.realize(xi[rows])
-        ev = inst.eval_dae(x[rows], 2e-4)
-        for a in (ev.dq_dx, ev.df_dx, *inst.jacobians(x[rows])):
-            assert a.shape == (len(xi[rows]), c.n, c.n)
-            assert a.transpose(1, 2, 0).flags.c_contiguous == state_major
-
-
-def test_a_state_major_batch_evaluates_with_the_batch_major_bits(monkeypatch):
-    """Every ``eval_dae`` field and both ``jacobians`` arrays of a batch
-    stamped state-major equal, bit for bit, those of the batch-major stamp
-    and of each row's solo evaluation."""
-    c, xi, x = _state_major_batch()
-    names = ("q", "f", "bu", "dq_dx", "df_dx")
-
-    def evaluate():
+def test_every_batch_is_stamped_state_major(devices):
+    """dq/dx and df/dx of every batch of parameter sets, from ``eval_dae``
+    and ``jacobians``, are (B, n, n) views of (n, n, B) buffers: with and
+    without devices, and in and out of the solver's shared-order gate."""
+    c, xi, x = _shared_order_batch()
+    rng = np.random.default_rng(23)
+    rc = _linear_circuits()[0]
+    cases = [
+        (c, xi, x), (c, xi[1:], x[1:]), (c, xi[:2], x[:2]),
+        (devices, rng.normal(size=(8, devices.dim)) * 0.5, rng.normal(size=(8, devices.n)) * 0.3),
+        (rc, rng.normal(size=(4, rc.dim)), rng.normal(size=(4, rc.n))),
+    ]
+    for c, xi, x in cases:
         inst = c.realize(xi)
         ev = inst.eval_dae(x, 2e-4)
-        return [np.ascontiguousarray(a) for a in (*(getattr(ev, k) for k in names), *inst.jacobians(x))]
-
-    state_major = evaluate()
-    _batch_major(monkeypatch)
-    for got, want in zip(state_major, evaluate()):
-        assert got.tobytes() == want.tobytes()
-    for k in range(len(xi)):
-        one = c.realize(xi[k]).eval_dae(x[k], 2e-4)
-        for got, name in zip(state_major, names):
-            assert got[k].tobytes() == getattr(one, name).tobytes()
+        for a in (ev.dq_dx, ev.df_dx, *inst.jacobians(x)):
+            assert a.shape == (len(xi), c.n, c.n)
+            assert a.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_a_state_major_batch_integrates_and_chains_with_the_same_bits(monkeypatch):
     """One ``integrate`` and the ``transition_chain`` over it, plain and
-    with a period scale's columns, give the same bits with the batch
-    stamped state-major or batch-major."""
+    with a period scale's columns, give the same bits with the batch's
+    Jacobians stamped state-major as with them handed out C-contiguous."""
+    from conftest import contiguous_jacobians
     from pssuq.shooting import CircuitDae
 
-    c, xi, x = _state_major_batch()
+    c, xi, x = _shared_order_batch()
     T = c.fundamental_period()
 
     def run():
@@ -245,7 +227,7 @@ def test_a_state_major_batch_integrates_and_chains_with_the_same_bits(monkeypatc
         return traj.states, M, Ms, S
 
     state_major = run()
-    _batch_major(monkeypatch)
+    contiguous_jacobians(monkeypatch)
     for got, want in zip(state_major, run()):
         assert got.tobytes() == want.tobytes()
 
@@ -258,7 +240,7 @@ def test_batched_sources_are_the_solo_bits(amplitude):
     from conftest import RECTIFIER
 
     text = RECTIFIER.replace("SIN(0 1 1k)", f"SIN(0 {amplitude} 1k)")
-    c, xi, x = _state_major_batch(parse_netlist(".param amp = uniform(0.9, 1.1)\n" + text))
+    c, xi, x = _shared_order_batch(parse_netlist(".param amp = uniform(0.9, 1.1)\n" + text))
     batch = c.realize(xi)
     for t in (0.0, 1.3e-4, 7.7e-4):
         bu, ev = batch.source(t), batch.eval_dae(x, t)
@@ -371,6 +353,22 @@ def test_dc_rungs_are_damped_newton_calls(monkeypatch):
     assert np.array_equal(calls[-1][0][0], x)
 
 
+def test_a_dc_solve_makes_no_jacobians_call(monkeypatch):
+    """Each DC Newton step takes df/dx from the evaluation of its iterate:
+    through the cubic conductor's gmin and source steps, and on a batch of
+    the bundled LNA, no device is stamped again by ``jacobians``."""
+    from conftest import CIRCUITS_DIR
+
+    def jacobians(self, x):
+        raise AssertionError("a DC solve called jacobians")
+
+    monkeypatch.setattr(circuit.CircuitInstance, "jacobians", jacobians)
+    x = dc_operating_point(parse_netlist("V1 1 0 DC 12\nN1 1 0 MU=5\n").realize_nominal())
+    assert x[0] == 12.0
+    lna = load_netlist(CIRCUITS_DIR / "lna.cir")
+    assert np.isfinite(dc_operating_point(lna.realize(np.random.default_rng(5).uniform(-1, 1, (8, 2))))).all()
+
+
 def test_a_failed_batched_dc_solve_names_the_sample():
     c = parse_netlist(".param v = uniform(2, 42)\nV1 1 0 DC {v}\nN1 1 0 MU=5\n")
     expect = r"^DC operating point did not converge at sample 1 \(residual 2\.443e\+00\)$"
@@ -399,14 +397,22 @@ def _linear_circuits():
 
 @pytest.mark.parametrize("index", [0, 1], ids=["rc_lowpass", "ladder"])
 def test_linear_circuit_evaluates_through_its_matrices(index):
-    """An all-linear circuit's q and f are exactly its Jacobians times x."""
+    """An all-linear circuit's q and f are exactly its Jacobians times x:
+    one circuit's by numpy's product as they are, a batch's, 4 rows and one
+    the solver eliminates in a shared row order, by the BLAS product of
+    their C-contiguous copies, the one ``eval_dae`` takes (numpy's own loop,
+    which a state-major operand takes, rounds otherwise)."""
     c = _linear_circuits()[index]
     rng = np.random.default_rng(12)
-    xi = rng.normal(size=(4, c.dim)) * 0.5
-    for inst, x in ((c.realize(xi[0]), rng.normal(size=c.n)), (c.realize(xi), rng.normal(size=(4, c.n)))):
-        ev = inst.eval_dae(x, 3e-4)
-        assert np.array_equal(ev.q, (ev.dq_dx @ x[..., None])[..., 0])
-        assert np.array_equal(ev.f, (ev.df_dx @ x[..., None])[..., 0])
+    inst, x = c.realize(rng.normal(size=c.dim) * 0.5), rng.normal(size=c.n)
+    ev = inst.eval_dae(x, 3e-4)
+    assert np.array_equal(ev.q, ev.dq_dx @ x)
+    assert np.array_equal(ev.f, ev.df_dx @ x)
+    for rows in (4, transient.SHARED_ORDER_MIN_BATCH):
+        x = rng.normal(size=(rows, c.n))
+        ev = c.realize(rng.normal(size=(rows, c.dim)) * 0.5).eval_dae(x, 3e-4)
+        assert np.array_equal(ev.q, (np.ascontiguousarray(ev.dq_dx) @ x[..., None])[..., 0])
+        assert np.array_equal(ev.f, (np.ascontiguousarray(ev.df_dx) @ x[..., None])[..., 0])
 
 
 def test_one_parameter_set_evaluates_a_state_batch(devices):
@@ -421,24 +427,62 @@ def test_one_parameter_set_evaluates_a_state_batch(devices):
             np.testing.assert_array_equal(getattr(batch, name)[k], getattr(one, name))
 
 
-@pytest.mark.parametrize("case", ["rc_lowpass", "all_devices", "state_major", "state_major_rc_lowpass"])
-def test_results_are_fresh_arrays(devices, case):
-    """Writing into a result leaves the instance's stamped matrices alone,
-    also those of a batch stamped state-major."""
+# result-ownership cases -> the results their evaluation shares with the
+# instance, read-only: C, G without devices and a constant B u (every case
+# here has a sine source)
+_SHARED = {
+    "rc_lowpass": {"dq_dx", "df_dx"},
+    "all_devices": {"dq_dx"},
+    "state_major": {"dq_dx"},
+    "state_major_rc_lowpass": {"dq_dx", "df_dx"},
+}
+_RESULTS = ("q", "f", "bu", "dq_dx", "df_dx")
+
+
+def _results_case(case, devices):
+    """(instance, states) of one result-ownership case."""
     if case.startswith("state_major"):
-        c, xi, x = _state_major_batch(_linear_circuits()[0] if case.endswith("rc_lowpass") else None)
-        inst = c.realize(xi)
-    else:
-        c = _linear_circuits()[0] if case == "rc_lowpass" else devices
-        inst = c.realize(np.zeros(c.dim))
-        x = np.random.default_rng(14).normal(size=c.n) * 0.3
+        c, xi, x = _shared_order_batch(_linear_circuits()[0] if case.endswith("rc_lowpass") else None)
+        return c.realize(xi), x
+    c = _linear_circuits()[0] if case == "rc_lowpass" else devices
+    return c.realize(np.zeros(c.dim)), np.random.default_rng(14).normal(size=c.n) * 0.3
+
+
+@pytest.mark.parametrize("case", list(_SHARED))
+def test_results_are_fresh_arrays(devices, case):
+    """q, f, a device df/dx and a time-varying B u are new arrays: writing
+    into them leaves the next evaluation unchanged."""
+    inst, x = _results_case(case, devices)
     first = inst.eval_dae(x, 1e-4)
-    keep = {name: getattr(first, name).copy() for name in ("q", "f", "bu", "dq_dx", "df_dx")}
+    keep = {name: getattr(first, name).copy() for name in _RESULTS if name not in _SHARED[case]}
     for name in keep:
         getattr(first, name)[...] = 7.0
     again = inst.eval_dae(x, 1e-4)
     for name, value in keep.items():
         np.testing.assert_array_equal(getattr(again, name), value)
+
+
+@pytest.mark.parametrize("case", [*_SHARED, "one_set_state_batch", "constant_source"])
+def test_shared_results_are_read_only(devices, case):
+    """C, G without devices and a constant B u are the instance's own
+    arrays, from ``eval_dae`` and ``jacobians``: writing into them raises,
+    and the other results are writeable. When one parameter set evaluates
+    a batch of states, its one row of B u is broadcast, read-only too."""
+    if case == "one_set_state_batch":
+        inst, x = devices.realize(np.zeros(devices.dim)), np.zeros((3, devices.n))
+        shared = {"bu", "dq_dx"}
+    elif case == "constant_source":
+        inst, x = parse_netlist("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 1u\n").realize_nominal(), np.ones(3)
+        shared = {"bu", "dq_dx", "df_dx"}
+    else:
+        (inst, x), shared = _results_case(case, devices), _SHARED[case]
+    ev = inst.eval_dae(x, 1e-4)
+    assert {name for name in _RESULTS if not getattr(ev, name).flags.writeable} == shared
+    dq, df = inst.jacobians(x)
+    assert not dq.flags.writeable and df.flags.writeable == ("df_dx" not in shared)
+    for a in (getattr(ev, name) for name in shared):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 7.0
 
 
 def test_find_nonfinite_element_names_a_shorted_resistor():

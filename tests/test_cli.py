@@ -25,9 +25,9 @@ from pssuq.cli import (
     synthetic_ladder,
 )
 from pssuq.shooting import solve_nominal
-from pssuq.transient import SHARED_ORDER_MIN_BATCH, NewtonOptions, integrate, scheme_by_name, shares_order
+from pssuq.transient import SHARED_ORDER_MIN_BATCH, NewtonOptions, integrate, scheme_by_name
 
-from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, draws_with_short, newton_iterates
+from conftest import CIRCUITS_DIR, SHORTED_AT_A_NODE, contiguous_jacobians, draws_with_short, newton_iterates
 
 
 def _cfg(tmp_path, **kw):
@@ -679,26 +679,18 @@ def test_heap_policy_leaves_the_outputs_unchanged(tmp_path):
 
 
 def test_state_major_stamps_leave_the_mc_outputs_unchanged(tmp_path, monkeypatch):
-    """An ``mc`` run whose batch is stamped state-major, the layout the
-    solver eliminates it in, writes the same files as one with every batch
-    stamped batch-major."""
+    """An ``mc`` run of a batch the solver eliminates in a shared row order
+    writes the same files with its Jacobians stamped state-major as with
+    them handed out C-contiguous."""
     settings = json.loads((CIRCUITS_DIR / "rectifier.json").read_text())
     cfg = _cfg(tmp_path, **dict(settings, mc_samples=SHARED_ORDER_MIN_BATCH, steps_per_period=50))
-    stamped = []
-
-    def gate(batch, m):
-        stamped.append(shares_order(batch, m))
-        return stamped[-1]
-
-    monkeypatch.setattr("pssuq.circuit.shares_order", gate)
     runs = []
-    for tag in ("state_major", "batch_major"):
+    for tag in ("state_major", "contiguous"):
         out = tmp_path / tag
         argv = ["mc", "--netlist", str(CIRCUITS_DIR / "rectifier.cir"), "--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_OK
         runs.append((json.loads((out / "manifest.json").read_text())["outputs"], (out / "summary.txt").read_text()))
-        monkeypatch.setattr("pssuq.circuit.shares_order", lambda batch, m: False)
-    assert any(stamped)
+        contiguous_jacobians(monkeypatch)
     assert runs[0] == runs[1]
 
 
